@@ -11,9 +11,7 @@
 
 namespace ctdf::bench {
 
-// Env knobs (CTDF_HOST_THREADS, CTDF_STAGE_STATS) are shared with the
-// CLI; see support/env.hpp.
-using support::host_threads_from_env;
+// Env knob (CTDF_STAGE_STATS); see support/env.hpp.
 using support::stage_stats_from_env;
 
 struct Measurement {
@@ -78,7 +76,7 @@ inline void explain_mismatch(const lang::Program& prog,
 /// compile's pipeline table to stderr.
 inline Measurement measure(const lang::Program& prog,
                            const translate::TranslateOptions& topt,
-                           machine::MachineOptions mopt) {
+                           const machine::MachineOptions& mopt) {
   const auto interp = lang::interpret(prog, 10'000'000);
   if (!interp.completed) {
     std::fprintf(stderr,
@@ -91,7 +89,6 @@ inline Measurement measure(const lang::Program& prog,
   if (stage_stats_from_env())
     std::fprintf(stderr, "pipeline stages (%s):\n%s",
                  topt.describe().c_str(), compiled.trace.table().c_str());
-  if (mopt.host_threads == 0) mopt.host_threads = host_threads_from_env();
   auto res = core::execute(tx, mopt);
   if (!res.stats.completed) {
     std::fprintf(stderr, "machine failed under %s: %s\n--- program ---\n%s",

@@ -3,8 +3,6 @@
 // token-matching engine.
 #include <benchmark/benchmark.h>
 
-#include <thread>
-
 #include "cfg/build.hpp"
 #include "cfg/control_dep.hpp"
 #include "cfg/dominance.hpp"
@@ -150,9 +148,8 @@ void BM_MachineIdleCycles(benchmark::State& state) {
   // Latency-bound regime: barrier loops over high-latency split-phase
   // memory serialize the iterations, so most simulated cycles deliver
   // only a handful of tokens and the run is dominated by the pending-
-  // queue bookkeeping (map-node churn in the scan engine vs bucket
-  // reuse + bitmap jumps in the event engine). Arg: 0 = scan engine,
-  // 1 = event engine; same results either way, only host time differs.
+  // queue bookkeeping (bucket reuse + bitmap jumps in the calendar
+  // queue).
   const auto prog = core::parse(lang::corpus::nested_loops_source(12, 12));
   const auto tx =
       core::compile(prog, translate::TranslateOptions::schema2_optimized());
@@ -161,8 +158,6 @@ void BM_MachineIdleCycles(benchmark::State& state) {
     machine::MachineOptions mopt;
     mopt.loop_mode = machine::LoopMode::kBarrier;
     mopt.mem_latency = 16;
-    mopt.engine = state.range(0) ? machine::EngineKind::kEvent
-                                 : machine::EngineKind::kScan;
     const auto res = core::execute(tx, mopt);
     ops += res.stats.ops_fired;
     benchmark::DoNotOptimize(res.stats.cycles);
@@ -170,14 +165,15 @@ void BM_MachineIdleCycles(benchmark::State& state) {
   state.counters["ops/s"] = benchmark::Counter(
       static_cast<double>(ops), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_MachineIdleCycles)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+// Arg 1 names the event policy; it keeps the row name the recorded
+// BENCH_machine.json baseline uses.
+BENCHMARK(BM_MachineIdleCycles)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_FrameAlloc(benchmark::State& state) {
   // Context-churn regime: deep pipelined nested loops allocate and
-  // retire an iteration frame per trip. The scan engine pays a heap
-  // allocation per context for the life of the run; the event engine
-  // hands retired frames back to the arena freelist. Arg: 0 = scan,
-  // 1 = event. Reports iteration contexts started per second.
+  // retire an iteration frame per trip; the engine hands retired frames
+  // back to the arena freelist. Reports iteration contexts started per
+  // second.
   const auto prog = core::parse(lang::corpus::nested_loops_source(16, 16));
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
@@ -186,8 +182,6 @@ void BM_FrameAlloc(benchmark::State& state) {
   for (auto _ : state) {
     machine::MachineOptions mopt;
     mopt.loop_mode = machine::LoopMode::kPipelined;
-    mopt.engine = state.range(0) ? machine::EngineKind::kEvent
-                                 : machine::EngineKind::kScan;
     const auto res = core::execute(tx, mopt);
     ctxs += res.stats.contexts_allocated;
     benchmark::DoNotOptimize(res.stats.cycles);
@@ -195,94 +189,12 @@ void BM_FrameAlloc(benchmark::State& state) {
   state.counters["ctxs/s"] = benchmark::Counter(
       static_cast<double>(ctxs), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_FrameAlloc)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_MachineHostThreads(benchmark::State& state) {
-  // Wall-clock scaling of the parallel cycle-synchronous engine over
-  // host worker threads (arg 0 = serial legacy path) on a token-heavy
-  // workload. Results are bit-identical at every thread count — only
-  // host time may change — so this measures pure simulator speedup.
-  // Wide pipelined nested loops keep many operators firing per cycle,
-  // which is the shape the sharded engine parallelizes.
-  const auto prog =
-      core::parse(lang::corpus::nested_loops_source(16, 16));
-  auto topt = translate::TranslateOptions::schema2_optimized();
-  topt.eliminate_memory = true;
-  const auto tx = core::compile(prog, topt);
-  const unsigned cores = std::thread::hardware_concurrency();
-  state.counters["host-cores"] = static_cast<double>(cores);
-  if (cores <= 1 && state.range(0) > 1) {
-    // Multi-worker rows on a single-core host measure only scheduling
-    // overhead, not speedup; skip them instead of reporting noise.
-    state.SkipWithError("single host core: no parallel speedup measurable");
-    return;
-  }
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    machine::MachineOptions mopt;
-    mopt.loop_mode = machine::LoopMode::kPipelined;
-    mopt.host_threads = static_cast<unsigned>(state.range(0));
-    const auto res = core::execute(tx, mopt);
-    ops += res.stats.ops_fired;
-    benchmark::DoNotOptimize(res.stats.cycles);
-  }
-  state.counters["ops/s"] = benchmark::Counter(
-      static_cast<double>(ops), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_MachineHostThreads)
-    ->Arg(0)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_MachineAsyncThreads(benchmark::State& state) {
-  // Wall-clock scaling of the asynchronous work-stealing engine (arg 0
-  // = serial baseline). Free-running discipline: this is the engine's
-  // throughput configuration — no epoch fences, stealing on — and its
-  // schedule-derived metrics are allowed to vary, so only the store
-  // and semantic counters anchor correctness (checked by the AsyncEquiv
-  // suite, not here). The same nested-loop shape as
-  // BM_MachineHostThreads makes sync-vs-async speedup directly
-  // comparable row by row; scripts/bench_machine.py gates the ≥4-thread
-  // rows against --async-speedup-floor.
-  const auto prog =
-      core::parse(lang::corpus::nested_loops_source(16, 16));
-  auto topt = translate::TranslateOptions::schema2_optimized();
-  topt.eliminate_memory = true;
-  const auto tx = core::compile(prog, topt);
-  const unsigned cores = std::thread::hardware_concurrency();
-  state.counters["host-cores"] = static_cast<double>(cores);
-  if (cores <= 1 && state.range(0) > 1) {
-    state.SkipWithError("single host core: no parallel speedup measurable");
-    return;
-  }
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    machine::MachineOptions mopt;
-    mopt.loop_mode = machine::LoopMode::kPipelined;
-    mopt.host_threads = static_cast<unsigned>(state.range(0));
-    mopt.parallel = machine::ParallelMode::kAsync;
-    mopt.deterministic = false;
-    const auto res = core::execute(tx, mopt);
-    ops += res.stats.ops_fired;
-    benchmark::DoNotOptimize(res.stats.cycles);
-  }
-  state.counters["ops/s"] = benchmark::Counter(
-      static_cast<double>(ops), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_MachineAsyncThreads)
-    ->Arg(0)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+// Arg 1 keeps the recorded baseline's row name, as above.
+BENCHMARK(BM_FrameAlloc)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_MachineFaultsOff(benchmark::State& state) {
   // Fault-machinery overhead gate on a token-heavy two-PE workload.
-  // Arg 0: inert FaultPlan — the engines must take their legacy
+  // Arg 0: inert FaultPlan — the engine must take its legacy
   // fault-free paths unchanged. Arg 1: the fault-aware path engaged
   // (a frame capacity far above the program's footprint activates the
   // machinery) but with every rate zero, so no fault ever fires and

@@ -5,19 +5,17 @@ Runs the micro_components google-benchmark harness, extracts the
 simulator's operator throughput (BM_MachineTokenThroughput), the
 frame-store matching rate (BM_MachineMatchThroughput), the graph →
 ExecProgram lowering time (BM_LowerExecProgram), the latency-bound
-engine comparison (BM_MachineIdleCycles, arg 0 = scan / 1 = event),
-the context-churn comparison (BM_FrameAlloc), the fault-machinery
-overhead pair (BM_MachineFaultsOff, arg 0 = legacy path / 1 = fault
-path engaged with zero rates), the run-budget cost pair
+workload (BM_MachineIdleCycles), the context-churn workload
+(BM_FrameAlloc), the fault-machinery overhead pair
+(BM_MachineFaultsOff, arg 0 = legacy path / 1 = fault path engaged
+with zero rates), the run-budget cost pair
 (BM_MachineBudgetOverhead, arg 0 = no budget / 1 = armed but
 unreachable deadline + token ceiling), the integrity-checker cost pair
 (BM_MachineIntegrityOverhead, arg 0 = --check=off / 1 =
 --check=integrity), the macro-op fusion pair (BM_MachineFusedChains,
 arg 0 = cleanup passes only / 1 = --opt=all), the deterministic
 recovery cost (BM_MachineFaultRecovery, cycles per run), and the
-async work-stealing engine's thread scaling (BM_MachineAsyncThreads,
-arg 0 = serial baseline / N = free-running async at N host threads),
-and the serve front-end's compile-once economics (BM_ServeWarmVsCold,
+serve front-end's compile-once economics (BM_ServeWarmVsCold,
 arg 0 = a cold server per request / 1 = a primed program cache; the
 warm path must beat the cold path by --serve-warm-speedup-floor, a
 within-run ratio, so it is host-independent), and writes them to a
@@ -27,23 +25,18 @@ With --check BASELINE it additionally compares against a committed
 baseline and exits non-zero on a regression beyond --tolerance
 (default 25%, or a per-section override): throughput/match/context
 rates lower, or lowering time / recovery cycles higher. It also
-requires the event engine to beat the scan engine on the latency-bound
-workload by at least --event-speedup-floor, holds the engaged-but-
-faultless path to within --faults-overhead-floor of the legacy path,
-holds the armed-but-unreachable run budget to within
---budget-overhead-floor of the unbudgeted path,
-and holds --check=integrity to within --integrity-overhead-floor of
-the unchecked path (the ratios are measured within one run, so they
+holds the engaged-but-faultless path to within --faults-overhead-floor
+of the legacy path, holds the armed-but-unreachable run budget to
+within --budget-overhead-floor of the unbudgeted path, and holds
+--check=integrity to within --integrity-overhead-floor of the
+unchecked path (the ratios are measured within one run, so they
 are host-independent). Macro-op fusion must *speed up* the chain-heavy
 workload by at least --fusion-speedup-floor: the fused row simulates
 the same program in fewer token matches, so falling under the floor
 means the fusion pass or the macro firing path lost its advantage.
-On multi-core hosts the async engine must beat its own serial
-baseline by at least --async-speedup-floor at >= 4 threads; on
-single-core hosts the multi-thread rows skip themselves and the gate
-is vacuous (speedup is not measurable there). The checking-off row of the integrity pair is
-also gated against the baseline, which pins "off costs nothing": any
-tax the checker imposed on unchecked runs would show up there.
+The checking-off row of the integrity pair is also gated against the
+baseline, which pins "off costs nothing": any tax the checker imposed
+on unchecked runs would show up there.
 
 Usage:
   scripts/bench_machine.py --bench build/bench/micro_components \
@@ -78,7 +71,6 @@ FILTER = "|".join(
         "BM_MachineIntegrityOverhead",
         "BM_MachineFusedChains",
         "BM_MachineFaultRecovery",
-        "BM_MachineAsyncThreads",
         "BM_FrameAlloc",
         "BM_ServeWarmVsCold",
         "BM_LowerExecProgram/",  # skip the _BigO/_RMS aggregate rows
@@ -100,7 +92,6 @@ SECTIONS = {
     "fused_runs_per_s": ("BM_MachineFusedChains", "runs/s", True),
     "fault_recovery_cycles": ("BM_MachineFaultRecovery", "cycles/run",
                               False, 0.05),
-    "async_ops_per_s": ("BM_MachineAsyncThreads", "ops/s", True),
     "serve_req_per_s": ("BM_ServeWarmVsCold", "req/s", True),
     "frame_ctxs_per_s": ("BM_FrameAlloc", "ctxs/s", True),
     "lowering_ns": ("BM_LowerExecProgram", "real_time", False),
@@ -139,17 +130,6 @@ def summarize(report):
                 out[section][name] = b[key]
                 break
     return out
-
-
-def event_speedup(summary):
-    """Event-over-scan throughput ratio on the latency-bound workload,
-    or None when either row is missing."""
-    rows = summary.get("idle_ops_per_s", {})
-    scan = rows.get("BM_MachineIdleCycles/0")
-    event = rows.get("BM_MachineIdleCycles/1")
-    if not scan or not event:
-        return None
-    return event / scan
 
 
 def faults_overhead(summary):
@@ -206,22 +186,6 @@ def fusion_speedup(summary):
     return fused / unfused
 
 
-def async_speedup(summary):
-    """Best async-over-serial throughput ratio on BM_MachineAsyncThreads
-    among the >= 4-thread rows, or None when the rows are missing (the
-    multi-thread rows skip themselves on single-core hosts, where no
-    speedup is measurable). Both sides come from the same run, so the
-    ratio is host-independent."""
-    rows = summary.get("async_ops_per_s", {})
-    serial = rows.get("BM_MachineAsyncThreads/0")
-    threaded = [v for k, v in rows.items()
-                if k != "BM_MachineAsyncThreads/0"
-                and int(k.rsplit("/", 1)[1]) >= 4]
-    if not serial or not threaded:
-        return None
-    return max(threaded) / serial
-
-
 def serve_warm_speedup(summary):
     """Warm-over-cold request rate on BM_ServeWarmVsCold, or None when
     either row is missing. Cold pays a full compile per request, warm a
@@ -235,9 +199,8 @@ def serve_warm_speedup(summary):
     return warm / cold
 
 
-def check(current, baseline, tolerance, speedup_floor, overhead_floor,
-          budget_floor, integrity_floor, fusion_floor, async_floor,
-          serve_floor):
+def check(current, baseline, tolerance, overhead_floor, budget_floor,
+          integrity_floor, fusion_floor, serve_floor):
     failures = []
 
     def compare(section, spec):
@@ -264,14 +227,6 @@ def check(current, baseline, tolerance, speedup_floor, overhead_floor,
     for section, spec in SECTIONS.items():
         if not spec[2]:
             compare(section, spec)
-
-    speedup = event_speedup(current)
-    if speedup is not None:
-        flag = "ok" if speedup >= speedup_floor else "REGRESSION"
-        print(f"event-engine speedup on BM_MachineIdleCycles: "
-              f"{speedup:.2f}x (floor {speedup_floor:.2f}x) {flag}")
-        if speedup < speedup_floor:
-            failures.append("event-speedup")
 
     overhead = faults_overhead(current)
     if overhead is not None:
@@ -308,17 +263,6 @@ def check(current, baseline, tolerance, speedup_floor, overhead_floor,
         if fusion < fusion_floor:
             failures.append("fusion-speedup")
 
-    asyn = async_speedup(current)
-    if asyn is not None:
-        flag = "ok" if asyn >= async_floor else "REGRESSION"
-        print(f"async-engine speedup on BM_MachineAsyncThreads: "
-              f"{asyn:.2f}x (floor {async_floor:.2f}x) {flag}")
-        if asyn < async_floor:
-            failures.append("async-speedup")
-    else:
-        print("async-engine speedup on BM_MachineAsyncThreads: "
-              "not measurable on this host (multi-thread rows skipped)")
-
     serve = serve_warm_speedup(current)
     if serve is not None:
         flag = "ok" if serve >= serve_floor else "REGRESSION"
@@ -343,9 +287,6 @@ def main():
                          "for the full regeneration workflow")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed relative regression (default 0.25)")
-    ap.add_argument("--event-speedup-floor", type=float, default=1.2,
-                    help="required event/scan throughput ratio on the "
-                         "latency-bound workload (default 1.2)")
     ap.add_argument("--faults-overhead-floor", type=float, default=0.95,
                     help="required engaged-but-faultless/legacy "
                          "throughput ratio on BM_MachineFaultsOff "
@@ -364,11 +305,6 @@ def main():
                     help="required fused/unfused run-rate ratio on the "
                          "chain-heavy workload BM_MachineFusedChains "
                          "(default 1.15)")
-    ap.add_argument("--async-speedup-floor", type=float, default=1.15,
-                    help="required async/serial throughput ratio on "
-                         "BM_MachineAsyncThreads at >= 4 threads "
-                         "(default 1.15); vacuous on single-core hosts "
-                         "where the threaded rows skip themselves")
     ap.add_argument("--serve-warm-speedup-floor", type=float, default=5.0,
                     help="required warm/cold request-rate ratio on "
                          "BM_ServeWarmVsCold (default 5.0): a cached "
@@ -383,10 +319,6 @@ def main():
     print(f"wrote {args.out}")
 
     if args.record:
-        speedup = event_speedup(summary)
-        if speedup is not None:
-            print(f"event-engine speedup on BM_MachineIdleCycles: "
-                  f"{speedup:.2f}x")
         overhead = faults_overhead(summary)
         if overhead is not None:
             print(f"fault-path overhead on BM_MachineFaultsOff: "
@@ -404,10 +336,6 @@ def main():
         if fusion is not None:
             print(f"macro-op fusion speedup on BM_MachineFusedChains: "
                   f"{fusion:.2f}x")
-        asyn = async_speedup(summary)
-        if asyn is not None:
-            print(f"async-engine speedup on BM_MachineAsyncThreads: "
-                  f"{asyn:.2f}x")
         serve = serve_warm_speedup(summary)
         if serve is not None:
             print(f"serve warm-over-cold speedup on BM_ServeWarmVsCold: "
@@ -420,12 +348,10 @@ def main():
         with open(args.check) as f:
             baseline = json.load(f)
         failures = check(summary, baseline, args.tolerance,
-                         args.event_speedup_floor,
                          args.faults_overhead_floor,
                          args.budget_overhead_floor,
                          args.integrity_overhead_floor,
                          args.fusion_speedup_floor,
-                         args.async_speedup_floor,
                          args.serve_warm_speedup_floor)
         if failures:
             print(f"FAIL: {len(failures)} benchmark(s) regressed beyond "

@@ -227,7 +227,7 @@ struct BlobCodec {
     for (std::string& l : p.labels_) l = r.str();
 
     if (!r.ok) return "payload ended mid-field";
-    // Cross-field consistency the engines rely on unconditionally.
+    // Cross-field consistency the engine relies on unconditionally.
     if (!p.fanout_begin_.empty() &&
         p.fanout_begin_.back() != p.fanout_.size())
       return "fan-out index does not cover the destination table";

@@ -8,7 +8,7 @@
 // regions) and the name→cell table used to render stores by variable
 // name. Deserializing a blob and running it produces stores and
 // semantic counters byte-identical to running the freshly lowered
-// program, on every engine (tests/machine_blob_test.cpp sweeps this).
+// program (tests/machine_blob_test.cpp sweeps this).
 //
 // Wire format (all integers little-endian, fixed width):
 //

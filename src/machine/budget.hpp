@@ -1,5 +1,5 @@
 // Live tracking of a RunBudget (machine/options.hpp): the cooperative
-// deadline and token ceilings every engine polls on its firing path.
+// deadline and token ceilings the engine polls on its firing path.
 //
 // The cost contract mirrors the fault/integrity machinery: an unarmed
 // budget is one dead `if (budget_)` branch per firing, and an armed but
@@ -13,9 +13,8 @@
 //     ~100us of expiry while the steady_clock call amortizes to noise.
 //
 // Error text depends only on the *configured* budget, never on when the
-// poll happened to trip, so all three engines (scan, event, async)
-// render byte-identical `deadline-exceeded` / `token-budget` messages —
-// the same cross-engine identity the rest of the error taxonomy keeps.
+// poll happened to trip, so every run (and both pending-queue policies)
+// renders byte-identical `deadline-exceeded` / `token-budget` messages.
 #pragma once
 
 #include <chrono>
@@ -40,29 +39,19 @@ class BudgetState {
       deadline_ = Clock::now() + std::chrono::milliseconds(budget.deadline_ms);
   }
 
-  [[nodiscard]] bool has_deadline() const { return deadline_ms_ >= 0; }
-  [[nodiscard]] std::uint64_t max_tokens() const { return max_tokens_; }
-
-  /// Token ceiling: exact and deterministic (serial engines trip at the
-  /// same firing every run).
+  /// Token ceiling: exact and deterministic (a run trips at the same
+  /// firing every time).
   [[nodiscard]] bool tokens_exceeded(std::uint64_t tokens_sent) const {
     return max_tokens_ != 0 && tokens_sent > max_tokens_;
   }
 
   /// Strided deadline poll for per-firing call sites: counts down
-  /// between clock reads. Not thread-safe — one engine coordinator (or
-  /// one serial engine) owns this object.
+  /// between clock reads. Not thread-safe: one run owns this object.
   [[nodiscard]] bool deadline_exceeded_strided() {
     if (deadline_ms_ < 0) return false;
     if (--until_poll_ != 0) return false;
     until_poll_ = kPollStride;
     return Clock::now() >= deadline_;
-  }
-
-  /// Immediate deadline check for coarse call sites (per async batch /
-  /// up-front rejection), where one clock read is already noise.
-  [[nodiscard]] bool deadline_exceeded_now() const {
-    return deadline_ms_ >= 0 && Clock::now() >= deadline_;
   }
 
   [[nodiscard]] RunError deadline_error() const {

@@ -1,5 +1,5 @@
-// Calendar queue (timing wheel) for in-flight tokens, the event
-// engine's replacement for the scan engine's std::map<cycle, vector>.
+// Calendar queue (timing wheel) for in-flight tokens: the event
+// policy's replacement for the scan policy's std::map<cycle, vector>.
 //
 // Every token's delivery cycle lies within a small, statically known
 // horizon of the current cycle: firings schedule at cycle + latency
@@ -14,11 +14,11 @@
 //  * finding the next non-empty cycle (the idle jump) is a find-first-
 //    set over an occupancy bitmap instead of a tree descent.
 //
-// Ordering contract (what byte-identity with the scan engine rests
+// Ordering contract (what byte-identity with the scan policy rests
 // on): tokens with equal due cycles are delivered in push order, and
 // cross-cycle iteration (`for_each_pending`, used by the end-of-run
 // drain accounting) visits buckets in ascending due order — exactly
-// the std::map iteration the scan engine performs.
+// the std::map iteration the scan policy performs.
 #pragma once
 
 #include <algorithm>
@@ -33,7 +33,7 @@ namespace ctdf::machine {
 class CalendarQueue {
  public:
   /// Largest supported horizon (exclusive); run() falls back to the
-  /// scan engine above this rather than allocating a degenerate wheel.
+  /// scan policy above this rather than allocating a degenerate wheel.
   static constexpr std::uint64_t kMaxHorizon = 1u << 20;
 
   /// `horizon` = the maximum distance between the current cycle and any

@@ -1,13 +1,14 @@
-// The serial execution engine, parameterized over its pending-token
-// queue. machine.cpp instantiates it with MapPending (the legacy
-// "scan" engine: ordered map keyed by delivery cycle, frames never
-// freed); engine_event.cpp instantiates it with a calendar-queue
-// policy that also recycles retired contexts' frames. Every
-// semantics-bearing line — delivery, matching, firing, token
-// accounting, error reporting — is this one template, which is what
-// makes the two engines byte-identical by construction; the
-// differential suite in tests/machine_event_equiv_test.cpp guards the
-// policies themselves against drift.
+// The execution engine, parameterized over its pending-token queue.
+// machine.cpp runs every program on a calendar-queue policy that also
+// recycles retired contexts' frames ("event"), and falls back to
+// MapPending (ordered map keyed by delivery cycle, frames never freed:
+// "scan") only when the latency horizon is too large for a wheel.
+// MapPending is also the reference the differential suites compare the
+// calendar policy against. Every semantics-bearing line — delivery,
+// matching, firing, token accounting, error reporting — is this one
+// template, which is what makes the two policies byte-identical by
+// construction; tests/machine_event_equiv_test.cpp guards the policies
+// themselves against drift.
 //
 // A PendingQueue policy provides:
 //   static constexpr bool kRecycleFrames;     // recycle frames on
@@ -54,8 +55,9 @@ struct ReadyEntry {
   bool refire = false;  ///< see Token::refire
 };
 
-/// The scan engine's pending queue: an ordered map of delivery cycle →
-/// token FIFO. The reference policy.
+/// The scan policy's pending queue: an ordered map of delivery cycle →
+/// token FIFO. The reference policy, and the only one that carries a
+/// horizon at or past CalendarQueue::kMaxHorizon.
 struct MapPending {
   static constexpr bool kRecycleFrames = false;
 
@@ -435,7 +437,7 @@ class SerialEngine {
 
   void fire(const ReadyEntry& e, std::uint64_t cycle) {
     // The budget poll lives on the shared firing path — the one line
-    // every engine variant executes — so scan and event honor the
+    // both pending-queue policies execute — so scan and event honor the
     // ceilings at identical points. Both firing loops (abstract pool
     // and multi-PE) already stop on stats_.error.
     if (budget_) {
@@ -695,7 +697,7 @@ class SerialEngine {
   MemoryState mem_;
   DeferredMap deferred_;
 
-  ContextState<Token> cs_;
+  ContextState cs_;
   FrameStore frames_;
 
   PendingQueue pending_;

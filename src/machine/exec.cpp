@@ -75,7 +75,7 @@ ExecProgram lower(const dfg::Graph& g) {
   p.num_framed_ = strict_cursor;
 
   // Pass 2: fan-out destinations, grouped per (op, out-port). Within a
-  // port, graph-arc order is preserved — the engines' emission order
+  // port, graph-arc order is preserved — the engine's emission order
   // (and hence ready-queue order and RunStats) depends on it.
   p.fanout_begin_.assign(port_cursor + 1, 0);
   for (const dfg::Arc& a : g.arcs())

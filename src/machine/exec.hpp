@@ -1,5 +1,5 @@
 // ExecProgram — the one-time lowering of a dfg::Graph into the flat
-// struct-of-arrays form both simulation engines execute (paper Section
+// struct-of-arrays form the simulation engine executes (paper Section
 // 2.2; the layout mirrors Monsoon's explicit token store [17]).
 //
 // Lowering precomputes everything the per-token hot path would
@@ -9,7 +9,7 @@
 //  * inline literal operands (is-literal mask + values in one flat
 //    array, sliced per op);
 //  * contiguous fan-out destination arrays, grouped by (op, out-port)
-//    in graph-arc order — the emission order the engines must preserve;
+//    in graph-arc order — the emission order the engine must preserve;
 //  * a per-context frame-slot layout: every strict op owns a fixed
 //    range [frame_base, frame_base + num_inputs) of the context frame,
 //    so token matching is a presence-bit set in a dense array (a true
@@ -17,7 +17,7 @@
 //
 // The lowering is per-graph, not per-MachineOptions: LoopEntry's
 // strictness depends on LoopMode (pipelined = non-strict), so the op
-// table records base strictness flags and the engines resolve the mode-
+// table records base strictness flags and the engine resolves the mode-
 // dependent part at run time. Labels are copied so diagnostics need no
 // Graph.
 #pragma once

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "support/hash.hpp"
+#include "support/parse.hpp"
 
 namespace ctdf::machine {
 namespace {
@@ -15,7 +16,6 @@ constexpr std::uint32_t kJitterSalt = 0x3001;
 constexpr std::uint32_t kJitterAmount = 0x3002;
 constexpr std::uint32_t kDupSalt = 0x3003;
 constexpr std::uint32_t kDupSpread = 0x3004;
-constexpr std::uint32_t kSeqSalt = 0x3005;
 
 }  // namespace
 
@@ -81,8 +81,8 @@ std::string parse_fault_spec(const std::string& spec, FaultPlan& plan) {
       else plan.nack = rate;
     } else if (key == "attempts" || key == "backoff" || key == "cap" ||
                key == "watchdog") {
-      const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0')
+      unsigned long long n = 0;
+      if (!support::parse_unsigned(value, n))
         return "fault knob '" + key + "=" + value +
                "' must be a non-negative integer";
       if (key == "attempts") {
@@ -157,10 +157,6 @@ FaultState::Nack FaultState::nack(std::uint64_t id) const {
     ++n.nacks;
   }
   return n;
-}
-
-std::uint64_t FaultState::seq_for(std::uint64_t id) const {
-  return mix(id, kSeqSalt) | 1;
 }
 
 }  // namespace ctdf::machine

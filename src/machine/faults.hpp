@@ -66,7 +66,7 @@ struct RunError {
 };
 
 /// True when any fault machinery must be engaged for `opt` (rates or a
-/// finite frame capacity). When false the engines run the exact
+/// finite frame capacity). When false the engine runs the exact
 /// fault-free code path — byte-identical behavior and hot-path cost.
 [[nodiscard]] inline bool fault_active(const MachineOptions& opt) {
   return opt.faults.enabled() || opt.frame_capacity > 0;
@@ -79,7 +79,7 @@ struct RunError {
 
 /// The largest extra delay injection can add to any single scheduled
 /// delivery (full drop-retry ladder + jitter + duplicate spread). The
-/// event engine widens its calendar horizon by this.
+/// calendar queue widens its horizon by this.
 [[nodiscard]] std::uint64_t max_fault_delay(const FaultPlan& plan);
 
 /// Parses a `--faults=` spec: comma-separated key=value with keys
@@ -90,8 +90,7 @@ struct RunError {
                                            FaultPlan& plan);
 
 /// Per-run fault oracle. Stateless apart from the id/seq counters the
-/// serial engines draw from (the parallel engine derives ids from token
-/// ranks instead); every decision is hash(seed, id, salt).
+/// engine draws from; every decision is hash(seed, id, salt).
 class FaultState {
  public:
   explicit FaultState(const FaultPlan& plan) : plan_(plan) {}
@@ -119,13 +118,10 @@ class FaultState {
   };
   [[nodiscard]] Nack nack(std::uint64_t id) const;
 
-  /// Serial engines' deterministic id stream (one per roll site).
+  /// The engine's deterministic id stream (one per roll site).
   std::uint64_t next_id() { return ++nonce_; }
   /// Fresh nonzero dedup sequence number for a duplicated token.
   std::uint64_t next_seq() { return ++seq_; }
-  /// Rank-derived dedup sequence number (parallel engine): nonzero,
-  /// collision-free in practice (64-bit hash).
-  [[nodiscard]] std::uint64_t seq_for(std::uint64_t id) const;
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   /// Scheduler steps without a firing before the no-progress watchdog

@@ -1,10 +1,8 @@
 // The shared firing core: what one matched operator firing *does*, as
 // pure functions from the matched inputs and a small machine-state
-// interface to emitted (port, value) tokens and memory effects. Both
-// engines call these — the serial engine inline in its fire loop, the
-// parallel engine from its execute and bank phases — so the operator
-// semantics exist in exactly one place and the engines differ only in
-// scheduling and token transport.
+// interface to emitted (port, value) tokens and memory effects. The
+// engine calls these inline in its fire loop, so the operator semantics
+// exist in one place, apart from scheduling and token transport.
 #pragma once
 
 #include <cstdint>
@@ -113,9 +111,7 @@ void fire_pure(const ExecProgram& p, const ExecOp& op, const std::int64_t* in,
 /// transport — emit(port, value) for the firing op's own outputs,
 /// emit_deferred(ctx, node, value) for deferred readers an I-store
 /// satisfies (tokens in *other* contexts), count_deferred_read() when a
-/// fetch parks. mem_reads/mem_writes are counted by the engines (the
-/// parallel engine counts in replay order, after the bank already
-/// applied the effect).
+/// fetch parks. mem_reads/mem_writes are counted by the engine.
 ///
 /// `integ` (non-null iff --check=integrity) adds the memory
 /// disciplines of machine/integrity.hpp: the race check on updatable

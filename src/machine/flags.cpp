@@ -1,14 +1,14 @@
 #include "machine/flags.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <string>
 
 #include "machine/faults.hpp"
-#include "support/env.hpp"
+#include "support/parse.hpp"
 
 namespace ctdf::machine {
 namespace {
+
+using support::parse_unsigned;
 
 bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
@@ -17,18 +17,6 @@ bool starts_with(const std::string& s, const char* prefix) {
 std::string value_of(const std::string& arg) {
   const auto eq = arg.find('=');
   return eq == std::string::npos ? "" : arg.substr(eq + 1);
-}
-
-/// Strict unsigned parse: rejects empty strings, signs (std::stoul
-/// silently wraps "-1"), embedded junk ("8x"), and overflow, so a typo
-/// is a flag error instead of a silent misconfiguration.
-bool parse_unsigned(const std::string& v, unsigned long long& out) {
-  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoull(v.c_str(), &end, 10);
-  return errno == 0 && end == v.c_str() + v.size();
 }
 
 /// Value-carrying unsigned flags that need no range restriction beyond
@@ -46,17 +34,6 @@ MachineFlagParse set_unsigned(const std::string& arg, T& field) {
 MachineFlagParse apply_machine_flag(MachineOptions& o, const std::string& arg,
                                     std::string* detail) {
   if (detail) detail->clear();
-  if (starts_with(arg, "--engine=")) {
-    const std::string v = value_of(arg);
-    if (v == "scan") {
-      o.engine = EngineKind::kScan;
-    } else if (v == "event") {
-      o.engine = EngineKind::kEvent;
-    } else {
-      return MachineFlagParse::kBadValue;
-    }
-    return MachineFlagParse::kApplied;
-  }
   if (starts_with(arg, "--check=")) {
     const std::string v = value_of(arg);
     if (v == "off") {
@@ -108,41 +85,6 @@ MachineFlagParse apply_machine_flag(MachineOptions& o, const std::string& arg,
     }
     return MachineFlagParse::kApplied;
   }
-  if (starts_with(arg, "--host-threads=")) {
-    // 0 is only meaningful as the *absence* of the flag (env default);
-    // asking for zero worker threads explicitly is a mistake.
-    unsigned long long v = 0;
-    if (!parse_unsigned(value_of(arg), v) || v == 0 || v > 1u << 16)
-      return MachineFlagParse::kBadValue;
-    o.host_threads = static_cast<unsigned>(v);
-    return MachineFlagParse::kApplied;
-  }
-  if (starts_with(arg, "--parallel=")) {
-    const std::string v = value_of(arg);
-    if (v == "sync") {
-      o.parallel = ParallelMode::kSync;
-    } else if (v == "async") {
-      o.parallel = ParallelMode::kAsync;
-    } else {
-      return MachineFlagParse::kBadValue;
-    }
-    return MachineFlagParse::kApplied;
-  }
-  if (starts_with(arg, "--slack=")) {
-    unsigned long long v = 0;
-    if (!parse_unsigned(value_of(arg), v) || v > 1u << 16)
-      return MachineFlagParse::kBadValue;
-    o.slack = static_cast<unsigned>(v);
-    return MachineFlagParse::kApplied;
-  }
-  if (arg == "--deterministic" || arg == "--deterministic=1") {
-    o.deterministic = true;
-    return MachineFlagParse::kApplied;
-  }
-  if (arg == "--deterministic=0") {
-    o.deterministic = false;
-    return MachineFlagParse::kApplied;
-  }
   if (arg == "--trace") {
     o.trace = true;
     return MachineFlagParse::kApplied;
@@ -153,7 +95,6 @@ MachineFlagParse apply_machine_flag(MachineOptions& o, const std::string& arg,
 MachineOptions default_cli_machine_options() {
   MachineOptions o;
   o.loop_mode = LoopMode::kPipelined;
-  o.host_threads = support::host_threads_from_env();
   return o;
 }
 

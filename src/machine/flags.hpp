@@ -1,7 +1,7 @@
 // Shared CLI-style parsing of machine options.
 //
 // The ctdf CLI and the serve front-end (src/serve/) accept the same
-// `--engine=…`/`--faults=…`/… machine flags — the CLI from argv, serve
+// `--check=…`/`--faults=…`/… machine flags — the CLI from argv, serve
 // from a per-request JSON "options" array. One parser keeps the two
 // surfaces identical, the same way translate::apply_schema_flag is
 // shared between the CLI and the bench harnesses.
@@ -30,7 +30,7 @@ enum class MachineFlagParse : std::uint8_t {
 
 /// The machine defaults both interactive surfaces start from: pipelined
 /// loop control (the CLI's long-standing default, vs. the library
-/// default of barrier) and host threads taken from CTDF_HOST_THREADS.
+/// default of barrier).
 [[nodiscard]] MachineOptions default_cli_machine_options();
 
 }  // namespace ctdf::machine

@@ -1,10 +1,7 @@
-// Shared machine-state types of the two simulation engines: the token,
-// the dense explicit-token-store frames that replace hash-map matching
-// slots, and the context / loop-instance bookkeeping (iteration
-// contexts, k-bound credits, retirement). machine.cpp and
-// engine_parallel.cpp both build on these — each type is defined here
-// and nowhere else, so the differential suite compares two engines that
-// share one set of semantics-bearing definitions.
+// Machine-state types of the simulation engine: the token, the dense
+// explicit-token-store frames that replace hash-map matching slots, and
+// the context / loop-instance bookkeeping (iteration contexts, k-bound
+// credits, retirement).
 #pragma once
 
 #include <algorithm>
@@ -63,12 +60,10 @@ struct CtxKeyHash {
   }
 };
 
-/// One loop invocation's k-bound state. TokenT is the engine's in-
-/// flight token type (the parallel engine's carries a delivery rank).
-template <class TokenT>
+/// One loop invocation's k-bound state.
 struct LoopInstance {
   unsigned in_flight = 0;      ///< allocated, not yet retired iterations
-  std::vector<TokenT> stalled;  ///< forwardings blocked by the k-bound
+  std::vector<Token> stalled;  ///< forwardings blocked by the k-bound
 };
 
 /// Deferred I-structure readers per cell: (context, fetch node).
@@ -95,14 +90,7 @@ using DeferredMap =
 /// a recycled frame is already in the all-kNotCreated state a fresh one
 /// starts in). Retired contexts can transiently revive (an inner loop
 /// exiting later re-injects tokens); a revived context simply draws a
-/// fresh frame.
-///
-/// The serial engines allocate lazily on first delivery. The parallel
-/// engine shards frame *ownership* by context while the pointer table
-/// and the arena are only ever grown by the coordinator
-/// (materialize_contexts, between phases); it never recycles, because
-/// slot releases are deferred to the exchange phase and could land
-/// after the owning context retired.
+/// fresh frame. Frames are allocated lazily on first delivery.
 class FrameStore {
  public:
   explicit FrameStore(const ExecProgram& ep)
@@ -137,20 +125,6 @@ class FrameStore {
   /// empty, kept outside the slab so the off-mode frame layout is
   /// untouched. Call before the first delivery.
   void enable_checking() { checking_ = true; }
-
-  /// Grows the frame pointer table *and* materializes a frame for every
-  /// context below n. The parallel engine calls this from the
-  /// coordinator each cycle so its workers touch the arena
-  /// allocation-free (and the pointer table is never resized
-  /// concurrently); with checking on the tag rows are pre-grown here
-  /// for the same reason.
-  void materialize_contexts(std::size_t n) {
-    if (frames_.size() < n) frames_.resize(n, nullptr);
-    for (std::size_t c = 0; c < n; ++c)
-      if (!frames_[c]) frames_[c] = alloc_frame();
-    if (checking_)
-      for (std::size_t c = 0; c < n; ++c) tag_row(static_cast<std::uint32_t>(c));
-  }
 
   /// Files one token into (ctx, op)'s slot range.
   Deliver deliver(std::uint32_t ctx, const ExecOp& op, std::uint16_t port,
@@ -227,9 +201,9 @@ class FrameStore {
     return missing;
   }
 
-  /// The context retired: hand its frame back to the freelist (serial
-  /// engines only; see class comment). Safe on contexts that never
-  /// received a strict token.
+  /// The context retired: hand its frame back to the freelist (see
+  /// class comment). Safe on contexts that never received a strict
+  /// token.
   void recycle(std::uint32_t ctx) {
     if (ctx >= frames_.size() || !frames_[ctx]) return;
     free_.push_back(frames_[ctx]);
@@ -353,11 +327,9 @@ class FrameStore {
   std::vector<std::unique_ptr<std::uint8_t[]>> tags_;  ///< per-context tags
 };
 
-/// Context allocation, token-liveness accounting, and k-bound credits —
-/// identical in both engines; the engine supplies only what happens to
-/// forwardings released from a stall (serial: next-cycle pending push;
-/// parallel: re-rank into the coordinator outbox).
-template <class TokenT>
+/// Context allocation, token-liveness accounting, and k-bound credits;
+/// the engine supplies only what happens to forwardings released from a
+/// stall (a next-cycle pending push).
 class ContextState {
  public:
   ContextState() {
@@ -369,23 +341,6 @@ class ContextState {
   [[nodiscard]] std::size_t size() const { return contexts_.size(); }
   [[nodiscard]] const CtxInfo& info(std::uint32_t ctx) const {
     return contexts_[ctx];
-  }
-
-  /// Switches context-id assignment from dense arrival order to a
-  /// key-derived arena: iteration (loop ← from) is owned by shard
-  /// hash(key) % shards and receives id = owner + shards * slot, so
-  /// `ctx % shards` recovers the owning shard without a lookup and the
-  /// id does not depend on allocation order. Used by the async parallel
-  /// engine (lock-free token routing; deterministic ids regardless of
-  /// which worker allocates first). The id space becomes sparse; the
-  /// bookkeeping vectors grow with default-initialized holes. Must be
-  /// called before any allocation; the pre-created root context 0 maps
-  /// to shard 0 (0 % shards == 0).
-  void enable_arena(std::uint32_t shards) {
-    CTDF_ASSERT(contexts_.size() == 1);
-    arena_shards_ = shards;
-    arena_next_.assign(shards, 0);
-    arena_next_[0] = 1;  // root context occupies shard 0, slot 0
   }
 
   void add_live(std::uint32_t ctx, std::uint32_t n = 1) {
@@ -415,14 +370,12 @@ class ContextState {
   /// k-bounded loops: if starting the iteration (loop ← from) would
   /// exceed `bound`, returns the instance the forwarding must stall in;
   /// nullptr when it may proceed. bound 0 = unbounded.
-  [[nodiscard]] LoopInstance<TokenT>* bound_block(cfg::LoopId loop,
-                                                  std::uint32_t from,
-                                                  unsigned bound) {
+  [[nodiscard]] LoopInstance* bound_block(cfg::LoopId loop,
+                                          std::uint32_t from, unsigned bound) {
     if (bound == 0) return nullptr;
     const CtxKey key = iteration_key(loop, from);
     if (ctx_table_.contains(key)) return nullptr;
-    LoopInstance<TokenT>& inst =
-        instances_[instance_key(loop, key.invocation)];
+    LoopInstance& inst = instances_[instance_key(loop, key.invocation)];
     return inst.in_flight >= bound ? &inst : nullptr;
   }
 
@@ -433,24 +386,10 @@ class ContextState {
     const CtxKey key = iteration_key(loop, from);
     const auto [it, inserted] = ctx_table_.try_emplace(key, 0u);
     if (inserted) {
-      std::uint32_t id;
-      if (arena_shards_ == 0) {
-        id = static_cast<std::uint32_t>(contexts_.size());
-        contexts_.push_back(CtxInfo{loop, key.invocation, key.iter});
-        live_tokens_.push_back(0);
-        retired_.push_back(false);
-      } else {
-        const std::uint32_t owner = static_cast<std::uint32_t>(
-            CtxKeyHash{}(key) % arena_shards_);
-        id = owner + arena_shards_ * arena_next_[owner]++;
-        if (contexts_.size() <= id) {
-          contexts_.resize(id + 1);
-          live_tokens_.resize(id + 1, 0);
-          retired_.resize(id + 1, false);
-        }
-        contexts_[id] = CtxInfo{loop, key.invocation, key.iter};
-      }
-      it->second = id;
+      it->second = static_cast<std::uint32_t>(contexts_.size());
+      contexts_.push_back(CtxInfo{loop, key.invocation, key.iter});
+      live_tokens_.push_back(0);
+      retired_.push_back(false);
       ++stats.contexts_allocated;
       ++instances_[instance_key(loop, key.invocation)].in_flight;
       ++live_contexts_;
@@ -462,12 +401,12 @@ class ContextState {
 
   /// n tokens of `ctx` were consumed; retire the context when its last
   /// token dies, releasing a k-bound credit and handing any stalled
-  /// forwardings to on_stalled(std::vector<TokenT>&&). Contexts can
+  /// forwardings to on_stalled(std::vector<Token>&&). Contexts can
   /// transiently hit zero and come back (an inner loop exiting later
   /// re-injects tokens), so retirement is once-only and the bound is
   /// approximate across nested-loop boundaries. Returns true iff this
-  /// call retired the context (the event engine recycles its frame on
-  /// that edge).
+  /// call retired the context (the calendar policy recycles its frame
+  /// on that edge).
   template <class OnStalled>
   bool consume(std::uint32_t ctx, std::uint32_t n, OnStalled&& on_stalled) {
     CTDF_ASSERT(live_tokens_[ctx] >= n);
@@ -478,7 +417,7 @@ class ContextState {
     const CtxInfo& info = contexts_[ctx];
     const auto it = instances_.find(instance_key(info.loop, info.invocation));
     if (it == instances_.end()) return true;
-    LoopInstance<TokenT>& instance = it->second;
+    LoopInstance& instance = it->second;
     if (instance.in_flight > 0) --instance.in_flight;
     if (!instance.stalled.empty()) {
       auto stalled = std::move(instance.stalled);
@@ -517,7 +456,7 @@ class ContextState {
     for (const auto& [k, inst] : instances_) keys.push_back(k);
     std::sort(keys.begin(), keys.end());
     for (const std::uint64_t k : keys) {
-      const LoopInstance<TokenT>& inst = instances_.at(k);
+      const LoopInstance& inst = instances_.at(k);
       f(static_cast<std::uint32_t>(k >> 32),
         static_cast<std::uint32_t>(k & 0xFFFFFFFFu), inst.in_flight,
         inst.stalled.size());
@@ -528,10 +467,8 @@ class ContextState {
   std::vector<CtxInfo> contexts_;
   std::vector<std::uint32_t> live_tokens_;
   std::vector<bool> retired_;
-  std::uint32_t arena_shards_ = 0;           ///< 0 = dense arrival-order ids
-  std::vector<std::uint32_t> arena_next_;    ///< next free slot per shard
   std::uint64_t live_contexts_ = 0;
-  std::unordered_map<std::uint64_t, LoopInstance<TokenT>> instances_;
+  std::unordered_map<std::uint64_t, LoopInstance> instances_;
   std::unordered_map<CtxKey, std::uint32_t, CtxKeyHash> ctx_table_;
 };
 

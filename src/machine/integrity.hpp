@@ -3,7 +3,7 @@
 // the tagged-token machine's own rules.
 //
 // Three disciplines are validated, all on the shared firing path
-// (frames.hpp / fire.hpp) so every engine inherits them:
+// (frames.hpp / fire.hpp) so both pending-queue policies inherit them:
 //
 //  * Frame-slot permission tags. Each matching slot carries a shadow
 //    tag cycling empty → written → (consumed back to) empty — the
@@ -31,9 +31,7 @@
 //    duplicated deferred-reader wake-up) is an orphan.
 //
 // A violation fails the run through the typed RunError taxonomy with
-// an `integrity/*` code. The serial and parallel engines build their
-// reports through the shared constructors below, so a violating run
-// reports identically whichever engine found it.
+// an `integrity/*` code, built by the constructors below.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +65,7 @@ struct MemCheck {
 };
 
 /// Per-run checker state for the memory disciplines. Engaged only when
-/// MachineOptions::check != kOff; the engines pass nullptr otherwise
+/// MachineOptions::check != kOff; the engine passes nullptr otherwise
 /// and apply_mem's checking branches are dead.
 struct IntegrityState {
   static constexpr std::uint64_t kNever = UINT64_MAX;
@@ -99,8 +97,7 @@ struct IntegrityState {
   }
 };
 
-// Shared report constructors: both engines (and the parallel engine's
-// fault-mode direct reports) produce byte-identical RunErrors.
+// Report constructors for the integrity violations.
 [[nodiscard]] RunError integrity_double_write_error(const ExecProgram& ep,
                                                     dfg::NodeId node,
                                                     std::uint16_t port,

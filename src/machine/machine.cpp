@@ -1,14 +1,58 @@
 #include "machine/machine.hpp"
 
-#include <utility>
+#include <algorithm>
 
 #include "machine/budget.hpp"
 #include "machine/calendar.hpp"
-#include "machine/engine_event.hpp"
-#include "machine/engine_parallel.hpp"
 #include "machine/engine_serial.hpp"
 
 namespace ctdf::machine {
+
+namespace {
+
+/// The farthest ahead of the current cycle any delivery can be
+/// scheduled under `opt`: the wheel must span at least this. Firings
+/// schedule at cycle + alu or mem latency, plus one network hop when
+/// producer and consumer land on different PEs; k-bound stalls
+/// re-deliver at cycle + 1. Fault injection can add at most
+/// max_fault_delay (the full retry/backoff ladder plus jitter and
+/// duplicate spread) to any single delivery.
+std::uint64_t event_horizon(const MachineOptions& opt) {
+  std::uint64_t h = std::max<std::uint64_t>(opt.alu_latency, opt.mem_latency);
+  if (opt.processors > 0) h += opt.network_latency;
+  h += max_fault_delay(opt.faults);
+  return h;
+}
+
+/// Calendar-queue pending policy: O(1) push/drain, bitmap idle jump,
+/// and arena frames recycled when their iteration context retires.
+struct WheelPending {
+  static constexpr bool kRecycleFrames = true;
+
+  explicit WheelPending(const MachineOptions& opt) : q_(event_horizon(opt)) {}
+
+  void push(std::uint64_t due, const Token& t) { q_.push(due, t); }
+
+  template <class F>
+  void drain(std::uint64_t cycle, F&& f) {
+    q_.drain(cycle, static_cast<F&&>(f));
+  }
+
+  [[nodiscard]] bool empty() const { return q_.empty(); }
+
+  [[nodiscard]] std::uint64_t next_due(std::uint64_t cycle) const {
+    return q_.next_due(cycle);
+  }
+
+  template <class F>
+  void for_each_pending(std::uint64_t cycle, F&& f) const {
+    q_.for_each_pending(cycle, static_cast<F&&>(f));
+  }
+
+  CalendarQueue q_;
+};
+
+}  // namespace
 
 RunResult run(const ExecProgram& program, std::size_t memory_cells,
               const MachineOptions& options,
@@ -16,9 +60,8 @@ RunResult run(const ExecProgram& program, std::size_t memory_cells,
               const std::vector<SharedRegion>& shared) {
   // A zero-millisecond deadline is already expired: reject up front —
   // 0 cycles, 0 firings, the store untouched — with the same typed
-  // error a mid-run expiry produces. Checked once here so every engine
-  // shares the semantics (and a serving layer can clamp a request's
-  // remaining deadline to zero after compilation ate it).
+  // error a mid-run expiry produces (so a serving layer can clamp a
+  // request's remaining deadline to zero after compilation ate it).
   if (options.budget.deadline_ms == 0) {
     RunResult out;
     out.stats.fired_by_kind.assign(dfg::kNumOpKinds, 0);
@@ -26,32 +69,16 @@ RunResult run(const ExecProgram& program, std::size_t memory_cells,
     out.stats.fail(BudgetState::deadline_error_for(0));
     return out;
   }
-  // The event engine is serial by design (host_threads is documented as
-  // ignored); absurd latency configurations whose horizon would need a
-  // degenerate wheel fall back to the scan engine transparently —
-  // results are byte-identical either way.
-  if (options.engine == EngineKind::kEvent &&
-      detail::event_horizon(options) < CalendarQueue::kMaxHorizon) {
-    return detail::run_event(program, memory_cells, options, istructures,
-                             shared);
+  // Absurd latency configurations whose horizon would need a degenerate
+  // wheel run on the ordered-map policy instead — results are
+  // byte-identical either way.
+  if (event_horizon(options) >= CalendarQueue::kMaxHorizon) {
+    return detail::SerialEngine<detail::MapPending>{
+        program, memory_cells, options, istructures, shared}
+        .run();
   }
-  // Tracing stays on the serial engine so an error run doesn't print a
-  // partial parallel trace followed by the rerun's full one.
-  if (options.host_threads > 1 && !options.trace) {
-    auto r = options.parallel == ParallelMode::kAsync
-                 ? detail::run_parallel_async(program, memory_cells, options,
-                                              istructures, shared)
-                 : detail::run_parallel(program, memory_cells, options,
-                                        istructures, shared);
-    if (r) return std::move(*r);
-    // Error path: the parallel engine saw a deadlock, collision,
-    // I-structure double write, or in-flight store at End (for async,
-    // any fault-free error including the cycle cap). Re-run serially
-    // for the reference diagnostics (whose text depends on the serial
-    // engine's frame-scan order).
-  }
-  return detail::SerialEngine<detail::MapPending>{program, memory_cells,
-                                                  options, istructures, shared}
+  return detail::SerialEngine<WheelPending>{program, memory_cells, options,
+                                            istructures, shared}
       .run();
 }
 

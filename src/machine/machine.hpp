@@ -93,24 +93,6 @@ struct RunStats {
   /// certificate.
   std::uint64_t integrity_checks = 0;
 
-  /// Async-engine host-parallel accounting (all zero for the serial,
-  /// event, and sync-barrier engines). Schedule-derived — NOT part of
-  /// the semantic counter set the differential suites compare.
-  std::uint64_t steals = 0;            ///< shard deque pops by a thief PE
-  std::uint64_t epochs = 0;            ///< exchange epochs participated in
-  std::uint64_t idle_waits = 0;        ///< PE spins with an empty pending set
-  std::uint64_t tokens_exchanged = 0;  ///< tokens crossing shard mailboxes
-
-  /// Per-host-worker breakdown of the counters above (async engine
-  /// only; indexed by worker/PE id).
-  struct PeCounters {
-    std::uint64_t steals = 0;
-    std::uint64_t epochs = 0;
-    std::uint64_t idle_waits = 0;
-    std::uint64_t tokens_exchanged = 0;
-  };
-  std::vector<PeCounters> per_pe;
-
   /// Fired-operator counts by dfg::OpKind (indexed by its value).
   std::vector<std::uint64_t> fired_by_kind;
 

@@ -39,26 +39,6 @@ enum class Placement : std::uint8_t {
   return p == Placement::kByNode ? "by-node" : "by-context";
 }
 
-/// Which execution engine advances simulated time.
-enum class EngineKind : std::uint8_t {
-  /// The legacy serial engine: in-flight tokens live in an ordered
-  /// map keyed by delivery cycle, frames are allocated per context and
-  /// never freed. Reference semantics; `host_threads` > 1 shards its
-  /// cycles across workers.
-  kScan,
-  /// Event-driven serial engine: a calendar (timing-wheel) queue keyed
-  /// by cycle timestamp replaces the per-cycle map walk, with recycled
-  /// token buckets and arena frames returned to a freelist when their
-  /// iteration context retires. Produces byte-identical RunStats,
-  /// stores, and error reports (enforced by
-  /// tests/machine_event_equiv_test.cpp); `host_threads` is ignored.
-  kEvent,
-};
-
-[[nodiscard]] inline const char* to_string(EngineKind e) {
-  return e == EngineKind::kScan ? "scan" : "event";
-}
-
 /// Opt-in run-time integrity checking: the machine carries cheap
 /// permission tags on frame slots (empty → written-once → consumed,
 /// the HDFI ldchk/sdset idiom) and request/response accounting on the
@@ -76,30 +56,11 @@ enum class CheckMode : std::uint8_t {
   return c == CheckMode::kOff ? "off" : "integrity";
 }
 
-/// Host-parallel execution discipline (effective when host_threads > 1).
-enum class ParallelMode : std::uint8_t {
-  /// Cycle-synchronous barrier engine: every worker advances one
-  /// simulated cycle in lock step (deliver/fire/exchange phases joined
-  /// by barriers). Bit-identical to the serial engine by construction.
-  kSync,
-  /// Asynchronous work-stealing engine: each PE runs its shard set on a
-  /// local clock, exchanging tokens through per-shard mailboxes, with
-  /// epoch fences only at loop boundaries (deterministic mode) or no
-  /// global synchronization at all (free-running mode). Final stores
-  /// and semantic counters match the serial engine; the schedule (and
-  /// schedule-derived metrics such as cycles) may differ.
-  kAsync,
-};
-
-[[nodiscard]] inline const char* to_string(ParallelMode p) {
-  return p == ParallelMode::kSync ? "sync" : "async";
-}
-
 /// Deterministic fault-injection plan (see machine/faults.hpp for the
 /// model and the recovery machinery). All rates are per-event
 /// probabilities in [0,1]; every decision is a pure function of `seed`
 /// and the event's identity, so faulted runs are exactly reproducible.
-/// With every rate zero the plan is inert and the engines run their
+/// With every rate zero the plan is inert and the engine runs its
 /// fault-free code paths unchanged.
 struct FaultPlan {
   std::uint64_t seed = 0;
@@ -135,9 +96,9 @@ struct FaultPlan {
 };
 
 /// Cooperative run budget: every way a single run may consume resources
-/// has a ceiling here, checked on the shared firing path so all engines
-/// honor it identically (machine/budget.hpp). The Monsoon discipline of
-/// bounding frames/tokens/loop unfolding, extended to wall-clock time:
+/// has a ceiling here, checked on the engine's firing path
+/// (machine/budget.hpp). The Monsoon discipline of bounding
+/// frames/tokens/loop unfolding, extended to wall-clock time:
 /// a serving layer can hand the machine a deadline and know the run
 /// comes back — completed or with a typed `deadline-exceeded` /
 /// `token-budget` error and partial RunStats — instead of occupying a
@@ -148,17 +109,16 @@ struct RunBudget {
   /// 0 firings) with the same typed error a mid-run expiry produces.
   std::int64_t deadline_ms = -1;
 
-  /// Abort knob for runaway graphs (simulated cycles / async epochs).
+  /// Abort knob for runaway graphs (simulated cycles).
   std::uint64_t max_cycles = 50'000'000;
 
   /// Ceiling on tokens sent; 0 = unlimited. Unlike the deadline this is
-  /// deterministic on the serial engines: two runs trip at the same
-  /// firing.
+  /// deterministic: two runs trip at the same firing.
   std::uint64_t max_tokens = 0;
 
   /// True when the per-firing budget poll must be engaged (the
   /// max_cycles ceiling rides the existing per-cycle check and needs no
-  /// polling). When false the engines run their legacy hot path behind
+  /// polling). When false the engine runs its legacy hot path behind
   /// one dead branch — the fault/integrity bargain.
   [[nodiscard]] bool armed() const {
     return deadline_ms >= 0 || max_tokens > 0;
@@ -166,9 +126,6 @@ struct RunBudget {
 };
 
 struct MachineOptions {
-  /// Execution engine (see EngineKind; results never depend on this).
-  EngineKind engine = EngineKind::kScan;
-
   LoopMode loop_mode = LoopMode::kBarrier;
 
   /// Operators fired per cycle across the machine; 0 = unlimited
@@ -204,33 +161,6 @@ struct MachineOptions {
   /// Split-phase memory round-trip latency, cycles.
   unsigned mem_latency = 4;
 
-  /// Host-side execution parallelism of the *simulator itself* (not a
-  /// property of the simulated machine): number of worker threads that
-  /// cooperatively advance one simulated cycle. 0 or 1 = the serial
-  /// legacy engine. Any value produces results bit-identical to the
-  /// serial engine — RunStats, final store, and reports never depend on
-  /// host_threads (see doc/IMPLEMENTATION-NOTES.md, "Parallel engine &
-  /// determinism model").
-  unsigned host_threads = 0;
-
-  /// Which host-parallel engine host_threads > 1 selects (CLI
-  /// `--parallel=sync|async`). Sync is the barrier engine; async is the
-  /// work-stealing engine with epoch-based token exchange.
-  ParallelMode parallel = ParallelMode::kSync;
-
-  /// Async engine only (CLI `--slack=N`): bounded-slack window — how
-  /// many self-delivery sub-rounds a PE may run between epoch fences
-  /// before forwarding leftovers to the next epoch. 0 = auto (derived
-  /// from the latency ladder: alu_latency + mem_latency).
-  unsigned slack = 0;
-
-  /// Async engine only (CLI `--deterministic[=0]`): serialize shard→
-  /// worker placement, disable stealing, and fence loop-entry firings
-  /// so two runs with the same options are byte-identical (stats JSON
-  /// and final store). Default on — tests rely on it; turn off to
-  /// free-run for throughput.
-  bool deterministic = true;
-
   /// Cooperative deadline / cycle / token ceilings (CLI
   /// `--max-cycles=`, `--deadline-ms=`, `--max-tokens=`).
   RunBudget budget;
@@ -251,7 +181,7 @@ struct MachineOptions {
   std::uint64_t scheduler_seed = 0;
 
   /// Run-time integrity checking (CLI `--check=integrity`). Off by
-  /// default: the engines then run their legacy code paths and the tag
+  /// default: the engine then runs its legacy code paths and the tag
   /// machinery costs nothing.
   CheckMode check = CheckMode::kOff;
 

@@ -31,11 +31,6 @@ std::string render_report(const RunStats& stats) {
     os << " (" << stats.deferred_reads << " deferred I-structure reads)";
   os << "\n";
   os << "peak ready operators  " << stats.peak_ready << "\n";
-  if (stats.epochs)
-    os << "async scheduling      " << stats.epochs << " shard batches, "
-       << stats.steals << " steals, " << stats.tokens_exchanged
-       << " tokens exchanged, " << stats.idle_waits << " idle waits over "
-       << stats.per_pe.size() << " PE(s)\n";
   if (stats.integrity_checks)
     os << "integrity             " << stats.integrity_checks
        << " checks passed\n";
@@ -113,7 +108,6 @@ std::string render_stats_json(const RunStats& stats,
   std::ostringstream os;
   os << "{\n";
   os << "  \"options\": {"
-     << "\"engine\": \"" << to_string(opt.engine) << "\", "
      << "\"check\": \"" << to_string(opt.check) << "\", "
      << "\"loop_mode\": \"" << to_string(opt.loop_mode) << "\", "
      << "\"width\": " << opt.width << ", "
@@ -123,11 +117,6 @@ std::string render_stats_json(const RunStats& stats,
      << "\"network_latency\": " << opt.network_latency << ", "
      << "\"alu_latency\": " << opt.alu_latency << ", "
      << "\"mem_latency\": " << opt.mem_latency << ", "
-     << "\"host_threads\": " << opt.host_threads << ", "
-     << "\"parallel\": \"" << to_string(opt.parallel) << "\", "
-     << "\"slack\": " << opt.slack << ", "
-     << "\"deterministic\": " << (opt.deterministic ? "true" : "false")
-     << ", "
      << "\"scheduler_seed\": " << opt.scheduler_seed << ", "
      << "\"frame_capacity\": " << opt.frame_capacity << ", "
      << "\"max_cycles\": " << opt.budget.max_cycles << ", "
@@ -165,22 +154,6 @@ std::string render_stats_json(const RunStats& stats,
   os << "  \"watchdog_triggers\": " << stats.watchdog_triggers << ",\n";
   os << "  \"backpressure_stalls\": " << stats.backpressure_stalls << ",\n";
   os << "  \"integrity_checks\": " << stats.integrity_checks << ",\n";
-  // Async-engine scheduling counters (all zero on the serial and
-  // cycle-synchronous paths, where no PE ever steals or fences).
-  os << "  \"steals\": " << stats.steals << ",\n";
-  os << "  \"epochs\": " << stats.epochs << ",\n";
-  os << "  \"idle_waits\": " << stats.idle_waits << ",\n";
-  os << "  \"tokens_exchanged\": " << stats.tokens_exchanged << ",\n";
-  os << "  \"per_pe\": [";
-  for (std::size_t p = 0; p < stats.per_pe.size(); ++p) {
-    if (p) os << ", ";
-    os << "{\"steals\": " << stats.per_pe[p].steals
-       << ", \"epochs\": " << stats.per_pe[p].epochs
-       << ", \"idle_waits\": " << stats.per_pe[p].idle_waits
-       << ", \"tokens_exchanged\": " << stats.per_pe[p].tokens_exchanged
-       << "}";
-  }
-  os << "],\n";
   os << "  \"avg_parallelism\": " << stats.avg_parallelism() << ",\n";
   os << "  \"fired_by_kind\": {";
   bool first = true;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <istream>
@@ -589,16 +590,14 @@ class Pump {
   }
 
   /// Stops accepting and opens the drain window (idempotent; first
-  /// caller pins the deadline).
+  /// caller pins the deadline). The deadline is the draining flag, so a
+  /// worker can never see "draining" without the window's end.
   void begin_drain() {
-    bool expected = false;
-    if (draining_.compare_exchange_strong(expected, true)) {
-      drain_deadline_ns_.store(
-          (Clock::now() + std::chrono::milliseconds(opts_.drain_ms))
-              .time_since_epoch()
-              .count(),
-          std::memory_order_relaxed);
-    }
+    std::int64_t expected = kNotDraining;
+    drain_deadline_ns_.compare_exchange_strong(
+        expected, (Clock::now() + std::chrono::milliseconds(opts_.drain_ms))
+                      .time_since_epoch()
+                      .count());
     cv_.notify_all();
   }
 
@@ -619,7 +618,7 @@ class Pump {
   }
 
   [[nodiscard]] bool draining() const {
-    return draining_.load(std::memory_order_relaxed);
+    return drain_deadline_ns_.load() != kNotDraining;
   }
   [[nodiscard]] bool shutdown_requested() const {
     return shutdown_.load(std::memory_order_relaxed);
@@ -652,8 +651,7 @@ class Pump {
       std::string response;
       bool shutdown = false;
       const bool window_closed =
-          draining() && Clock::now().time_since_epoch().count() >=
-                            drain_deadline_ns_.load(std::memory_order_relaxed);
+          Clock::now().time_since_epoch().count() >= drain_deadline_ns_.load();
       if (window_closed) {
         stats_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
         response = draining_response(item.line);
@@ -745,9 +743,11 @@ class Pump {
   bool client_gone_ = false;
 
   std::uint64_t next_seq_ = 0;  ///< reader thread only
-  std::atomic<bool> draining_{false};
   std::atomic<bool> shutdown_{false};
-  std::atomic<std::int64_t> drain_deadline_ns_{0};
+  /// End of the drain window in steady-clock ns; kNotDraining until
+  /// begin_drain() pins it.
+  static constexpr std::int64_t kNotDraining = INT64_MAX;
+  std::atomic<std::int64_t> drain_deadline_ns_{kNotDraining};
   std::atomic<std::int64_t> ewma_us_{0};
   std::vector<std::thread> workers_;
 };

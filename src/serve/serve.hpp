@@ -11,7 +11,7 @@
 //   {"id": <any scalar, echoed back>,          // optional
 //    "op": "compile" | "run" | "run-batch" | "stats" | "shutdown",
 //    "source": "<ctdf program text>",          // compile / run
-//    "options": ["--mem-elim", "--engine=event", ...],   // optional:
+//    "options": ["--mem-elim", "--check=integrity", ...],   // optional:
 //        the CLI's schema flags (translate::apply_schema_flag) and
 //        machine flags (machine::apply_machine_flag), per request
 //    "deadline_ms": 250,                       // optional: wall-clock

@@ -1,22 +1,10 @@
-// Environment-variable knobs shared by the CLI and the bench harnesses
-// (one parser — previously duplicated in tools/ctdf.cpp and
-// bench/common.hpp).
+// Environment-variable knobs of the bench harnesses and the fuzz
+// sweep, parsed in one place.
 #pragma once
 
 #include <cstdlib>
 
 namespace ctdf::support {
-
-/// Host-parallelism override: CTDF_HOST_THREADS=N advances the
-/// simulator with N worker threads (0/unset = sequential). Results are
-/// bit-identical either way (enforced by machine_parallel_equiv_test),
-/// so the knob only changes wall-clock.
-inline unsigned host_threads_from_env() {
-  const char* v = std::getenv("CTDF_HOST_THREADS");
-  if (!v || !*v) return 0;
-  const long n = std::strtol(v, nullptr, 10);
-  return n > 0 ? static_cast<unsigned>(n) : 0;
-}
 
 /// CTDF_STAGE_STATS=1 makes the bench harnesses print each compile's
 /// per-stage pipeline table to stderr (off by default).

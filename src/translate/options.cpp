@@ -1,7 +1,8 @@
 #include "translate/options.hpp"
 
 #include <sstream>
-#include <stdexcept>
+
+#include "support/parse.hpp"
 
 namespace ctdf::translate {
 
@@ -104,22 +105,18 @@ SchemaFlagParse apply_schema_flag(TranslateOptions& o, std::string_view arg) {
       o.opt_passes = set;
     }
   } else if (starts_with(arg, "--fuse-limit=")) {
-    try {
-      o.fuse_limit = std::stoul(std::string(value_of(arg)));
-    } catch (const std::exception&) {
-      return SchemaFlagParse::kBadValue;
-    }
     // A macro needs at least a head and one absorbed tail.
-    if (o.fuse_limit < 2) return SchemaFlagParse::kBadValue;
-  } else if (starts_with(arg, "--max-fanout=")) {
-    try {
-      o.max_fanout = std::stoul(std::string(value_of(arg)));
-    } catch (const std::exception&) {
+    unsigned long long v = 0;
+    if (!support::parse_unsigned(std::string(value_of(arg)), v) || v < 2)
       return SchemaFlagParse::kBadValue;
-    }
+    o.fuse_limit = static_cast<std::size_t>(v);
+  } else if (starts_with(arg, "--max-fanout=")) {
     // lower_fanout requires ≥ 2 destinations (0 = unlimited, stage off);
     // 1 would demand infinite replication.
-    if (o.max_fanout == 1) return SchemaFlagParse::kBadValue;
+    unsigned long long v = 0;
+    if (!support::parse_unsigned(std::string(value_of(arg)), v) || v == 1)
+      return SchemaFlagParse::kBadValue;
+    o.max_fanout = static_cast<std::size_t>(v);
   } else if (arg == "--par-reads") {
     o.parallel_reads = true;
   } else if (starts_with(arg, "--fig14=")) {

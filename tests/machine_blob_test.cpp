@@ -1,11 +1,9 @@
 // Blob round-trip and adversarial-input coverage (machine/blob.hpp).
 //
-// The round-trip property: for any program, any option ladder, and any
-// engine, lowering → serialize → deserialize → run produces the same
-// final store and the same rendered --stats-json as running the
-// in-memory image directly. The deterministic async engine is included
-// on purpose — a deserialized program must be byte-equal in behavior
-// on every engine, not just the reference one.
+// The round-trip property: for any program and any option ladder,
+// lowering → serialize → deserialize → run produces the same final
+// store and the same rendered --stats-json as running the in-memory
+// image directly.
 //
 // The adversarial half feeds the reader every way a blob goes bad in
 // the wild — truncation at each header boundary, bit rot in each
@@ -34,21 +32,6 @@
 namespace ctdf::machine {
 namespace {
 
-struct EngineConfig {
-  const char* name;
-  MachineOptions mopt;
-};
-
-std::vector<EngineConfig> all_engines() {
-  EngineConfig scan{"scan", {}};
-  EngineConfig event{"event", {}};
-  event.mopt.engine = EngineKind::kEvent;
-  EngineConfig async{"parallel-async", {}};
-  async.mopt.host_threads = 2;
-  async.mopt.parallel = ParallelMode::kAsync;  // deterministic by default
-  return {scan, event, async};
-}
-
 struct Ladder {
   const char* name;
   core::PipelineOptions po;
@@ -72,8 +55,8 @@ std::vector<Ladder> option_ladder() {
 }
 
 /// Lowers `prog` once, pushes the image through serialize →
-/// deserialize, and runs original vs. decoded on every engine,
-/// requiring identical stores and identical rendered stats JSON.
+/// deserialize, and runs original vs. decoded, requiring identical
+/// stores and identical rendered stats JSON.
 void expect_roundtrip(const lang::Program& prog, core::PipelineOptions po,
                       const std::string& label) {
   po.lower = true;
@@ -100,19 +83,17 @@ void expect_roundtrip(const lang::Program& prog, core::PipelineOptions po,
   // what makes the content hash a usable identity.
   EXPECT_EQ(serialize(read.image), blob) << label;
 
-  for (const EngineConfig& eng : all_engines()) {
-    const RunResult fresh = core::execute(original, eng.mopt);
-    const RunResult decoded = core::execute(read.image, eng.mopt);
-    const std::string where = label + " on " + eng.name;
-    ASSERT_TRUE(fresh.stats.completed) << where << ": " << fresh.stats.error;
-    EXPECT_EQ(render_stats_json(decoded.stats, eng.mopt),
-              render_stats_json(fresh.stats, eng.mopt))
-        << where;
-    EXPECT_EQ(decoded.store, fresh.store) << where;
-  }
+  const MachineOptions mopt;
+  const RunResult fresh = core::execute(original, mopt);
+  const RunResult decoded = core::execute(read.image, mopt);
+  ASSERT_TRUE(fresh.stats.completed) << label << ": " << fresh.stats.error;
+  EXPECT_EQ(render_stats_json(decoded.stats, mopt),
+            render_stats_json(fresh.stats, mopt))
+      << label;
+  EXPECT_EQ(decoded.store, fresh.store) << label;
 }
 
-TEST(BlobRoundTrip, CorpusProgramsAcrossTheOptionLadderAndEveryEngine) {
+TEST(BlobRoundTrip, CorpusProgramsAcrossTheOptionLadder) {
   const std::vector<std::pair<const char*, std::string>> corpus = {
       {"running-example", lang::corpus::running_example_source()},
       {"fig9", lang::corpus::fig9_source()},

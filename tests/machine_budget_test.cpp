@@ -1,8 +1,8 @@
 // Run-budget coverage: the cooperative deadline and token ceilings
 // (machine/budget.hpp) must produce the same typed error, with the same
-// message text, on every engine — scan, event, cycle-synchronous
-// parallel, and both async disciplines — and an armed-but-generous
-// budget must not perturb a run at all.
+// message text, under both pending-queue policies (machine::run and the
+// scan reference), and an armed-but-generous budget must not perturb a
+// run at all.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +11,7 @@
 #include "core/compiler.hpp"
 #include "machine/budget.hpp"
 #include "machine/report.hpp"
+#include "support/scan_reference.hpp"
 
 namespace ctdf::machine {
 namespace {
@@ -30,41 +31,26 @@ l:
   if x < 5 then goto l else goto end;
 )";
 
-struct EngineConfig {
+/// The pending-queue policies the budget must cover.
+struct Policy {
   const char* name;
-  MachineOptions mopt;
+  bool scan;
 };
+constexpr Policy kPolicies[] = {{"event", false}, {"scan", true}};
 
-/// One configuration per engine/discipline the budget must cover.
-std::vector<EngineConfig> all_engines() {
-  std::vector<EngineConfig> out;
-  out.push_back({"scan", {}});
-  out.push_back({"event", {}});
-  out.back().mopt.engine = EngineKind::kEvent;
-  out.push_back({"sync", {}});
-  out.back().mopt.host_threads = 2;
-  out.push_back({"async-det", {}});
-  out.back().mopt.parallel = ParallelMode::kAsync;
-  out.back().mopt.host_threads = 3;
-  out.push_back({"async-free", {}});
-  out.back().mopt.parallel = ParallelMode::kAsync;
-  out.back().mopt.host_threads = 3;
-  out.back().mopt.deterministic = false;
-  return out;
-}
-
-RunResult run_source(const char* source, const MachineOptions& mopt) {
+RunResult run_source(const char* source, const MachineOptions& mopt,
+                     bool scan = false) {
   const auto tx = core::compile(
       source, translate::TranslateOptions::schema2_optimized());
-  return core::execute(tx, mopt);
+  return scan ? testing::run_scan(tx, mopt) : core::execute(tx, mopt);
 }
 
-TEST(MachineBudget, DeadlineExpiryIsTypedAndIdenticalOnEveryEngine) {
+TEST(MachineBudget, DeadlineExpiryIsTypedAndIdenticalUnderBothPolicies) {
   std::vector<std::string> messages;
-  for (const EngineConfig& cfg : all_engines()) {
-    MachineOptions mopt = cfg.mopt;
+  for (const Policy& cfg : kPolicies) {
+    MachineOptions mopt;
     mopt.budget.deadline_ms = 30;
-    const RunResult r = run_source(kSpinSource, mopt);
+    const RunResult r = run_source(kSpinSource, mopt, cfg.scan);
     EXPECT_FALSE(r.stats.completed) << cfg.name;
     EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kDeadlineExceeded)
         << cfg.name << ": " << r.stats.error;
@@ -79,15 +65,15 @@ TEST(MachineBudget, DeadlineExpiryIsTypedAndIdenticalOnEveryEngine) {
     messages.push_back(r.stats.error);
   }
   for (std::size_t i = 1; i < messages.size(); ++i)
-    EXPECT_EQ(messages[i], messages[0]) << "engine #" << i;
+    EXPECT_EQ(messages[i], messages[0]) << kPolicies[i].name;
 }
 
-TEST(MachineBudget, TokenCeilingIsTypedAndIdenticalOnEveryEngine) {
+TEST(MachineBudget, TokenCeilingIsTypedAndIdenticalUnderBothPolicies) {
   std::vector<std::string> messages;
-  for (const EngineConfig& cfg : all_engines()) {
-    MachineOptions mopt = cfg.mopt;
+  for (const Policy& cfg : kPolicies) {
+    MachineOptions mopt;
     mopt.budget.max_tokens = 1000;
-    const RunResult r = run_source(kSpinSource, mopt);
+    const RunResult r = run_source(kSpinSource, mopt, cfg.scan);
     EXPECT_FALSE(r.stats.completed) << cfg.name;
     EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kTokenBudget)
         << cfg.name << ": " << r.stats.error;
@@ -95,47 +81,38 @@ TEST(MachineBudget, TokenCeilingIsTypedAndIdenticalOnEveryEngine) {
     messages.push_back(r.stats.error);
   }
   for (std::size_t i = 1; i < messages.size(); ++i)
-    EXPECT_EQ(messages[i], messages[0]) << "engine #" << i;
+    EXPECT_EQ(messages[i], messages[0]) << kPolicies[i].name;
   EXPECT_EQ(messages[0],
             "token budget exceeded: more than 1000 token(s) sent "
             "(max-tokens)");
 }
 
-TEST(MachineBudget, ZeroDeadlineRejectsUpFrontOnEveryEngine) {
-  for (const EngineConfig& cfg : all_engines()) {
-    MachineOptions mopt = cfg.mopt;
-    mopt.budget.deadline_ms = 0;
-    const RunResult r = run_source(kFiniteSource, mopt);
-    EXPECT_FALSE(r.stats.completed) << cfg.name;
-    EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kDeadlineExceeded)
-        << cfg.name;
-    // Rejected before a single cycle: nothing fired, store untouched.
-    EXPECT_EQ(r.stats.cycles, 0u) << cfg.name;
-    EXPECT_EQ(r.stats.ops_fired, 0u) << cfg.name;
-    EXPECT_EQ(r.stats.error,
-              "deadline exceeded: the 0 ms wall-clock budget was spent "
-              "before the program completed")
-        << cfg.name;
-  }
+TEST(MachineBudget, ZeroDeadlineRejectsUpFront) {
+  MachineOptions mopt;
+  mopt.budget.deadline_ms = 0;
+  const RunResult r = run_source(kFiniteSource, mopt);
+  EXPECT_FALSE(r.stats.completed);
+  EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kDeadlineExceeded);
+  // Rejected before a single cycle: nothing fired, store untouched.
+  EXPECT_EQ(r.stats.cycles, 0u);
+  EXPECT_EQ(r.stats.ops_fired, 0u);
+  EXPECT_EQ(r.stats.error,
+            "deadline exceeded: the 0 ms wall-clock budget was spent "
+            "before the program completed");
 }
 
 TEST(MachineBudget, GenerousBudgetIsByteIdenticalToNoBudget) {
-  for (const EngineConfig& cfg : all_engines()) {
-    const RunResult bare = run_source(kFiniteSource, cfg.mopt);
+  for (const Policy& cfg : kPolicies) {
+    const RunResult bare = run_source(kFiniteSource, {}, cfg.scan);
     ASSERT_TRUE(bare.stats.completed) << cfg.name << ": " << bare.stats.error;
 
-    MachineOptions armed = cfg.mopt;
+    MachineOptions armed;
     armed.budget.deadline_ms = 600'000;
     armed.budget.max_tokens = 1ull << 60;
-    const RunResult r = run_source(kFiniteSource, armed);
+    const RunResult r = run_source(kFiniteSource, armed, cfg.scan);
     ASSERT_TRUE(r.stats.completed) << cfg.name << ": " << r.stats.error;
     EXPECT_TRUE(r.store == bare.store) << cfg.name;
-    // The async free discipline's counters vary run to run by design;
-    // everywhere else the human report must match byte for byte.
-    if (std::string(cfg.name) != "async-free") {
-      EXPECT_EQ(render_report(r.stats), render_report(bare.stats))
-          << cfg.name;
-    }
+    EXPECT_EQ(render_report(r.stats), render_report(bare.stats)) << cfg.name;
   }
 }
 

@@ -1,8 +1,8 @@
-// Differential harness for the event engine: for every swept
-// configuration, a run with engine=event (calendar queue + frame
-// recycling) must be bit-identical to the scan engine — every RunStats
+// Differential harness for the event policy: for every swept
+// configuration, machine::run (calendar queue + frame recycling) must
+// be bit-identical to the scan reference policy — every RunStats
 // counter, every per-node first-fire cycle, the per-cycle profile, the
-// error text, and the final store. Both engines instantiate one
+// error text, and the final store. Both policies instantiate one
 // SerialEngine template (engine_serial.hpp), so this suite guards the
 // pending-queue policies (and the recycling they enable) against
 // drift rather than establishing equivalence from scratch.
@@ -14,6 +14,7 @@
 #include "lang/generator.hpp"
 #include "lang/parser.hpp"
 #include "machine/machine.hpp"
+#include "support/scan_reference.hpp"
 
 namespace ctdf::machine {
 namespace {
@@ -50,16 +51,14 @@ void expect_identical(const RunResult& scan, const RunResult& event,
   EXPECT_EQ(scan.store.cells, event.store.cells) << context;
 }
 
-/// Runs `tx` under the scan and event engines, demanding identity. The
-/// scan result is returned for callers' own sanity assertions.
-RunResult check_event(const translate::Translation& tx, MachineOptions mopt,
-                      const std::string& context) {
-  mopt.engine = EngineKind::kScan;
-  mopt.host_threads = 0;
-  const RunResult scan = core::execute(tx, mopt);
-  mopt.engine = EngineKind::kEvent;
+/// Runs `tx` under the scan reference and machine::run, demanding
+/// identity. The scan result is returned for callers' own sanity
+/// assertions.
+RunResult check_event(const translate::Translation& tx,
+                      const MachineOptions& mopt, const std::string& context) {
+  const RunResult scan = testing::run_scan(tx, mopt);
   const RunResult event = core::execute(tx, mopt);
-  expect_identical(scan, event, context + " engine=event");
+  expect_identical(scan, event, context + " policy=event");
   return scan;
 }
 
@@ -177,40 +176,6 @@ TEST(EventEquiv, RandomPrograms) {
   }
 }
 
-TEST(EventEquiv, ThreeWayWithParallelEngine) {
-  // One three-way row: scan-serial, scan-parallel, and event must all
-  // agree on the corpus at defaults (the full thread ladder lives in
-  // machine_parallel_equiv_test.cpp).
-  for (const auto& np : lang::corpus::all()) {
-    const auto tx =
-        core::compile(lang::parse_or_throw(np.source),
-                      translate::TranslateOptions::schema2_optimized());
-    MachineOptions mopt;
-    mopt.loop_mode = LoopMode::kPipelined;
-    mopt.record_profile = true;
-    const RunResult scan = core::execute(tx, mopt);
-    mopt.host_threads = 4;
-    const RunResult parallel = core::execute(tx, mopt);
-    mopt.host_threads = 0;
-    mopt.engine = EngineKind::kEvent;
-    const RunResult event = core::execute(tx, mopt);
-    expect_identical(scan, parallel, np.name + " 3way/parallel");
-    expect_identical(scan, event, np.name + " 3way/event");
-  }
-}
-
-TEST(EventEquiv, EventEngineIgnoresHostThreads) {
-  const auto tx =
-      core::compile(lang::corpus::running_example(),
-                    translate::TranslateOptions::schema2_optimized());
-  MachineOptions mopt;
-  mopt.engine = EngineKind::kEvent;
-  const RunResult a = core::execute(tx, mopt);
-  mopt.host_threads = 8;
-  const RunResult b = core::execute(tx, mopt);
-  expect_identical(a, b, "event host_threads=8");
-}
-
 TEST(EventEquiv, AbsurdLatencyFallsBackToScan) {
   // A horizon at or past CalendarQueue::kMaxHorizon must transparently
   // take the scan path — same results, no degenerate wheel.
@@ -219,16 +184,13 @@ TEST(EventEquiv, AbsurdLatencyFallsBackToScan) {
                     translate::TranslateOptions::schema2_optimized());
   MachineOptions mopt;
   mopt.mem_latency = 1u << 21;
-  const RunResult scan = core::execute(tx, mopt);
-  mopt.engine = EngineKind::kEvent;
-  const RunResult event = core::execute(tx, mopt);
-  expect_identical(scan, event, "huge-latency fallback");
+  const RunResult scan = check_event(tx, mopt, "huge-latency fallback");
   EXPECT_TRUE(scan.stats.completed) << scan.stats.error;
 }
 
 // ---- error-path identity: diagnostics (including their text, which
 // depends on leftover-token iteration order) must not depend on the
-// engine.
+// pending-queue policy.
 
 NodeId add_start(Graph& g, std::vector<std::int64_t> values) {
   Node s;
@@ -249,14 +211,14 @@ NodeId add_end(Graph& g, std::uint16_t inputs) {
   return n;
 }
 
-void check_graph_event(const Graph& g, std::size_t cells, MachineOptions mopt,
-                       const std::vector<IStructureRegion>& is,
-                       const std::string& context) {
-  mopt.engine = EngineKind::kScan;
-  const RunResult scan = run(g, cells, mopt, is);
-  mopt.engine = EngineKind::kEvent;
+RunResult check_graph_event(const Graph& g, std::size_t cells,
+                            const MachineOptions& mopt,
+                            const std::vector<IStructureRegion>& is,
+                            const std::string& context) {
+  const RunResult scan = testing::run_scan(g, cells, mopt, is);
   const RunResult event = run(g, cells, mopt, is);
-  expect_identical(scan, event, context + " engine=event");
+  expect_identical(scan, event, context + " policy=event");
+  return scan;
 }
 
 TEST(EventEquiv, DeadlockReportIsIdentical) {
@@ -336,8 +298,8 @@ TEST(EventEquiv, CycleCapReportIsIdentical) {
 
 // ---- token-drain accounting after End: tokens legally still in flight
 // when End fires (dead value chains) must be counted as leftovers, and
-// the operators they were bound for must NOT count as firings — in
-// either engine, whether the token was sitting in the ready pool or
+// the operators they were bound for must NOT count as firings — under
+// either policy, whether the token was sitting in the ready pool or
 // still in the pending queue.
 
 TEST(EventEquiv, DrainedReadyTokenDoesNotCountAsFiring) {
@@ -352,12 +314,7 @@ TEST(EventEquiv, DrainedReadyTokenDoesNotCountAsFiring) {
   const NodeId sink = g.add_merge("sink");
   g.connect({gate, 0}, {sink, 0}, false);
 
-  MachineOptions o;
-  o.engine = EngineKind::kScan;
-  const RunResult scan = run(g, 0, o);
-  o.engine = EngineKind::kEvent;
-  const RunResult event = run(g, 0, o);
-  expect_identical(scan, event, "ready-drain");
+  const RunResult scan = check_graph_event(g, 0, {}, {}, "ready-drain");
   ASSERT_TRUE(scan.stats.completed) << scan.stats.error;
   // Only start and end fired; the gate's token drained unfired.
   EXPECT_EQ(scan.stats.ops_fired, 2u);
@@ -369,7 +326,7 @@ TEST(EventEquiv, DrainedReadyTokenDoesNotCountAsFiring) {
 TEST(EventEquiv, DrainedPendingTokenDoesNotCountAsFiring) {
   // The gate fires before End does, so its output token is deep in the
   // pending queue when the run completes: the leftover count must find
-  // it there (the wheel's ring scan vs the scan engine's map walk).
+  // it there (the wheel's ring scan vs the scan policy's map walk).
   Graph g;
   const NodeId s = add_start(g, {0, 0});
   const NodeId gate = g.add_gate("fires");
@@ -382,11 +339,7 @@ TEST(EventEquiv, DrainedPendingTokenDoesNotCountAsFiring) {
 
   MachineOptions o;
   o.alu_latency = 7;
-  o.engine = EngineKind::kScan;
-  const RunResult scan = run(g, 0, o);
-  o.engine = EngineKind::kEvent;
-  const RunResult event = run(g, 0, o);
-  expect_identical(scan, event, "pending-drain");
+  const RunResult scan = check_graph_event(g, 0, o, {}, "pending-drain");
   ASSERT_TRUE(scan.stats.completed) << scan.stats.error;
   // start, gate, and end fired; the sink merge's token is still seven
   // cycles out when End fires and must not become a merge firing.

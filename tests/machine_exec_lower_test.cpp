@@ -1,6 +1,6 @@
 // Round-trip properties of machine::lower (graph → ExecProgram): the
-// lowered op table must preserve every structural fact the engines
-// consume — node count, op kinds, port arities, literal operands,
+// lowered op table must preserve every structural fact the engine
+// consumes — node count, op kinds, port arities, literal operands,
 // fan-out destinations in graph-arc order — and lay out frame slots as
 // disjoint per-op ranges with a dense strict index. Checked over the
 // corpus programs under several schema option sets and over randomly
@@ -80,7 +80,7 @@ void expect_roundtrip(const dfg::Graph& g) {
     }
 
     // Fan-out destinations, grouped per out-port in graph-arc order —
-    // the emission order the engines must reproduce.
+    // the emission order the engine must reproduce.
     const auto arcs = g.out_arcs(n);
     for (std::uint16_t p = 0; p < node.num_outputs; ++p) {
       std::vector<dfg::Arc> expected;

@@ -4,8 +4,8 @@
 // the semantic outcome of the run — the final store, operators fired by
 // kind, and memory traffic — while only timing (cycles, tokens resent)
 // may change. Zero-rate plans leave MachineOptions::faults disengaged,
-// so the engines stay byte-identical to their fault-free selves; the
-// pre-existing event/parallel equivalence suites continue to pin that.
+// so the engine stays byte-identical to its fault-free self; the
+// event-policy equivalence suite continues to pin that.
 // Finite frame capacity (back-pressure) and every typed failure code
 // of the taxonomy are exercised here too.
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "lang/corpus.hpp"
 #include "lang/parser.hpp"
 #include "machine/machine.hpp"
+#include "support/scan_reference.hpp"
 
 namespace ctdf::machine {
 namespace {
@@ -49,7 +50,8 @@ FaultPlan plan_with(double rate, std::uint64_t seed) {
   return plan;
 }
 
-/// Corpus × engines × loop modes × placements × fault seeds × rates.
+/// Corpus × pending-queue policies (machine::run and the scan
+/// reference) × loop modes × placements × fault seeds × rates.
 /// loop_bound stays 0 throughout: k-bound throttle stalls are counted
 /// as firings and their number is timing-dependent, so they are
 /// deliberately outside the semantic-equivalence contract.
@@ -75,23 +77,25 @@ TEST(FaultEquiv, RecoveredRunsMatchFaultFreeSemantics) {
         lang::parse_or_throw(p.source),
         translate::TranslateOptions::schema2_optimized());
     for (const auto loop_mode : {LoopMode::kBarrier, LoopMode::kPipelined}) {
-      for (const auto engine : {EngineKind::kScan, EngineKind::kEvent}) {
+      for (const bool scan : {false, true}) {
+        const auto execute = [&](const MachineOptions& o) {
+          return scan ? testing::run_scan(tx, o) : core::execute(tx, o);
+        };
         for (const auto& topo : topologies) {
           MachineOptions mopt;
           mopt.loop_mode = loop_mode;
-          mopt.engine = engine;
           mopt.processors = topo.processors;
           mopt.placement = topo.placement;
-          const RunResult base = core::execute(tx, mopt);
+          const RunResult base = execute(mopt);
           for (const std::uint64_t seed : {1ull, 7ull, 13ull}) {
             for (const double rate : {0.02, 0.1}) {
               MachineOptions fopt = mopt;
               fopt.faults = plan_with(rate, seed);
-              const RunResult faulted = core::execute(tx, fopt);
+              const RunResult faulted = execute(fopt);
               expect_semantic_match(
                   base, faulted,
                   std::string(p.name) + " loop=" + to_string(loop_mode) +
-                      " engine=" + to_string(engine) +
+                      (scan ? " policy=scan" : " policy=event") +
                       " pe=" + std::to_string(topo.processors) +
                       " placement=" + to_string(topo.placement) +
                       " fault_seed=" + std::to_string(seed) +
@@ -131,24 +135,6 @@ TEST(FaultEquiv, ZeroRatePlanIsByteIdentical) {
   EXPECT_EQ(plain.stats.profile, zero.stats.profile);
   EXPECT_EQ(plain.store.cells, zero.store.cells);
   EXPECT_EQ(zero.stats.faults_injected, 0u);
-}
-
-/// The parallel engine recovers in-process (it must not delegate a
-/// faulted run to a serial rerun — that would draw a different fault
-/// stream) and still reaches the fault-free semantic outcome.
-TEST(FaultEquiv, ParallelEngineRecovers) {
-  const auto tx =
-      core::compile(lang::corpus::nested_loops_source(3, 4),
-                    translate::TranslateOptions::schema2_optimized());
-  MachineOptions mopt;
-  mopt.processors = 2;
-  const RunResult base = core::execute(tx, mopt);
-  MachineOptions fopt = mopt;
-  fopt.host_threads = 3;
-  fopt.faults = plan_with(0.05, 7);
-  const RunResult faulted = core::execute(tx, fopt);
-  expect_semantic_match(base, faulted, "parallel host_threads=3");
-  EXPECT_GT(faulted.stats.faults_injected, 0u);
 }
 
 /// Finite frame store: a capacity that still admits progress degrades
@@ -199,23 +185,19 @@ TEST(FaultTaxonomy, RetryExhaustedIsTyped) {
   const auto tx =
       core::compile(lang::corpus::running_example_source(),
                     translate::TranslateOptions::schema2_optimized());
-  for (const unsigned host_threads : {0u, 3u}) {
-    MachineOptions mopt;
-    mopt.processors = 2;
-    mopt.host_threads = host_threads;
-    mopt.faults.drop = 1.0;  // every cross-PE transmission exhausts
-    const RunResult r = core::execute(tx, mopt);
-    EXPECT_FALSE(r.stats.completed);
-    EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kRetryExhausted)
-        << host_threads;
-    EXPECT_NE(r.stats.error.find("retry budget exhausted"), std::string::npos)
-        << r.stats.error;
-    EXPECT_GE(r.stats.watchdog_triggers, 1u);
-    // The structured diagnosis rides along in the rendered string.
-    EXPECT_NE(r.stats.error.find("loop state:"), std::string::npos)
-        << r.stats.error;
-    EXPECT_EQ(r.stats.error, r.stats.error_detail.render());
-  }
+  MachineOptions mopt;
+  mopt.processors = 2;
+  mopt.faults.drop = 1.0;  // every cross-PE transmission exhausts
+  const RunResult r = core::execute(tx, mopt);
+  EXPECT_FALSE(r.stats.completed);
+  EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kRetryExhausted);
+  EXPECT_NE(r.stats.error.find("retry budget exhausted"), std::string::npos)
+      << r.stats.error;
+  EXPECT_GE(r.stats.watchdog_triggers, 1u);
+  // The structured diagnosis rides along in the rendered string.
+  EXPECT_NE(r.stats.error.find("loop state:"), std::string::npos)
+      << r.stats.error;
+  EXPECT_EQ(r.stats.error, r.stats.error_detail.render());
 }
 
 TEST(FaultTaxonomy, FrameExhaustedIsTyped) {

@@ -1,15 +1,17 @@
 // I-structure deferral edges on hand-built graphs, pinned down under
-// every engine: a read arriving before the write waits in the deferral
-// map and resolves when the write lands — even when that resolution is
-// the run's final act, when several readers queue on one cell, and when
-// the reading iteration's context has already retired (and, in the
-// event engine, had its frame recycled) by the time the value arrives.
+// both pending-queue policies: a read arriving before the write waits
+// in the deferral map and resolves when the write lands — even when
+// that resolution is the run's final act, when several readers queue
+// on one cell, and when the reading iteration's context has already
+// retired (and, under the event policy, had its frame recycled) by the
+// time the value arrives.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "dfg/graph.hpp"
 #include "machine/machine.hpp"
+#include "support/scan_reference.hpp"
 
 namespace ctdf::machine {
 namespace {
@@ -38,14 +40,12 @@ NodeId add_end(Graph& g, std::uint16_t inputs) {
   return n;
 }
 
-/// Both engines must complete with identical stats and stores; returns
-/// the scan result for further assertions.
-RunResult run_all_engines(const Graph& g, std::size_t cells,
-                          MachineOptions mopt,
-                          const std::vector<IStructureRegion>& is) {
-  mopt.engine = EngineKind::kScan;
-  const RunResult scan = run(g, cells, mopt, is);
-  mopt.engine = EngineKind::kEvent;
+/// machine::run and the scan reference must complete with identical
+/// stats and stores; returns the scan result for further assertions.
+RunResult run_both_policies(const Graph& g, std::size_t cells,
+                            const MachineOptions& mopt,
+                            const std::vector<IStructureRegion>& is) {
+  const RunResult scan = testing::run_scan(g, cells, mopt, is);
   const RunResult event = run(g, cells, mopt, is);
   EXPECT_EQ(scan.stats.completed, event.stats.completed);
   EXPECT_EQ(scan.stats.error, event.stats.error);
@@ -95,7 +95,7 @@ TEST(IStructureDeferral, ReadBeforeWriteResolvesAtFinalDrain) {
   for (const unsigned mem_latency : {1u, 9u}) {
     MachineOptions o;
     o.mem_latency = mem_latency;
-    const RunResult r = run_all_engines(g, 2, o, {{0, 1}});
+    const RunResult r = run_both_policies(g, 2, o, {{0, 1}});
     ASSERT_TRUE(r.stats.completed) << r.stats.error;
     EXPECT_EQ(r.stats.deferred_reads, 1u);
     EXPECT_EQ(r.store.cells[0], 42);
@@ -129,7 +129,7 @@ TEST(IStructureDeferral, MultipleDeferredReadersOnOneCell) {
   g.connect({gate, 0}, {istore, 2}, true);
   g.connect({istore, 0}, {e, 2}, true);
 
-  const RunResult r = run_all_engines(g, 3, {}, {{0, 1}});
+  const RunResult r = run_both_policies(g, 3, {}, {{0, 1}});
   ASSERT_TRUE(r.stats.completed) << r.stats.error;
   EXPECT_EQ(r.stats.deferred_reads, 2u);
   EXPECT_EQ(r.store.cells[0], 7);
@@ -196,14 +196,14 @@ Graph retirement_loop_graph() {
 
 TEST(IStructureDeferral, DeferredReadSurvivesContextRetirement) {
   // The issuing iteration's context retires (last live token consumed —
-  // the event engine recycles its frame) long before the write lands;
+  // the event policy recycles its frame) long before the write lands;
   // the resolution then revives the retired context, and the loop-exit
   // retags the value into the invocation context.
   const Graph g = retirement_loop_graph();
   for (const auto loop_mode : {LoopMode::kBarrier, LoopMode::kPipelined}) {
     MachineOptions o;
     o.loop_mode = loop_mode;
-    const RunResult r = run_all_engines(g, 2, o, {{0, 1}});
+    const RunResult r = run_both_policies(g, 2, o, {{0, 1}});
     ASSERT_TRUE(r.stats.completed)
         << to_string(loop_mode) << ": " << r.stats.error;
     EXPECT_EQ(r.stats.deferred_reads, 1u) << to_string(loop_mode);
@@ -227,26 +227,22 @@ TEST(IStructureDeferral, DeferredReadersSurviveFaultsUnderChecking) {
     std::uint64_t frame_capacity;
   } adversities[] = {{0.3, 0}, {0.0, 2}, {0.25, 2}};
   for (const auto& adv : adversities) {
-    for (const auto engine : {EngineKind::kScan, EngineKind::kEvent}) {
-      MachineOptions o;
-      o.check = CheckMode::kIntegrity;
-      o.engine = engine;
-      o.processors = 2;  // faults only strike cross-PE hops
-      o.faults.drop = adv.drop;
-      o.faults.seed = 11;
-      o.frame_capacity = adv.frame_capacity;
-      const RunResult r = run(g, 2, o, {{0, 1}});
-      const std::string ctx = std::string(to_string(engine)) + " drop=" +
-                              std::to_string(adv.drop) + " cap=" +
-                              std::to_string(adv.frame_capacity);
-      ASSERT_TRUE(r.stats.completed) << ctx << ": " << r.stats.error;
-      EXPECT_GT(r.stats.integrity_checks, 0u) << ctx;
-      EXPECT_EQ(r.stats.deferred_reads, 1u) << ctx;
-      EXPECT_EQ(r.store.cells[0], 3) << ctx;
-      EXPECT_EQ(r.store.cells[1], 3) << ctx;
-      if (adv.drop > 0) {
-        EXPECT_GT(r.stats.faults_injected, 0u) << ctx;
-      }
+    MachineOptions o;
+    o.check = CheckMode::kIntegrity;
+    o.processors = 2;  // faults only strike cross-PE hops
+    o.faults.drop = adv.drop;
+    o.faults.seed = 11;
+    o.frame_capacity = adv.frame_capacity;
+    const RunResult r = run_both_policies(g, 2, o, {{0, 1}});
+    const std::string ctx = "drop=" + std::to_string(adv.drop) +
+                            " cap=" + std::to_string(adv.frame_capacity);
+    ASSERT_TRUE(r.stats.completed) << ctx << ": " << r.stats.error;
+    EXPECT_GT(r.stats.integrity_checks, 0u) << ctx;
+    EXPECT_EQ(r.stats.deferred_reads, 1u) << ctx;
+    EXPECT_EQ(r.store.cells[0], 3) << ctx;
+    EXPECT_EQ(r.store.cells[1], 3) << ctx;
+    if (adv.drop > 0) {
+      EXPECT_GT(r.stats.faults_injected, 0u) << ctx;
     }
   }
 }
@@ -259,18 +255,15 @@ TEST(IStructureDeferral, PinnedDeferredReaderDiagnosedOnFrameExhaustion) {
   // pinned deferred reader — the one fact that distinguishes this
   // deadlock from a mis-sized k-bound.
   const Graph g = retirement_loop_graph();
-  for (const auto engine : {EngineKind::kScan, EngineKind::kEvent}) {
-    MachineOptions o;
-    o.check = CheckMode::kIntegrity;
-    o.engine = engine;
-    o.frame_capacity = 1;
-    const RunResult r = run(g, 2, o, {{0, 1}});
-    ASSERT_FALSE(r.stats.completed) << to_string(engine);
-    EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kFrameExhausted)
-        << to_string(engine) << ": " << r.stats.error;
-    EXPECT_NE(r.stats.error.find("deferred reader"), std::string::npos)
-        << to_string(engine) << ": " << r.stats.error;
-  }
+  MachineOptions o;
+  o.check = CheckMode::kIntegrity;
+  o.frame_capacity = 1;
+  const RunResult r = run_both_policies(g, 2, o, {{0, 1}});
+  ASSERT_FALSE(r.stats.completed);
+  EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kFrameExhausted)
+      << r.stats.error;
+  EXPECT_NE(r.stats.error.find("deferred reader"), std::string::npos)
+      << r.stats.error;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The mutation gauntlet behind --check=integrity: each test seeds one
 // translator defect into a lowered program (machine/mutate.hpp) and
-// asserts a checked run fails with the matching typed error code, on
-// every engine. This is the proof the checker is not vacuous — the
+// asserts a checked run fails with the matching typed error code under
+// every variant below. This is the proof the checker is not vacuous — the
 // unmutated programs run checked and violation-free in the same file,
 // so each mutation is exactly one invariant away from a clean
 // certificate.
@@ -13,6 +13,7 @@
 #include "machine/exec.hpp"
 #include "machine/machine.hpp"
 #include "machine/mutate.hpp"
+#include "support/scan_reference.hpp"
 
 namespace ctdf::machine {
 namespace {
@@ -22,27 +23,34 @@ using dfg::Node;
 using dfg::NodeId;
 using dfg::OpKind;
 
-/// The one simulator configuration axis the checker must be blind to.
-struct EngineVariant {
+/// The simulator configuration axes the checker must be blind to: the
+/// pending-queue policy (machine::run or the scan reference) and the
+/// number of simulated PEs.
+struct Variant {
   const char* name;
-  EngineKind engine;
-  unsigned host_threads;
+  bool scan;
   unsigned processors;
 };
 
-constexpr EngineVariant kEngines[] = {
-    {"scan", EngineKind::kScan, 0, 0},
-    {"event", EngineKind::kEvent, 0, 0},
-    {"parallel", EngineKind::kScan, 3, 2},
+constexpr Variant kVariants[] = {
+    {"scan", true, 0},
+    {"event", false, 0},
+    {"event/2pe", false, 2},
 };
 
-MachineOptions checked_options(const EngineVariant& v) {
+MachineOptions checked_options(const Variant& v) {
   MachineOptions o;
   o.check = CheckMode::kIntegrity;
-  o.engine = v.engine;
-  o.host_threads = v.host_threads;
   o.processors = v.processors;
   return o;
+}
+
+/// Runs a graph or lowered program under `v`'s policy.
+template <class Program>
+RunResult run_variant(const Variant& v, const Program& p, std::size_t cells,
+                      const MachineOptions& o,
+                      const std::vector<IStructureRegion>& is = {}) {
+  return v.scan ? testing::run_scan(p, cells, o, is) : run(p, cells, o, is);
 }
 
 /// A loop whose mem-elim translation exercises every generic mutation
@@ -73,13 +81,13 @@ Compiled compile_loop() {
 }
 
 /// Applies `m` to a fresh lowering of the loop program and runs it
-/// checked under every engine, asserting the expected failure code
-/// (and, engine-blindness, that all engines agree).
+/// checked under every variant, asserting the expected failure code
+/// (and, variant-blindness, that all variants agree).
 void expect_mutation_caught(Mutation m, ErrorCode expected) {
   Compiled c = compile_loop();
   ASSERT_TRUE(apply_mutation(c.exec, m)) << to_string(m) << ": no site";
-  for (const EngineVariant& v : kEngines) {
-    const RunResult r = run(c.exec, c.cells, checked_options(v), {});
+  for (const Variant& v : kVariants) {
+    const RunResult r = run_variant(v, c.exec, c.cells, checked_options(v));
     EXPECT_FALSE(r.stats.completed) << v.name << ": " << to_string(m);
     EXPECT_EQ(r.stats.error_detail.code, expected)
         << v.name << ": " << to_string(m) << " reported ["
@@ -90,12 +98,12 @@ void expect_mutation_caught(Mutation m, ErrorCode expected) {
 TEST(IntegrityMutation, UnmutatedLoopRunsViolationFree) {
   const Compiled c = compile_loop();
   std::uint64_t checks = 0;
-  for (const EngineVariant& v : kEngines) {
-    const RunResult r = run(c.exec, c.cells, checked_options(v), {});
+  for (const Variant& v : kVariants) {
+    const RunResult r = run_variant(v, c.exec, c.cells, checked_options(v));
     ASSERT_TRUE(r.stats.completed) << v.name << ": " << r.stats.error;
     EXPECT_GT(r.stats.integrity_checks, 0u) << v.name;
-    // The certificate is engine-independent: every engine performs the
-    // same checks because they share the firing core.
+    // The certificate is variant-independent: every variant performs
+    // the same checks because they share the firing core.
     if (checks == 0)
       checks = r.stats.integrity_checks;
     else
@@ -125,7 +133,7 @@ TEST(IntegrityMutation, UndercountedArityIsReadEmpty) {
 TEST(IntegrityMutation, DoubleWriteDiagnosisNamesTheSlot) {
   Compiled c = compile_loop();
   ASSERT_TRUE(apply_mutation(c.exec, Mutation::kDupFanoutArc));
-  MachineOptions o = checked_options(kEngines[0]);
+  MachineOptions o = checked_options(kVariants[1]);
   const RunResult r = run(c.exec, c.cells, o, {});
   ASSERT_FALSE(r.stats.completed);
   EXPECT_NE(r.stats.error.find("double write to matching slot"),
@@ -197,17 +205,17 @@ Graph synch_ordered_graph() {
 
 TEST(IntegrityMutation, SkippedSynchIsMemRace) {
   const Graph g = synch_ordered_graph();
-  for (const EngineVariant& v : kEngines) {
+  for (const Variant& v : kVariants) {
     MachineOptions o = checked_options(v);
     o.mem_latency = 8;
 
-    const RunResult clean = run(g, 2, o, {});
+    const RunResult clean = run_variant(v, g, 2, o);
     ASSERT_TRUE(clean.stats.completed) << v.name << ": " << clean.stats.error;
     EXPECT_EQ(clean.store.cells[1], 5) << v.name;
 
     ExecProgram ep = lower(g);
     ASSERT_TRUE(apply_mutation(ep, Mutation::kSkipSynch)) << v.name;
-    const RunResult r = run(ep, 2, o, {});
+    const RunResult r = run_variant(v, ep, 2, o);
     EXPECT_FALSE(r.stats.completed) << v.name;
     EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kIntegrityMemRace)
         << v.name << ": [" << code_slug(r.stats.error_detail.code) << "] "
@@ -233,17 +241,17 @@ Graph two_istore_graph() {
 
 TEST(IntegrityMutation, AliasedIStoreBaseIsDoubleWrite) {
   const Graph g = two_istore_graph();
-  for (const EngineVariant& v : kEngines) {
+  for (const Variant& v : kVariants) {
     const MachineOptions o = checked_options(v);
 
-    const RunResult clean = run(g, 2, o, {{0, 2}});
+    const RunResult clean = run_variant(v, g, 2, o, {{0, 2}});
     ASSERT_TRUE(clean.stats.completed) << v.name << ": " << clean.stats.error;
     EXPECT_EQ(clean.store.cells[0], 40) << v.name;
     EXPECT_EQ(clean.store.cells[1], 41) << v.name;
 
     ExecProgram ep = lower(g);
     ASSERT_TRUE(apply_mutation(ep, Mutation::kAliasIStoreBase)) << v.name;
-    const RunResult r = run(ep, 2, o, {{0, 2}});
+    const RunResult r = run_variant(v, ep, 2, o, {{0, 2}});
     EXPECT_FALSE(r.stats.completed) << v.name;
     EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kIStoreDoubleWrite)
         << v.name << ": [" << code_slug(r.stats.error_detail.code) << "] "
@@ -285,15 +293,15 @@ TEST(IntegrityMutation, DuplicatedMemResponseIsOrphan) {
   ExecProgram ep = lower(g);
   EXPECT_FALSE(apply_mutation(ep, Mutation::kDupMemResponse));
 
-  for (const EngineVariant& v : kEngines) {
+  for (const Variant& v : kVariants) {
     MachineOptions o = checked_options(v);
 
-    const RunResult clean = run(g, 2, o, {{0, 1}});
+    const RunResult clean = run_variant(v, g, 2, o, {{0, 1}});
     ASSERT_TRUE(clean.stats.completed) << v.name << ": " << clean.stats.error;
     EXPECT_EQ(clean.stats.deferred_reads, 1u) << v.name;
 
     o.test_dup_response = true;
-    const RunResult r = run(g, 2, o, {{0, 1}});
+    const RunResult r = run_variant(v, g, 2, o, {{0, 1}});
     EXPECT_FALSE(r.stats.completed) << v.name;
     EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kIntegrityOrphanResponse)
         << v.name << ": [" << code_slug(r.stats.error_detail.code) << "] "

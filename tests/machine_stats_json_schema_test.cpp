@@ -70,15 +70,14 @@ const std::vector<std::string> kTopLevelKeys = {
     "mem_writes", "peak_live_contexts", "throttle_stalls", "deferred_reads",
     "peak_ready", "leftover_tokens", "faults_injected", "retries",
     "nacks_seen", "duplicates_dropped", "watchdog_triggers",
-    "backpressure_stalls", "integrity_checks", "steals", "epochs",
-    "idle_waits", "tokens_exchanged", "per_pe", "avg_parallelism",
+    "backpressure_stalls", "integrity_checks", "avg_parallelism",
     "fired_by_kind"};
 
 const std::vector<std::string> kOptionsKeys = {
-    "engine", "check", "loop_mode", "width", "loop_bound", "processors",
+    "check", "loop_mode", "width", "loop_bound", "processors",
     "placement", "network_latency", "alu_latency", "mem_latency",
-    "host_threads", "parallel", "slack", "deterministic", "scheduler_seed",
-    "frame_capacity", "max_cycles", "deadline_ms", "max_tokens",
+    "scheduler_seed", "frame_capacity", "max_cycles", "deadline_ms",
+    "max_tokens",
     "fault_seed", "fault_drop", "fault_dup", "fault_jitter", "fault_nack"};
 
 const std::vector<std::string> kErrorKeys = {"code", "message", "diagnosis"};
@@ -116,24 +115,6 @@ TEST(StatsJsonSchema, FailedRunEmitsTheSameKeySetWithATypedError) {
   EXPECT_NE(json.find("\"completed\": false"), std::string::npos) << json;
   EXPECT_NE(json.find("\"code\": \"cycle-cap\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"check\": \"off\""), std::string::npos) << json;
-}
-
-TEST(StatsJsonSchema, AsyncRunEmitsTheSameKeySetWithPerPeCounters) {
-  const auto tx = core::compile(
-      lang::corpus::running_example_source(),
-      translate::TranslateOptions::schema2_optimized());
-  MachineOptions opt;
-  opt.parallel = ParallelMode::kAsync;
-  opt.host_threads = 2;
-  const RunResult r = core::execute(tx, opt);
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
-
-  const std::string json = render_stats_json(r.stats, opt);
-  EXPECT_EQ(keys_of(json, 0, true), kTopLevelKeys) << json;
-  EXPECT_EQ(object_keys(json, "options"), kOptionsKeys) << json;
-  EXPECT_NE(json.find("\"parallel\": \"async\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"deterministic\": true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"per_pe\": [{"), std::string::npos) << json;
 }
 
 /// The optimize stage's counters flow verbatim into `--stats-json`'s

@@ -1,9 +1,7 @@
 // Confluence: the final store must not depend on which ready operator
 // the machine fires first. We randomize the scheduler and sweep machine
 // shape (width, latencies, loop mode); every run must agree with the
-// interpreter. host_threads is swept too, so confluence-under-
-// reordering and parallel-engine determinism are checked by the same
-// randomized property.
+// interpreter.
 #include <gtest/gtest.h>
 
 #include "core/compiler.hpp"
@@ -25,41 +23,18 @@ void check_confluent(const lang::Program& prog,
        {machine::LoopMode::kBarrier, machine::LoopMode::kPipelined}) {
     for (const std::uint64_t seed : {0ull, 1ull, 7ull, 99ull}) {
       for (const unsigned width : {0u, 1u, 3u}) {
-        // Each (seed, width) pairs with one parallel host_threads value
-        // (a full cross product would triple the runtime for no extra
-        // coverage — the dedicated differential suite does the
-        // exhaustive identity check).
-        const unsigned host_threads = (seed + width) % 2 ? 2 : 8;
-        for (const unsigned threads : {0u, host_threads}) {
-          // At the parallel thread count, each (seed, width) point also
-          // runs the async engine in one discipline (alternating so the
-          // sweep covers both), checking that confluence holds under
-          // genuinely asynchronous schedules too.
-          const int variants = threads == 0 ? 1 : 2;
-          for (int v = 0; v < variants; ++v) {
-            machine::MachineOptions mopt;
-            mopt.loop_mode = loop_mode;
-            mopt.scheduler_seed = seed;
-            mopt.width = width;
-            mopt.mem_latency = seed % 2 ? 1 : 9;
-            mopt.host_threads = threads;
-            if (v == 1) {
-              mopt.parallel = machine::ParallelMode::kAsync;
-              mopt.deterministic = (seed + width) % 2 == 0;
-            }
-            const auto res = core::execute(tx, mopt);
-            ASSERT_TRUE(res.stats.completed)
-                << context << " seed=" << seed << " width=" << width
-                << " host_threads=" << threads
-                << " parallel=" << to_string(mopt.parallel) << ": "
-                << res.stats.error;
-            EXPECT_EQ(res.store.cells, ref.store.cells)
-                << context << " seed=" << seed << " width=" << width
-                << " host_threads=" << threads
-                << " parallel=" << to_string(mopt.parallel)
-                << " loop=" << to_string(loop_mode);
-          }
-        }
+        machine::MachineOptions mopt;
+        mopt.loop_mode = loop_mode;
+        mopt.scheduler_seed = seed;
+        mopt.width = width;
+        mopt.mem_latency = seed % 2 ? 1 : 9;
+        const auto res = core::execute(tx, mopt);
+        ASSERT_TRUE(res.stats.completed)
+            << context << " seed=" << seed << " width=" << width << ": "
+            << res.stats.error;
+        EXPECT_EQ(res.store.cells, ref.store.cells)
+            << context << " seed=" << seed << " width=" << width
+            << " loop=" << to_string(loop_mode);
       }
     }
   }

@@ -87,13 +87,13 @@ TEST(Serve, DifferentOptionsAreADifferentCacheEntry) {
   Server server;
   (void)server.handle_line(kRunX);
   const std::string with_opts =
-      R"({"op": "run", "source": "var x;\n  x := 1 + 2;\n", "options": ["--mem-elim", "--engine=event"]})";
+      R"({"op": "run", "source": "var x;\n  x := 1 + 2;\n", "options": ["--mem-elim", "--check=integrity"]})";
   const JsonValue r = parse_response(server.handle_line(with_opts));
   EXPECT_TRUE(r.find("ok")->boolean);
   EXPECT_EQ(r.find("cache")->find("disposition")->string, "miss");
   EXPECT_EQ(r.find("cache")->find("entries")->number, 2.0);
-  EXPECT_EQ(r.find("stats")->find("options")->find("engine")->string,
-            "event");
+  EXPECT_EQ(r.find("stats")->find("options")->find("check")->string,
+            "integrity");
 }
 
 TEST(Serve, CompileOpSkipsExecution) {
@@ -133,7 +133,7 @@ TEST(Serve, ErrorTaxonomyIsTyped) {
                 R"({"op": "run", "source": "var x;\n  x := 1;\n", "options": ["--no-such-flag"]})"),
             "options");
   EXPECT_EQ(error_kind(
-                R"({"op": "run", "source": "var x;\n  x := 1;\n", "options": ["--engine=quantum"]})"),
+                R"({"op": "run", "source": "var x;\n  x := 1;\n", "options": ["--check=quantum"]})"),
             "options");
   EXPECT_EQ(error_kind(R"({"op": "run", "source": "var x;\n  x := ;\n"})"),
             "compile");
@@ -183,16 +183,16 @@ TEST(Serve, RunBatchKeepsOrderSharesTheCacheAndCountsErrors) {
 TEST(Serve, BatchLevelOptionsAreEachItemsBaseline) {
   Server server;
   const std::string batch =
-      R"({"op": "run-batch", "options": ["--engine=event"], "requests": [)"
+      R"({"op": "run-batch", "options": ["--check=integrity"], "requests": [)"
       R"({"source": "var x;\n  x := 1 + 2;\n"},)"
-      R"({"source": "var x;\n  x := 1 + 2;\n", "options": ["--engine=scan"]}]})";
+      R"({"source": "var x;\n  x := 1 + 2;\n", "options": ["--check=off"]}]})";
   const JsonValue r = parse_response(server.handle_line(batch));
   const std::vector<JsonValue>& results = r.find("results")->array;
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].find("stats")->find("options")->find("engine")->string,
-            "event");
-  EXPECT_EQ(results[1].find("stats")->find("options")->find("engine")->string,
-            "scan");
+  EXPECT_EQ(results[0].find("stats")->find("options")->find("check")->string,
+            "integrity");
+  EXPECT_EQ(results[1].find("stats")->find("options")->find("check")->string,
+            "off");
 }
 
 TEST(Serve, WorkerPoolProducesTheSameOrderedResults) {
@@ -441,6 +441,21 @@ TEST(ServePump, ShutdownOpDrainsAndExitsThePipeLoop) {
   const JsonValue ack = parse_response(lines[1]);
   EXPECT_TRUE(ack.find("ok")->boolean);
   EXPECT_EQ(ack.find("op")->string, "shutdown");
+}
+
+TEST(ServePump, OneRequestThenEofIsAlwaysServed) {
+  // EOF opens the drain window while a worker may already be popping
+  // the one queued request: the worker must see the window's end, never
+  // a drain flag whose deadline is not yet published.
+  for (int session = 0; session < 2000; ++session) {
+    ServeOptions opt;
+    opt.workers = 4;
+    Server server(opt);
+    const std::vector<std::string> lines = pipe_roundtrip(server, {kRunX});
+    ASSERT_EQ(lines.size(), 1u) << "session " << session;
+    ASSERT_TRUE(parse_response(lines[0]).find("ok")->boolean)
+        << "session " << session << ": " << lines[0];
+  }
 }
 
 int connect_unix(const std::string& path) {

@@ -37,6 +37,7 @@ std::vector<SchemaConfig> standard_configs() {
     add("memelim/pipelined", t, machine::LoopMode::kPipelined, 0);
     t.parallel_reads = true;
     add("memelim+par-reads", t, machine::LoopMode::kPipelined, 0);
+    add("memelim+par-reads/barrier", t, machine::LoopMode::kBarrier, 0);
   }
   {
     auto t = TranslateOptions::schema2();
@@ -95,24 +96,22 @@ std::vector<SchemaConfig> standard_configs() {
   {
     // --check=integrity configurations: every translation that reaches
     // here must also run violation-free under the tagged
-    // dataflow-integrity checker, on each engine. check_equivalence
-    // treats a checker report as a failed run, so the whole fuzz corpus
-    // doubles as the checker's false-positive gauntlet.
-    add("integrity/scan-barrier", TranslateOptions::schema2_optimized(),
+    // dataflow-integrity checker. check_equivalence treats a checker
+    // report as a failed run, so the whole fuzz corpus doubles as the
+    // checker's false-positive gauntlet.
+    add("integrity/barrier", TranslateOptions::schema2_optimized(),
         machine::LoopMode::kBarrier, 0);
     out.back().mopt.check = machine::CheckMode::kIntegrity;
 
     auto t = TranslateOptions::schema2_optimized();
     t.eliminate_memory = true;
-    add("integrity/event-pipelined", t, machine::LoopMode::kPipelined, 0);
+    add("integrity/memelim-pipelined", t, machine::LoopMode::kPipelined, 0);
     out.back().mopt.check = machine::CheckMode::kIntegrity;
-    out.back().mopt.engine = machine::EngineKind::kEvent;
 
     auto p = TranslateOptions::schema2();
     p.parallel_reads = true;
-    add("integrity/par-reads-threads", p, machine::LoopMode::kPipelined, 0);
+    add("integrity/par-reads-2pe", p, machine::LoopMode::kPipelined, 0);
     out.back().mopt.check = machine::CheckMode::kIntegrity;
-    out.back().mopt.host_threads = 3;
     out.back().mopt.processors = 2;
 
     // Fused macro firings must pass the tagged integrity checker too:
@@ -123,9 +122,8 @@ std::vector<SchemaConfig> standard_configs() {
     f.eliminate_memory = true;
     f.post_optimize = true;
     f.opt_passes = dfg::PassSet::all();
-    add("integrity/fused-event", f, machine::LoopMode::kPipelined, 0);
+    add("integrity/fused", f, machine::LoopMode::kPipelined, 0);
     out.back().mopt.check = machine::CheckMode::kIntegrity;
-    out.back().mopt.engine = machine::EngineKind::kEvent;
   }
   {
     // Armed-but-generous run budget: a ten-minute deadline and a token
@@ -139,37 +137,9 @@ std::vector<SchemaConfig> standard_configs() {
 
     auto t = TranslateOptions::schema2_optimized();
     t.eliminate_memory = true;
-    add("budget/generous-async", t, machine::LoopMode::kBarrier, 0);
+    add("budget/generous-memelim-barrier", t, machine::LoopMode::kBarrier, 0);
     out.back().mopt.budget.deadline_ms = 600'000;
     out.back().mopt.budget.max_tokens = 1ull << 60;
-    out.back().mopt.parallel = machine::ParallelMode::kAsync;
-    out.back().mopt.host_threads = 3;
-  }
-  {
-    // Async work-stealing engine, both disciplines: every fuzz program
-    // must reach the interpreter's store under epoch-fenced and
-    // free-running schedules alike. These configs are also what the CI
-    // ThreadSanitizer job drives through the corpus.
-    add("async/det", TranslateOptions::schema2_optimized(),
-        machine::LoopMode::kPipelined, 0);
-    out.back().mopt.parallel = machine::ParallelMode::kAsync;
-    out.back().mopt.host_threads = 4;
-
-    auto t = TranslateOptions::schema2_optimized();
-    t.eliminate_memory = true;
-    t.parallel_reads = true;
-    add("async/free", t, machine::LoopMode::kBarrier, 0);
-    out.back().mopt.parallel = machine::ParallelMode::kAsync;
-    out.back().mopt.host_threads = 4;
-    out.back().mopt.deterministic = false;
-
-    auto p = TranslateOptions::schema2();
-    p.parallel_reads = true;
-    add("async/integrity-multi-pe", p, machine::LoopMode::kPipelined, 0);
-    out.back().mopt.check = machine::CheckMode::kIntegrity;
-    out.back().mopt.parallel = machine::ParallelMode::kAsync;
-    out.back().mopt.host_threads = 3;
-    out.back().mopt.processors = 2;
   }
   return out;
 }

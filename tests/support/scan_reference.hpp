@@ -1,0 +1,38 @@
+// The scan pending policy as a test oracle.
+//
+// machine::run executes every program on the calendar-queue ("event")
+// policy. The ordered-map ("scan") policy, detail::MapPending, is the
+// reference it must match byte for byte, but no MachineOptions field
+// selects it, so the differential suites call it through these helpers
+// and compare the results against machine::run.
+#pragma once
+
+#include <cstddef>
+#include <vector>
+
+#include "dfg/graph.hpp"
+#include "machine/exec.hpp"
+#include "machine/machine.hpp"
+#include "translate/translator.hpp"
+
+namespace ctdf::testing {
+
+/// Runs a lowered program on SerialEngine<MapPending>. Unlike
+/// machine::run it has no up-front zero-deadline rejection.
+[[nodiscard]] machine::RunResult run_scan(
+    const machine::ExecProgram& program, std::size_t memory_cells,
+    const machine::MachineOptions& options,
+    const std::vector<machine::IStructureRegion>& istructures = {},
+    const std::vector<machine::SharedRegion>& shared = {});
+
+/// Lowers `graph` and runs it on the scan policy.
+[[nodiscard]] machine::RunResult run_scan(
+    const dfg::Graph& graph, std::size_t memory_cells,
+    const machine::MachineOptions& options,
+    const std::vector<machine::IStructureRegion>& istructures = {});
+
+/// The scan-policy twin of core::execute(tx, options).
+[[nodiscard]] machine::RunResult run_scan(
+    const translate::Translation& tx, const machine::MachineOptions& options);
+
+}  // namespace ctdf::testing

@@ -51,9 +51,6 @@
 //                           by run, dot, explain, and exec
 //
 // Machine options:
-//   --engine=scan|event     pending-token engine (default scan): event
-//                           uses a calendar queue + frame recycling;
-//                           results are byte-identical either way
 //   --check=off|integrity   tagged dataflow-integrity checking (default
 //                           off): validates single-assignment slot tags,
 //                           I-structure write-once cells, split-phase
@@ -79,22 +76,6 @@
 //   --frame-capacity=N      finite frame store: at most N live iteration
 //                           contexts, loop entries stall (back-pressure)
 //                           at the bound (0 = unbounded)
-//   --host-threads=N        simulator worker threads (N ≥ 1; 1 = serial;
-//                           env fallback CTDF_HOST_THREADS; sync results
-//                           are bit-identical at any count)
-//   --parallel=sync|async   host-parallel discipline at N > 1 threads
-//                           (default sync): sync is the cycle-
-//                           synchronous barrier engine, async the
-//                           work-stealing engine with epoch-based token
-//                           exchange (stores and semantic counters match
-//                           serial; cycle metrics are its own)
-//   --slack=N               async: self-delivery sub-rounds per epoch
-//                           before a fence (0 = auto from the latency
-//                           ladder)
-//   --deterministic[=0|1]   async: pin shards, fence loop boundaries,
-//                           and disable stealing so equal options give
-//                           byte-identical runs (default on; =0
-//                           free-runs for throughput)
 //   --trace                 print every operator firing
 //   --print=x,y             print named variables from the final store
 //   --stats-json            (run) emit RunStats + machine options +
@@ -156,12 +137,13 @@
 #include "machine/flags.hpp"
 #include "machine/report.hpp"
 #include "serve/serve.hpp"
-#include "support/env.hpp"
+#include "support/parse.hpp"
 
 using namespace ctdf;
 
 namespace {
 
+using support::parse_unsigned;
 using translate::split_csv;
 
 struct Cli {
@@ -197,19 +179,6 @@ bool starts_with(const std::string& s, const char* prefix) {
 std::string value_of(const std::string& arg) {
   const auto eq = arg.find('=');
   return eq == std::string::npos ? "" : arg.substr(eq + 1);
-}
-
-/// Strict unsigned parse for flag values: rejects empty strings, signs
-/// (std::stoul silently wraps "-1"), embedded junk ("8x"), and
-/// overflow, so a typo is a CLI error instead of a silent
-/// misconfiguration.
-bool parse_unsigned(const std::string& v, unsigned long long& out) {
-  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoull(v.c_str(), &end, 10);
-  return errno == 0 && end == v.c_str() + v.size();
 }
 
 Cli parse_cli(int argc, char** argv) {

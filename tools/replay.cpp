@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "serve/json.hpp"
+#include "support/parse.hpp"
 
 #ifdef _WIN32
 int main() {
@@ -60,6 +61,7 @@ int main() {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using ctdf::support::parse_unsigned;
 
 long long now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -74,15 +76,6 @@ bool starts_with(const std::string& s, const char* prefix) {
 std::string value_of(const std::string& arg) {
   const auto eq = arg.find('=');
   return eq == std::string::npos ? "" : arg.substr(eq + 1);
-}
-
-bool parse_unsigned(const std::string& v, unsigned long long& out) {
-  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoull(v.c_str(), &end, 10);
-  return errno == 0 && end == v.c_str() + v.size();
 }
 
 /// JSON string literal with the escapes the serve parser understands.
@@ -169,7 +162,7 @@ std::string pick_source(std::mt19937_64& rng) {
 std::string options_field(std::mt19937_64& rng) {
   switch (rng() % 4) {
     case 0: return ", \"options\": [\"--mem-elim\"]";
-    case 1: return ", \"options\": [\"--engine=event\"]";
+    case 1: return ", \"options\": [\"--barrier\"]";
     default: return "";
   }
 }
@@ -225,7 +218,7 @@ std::string generate_request(std::mt19937_64& rng, std::size_t id) {
                "\"source\": " + quoted(kFib) + "}";
       case 2:
         return "{" + idf + ", \"op\": \"run\", \"options\": "
-               "[\"--engine=wheelie\"], \"source\": " + quoted(kRunning) + "}";
+               "[\"--check=wheelie\"], \"source\": " + quoted(kRunning) + "}";
       default:
         return "{" + idf + ", \"op\": \"run\", \"source\": " +
                quoted(kBadSyntax) + "}";
