@@ -103,13 +103,36 @@ void ProgramCache::write_disk_blob(std::uint64_t key,
 ProgramCache::Outcome ProgramCache::get(std::string_view source,
                                         const PipelineOptions& options) {
   const std::uint64_t key = program_cache_key(source, options);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (const auto it = map_.find(key); it != map_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    it->second.lru_pos = lru_.begin();
-    ++stats_.hits;
-    return {it->second.entry, CacheDisposition::kHitMemory, {}};
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    if (const auto it = map_.find(key); it != map_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+      it->second.lru_pos = lru_.begin();
+      ++stats_.hits;
+      return {it->second.entry, CacheDisposition::kHitMemory, {}};
+    }
+    if (compiling_.insert(key).second) break;
+    compiled_.wait(lock);  // another caller is compiling this key
   }
+  // Clears the mark and wakes the waiters on every exit path. A compile
+  // that throws caches nothing, so each waiter retries it and gets its
+  // own error.
+  struct Unmark {
+    ProgramCache& cache;
+    std::unique_lock<std::mutex>& lock;
+    std::uint64_t key;
+    ~Unmark() {
+      if (!lock.owns_lock()) lock.lock();
+      cache.compiling_.erase(key);
+      lock.unlock();
+      cache.compiled_.notify_all();
+    }
+  } unmark{*this, lock, key};
+  lock.unlock();
+
+  // Unlocked from here to the publish: only this caller works on `key`.
+  Outcome out;
+  bool disk_reject = false;
   if (!config_.dir.empty()) {
     machine::BlobReadResult read = machine::read_blob_file(blob_path(key));
     if (read.ok()) {
@@ -118,30 +141,38 @@ ProgramCache::Outcome ProgramCache::get(std::string_view source,
       entry->image = std::move(read.image);
       entry->blob_bytes = read.blob_bytes;
       entry->content_hash = read.content_hash;
-      insert_locked(entry);
-      ++stats_.disk_hits;
-      return {std::move(entry), CacheDisposition::kHitDisk, {}};
+      out = {std::move(entry), CacheDisposition::kHitDisk, {}};
+    } else {
+      // kUnreadable = not there yet (a plain miss); anything else is a
+      // stale/corrupt/truncated blob — count it, recompile, rewrite.
+      disk_reject = read.error != machine::BlobError::kUnreadable;
     }
-    // kUnreadable = not there yet (a plain miss); anything else is a
-    // stale/corrupt/truncated blob — count it, recompile, rewrite.
-    if (read.error != machine::BlobError::kUnreadable) ++stats_.disk_rejects;
   }
-  PipelineOptions po = options;
-  po.lower = true;  // an image without an ExecProgram is useless
-  const auto expanded =
-      lang::expand_subroutines_or_throw(std::string(source));
-  CompileResult cr = Pipeline(po).run(expanded.source);
-  PipelineTrace trace = std::move(cr.trace);
-  auto entry = std::make_shared<Entry>();
-  entry->key = key;
-  entry->image = make_program_image(std::move(cr));
-  const std::vector<std::uint8_t> blob = machine::serialize(entry->image);
-  entry->blob_bytes = blob.size();
-  entry->content_hash = machine::blob_content_hash(blob);
-  ++stats_.misses;
-  if (!config_.dir.empty()) write_disk_blob(key, blob);
-  insert_locked(entry);
-  return {std::move(entry), CacheDisposition::kMiss, std::move(trace)};
+  if (!out.entry) {
+    PipelineOptions po = options;
+    po.lower = true;  // an image without an ExecProgram is useless
+    const auto expanded =
+        lang::expand_subroutines_or_throw(std::string(source));
+    CompileResult cr = Pipeline(po).run(expanded.source);
+    out.trace = std::move(cr.trace);
+    auto entry = std::make_shared<Entry>();
+    entry->key = key;
+    entry->image = make_program_image(std::move(cr));
+    const std::vector<std::uint8_t> blob = machine::serialize(entry->image);
+    entry->blob_bytes = blob.size();
+    entry->content_hash = machine::blob_content_hash(blob);
+    if (!config_.dir.empty()) write_disk_blob(key, blob);
+    out.entry = std::move(entry);
+  }
+
+  lock.lock();
+  if (disk_reject) ++stats_.disk_rejects;
+  if (out.disposition == CacheDisposition::kHitDisk)
+    ++stats_.disk_hits;
+  else
+    ++stats_.misses;
+  insert_locked(out.entry);
+  return out;
 }
 
 CacheStats ProgramCache::stats() const {

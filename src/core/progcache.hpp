@@ -34,6 +34,7 @@
 // deliberately excluded: they do not change the image.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -41,6 +42,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "core/pipeline.hpp"
 #include "machine/blob.hpp"
@@ -110,9 +112,19 @@ class ProgramCache {
   /// Compile-or-fetch. Subroutine constructs are expanded first, so the
   /// same surface syntax the CLI accepts is cacheable. Throws
   /// support::CompileError for programs that do not compile (compile
-  /// errors are not cached). Thread-safe; concurrent callers serialize
-  /// on one mutex — by design, the expensive repeatable act (execution)
-  /// happens outside the cache.
+  /// errors are not cached).
+  ///
+  /// Thread-safe. mu_ guards only the map, the LRU list, the counters
+  /// and the set of keys being compiled. A miss marks its key, drops
+  /// the lock, reads the disk blob or runs expansion, the pipeline,
+  /// lowering, serialization and the disk write, then relocks to
+  /// publish the entry and clear the mark. So misses on different keys
+  /// compile in parallel, and a hit never waits for a compile.
+  /// Single-flight: a caller that misses on a key another caller is
+  /// compiling waits for it and takes the entry as a memory hit, so a
+  /// program is compiled once however many callers ask at once. If that
+  /// compile throws, nothing is cached: each waiter retries and gets
+  /// its own error.
   [[nodiscard]] Outcome get(std::string_view source,
                             const PipelineOptions& options);
 
@@ -134,8 +146,10 @@ class ProgramCache {
 
   Config config_;
   mutable std::mutex mu_;
+  std::condition_variable compiled_;  ///< a key left compiling_
   std::list<std::uint64_t> lru_;  ///< most-recent first
   std::unordered_map<std::uint64_t, Slot> map_;
+  std::unordered_set<std::uint64_t> compiling_;  ///< keys being compiled
   CacheStats stats_;
 };
 

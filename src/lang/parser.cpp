@@ -19,7 +19,12 @@ class Parser {
     Program prog;
     parse_decls(prog);
     while (!at(TokKind::kEof)) {
-      if (!parse_stmt(prog, prog.body, /*top_level=*/true)) sync();
+      if (parse_stmt(prog, prog.body, /*top_level=*/true)) continue;
+      sync();
+      // sync() stops at a '}' for the enclosing block to consume. At top
+      // level there is no block, so consume it here or the loop would
+      // report the same '}' forever.
+      accept(TokKind::kRBrace);
     }
     validate_labels(prog);
     return prog;

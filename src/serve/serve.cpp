@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
+#include <exception>
 #include <istream>
 #include <map>
 #include <mutex>
@@ -304,13 +305,23 @@ std::string handle_program_request(core::ProgramCache& cache,
                                     : left;
     }
     const auto e0 = Clock::now();
-    const machine::RunResult res = core::execute(out.entry->image, mopt);
-    exec_nanos = nanos_since(e0);
-    stats_json = compact(machine::render_stats_json(res.stats, mopt));
-    if (res.stats.completed)
-      store = store_json(out.entry->image, res.store, req);
-    else
-      machine_error = res.stats.error;
+    try {
+      const machine::RunResult res = core::execute(out.entry->image, mopt);
+      exec_nanos = nanos_since(e0);
+      stats_json = compact(machine::render_stats_json(res.stats, mopt));
+      if (res.stats.completed)
+        store = store_json(out.entry->image, res.store, req);
+      else
+        machine_error = res.stats.error;
+    } catch (const std::exception& e) {
+      // The request boundary: a machine that throws (say, a declared
+      // array too large to allocate) fails this request, not the
+      // server. No stats exist for a run that never finished.
+      exec_nanos = nanos_since(e0);
+      stats_json = "null";
+      store = "null";
+      machine_error = std::string("machine threw: ") + e.what();
+    }
   }
 
   const std::int64_t total_nanos = nanos_since(t0);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "lang/corpus.hpp"
+#include "lang/lexer.hpp"
 #include "lang/parser.hpp"
 
 namespace ctdf::lang {
@@ -126,6 +127,22 @@ TEST(Parser, RejectsZeroSizeArray) {
 
 TEST(Parser, RejectsBindOfMismatchedKinds) {
   expect_error("var x; array a[3]; bind x a;", "different kind");
+}
+
+TEST(Parser, StrayClosingBraceRecoversInBoundedDiagnostics) {
+  // Error recovery stops at a '}' for the enclosing block. At top level
+  // there is none, so the parser must consume it itself: every token
+  // costs at most one diagnostic.
+  for (const std::string_view src :
+       {std::string_view("}"), std::string_view("var x;\n}\n"),
+        std::string_view("var x;\nif x then {}\n")}) {
+    support::DiagnosticEngine lexed;
+    const std::size_t tokens = lex(src, lexed).size();
+    support::DiagnosticEngine d;
+    (void)parse(src, d);
+    EXPECT_TRUE(d.has_errors()) << src;
+    EXPECT_LE(d.diagnostics().size(), tokens) << src << "\n" << d.to_string();
+  }
 }
 
 TEST(Parser, CorpusProgramsParse) {

@@ -150,6 +150,59 @@ TEST(Serve, MachineFailuresKeepTheFullResponseShape) {
   EXPECT_TRUE(r.find("store")->is_null());
 }
 
+/// Compiles, but its machine throws: the store vector cannot be that
+/// large (std::length_error, no allocation attempted).
+const char* kHugeArrayRun =
+    R"({"id": 1, "op": "run", "source": "var x;\narray a[4611686018427387904];\nx := 1;\n"})";
+
+TEST(Serve, MachineExceptionIsATypedMachineError) {
+  Server server;
+  const JsonValue r = parse_response(server.handle_line(kHugeArrayRun));
+  EXPECT_EQ(keys(r), kProgramResponseKeys);
+  EXPECT_FALSE(r.find("ok")->boolean);
+  EXPECT_EQ(r.find("error")->find("kind")->string, "machine");
+  EXPECT_FALSE(r.find("error")->find("message")->string.empty());
+  EXPECT_TRUE(r.find("stats")->is_null());  // the run never finished
+  EXPECT_TRUE(r.find("store")->is_null());
+  // Compiling the same source is fine; only running it throws.
+  const JsonValue c = parse_response(server.handle_line(
+      R"({"op": "compile", "source": "var x;\narray a[4611686018427387904];\nx := 1;\n"})"));
+  EXPECT_TRUE(c.find("ok")->boolean);
+  EXPECT_TRUE(parse_response(server.handle_line(kRunX)).find("ok")->boolean);
+}
+
+TEST(Serve, MachineExceptionInABatchItemFailsOnlyThatItem) {
+  ServeOptions opt;
+  opt.workers = 2;
+  Server server(opt);
+  const std::string batch =
+      R"({"op": "run-batch", "requests": [)"
+      R"({"id": 1, "source": "var x;\narray a[4611686018427387904];\nx := 1;\n"},)"
+      R"({"id": 2, "source": "var x;\n  x := 1 + 2;\n"}]})";
+  const JsonValue r = parse_response(server.handle_line(batch));
+  EXPECT_TRUE(r.find("ok")->boolean);
+  EXPECT_EQ(r.find("batch")->find("errors")->number, 1.0);
+  const std::vector<JsonValue>& results = r.find("results")->array;
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(keys(results[0]), kProgramResponseKeys);
+  EXPECT_EQ(results[0].find("error")->find("kind")->string, "machine");
+  EXPECT_EQ(results[1].find("store")->find("x")->number, 3.0);
+}
+
+TEST(Serve, StrayClosingBraceIsACompileError) {
+  Server server;
+  for (const char* line :
+       {R"({"op": "run", "source": "}"})",
+        R"({"op": "run", "source": "var x;\n}\n"})",
+        R"({"op": "run", "source": "var x;\nif x then {}\n"})"}) {
+    const JsonValue r = parse_response(server.handle_line(line));
+    EXPECT_FALSE(r.find("ok")->boolean) << line;
+    EXPECT_EQ(r.find("error")->find("kind")->string, "compile") << line;
+    EXPECT_TRUE(parse_response(server.handle_line(kRunX)).find("ok")->boolean)
+        << "after " << line;
+  }
+}
+
 TEST(Serve, RunBatchKeepsOrderSharesTheCacheAndCountsErrors) {
   Server server;
   const std::string batch = R"({"id": "b1", "op": "run-batch", "requests": [)"
@@ -216,6 +269,22 @@ TEST(Serve, WorkerPoolProducesTheSameOrderedResults) {
     EXPECT_EQ(results[i].find("id")->number, i) << i;
     EXPECT_EQ(results[i].find("store")->find("x")->number, i + 1.0) << i;
   }
+}
+
+TEST(Serve, IdenticalItemsOnAWorkerPoolCompileOnce) {
+  ServeOptions opt;
+  opt.workers = 4;
+  Server server(opt);
+  std::string batch = R"({"op": "run-batch", "requests": [)";
+  for (int i = 0; i < 8; ++i)
+    batch += std::string(i ? ", " : "") +
+             R"({"source": "var x;\n  x := 1 + 2;\n"})";
+  batch += "]}";
+  const JsonValue r = parse_response(server.handle_line(batch));
+  // Items racing on one key wait for its single compile: one miss,
+  // seven hits, however the workers interleave.
+  EXPECT_EQ(r.find("batch")->find("cache_hits")->number, 7.0);
+  EXPECT_EQ(r.find("batch")->find("errors")->number, 0.0);
 }
 
 TEST(Serve, ShutdownAcknowledgesAndStopsTheLoop) {
@@ -316,15 +385,20 @@ const char* kSpinWithDeadline =
 /// Drives serve_pipe over real fds: writes every request, closes the
 /// input, joins the server, and returns the response lines. A nonzero
 /// `first_stagger_ms` pauses after the first request so a worker has
-/// demonstrably started it before the rest (and EOF) arrive.
+/// demonstrably started it before the rest (and EOF) arrive;
+/// `exit_code` receives serve_pipe's return value.
 std::vector<std::string> pipe_roundtrip(Server& server,
                                         const std::vector<std::string>& reqs,
-                                        int first_stagger_ms = 0) {
+                                        int first_stagger_ms = 0,
+                                        int* exit_code = nullptr) {
   int in_p[2] = {-1, -1};
   int out_p[2] = {-1, -1};
   EXPECT_EQ(::pipe(in_p), 0);
   EXPECT_EQ(::pipe(out_p), 0);
-  std::thread t([&] { (void)server.serve_pipe(in_p[0], out_p[1]); });
+  std::thread t([&] {
+    const int rc = server.serve_pipe(in_p[0], out_p[1]);
+    if (exit_code) *exit_code = rc;
+  });
   const auto send = [&](const std::string& payload) {
     std::size_t off = 0;
     while (off < payload.size()) {
@@ -441,6 +515,20 @@ TEST(ServePump, ShutdownOpDrainsAndExitsThePipeLoop) {
   const JsonValue ack = parse_response(lines[1]);
   EXPECT_TRUE(ack.find("ok")->boolean);
   EXPECT_EQ(ack.find("op")->string, "shutdown");
+}
+
+TEST(ServePump, MachineExceptionLeavesThePumpServing) {
+  ServeOptions opt;
+  opt.workers = 2;
+  Server server(opt);
+  int exit_code = -1;
+  const std::vector<std::string> lines =
+      pipe_roundtrip(server, {kHugeArrayRun, kRunX}, 0, &exit_code);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(parse_response(lines[0]).find("error")->find("kind")->string,
+            "machine");
+  EXPECT_TRUE(parse_response(lines[1]).find("ok")->boolean);
+  EXPECT_EQ(exit_code, 0);
 }
 
 TEST(ServePump, OneRequestThenEofIsAlwaysServed) {
