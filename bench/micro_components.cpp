@@ -192,6 +192,31 @@ void BM_FrameAlloc(benchmark::State& state) {
 // Arg 1 keeps the recorded baseline's row name, as above.
 BENCHMARK(BM_FrameAlloc)->Arg(1)->Unit(benchmark::kMillisecond);
 
+void BM_MachineMultiPE(benchmark::State& state) {
+  // Multi-PE issue: four processing elements, each firing at most one
+  // ready operator per cycle, so most cycles leave work waiting in the
+  // ready queue. Tokens are placed by context (arg 0) or by node
+  // (arg 1). Reports operator firings per second of host time.
+  const auto prog = core::parse(lang::corpus::nested_loops_source(16, 8));
+  auto topt = translate::TranslateOptions::schema2_optimized();
+  topt.eliminate_memory = true;
+  const auto tx = core::compile(prog, topt);
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    machine::MachineOptions mopt;
+    mopt.loop_mode = machine::LoopMode::kPipelined;
+    mopt.processors = 4;
+    mopt.placement = state.range(0) ? machine::Placement::kByNode
+                                    : machine::Placement::kByContext;
+    const auto res = core::execute(tx, mopt);
+    ops += res.stats.ops_fired;
+    benchmark::DoNotOptimize(res.stats.cycles);
+  }
+  state.counters["ops/s"] = benchmark::Counter(
+      static_cast<double>(ops), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MachineMultiPE)->Arg(0)->Arg(1);
+
 void BM_MachineFaultsOff(benchmark::State& state) {
   // Fault-machinery overhead gate on a token-heavy two-PE workload.
   // Arg 0: inert FaultPlan — the engine must take its legacy

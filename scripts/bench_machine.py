@@ -6,7 +6,8 @@ simulator's operator throughput (BM_MachineTokenThroughput), the
 frame-store matching rate (BM_MachineMatchThroughput), the graph →
 ExecProgram lowering time (BM_LowerExecProgram), the latency-bound
 workload (BM_MachineIdleCycles), the context-churn workload
-(BM_FrameAlloc), the fault-machinery overhead pair
+(BM_FrameAlloc), the four-PE issue path (BM_MachineMultiPE, arg 0 =
+placed by context / 1 = by node), the fault-machinery overhead pair
 (BM_MachineFaultsOff, arg 0 = legacy path / 1 = fault path engaged
 with zero rates), the run-budget cost pair
 (BM_MachineBudgetOverhead, arg 0 = no budget / 1 = armed but
@@ -72,6 +73,7 @@ FILTER = "|".join(
         "BM_MachineFusedChains",
         "BM_MachineFaultRecovery",
         "BM_FrameAlloc",
+        "BM_MachineMultiPE",
         "BM_ServeWarmVsCold",
         "BM_LowerExecProgram/",  # skip the _BigO/_RMS aggregate rows
     ]
@@ -94,6 +96,7 @@ SECTIONS = {
                               False, 0.05),
     "serve_req_per_s": ("BM_ServeWarmVsCold", "req/s", True),
     "frame_ctxs_per_s": ("BM_FrameAlloc", "ctxs/s", True),
+    "multi_pe_ops_per_s": ("BM_MachineMultiPE", "ops/s", True),
     "lowering_ns": ("BM_LowerExecProgram", "real_time", False),
 }
 

@@ -46,11 +46,13 @@ class CalendarQueue {
     mask_ = size - 1;
   }
 
-  void push(std::uint64_t due, const Token& t) {
+  /// Appends a token due at `due` and returns it, value-initialized,
+  /// for the caller to fill in place (see SerialEngine::emit).
+  Token& push(std::uint64_t due) {
     const std::uint64_t b = due & mask_;
-    buckets_[b].push_back(t);
     occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
     ++count_;
+    return buckets_[b].emplace_back();
   }
 
   /// Visits every token due at `cycle` in push order, then clears the

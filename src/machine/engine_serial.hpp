@@ -14,7 +14,8 @@
 //   static constexpr bool kRecycleFrames;     // recycle frames on
 //                                             // context retirement
 //   explicit PendingQueue(const MachineOptions&);
-//   void push(uint64_t due, const Token&);    // FIFO per due cycle
+//   Token& push(uint64_t due);                // a value-initialized
+//                                             // slot, FIFO per due cycle
 //   template <class F> void drain(uint64_t cycle, F&&);  // then clears
 //   bool empty() const;
 //   uint64_t next_due(uint64_t cycle) const;  // requires !empty()
@@ -44,16 +45,18 @@
 
 namespace ctdf::machine::detail {
 
+/// Fields ordered so the record packs into 24 bytes.
 struct ReadyEntry {
   std::uint32_t ctx = 0;
   dfg::NodeId node;
+  std::int64_t value = 0;
+  std::uint16_t port = 0;
   /// Non-strict firings carry their single token inline.
   bool immediate = false;
   bool requeued = false;  ///< see Token::requeued
-  std::uint16_t port = 0;
-  std::int64_t value = 0;
-  bool refire = false;  ///< see Token::refire
+  bool refire = false;    ///< see Token::refire
 };
+static_assert(sizeof(ReadyEntry) == 24);
 
 /// The scan policy's pending queue: an ordered map of delivery cycle →
 /// token FIFO. The reference policy, and the only one that carries a
@@ -63,7 +66,7 @@ struct MapPending {
 
   explicit MapPending(const MachineOptions&) {}
 
-  void push(std::uint64_t due, const Token& t) { m_[due].push_back(t); }
+  Token& push(std::uint64_t due) { return m_[due].emplace_back(); }
 
   template <class F>
   void drain(std::uint64_t cycle, F&& f) {
@@ -254,7 +257,7 @@ class SerialEngine {
         // A NACKed memory firing (or a capacity-stalled barrier entry)
         // re-entering the ready queue: its operands are still matched
         // in the frame, so re-ready the op without filing a slot.
-        ready_.push_back({t.ctx, t.node, false, false, 0, 0, true});
+        ready_slot(t.ctx, t.node).refire = true;
         return;
       }
       if (t.seq != 0 && !dedup_accept(t.seq)) {
@@ -265,7 +268,11 @@ class SerialEngine {
     ++stats_.tokens_sent;
     const ExecOp& op = ep_.op(t.node);
     if (non_strict(op, opt_.loop_mode)) {
-      ready_.push_back({t.ctx, t.node, true, t.requeued, t.port, t.value});
+      ReadyEntry& r = ready_slot(t.ctx, t.node);
+      r.value = t.value;
+      r.port = t.port;
+      r.immediate = true;
+      r.requeued = t.requeued;
       return;
     }
     if (check_) ++stats_.integrity_checks;
@@ -292,12 +299,24 @@ class SerialEngine {
         return;
       case FrameStore::Deliver::kCompleted:
         ++stats_.matches;
-        ready_.push_back({t.ctx, t.node, false, false, 0, 0});
+        ready_slot(t.ctx, t.node);
         break;
       case FrameStore::Deliver::kStored:
         ++stats_.matches;
         break;
     }
+  }
+
+  /// Appends a ready entry for (ctx, node), the rest of it defaulted,
+  /// for the caller to fill in place. Building the entry on the stack
+  /// and copying it in would stall on store forwarding: the copy's wide
+  /// loads cannot take their data from the narrow stores that just
+  /// wrote the fields. The same holds for tokens pushed in emit().
+  ReadyEntry& ready_slot(std::uint32_t ctx, dfg::NodeId node) {
+    ReadyEntry& r = ready_.emplace_back();
+    r.ctx = ctx;
+    r.node = node;
+    return r;
   }
 
   [[nodiscard]] unsigned pe_of(std::uint32_t ctx, dfg::NodeId node) const {
@@ -308,24 +327,27 @@ class SerialEngine {
   }
 
   /// One cycle of multi-PE issue: each PE fires at most one ready
-  /// operator (FIFO per PE); the rest wait.
+  /// operator (FIFO per PE); the rest wait. The waiting entries move to
+  /// kept_, which then swaps with ready_, so both buffers keep their
+  /// capacity from cycle to cycle.
   std::uint32_t fire_multi_pe(std::uint64_t cycle) {
-    std::vector<std::uint8_t> busy(opt_.processors, 0);
-    std::vector<ReadyEntry> kept;
+    busy_.assign(opt_.processors, 0);
+    kept_.clear();
     std::uint32_t fired = 0;
     std::size_t i = ready_head_;
     for (; i < ready_.size() && !completed_ && stats_.error.empty(); ++i) {
       const unsigned pe = pe_of(ready_[i].ctx, ready_[i].node);
-      if (busy[pe]) {
-        kept.push_back(ready_[i]);
+      if (busy_[pe]) {
+        kept_.push_back(ready_[i]);
         continue;
       }
-      busy[pe] = 1;
+      busy_[pe] = 1;
       fire(ready_[i], cycle);
       ++fired;
     }
-    for (; i < ready_.size(); ++i) kept.push_back(ready_[i]);
-    ready_ = std::move(kept);
+    kept_.insert(kept_.end(),
+                 ready_.begin() + static_cast<std::ptrdiff_t>(i), ready_.end());
+    ready_.swap(kept_);
     ready_head_ = 0;
     return fired;
   }
@@ -337,7 +359,12 @@ class SerialEngine {
       std::swap(ready_[ready_head_], ready_[pick]);
     }
     ReadyEntry e = ready_[ready_head_++];
-    if (ready_head_ > 4096 && ready_head_ * 2 > ready_.size()) {
+    if (ready_head_ == ready_.size()) {
+      // Emptied: start over at the front, so a queue that drains every
+      // cycle stays in the same few cache lines.
+      ready_.clear();
+      ready_head_ = 0;
+    } else if (ready_head_ > 4096 && ready_head_ * 2 > ready_.size()) {
       ready_.erase(ready_.begin(),
                    ready_.begin() + static_cast<std::ptrdiff_t>(ready_head_));
       ready_head_ = 0;
@@ -354,8 +381,8 @@ class SerialEngine {
       std::uint64_t hop = 0;
       if (opt_.processors > 0 && pe_of(ctx, d.node) != from_pe)
         hop = opt_.network_latency;
-      Token t{ctx, d.node, d.port, value};
       std::uint64_t due = cycle + latency + hop;
+      std::uint64_t seq = 0;
       if (fault_ && hop > 0 && !booting_) {
         // Network fault injection (cross-PE transmissions only). A drop
         // is modeled as its own recovery: the retransmission ladder is
@@ -379,11 +406,18 @@ class SerialEngine {
           // Both copies share one sequence number; the receiver delivers
           // whichever lands first and drops the other, so the logical
           // token is counted live exactly once.
-          t.seq = fault_->next_seq();
-          pending_.push(cycle + latency + hop + f.dup_delay, t);
+          seq = fault_->next_seq();
+          pending_.push(cycle + latency + hop + f.dup_delay) = {
+              .ctx = ctx, .node = d.node, .value = value, .port = d.port,
+              .seq = seq};
         }
       }
-      pending_.push(due, t);
+      Token& t = pending_.push(due);  // filled in place, see ready_slot()
+      t.ctx = ctx;
+      t.node = d.node;
+      t.value = value;
+      t.port = d.port;
+      t.seq = seq;
       cs_.add_live(ctx);
     }
   }
@@ -394,7 +428,7 @@ class SerialEngine {
           // Re-deliver the stalled forwardings to the loop entry; they
           // are still counted live in their source contexts, so push
           // them without re-counting.
-          for (Token& t : stalled) pending_.push(cycle + 1, t);
+          for (const Token& t : stalled) pending_.push(cycle + 1) = t;
         });
     if constexpr (PendingQueue::kRecycleFrames) {
       // The retiring context's last token just died, so its frame holds
@@ -404,7 +438,7 @@ class SerialEngine {
     if (retired && !cap_stalled_.empty()) {
       // A frame was freed: wake everything blocked on capacity. The
       // first to re-fire claims it; the rest re-stall.
-      for (Token& t : cap_stalled_) pending_.push(cycle + 1, t);
+      for (const Token& t : cap_stalled_) pending_.push(cycle + 1) = t;
       cap_stalled_.clear();
     }
   }
@@ -423,14 +457,13 @@ class SerialEngine {
     if (e.immediate) {
       // Pipelined forwarding: buffer it, consumed from its source
       // context now so that context can retire and free its own frame.
-      cap_stalled_.push_back(Token{e.ctx, e.node, e.port, e.value, true});
+      cap_stalled_.push_back({.ctx = e.ctx, .node = e.node, .value = e.value,
+                              .port = e.port, .requeued = true});
       if (!e.requeued) consume(e.ctx, cycle);
     } else {
       // Barrier entry: the circulating set stays matched in the frame;
       // re-ready the whole firing once a retirement frees capacity.
-      Token t{e.ctx, e.node, 0, 0};
-      t.refire = true;
-      cap_stalled_.push_back(t);
+      cap_stalled_.push_back({.ctx = e.ctx, .node = e.node, .refire = true});
     }
     return true;
   }
@@ -472,9 +505,8 @@ class SerialEngine {
           stats_.nacks_seen += n.nacks;
           stats_.retries += n.nacks;
           stats_.faults_injected += n.nacks;
-          Token retry{e.ctx, e.node, 0, 0};
-          retry.refire = true;
-          pending_.push(cycle + n.delay, retry);
+          pending_.push(cycle + n.delay) = {
+              .ctx = e.ctx, .node = e.node, .refire = true};
           return;
         }
       }
@@ -505,7 +537,7 @@ class SerialEngine {
           const CtxInfo& cur = cs_.info(e.ctx);
           CTDF_ASSERT_MSG(cur.loop.valid(),
                           "loop exit fired outside an iteration context");
-          emit(cur.invocation, e.node, e.port, e.value, cycle, alu);
+          emit(cur.instance->invocation, e.node, e.port, e.value, cycle, alu);
           consume(e.ctx, cycle);
           return;
         }
@@ -517,8 +549,9 @@ class SerialEngine {
             // Buffer the forwarding in the loop entry: consumed from its
             // source context now (so that context can retire and release
             // a credit), re-fired on retirement.
-            inst->stalled.push_back(
-                Token{e.ctx, e.node, e.port, e.value, true});
+            inst->stalled.push_back({.ctx = e.ctx, .node = e.node,
+                                     .value = e.value, .port = e.port,
+                                     .requeued = true});
             ++stats_.throttle_stalls;
             if (!e.requeued) consume(e.ctx, cycle);
             return;
@@ -703,6 +736,9 @@ class SerialEngine {
   PendingQueue pending_;
   std::vector<ReadyEntry> ready_;
   std::size_t ready_head_ = 0;
+  /// fire_multi_pe's per-cycle scratch, kept so its capacity survives.
+  std::vector<ReadyEntry> kept_;
+  std::vector<std::uint8_t> busy_;
   std::uint32_t fire_ctx_ = 0;  ///< context of the firing in progress
   std::vector<std::int64_t> in_buf_;  ///< matched inputs of the firing
 

@@ -9,21 +9,23 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "machine/exec.hpp"
 #include "machine/machine.hpp"
 #include "support/assert.hpp"
-#include "support/hash.hpp"
 
 namespace ctdf::machine {
 
-/// A token: (context, instruction, port, value).
+/// A token: (context, instruction, port, value). Fields are ordered so
+/// the record packs into 32 bytes: tokens are the elements of every
+/// pending-queue bucket.
 struct Token {
   std::uint32_t ctx = 0;
   dfg::NodeId node;
-  std::uint16_t port = 0;
   std::int64_t value = 0;
+  std::uint16_t port = 0;
   /// True for a loop-entry forwarding re-delivered after a k-bound
   /// stall: it was already consumed from its source context when it
   /// was buffered, so a successful re-fire must not consume it again.
@@ -36,34 +38,27 @@ struct Token {
   /// same sequence number and the receiver delivers exactly one.
   std::uint64_t seq = 0;
 };
+static_assert(sizeof(Token) == 32);
+
+/// One loop invocation: the link to its first iteration's context and
+/// its k-bound state.
+struct LoopInstance {
+  std::uint32_t invocation = 0;  ///< context the loop was entered from
+  std::uint32_t first = 0;       ///< iteration 0's context; 0 = not yet
+  unsigned in_flight = 0;        ///< allocated, not yet retired iterations
+  std::vector<Token> stalled;    ///< forwardings blocked by the k-bound
+};
 
 /// An iteration context — the role Monsoon frames play.
 struct CtxInfo {
-  cfg::LoopId loop;              ///< invalid for the root context
-  std::uint32_t invocation = 0;  ///< context the loop was entered from
-  std::uint32_t iter = 0;
-};
-
-struct CtxKey {
-  std::uint32_t loop;
-  std::uint32_t invocation;
-  std::uint32_t iter;
-  bool operator==(const CtxKey&) const = default;
-};
-
-struct CtxKeyHash {
-  std::size_t operator()(const CtxKey& k) const {
-    std::uint64_t h = k.loop;
-    h = h * support::kGoldenGamma + k.invocation;
-    h = h * support::kGoldenGamma + k.iter;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  }
-};
-
-/// One loop invocation's k-bound state.
-struct LoopInstance {
-  unsigned in_flight = 0;      ///< allocated, not yet retired iterations
-  std::vector<Token> stalled;  ///< forwardings blocked by the k-bound
+  cfg::LoopId loop;  ///< invalid for the root context
+  /// The next iteration of `loop` (the successor link the loop-entry
+  /// operator hands the next iteration); 0 = not allocated yet. The
+  /// root context 0 is never a successor.
+  std::uint32_t next = 0;
+  /// The invocation this iteration belongs to; null for the root.
+  /// Points into ContextState's instance map, whose nodes never move.
+  LoopInstance* instance = nullptr;
 };
 
 /// Deferred I-structure readers per cell: (context, fetch node).
@@ -347,56 +342,34 @@ class ContextState {
     live_tokens_[ctx] += n;
   }
 
-  [[nodiscard]] static std::uint64_t instance_key(cfg::LoopId loop,
-                                                  std::uint32_t invocation) {
-    return (static_cast<std::uint64_t>(loop.value()) << 32) | invocation;
-  }
-
-  [[nodiscard]] CtxKey iteration_key(cfg::LoopId loop,
-                                     std::uint32_t from) const {
-    const CtxInfo& cur = contexts_[from];
-    CtxKey key{};
-    key.loop = loop.value();
-    if (cur.loop == loop) {
-      key.invocation = cur.invocation;
-      key.iter = cur.iter + 1;
-    } else {
-      key.invocation = from;
-      key.iter = 0;
-    }
-    return key;
-  }
-
   /// k-bounded loops: if starting the iteration (loop ← from) would
   /// exceed `bound`, returns the instance the forwarding must stall in;
   /// nullptr when it may proceed. bound 0 = unbounded.
   [[nodiscard]] LoopInstance* bound_block(cfg::LoopId loop,
                                           std::uint32_t from, unsigned bound) {
     if (bound == 0) return nullptr;
-    const CtxKey key = iteration_key(loop, from);
-    if (ctx_table_.contains(key)) return nullptr;
-    LoopInstance& inst = instances_[instance_key(loop, key.invocation)];
-    return inst.in_flight >= bound ? &inst : nullptr;
+    const auto [link, inst] = iteration_link(loop, from);
+    if (*link != 0) return nullptr;
+    return inst->in_flight >= bound ? inst : nullptr;
   }
 
   /// The context of iteration (loop ← from), allocating it (and a
   /// k-bound credit) on first use.
   std::uint32_t context_for_iteration(cfg::LoopId loop, std::uint32_t from,
                                       RunStats& stats) {
-    const CtxKey key = iteration_key(loop, from);
-    const auto [it, inserted] = ctx_table_.try_emplace(key, 0u);
-    if (inserted) {
-      it->second = static_cast<std::uint32_t>(contexts_.size());
-      contexts_.push_back(CtxInfo{loop, key.invocation, key.iter});
-      live_tokens_.push_back(0);
-      retired_.push_back(false);
-      ++stats.contexts_allocated;
-      ++instances_[instance_key(loop, key.invocation)].in_flight;
-      ++live_contexts_;
-      stats.peak_live_contexts =
-          std::max<std::uint64_t>(stats.peak_live_contexts, live_contexts_);
-    }
-    return it->second;
+    const auto [link, inst] = iteration_link(loop, from);
+    if (*link != 0) return *link;
+    const auto ctx = static_cast<std::uint32_t>(contexts_.size());
+    *link = ctx;  // before the push_back below can move `link`
+    contexts_.push_back(CtxInfo{loop, 0, inst});
+    live_tokens_.push_back(0);
+    retired_.push_back(false);
+    ++stats.contexts_allocated;
+    ++inst->in_flight;
+    ++live_contexts_;
+    stats.peak_live_contexts =
+        std::max<std::uint64_t>(stats.peak_live_contexts, live_contexts_);
+    return ctx;
   }
 
   /// n tokens of `ctx` were consumed; retire the context when its last
@@ -414,10 +387,7 @@ class ContextState {
     if (live_tokens_[ctx] != 0 || ctx == 0 || retired_[ctx]) return false;
     retired_[ctx] = true;
     --live_contexts_;
-    const CtxInfo& info = contexts_[ctx];
-    const auto it = instances_.find(instance_key(info.loop, info.invocation));
-    if (it == instances_.end()) return true;
-    LoopInstance& instance = it->second;
+    LoopInstance& instance = *contexts_[ctx].instance;
     if (instance.in_flight > 0) --instance.in_flight;
     if (!instance.stalled.empty()) {
       auto stalled = std::move(instance.stalled);
@@ -443,7 +413,10 @@ class ContextState {
   /// already exist?
   [[nodiscard]] bool would_allocate(cfg::LoopId loop,
                                     std::uint32_t from) const {
-    return !ctx_table_.contains(iteration_key(loop, from));
+    const CtxInfo& cur = contexts_[from];
+    if (cur.loop == loop) return cur.next == 0;
+    const auto it = instances_.find(instance_key(loop, from));
+    return it == instances_.end() || it->second.first == 0;
   }
 
   /// f(loop id, invocation ctx, iterations in flight, stalled
@@ -464,12 +437,31 @@ class ContextState {
   }
 
  private:
+  [[nodiscard]] static std::uint64_t instance_key(cfg::LoopId loop,
+                                                  std::uint32_t invocation) {
+    return (static_cast<std::uint64_t>(loop.value()) << 32) | invocation;
+  }
+
+  /// Where the context of iteration (loop ← from) is linked, and the
+  /// invocation it belongs to. From inside the loop that is `from`'s own
+  /// successor link, with no lookup. Only a token entering the loop
+  /// from outside looks up (and on first entry creates) the invocation.
+  std::pair<std::uint32_t*, LoopInstance*> iteration_link(
+      cfg::LoopId loop, std::uint32_t from) {
+    CtxInfo& cur = contexts_[from];
+    if (cur.loop == loop) return {&cur.next, cur.instance};
+    LoopInstance& inst = instances_[instance_key(loop, from)];
+    inst.invocation = from;
+    return {&inst.first, &inst};
+  }
+
   std::vector<CtxInfo> contexts_;
   std::vector<std::uint32_t> live_tokens_;
   std::vector<bool> retired_;
   std::uint64_t live_contexts_ = 0;
+  /// One entry per loop invocation, keyed by (loop, invocation context).
+  /// Node-based, so the CtxInfo::instance pointers into it stay valid.
   std::unordered_map<std::uint64_t, LoopInstance> instances_;
-  std::unordered_map<CtxKey, std::uint32_t, CtxKeyHash> ctx_table_;
 };
 
 }  // namespace ctdf::machine

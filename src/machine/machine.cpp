@@ -31,7 +31,7 @@ struct WheelPending {
 
   explicit WheelPending(const MachineOptions& opt) : q_(event_horizon(opt)) {}
 
-  void push(std::uint64_t due, const Token& t) { q_.push(due, t); }
+  Token& push(std::uint64_t due) { return q_.push(due); }
 
   template <class F>
   void drain(std::uint64_t cycle, F&& f) {

@@ -3,6 +3,7 @@
 #include "lang/corpus.hpp"
 #include "lang/lexer.hpp"
 #include "lang/parser.hpp"
+#include "support/deep_sources.hpp"
 
 namespace ctdf::lang {
 namespace {
@@ -142,6 +143,33 @@ TEST(Parser, StrayClosingBraceRecoversInBoundedDiagnostics) {
     (void)parse(src, d);
     EXPECT_TRUE(d.has_errors()) << src;
     EXPECT_LE(d.diagnostics().size(), tokens) << src << "\n" << d.to_string();
+  }
+}
+
+TEST(Parser, TooDeepSourcesGiveOneDiagnostic) {
+  // Each of these overflowed the stack before the depth bound; now the
+  // parser stops at the bound with a single diagnostic.
+  for (const auto& [name, src] : testing::stack_overflow_reproducers()) {
+    support::DiagnosticEngine d;
+    (void)parse(src, d);
+    ASSERT_EQ(d.diagnostics().size(), 1u) << name << "\n" << d.to_string();
+    EXPECT_NE(d.to_string().find("nesting deeper than 1000 levels"),
+              std::string::npos)
+        << name << ": " << d.to_string();
+  }
+}
+
+TEST(Parser, SourcesExactlyAtTheDepthBoundParse) {
+  const std::vector<std::pair<std::string, std::string (*)(int)>> kinds = {
+      {"parens", testing::nested_parens},
+      {"sum", testing::flat_sum},
+      {"minus", testing::unary_minuses},
+      {"if", [](int n) { return testing::nested_blocks("if", n); }},
+      {"while", [](int n) { return testing::nested_blocks("while", n); }},
+  };
+  for (const auto& [name, make] : kinds) {
+    (void)ok(make(1000));
+    expect_error(make(1001), "nesting deeper than 1000 levels");
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include "serve/json.hpp"
 #include "serve/serve.hpp"
+#include "support/deep_sources.hpp"
 
 #ifndef _WIN32
 #include <sys/socket.h>
@@ -201,6 +202,24 @@ TEST(Serve, StrayClosingBraceIsACompileError) {
     EXPECT_TRUE(parse_response(server.handle_line(kRunX)).find("ok")->boolean)
         << "after " << line;
   }
+}
+
+TEST(Serve, TooDeepSourcesAreCompileErrors) {
+  // Each of these overflowed the server's stack before the parser's
+  // depth bound: the request went unanswered and the server died.
+  Server server;
+  for (const auto& [name, src] : testing::stack_overflow_reproducers()) {
+    const JsonValue r = parse_response(server.handle_line(
+        R"({"op": "compile", "source": ")" + src + R"("})"));
+    EXPECT_FALSE(r.find("ok")->boolean) << name;
+    EXPECT_EQ(r.find("error")->find("kind")->string, "compile") << name;
+    EXPECT_TRUE(parse_response(server.handle_line(kRunX)).find("ok")->boolean)
+        << "after " << name;
+  }
+  const JsonValue at_limit = parse_response(server.handle_line(
+      R"({"op": "run", "source": ")" + testing::nested_parens(1000) + R"("})"));
+  EXPECT_TRUE(at_limit.find("ok")->boolean);
+  EXPECT_EQ(at_limit.find("store")->find("x")->number, 1.0);
 }
 
 TEST(Serve, RunBatchKeepsOrderSharesTheCacheAndCountsErrors) {
