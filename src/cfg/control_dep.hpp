@@ -11,12 +11,13 @@
 // computation against a brute-force path-enumeration oracle.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cfg/dominance.hpp"
 #include "cfg/graph.hpp"
 #include "support/bitset.hpp"
-#include "support/index_map.hpp"
 
 namespace ctdf::cfg {
 
@@ -31,10 +32,21 @@ class ControlDeps {
   ControlDeps(const Graph& g, const DomTree& pdom);
 
   /// CD(n): the forks n is control dependent on, with the out-direction
-  /// of the dependence.
-  [[nodiscard]] const std::vector<ControlDep>& deps(NodeId n) const {
-    return deps_[n];
+  /// of the dependence, by ascending fork (true before false).
+  [[nodiscard]] std::span<const ControlDep> deps(NodeId n) const {
+    return {deps_.data() + dep_begin_[n.index()],
+            deps_.data() + dep_begin_[n.index() + 1]};
   }
+
+  /// Buffers for repeated CD⁺ queries, sized to the graph once.
+  struct Scratch {
+    support::Bitset seen;
+    support::Bitset result;
+    std::vector<NodeId> worklist;
+  };
+
+  /// CD⁺ of a node set into `s.result`, reusing s's buffers.
+  void iterate(std::span<const NodeId> ns, Scratch& s) const;
 
   /// Iterated control dependence CD⁺(n) as a node bitset.
   [[nodiscard]] support::Bitset iterated(NodeId n) const;
@@ -44,7 +56,8 @@ class ControlDeps {
 
  private:
   std::size_t num_nodes_;
-  support::IndexMap<NodeId, std::vector<ControlDep>> deps_;
+  std::vector<std::uint32_t> dep_begin_;  ///< per node, plus an end
+  std::vector<ControlDep> deps_;
 };
 
 }  // namespace ctdf::cfg

@@ -24,10 +24,6 @@ DomTree::DomTree(const Graph& g, DomDirection dir) : dir_(dir) {
   idom_.resize(g.size());
   idom_[root_] = root_;  // sentinel during iteration
 
-  const auto preds_of = [&](NodeId n) {
-    return forward ? g.preds(n) : g.succs(n);
-  };
-
   const auto intersect = [&](NodeId a, NodeId b) {
     while (a != b) {
       while (rpo_index[a] > rpo_index[b]) a = idom_[a];
@@ -42,9 +38,15 @@ DomTree::DomTree(const Graph& g, DomDirection dir) : dir_(dir) {
     for (NodeId n : rpo) {
       if (n == root_) continue;
       NodeId new_idom = NodeId::invalid();
-      for (NodeId p : preds_of(n)) {
-        if (!idom_[p].valid()) continue;  // not yet processed
+      const auto meet = [&](NodeId p) {
+        if (!idom_[p].valid()) return;  // not yet processed
         new_idom = new_idom.valid() ? intersect(p, new_idom) : p;
+      };
+      // Predecessors in the (possibly reversed) graph, read in place.
+      if (forward) {
+        for (NodeId p : g.preds(n)) meet(p);
+      } else {
+        for (NodeId p : g.succs(n)) meet(p);
       }
       // The DFS-tree parent precedes n in RPO, so some predecessor is
       // always processed.
@@ -57,23 +59,37 @@ DomTree::DomTree(const Graph& g, DomDirection dir) : dir_(dir) {
   }
   idom_[root_] = NodeId::invalid();  // the root has no idom
 
-  // Children lists + Euler tour for O(1) ancestor queries.
-  children_.resize(g.size());
+  // Children lists, ascending per parent, in one table: child_begin_[n]
+  // counts n's children, then becomes the offset of its first one.
+  child_begin_.assign(g.size() + 1, 0);
   for (NodeId n : g.all_nodes())
-    if (idom_[n].valid()) children_[idom_[n]].push_back(n);
+    if (idom_[n].valid()) ++child_begin_[idom_[n].index() + 1];
+  for (std::size_t i = 1; i < child_begin_.size(); ++i)
+    child_begin_[i] += child_begin_[i - 1];
+  child_ids_.resize(child_begin_.back());
+  {
+    std::vector<std::uint32_t> fill(child_begin_.begin(),
+                                    child_begin_.end() - 1);
+    for (NodeId n : g.all_nodes())
+      if (idom_[n].valid()) child_ids_[fill[idom_[n].index()]++] = n;
+  }
 
+  // Euler tour for O(1) ancestor queries.
   tin_.resize(g.size(), 0);
   tout_.resize(g.size(), 0);
+  bottom_up_.reserve(g.size());
   std::uint32_t clock = 0;
   struct Frame {
     NodeId node;
     std::size_t child = 0;
   };
-  std::vector<Frame> stack{{root_}};
+  std::vector<Frame> stack;
+  stack.reserve(g.size());
+  stack.push_back({root_});
   tin_[root_] = clock++;
   while (!stack.empty()) {
     Frame& f = stack.back();
-    const auto& kids = children_[f.node];
+    const std::span<const NodeId> kids = children(f.node);
     if (f.child < kids.size()) {
       const NodeId c = kids[f.child++];
       tin_[c] = clock++;

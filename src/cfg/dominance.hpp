@@ -6,6 +6,8 @@
 // loop-control transformation (Section 3).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cfg/graph.hpp"
@@ -38,8 +40,10 @@ class DomTree {
     return a != b && dominates(a, b);
   }
 
-  [[nodiscard]] const std::vector<NodeId>& children(NodeId n) const {
-    return children_[n];
+  /// Tree children of n, ascending.
+  [[nodiscard]] std::span<const NodeId> children(NodeId n) const {
+    return {child_ids_.data() + child_begin_[n.index()],
+            child_ids_.data() + child_begin_[n.index() + 1]};
   }
 
   /// Tree nodes in a bottom-up order (every node before its parent).
@@ -51,7 +55,8 @@ class DomTree {
   DomDirection dir_;
   NodeId root_;
   support::IndexMap<NodeId, NodeId> idom_;
-  support::IndexMap<NodeId, std::vector<NodeId>> children_;
+  std::vector<std::uint32_t> child_begin_;  ///< per node, plus an end
+  std::vector<NodeId> child_ids_;
   support::IndexMap<NodeId, std::uint32_t> tin_, tout_;
   std::vector<NodeId> bottom_up_;
 };

@@ -88,24 +88,9 @@ void Graph::redirect_succ(NodeId from, bool dir, NodeId to) {
   nodes_[to].preds.push_back(from);
 }
 
-std::vector<NodeId> Graph::succs(NodeId n) const {
-  const Node& node = nodes_[n];
-  std::vector<NodeId> out;
-  if (node.succ_true.valid()) out.push_back(node.succ_true);
-  if (node.succ_false.valid()) out.push_back(node.succ_false);
-  return out;
-}
-
 bool Graph::has_succ(NodeId from, bool dir) const {
   const Node& n = nodes_[from];
   return (dir ? n.succ_true : n.succ_false).valid();
-}
-
-std::vector<NodeId> Graph::all_nodes() const {
-  std::vector<NodeId> out;
-  out.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) out.emplace_back(i);
-  return out;
 }
 
 std::vector<lang::VarId> Graph::refs(NodeId n) const {
@@ -143,28 +128,32 @@ namespace {
 void dfs_postorder(const Graph& g, NodeId n, std::vector<bool>& seen,
                    std::vector<NodeId>& post, bool reverse) {
   // Iterative DFS; graphs can be deep (long straight-line programs).
+  // Frames read their neighbours in place, by position.
   struct Frame {
     NodeId node;
-    std::vector<NodeId> next;
-    std::size_t i = 0;
+    std::uint32_t i = 0;
   };
   std::vector<Frame> stack;
-  const auto neighbors = [&](NodeId v) {
-    return reverse ? g.preds(v) : g.succs(v);
+  stack.reserve(g.size());
+  // The frame's next neighbour, or invalid when it has none left.
+  const auto next = [&](Frame& f) {
+    if (reverse) {
+      const std::vector<NodeId>& ps = g.preds(f.node);
+      return f.i < ps.size() ? ps[f.i++] : NodeId::invalid();
+    }
+    const Succs ss = g.succs(f.node);
+    return f.i < ss.size() ? ss[f.i++] : NodeId::invalid();
   };
   seen[n.index()] = true;
-  stack.push_back({n, neighbors(n)});
+  stack.push_back({n});
   while (!stack.empty()) {
-    Frame& f = stack.back();
-    if (f.i < f.next.size()) {
-      const NodeId m = f.next[f.i++];
-      if (!seen[m.index()]) {
-        seen[m.index()] = true;
-        stack.push_back({m, neighbors(m)});
-      }
-    } else {
-      post.push_back(f.node);
+    const NodeId m = next(stack.back());
+    if (!m.valid()) {
+      post.push_back(stack.back().node);
       stack.pop_back();
+    } else if (!seen[m.index()]) {
+      seen[m.index()] = true;
+      stack.push_back({m});
     }
   }
 }
@@ -174,6 +163,7 @@ void dfs_postorder(const Graph& g, NodeId n, std::vector<bool>& seen,
 std::vector<NodeId> Graph::reverse_postorder() const {
   std::vector<bool> seen(size(), false);
   std::vector<NodeId> post;
+  post.reserve(size());
   dfs_postorder(*this, start_, seen, post, /*reverse=*/false);
   std::reverse(post.begin(), post.end());
   return post;
@@ -182,6 +172,7 @@ std::vector<NodeId> Graph::reverse_postorder() const {
 std::vector<NodeId> Graph::reverse_postorder_of_reverse() const {
   std::vector<bool> seen(size(), false);
   std::vector<NodeId> post;
+  post.reserve(size());
   dfs_postorder(*this, end_, seen, post, /*reverse=*/true);
   std::reverse(post.begin(), post.end());
   return post;
@@ -253,11 +244,11 @@ std::vector<std::string> Graph::validate() const {
   }
 
   // Pred list consistency.
-  support::IndexMap<NodeId, std::size_t> in_count(size(), 0);
+  std::vector<std::uint32_t> in_count(size(), 0);
   for (NodeId n : all_nodes())
-    for (NodeId s : succs(n)) in_count[s]++;
+    for (NodeId s : succs(n)) in_count[s.index()]++;
   for (NodeId n : all_nodes()) {
-    if (preds(n).size() != in_count[n])
+    if (preds(n).size() != in_count[n.index()])
       fail("pred list of node " + std::to_string(n.value()) + " inconsistent");
   }
 
@@ -265,6 +256,7 @@ std::vector<std::string> Graph::validate() const {
   {
     std::vector<bool> fwd(size(), false), bwd(size(), false);
     std::vector<NodeId> post;
+    post.reserve(size());
     dfs_postorder(*this, start_, fwd, post, false);
     post.clear();
     dfs_postorder(*this, end_, bwd, post, true);

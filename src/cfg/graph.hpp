@@ -44,6 +44,23 @@ enum class NodeKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(NodeKind k);
 
+/// A node's out-edges in fixed order: [succ_true] or [succ_true,
+/// succ_false] for forks; empty for end. Held inline, since a node has
+/// at most two.
+class Succs {
+ public:
+  [[nodiscard]] const NodeId* begin() const { return ids_; }
+  [[nodiscard]] const NodeId* end() const { return ids_ + size_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] NodeId operator[](std::size_t i) const { return ids_[i]; }
+
+  void push_back(NodeId n) { ids_[size_++] = n; }
+
+ private:
+  NodeId ids_[2];
+  std::uint8_t size_ = 0;
+};
+
 struct Node {
   NodeKind kind = NodeKind::kJoin;
 
@@ -95,9 +112,14 @@ class Graph {
   /// pred lists.
   void redirect_succ(NodeId from, bool dir, NodeId to);
 
-  /// Successors of n in fixed order: [succ_true] or [succ_true,
-  /// succ_false] for forks; empty for end.
-  [[nodiscard]] std::vector<NodeId> succs(NodeId n) const;
+  /// Successors of n in fixed order (see Succs).
+  [[nodiscard]] Succs succs(NodeId n) const {
+    const Node& node = nodes_[n];
+    Succs out;
+    if (node.succ_true.valid()) out.push_back(node.succ_true);
+    if (node.succ_false.valid()) out.push_back(node.succ_false);
+    return out;
+  }
 
   /// True iff `from` has an out-edge in direction `dir`.
   [[nodiscard]] bool has_succ(NodeId from, bool dir) const;
@@ -107,7 +129,9 @@ class Graph {
   }
 
   /// All node ids, ascending.
-  [[nodiscard]] std::vector<NodeId> all_nodes() const;
+  [[nodiscard]] support::IdRange<NodeId> all_nodes() const {
+    return support::IdRange<NodeId>{nodes_.size()};
+  }
 
   /// Variables referenced by node n: for assignments the lhs variable,
   /// index variables and rhs variables; for forks the predicate

@@ -1,7 +1,9 @@
 #include "cfg/intervals.hpp"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
+#include <utility>
 
 #include "cfg/dominance.hpp"
 #include "support/assert.hpp"
@@ -14,66 +16,115 @@ using NodeSet = std::unordered_set<NodeId::underlying_type>;
 
 bool contains(const NodeSet& s, NodeId n) { return s.contains(n.value()); }
 
-/// Tarjan SCCs of the subgraph induced by `region` (iterative).
-std::vector<std::vector<NodeId>> sccs_in_region(const Graph& g,
-                                                const NodeSet& region) {
+/// Scratch shared by every level of node splitting, sized once per
+/// round.
+///
+/// Regions are sets of nodes that are only ever tested for membership,
+/// so they are stamps: node n is in region r iff region[n] == r, and a
+/// region is narrowed by stamping its members with a fresh id. Nodes
+/// cloned during the round have no stamp and so are in no region.
+///
+/// The SCCs of every open split_pass level lie back to back in
+/// scc_nodes, one end offset per SCC in scc_ends; a level appends its
+/// SCCs after its caller's and truncates back to them on return.
+struct SplitScratch {
+  static constexpr std::uint32_t kNoRegion = 0;
+
   struct Info {
     std::uint32_t index = UINT32_MAX;
     std::uint32_t lowlink = 0;
     bool on_stack = false;
   };
-  support::IndexMap<NodeId, Info> info(g.size());
-  std::vector<NodeId> stack;
-  std::vector<std::vector<NodeId>> sccs;
-  std::uint32_t counter = 0;
-
   struct Frame {
     NodeId node;
-    std::vector<NodeId> succs;
-    std::size_t i = 0;
+    std::uint32_t i = 0;  ///< next successor, by position
   };
+
+  std::vector<std::uint32_t> region;
+  std::uint32_t last_region = kNoRegion;
+  std::vector<Info> info;
+  std::vector<NodeId> stack;
   std::vector<Frame> dfs;
+  std::vector<NodeId> scc_nodes;
+  std::vector<std::uint32_t> scc_ends;
+  std::vector<std::pair<NodeId, int>> entries;  ///< (node, external preds)
+  std::vector<NodeId> preds;
+
+  [[nodiscard]] bool in(std::uint32_t r, NodeId n) const {
+    return n.index() < region.size() && region[n.index()] == r;
+  }
+
+  /// Stamps `nodes` as a fresh region and returns its id.
+  std::uint32_t make_region(std::span<const NodeId> nodes) {
+    ++last_region;
+    for (NodeId n : nodes) region[n.index()] = last_region;
+    return last_region;
+  }
+
+  /// Starts a round over a graph of `size` nodes, all in one region.
+  std::uint32_t reset(std::size_t size) {
+    last_region = kNoRegion + 1;
+    region.assign(size, last_region);
+    info.resize(size);
+    scc_nodes.clear();
+    scc_ends.clear();
+    return last_region;
+  }
+};
+
+/// Appends the Tarjan SCCs of the subgraph induced by region `r` to
+/// scratch.scc_nodes / scc_ends (iterative; roots in ascending id
+/// order, each SCC in stack-pop order).
+void sccs_in_region(const Graph& g, std::uint32_t r, SplitScratch& sc) {
+  for (NodeId n : g.all_nodes())
+    if (sc.in(r, n)) sc.info[n.index()] = {};
+  std::uint32_t counter = 0;
+  const auto visit = [&](NodeId v) {
+    SplitScratch::Info& iv = sc.info[v.index()];
+    iv.index = iv.lowlink = counter++;
+    iv.on_stack = true;
+    sc.stack.push_back(v);
+    sc.dfs.push_back({v});
+  };
 
   for (NodeId root : g.all_nodes()) {
-    if (!contains(region, root) || info[root].index != UINT32_MAX) continue;
-    dfs.push_back({root, g.succs(root)});
-    info[root].index = info[root].lowlink = counter++;
-    info[root].on_stack = true;
-    stack.push_back(root);
-    while (!dfs.empty()) {
-      Frame& f = dfs.back();
-      if (f.i < f.succs.size()) {
-        const NodeId w = f.succs[f.i++];
-        if (!contains(region, w)) continue;
-        if (info[w].index == UINT32_MAX) {
-          info[w].index = info[w].lowlink = counter++;
-          info[w].on_stack = true;
-          stack.push_back(w);
-          dfs.push_back({w, g.succs(w)});
-        } else if (info[w].on_stack) {
-          info[f.node].lowlink = std::min(info[f.node].lowlink, info[w].index);
+    if (!sc.in(r, root) || sc.info[root.index()].index != UINT32_MAX)
+      continue;
+    visit(root);
+    while (!sc.dfs.empty()) {
+      SplitScratch::Frame& f = sc.dfs.back();
+      const Succs succs = g.succs(f.node);
+      if (f.i < succs.size()) {
+        const NodeId w = succs[f.i++];
+        if (!sc.in(r, w)) continue;
+        if (sc.info[w.index()].index == UINT32_MAX) {
+          visit(w);
+        } else if (sc.info[w.index()].on_stack) {
+          std::uint32_t& low = sc.info[f.node.index()].lowlink;
+          low = std::min(low, sc.info[w.index()].index);
         }
       } else {
         const NodeId v = f.node;
-        dfs.pop_back();
-        if (!dfs.empty())
-          info[dfs.back().node].lowlink =
-              std::min(info[dfs.back().node].lowlink, info[v].lowlink);
-        if (info[v].lowlink == info[v].index) {
-          std::vector<NodeId> scc;
+        sc.dfs.pop_back();
+        const SplitScratch::Info& iv = sc.info[v.index()];
+        if (!sc.dfs.empty()) {
+          std::uint32_t& low = sc.info[sc.dfs.back().node.index()].lowlink;
+          low = std::min(low, iv.lowlink);
+        }
+        if (iv.lowlink == iv.index) {
           for (;;) {
-            const NodeId w = stack.back();
-            stack.pop_back();
-            info[w].on_stack = false;
-            scc.push_back(w);
+            const NodeId w = sc.stack.back();
+            sc.stack.pop_back();
+            sc.info[w.index()].on_stack = false;
+            sc.scc_nodes.push_back(w);
             if (w == v) break;
           }
-          sccs.push_back(std::move(scc));
+          sc.scc_ends.push_back(
+              static_cast<std::uint32_t>(sc.scc_nodes.size()));
         }
       }
     }
   }
-  return sccs;
 }
 
 bool has_self_edge(const Graph& g, NodeId n) {
@@ -106,44 +157,48 @@ NodeId clone_node(Graph& g, NodeId n) {
   return copy;
 }
 
-/// One splitting step inside `region`; true iff the graph was changed.
-bool split_pass(Graph& g, const NodeSet& region, int& splits) {
-  for (auto& scc_nodes : sccs_in_region(g, region)) {
+/// One splitting step inside region `r`; true iff the graph was changed.
+bool split_pass(Graph& g, std::uint32_t r, int& splits, SplitScratch& sc) {
+  const std::size_t first_scc = sc.scc_ends.size();
+  const std::size_t base = sc.scc_nodes.size();
+  sccs_in_region(g, r, sc);
+  const std::size_t last_scc = sc.scc_ends.size();
+  for (std::size_t k = first_scc; k < last_scc; ++k) {
+    const std::size_t begin = k == first_scc ? base : sc.scc_ends[k - 1];
+    const std::span<const NodeId> scc_nodes{
+        sc.scc_nodes.data() + begin, sc.scc_nodes.data() + sc.scc_ends[k]};
     const bool nontrivial =
         scc_nodes.size() > 1 || has_self_edge(g, scc_nodes.front());
     if (!nontrivial) continue;
 
-    NodeSet scc;
-    for (NodeId n : scc_nodes) scc.insert(n.value());
+    const std::uint32_t scc = sc.make_region(scc_nodes);
 
     // Entry nodes: members with a predecessor outside the SCC.
-    std::vector<NodeId> entries;
-    support::IndexMap<NodeId, int> external_preds(g.size(), 0);
+    sc.entries.clear();
     for (NodeId n : scc_nodes) {
       int ext = 0;
       for (NodeId p : g.preds(n))
-        if (!contains(scc, p)) ++ext;
-      if (ext > 0) {
-        entries.push_back(n);
-        external_preds[n] = ext;
-      }
+        if (!sc.in(scc, p)) ++ext;
+      if (ext > 0) sc.entries.emplace_back(n, ext);
     }
-    CTDF_ASSERT_MSG(!entries.empty(), "SCC unreachable from outside");
+    CTDF_ASSERT_MSG(!sc.entries.empty(), "SCC unreachable from outside");
 
-    if (entries.size() > 1) {
-      // Irreducible: keep the most-entered node as header, split the
-      // others (code copying).
-      const NodeId header = *std::max_element(
-          entries.begin(), entries.end(), [&](NodeId a, NodeId b) {
-            return external_preds[a] < external_preds[b];
-          });
-      for (NodeId e : entries) {
+    if (sc.entries.size() > 1) {
+      // Irreducible: keep the most-entered node as header (the first
+      // one on ties), split the others (code copying).
+      const NodeId header =
+          std::max_element(sc.entries.begin(), sc.entries.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.second < b.second;
+                           })
+              ->first;
+      for (const auto& [e, ext] : sc.entries) {
         if (e == header) continue;
         const NodeId copy = clone_node(g, e);
         ++splits;
-        const std::vector<NodeId> preds = g.preds(e);  // copy; we mutate
-        for (NodeId p : preds) {
-          if (contains(scc, p)) continue;
+        sc.preds.assign(g.preds(e).begin(), g.preds(e).end());  // we mutate
+        for (NodeId p : sc.preds) {
+          if (sc.in(scc, p)) continue;
           for (const bool dir : {true, false}) {
             if (g.has_succ(p, dir) &&
                 (dir ? g.node(p).succ_true : g.node(p).succ_false) == e)
@@ -156,21 +211,22 @@ bool split_pass(Graph& g, const NodeSet& region, int& splits) {
 
     // Single entry: recurse into the region below the header to find
     // nested irreducibility.
-    const NodeId header = entries.front();
-    NodeSet inner = scc;
-    inner.erase(header.value());
-    if (!inner.empty() && split_pass(g, inner, splits)) return true;
+    const NodeId header = sc.entries.front().first;
+    sc.region[header.index()] = SplitScratch::kNoRegion;
+    if (scc_nodes.size() > 1 && split_pass(g, scc, splits, sc)) return true;
   }
+  sc.scc_nodes.resize(base);
+  sc.scc_ends.resize(first_scc);
   return false;
 }
 
 int make_reducible(Graph& g, support::DiagnosticEngine& diags) {
   int splits = 0;
   const int budget = 1000 + static_cast<int>(g.size()) * 10;
+  SplitScratch scratch;
   for (;;) {
-    NodeSet all;
-    for (NodeId n : g.all_nodes()) all.insert(n.value());
-    if (!split_pass(g, all, splits)) break;
+    const std::uint32_t all = scratch.reset(g.size());
+    if (!split_pass(g, all, splits, scratch)) break;
     if (splits > budget) {
       diags.error({}, "node splitting budget exceeded; control flow too "
                       "irreducible to decompose into intervals");
@@ -183,9 +239,8 @@ int make_reducible(Graph& g, support::DiagnosticEngine& diags) {
 }  // namespace
 
 bool LoopInfo::in_loop(NodeId n, LoopId l) const {
-  if (!membership_.contains(n)) return false;
-  const auto& ls = membership_[n];
-  return std::find(ls.begin(), ls.end(), l) != ls.end();
+  const std::vector<NodeId>& ms = loop(l).members;
+  return std::binary_search(ms.begin(), ms.end(), n);
 }
 
 LoopId LoopInfo::loop_of_control_node(const Graph& g, NodeId n) const {
@@ -326,16 +381,11 @@ LoopInfo transform_loops(Graph& g, support::DiagnosticEngine& diags) {
     for (LoopId anc : ancestors) member_sets[anc.index()].insert(le.value());
   }
 
-  // Freeze membership into queryable form.
-  info.membership_.resize(g.size());
-  for (const Loop& l : info.loops_) {
-    for (const auto raw : member_sets[l.id.index()]) {
-      const NodeId n{raw};
-      info.membership_[n].push_back(l.id);
-    }
-  }
+  // Freeze membership into sorted lists (in_loop binary-searches them).
   for (Loop& l : info.loops_) {
-    for (const auto raw : member_sets[l.id.index()]) l.members.emplace_back(raw);
+    const NodeSet& members = member_sets[l.id.index()];
+    l.members.reserve(members.size());
+    for (const auto raw : members) l.members.emplace_back(raw);
     std::sort(l.members.begin(), l.members.end());
   }
 

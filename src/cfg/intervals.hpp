@@ -27,7 +27,6 @@
 
 #include "cfg/graph.hpp"
 #include "support/diagnostics.hpp"
-#include "support/index_map.hpp"
 
 namespace ctdf::cfg {
 
@@ -39,7 +38,8 @@ struct Loop {
   NodeId entry;                ///< the inserted loop-entry node
   std::vector<NodeId> exits;   ///< the inserted loop-exit nodes
   /// Nodes of the cyclic region (header, bodies, inner loop nodes, and
-  /// the loop-entry node itself; exit nodes belong to the parent).
+  /// the loop-entry node itself; exit nodes belong to the parent),
+  /// ascending.
   std::vector<NodeId> members;
 };
 
@@ -69,9 +69,6 @@ class LoopInfo {
                                   support::DiagnosticEngine& diags);
 
   std::vector<Loop> loops_;
-  // membership_[n] = bitmask-free: list of loops containing n, innermost
-  // first is not guaranteed; use in_loop for queries.
-  support::IndexMap<NodeId, std::vector<LoopId>> membership_;
   int nodes_split_ = 0;
 };
 

@@ -1,11 +1,15 @@
 #include "core/compiler.hpp"
 
 #include "core/pipeline.hpp"
+#include "lang/subroutines.hpp"
 
 namespace ctdf::core {
 
 lang::Program parse(std::string_view source) {
-  return lang::parse_or_throw(source);
+  support::DiagnosticEngine diags;
+  lang::Program prog = lang::parse_with_subroutines(source, diags);
+  diags.throw_if_errors();
+  return prog;
 }
 
 translate::Translation compile(const lang::Program& prog,

@@ -21,8 +21,9 @@
 
 namespace ctdf::core {
 
-/// Parses source text; throws support::CompileError on syntax/semantic
-/// errors.
+/// Parses source text, `sub`/`call` constructs expanded
+/// (lang::parse_with_subroutines); throws support::CompileError on
+/// syntax/semantic errors.
 [[nodiscard]] lang::Program parse(std::string_view source);
 
 /// Translates a program under the given schema options; throws

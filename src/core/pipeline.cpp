@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "core/progcache.hpp"
-#include "lang/parser.hpp"
+#include "lang/subroutines.hpp"
 #include "lang/symbols.hpp"
 #include "machine/exec.hpp"
 #include "support/diagnostics.hpp"
@@ -111,7 +111,7 @@ CompileResult Pipeline::run(std::string_view source) const {
 
   support::DiagnosticEngine diags;
   const auto t0 = Clock::now();
-  const lang::Program prog = lang::parse(source, diags);
+  const lang::Program prog = lang::parse_with_subroutines(source, diags);
   StageRecord pr;
   pr.stage = Stage::kParse;
   pr.ran = true;

@@ -108,7 +108,9 @@ class Pipeline {
   [[nodiscard]] const PipelineOptions& options() const { return options_; }
 
   /// Full run from source text (the `parse` stage is timed and
-  /// dumpable). Throws support::CompileError on any error.
+  /// dumpable). `sub`/`call` constructs are expanded, and the source is
+  /// lexed once (lang::parse_with_subroutines). Throws
+  /// support::CompileError on any error.
   [[nodiscard]] CompileResult run(std::string_view source) const;
 
   /// Run from an already-parsed program; `parse` is reported skipped.

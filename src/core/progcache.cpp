@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/compiler.hpp"
-#include "lang/subroutines.hpp"
 #include "support/hash.hpp"
 
 namespace ctdf::core {
@@ -151,9 +150,7 @@ ProgramCache::Outcome ProgramCache::get(std::string_view source,
   if (!out.entry) {
     PipelineOptions po = options;
     po.lower = true;  // an image without an ExecProgram is useless
-    const auto expanded =
-        lang::expand_subroutines_or_throw(std::string(source));
-    CompileResult cr = Pipeline(po).run(expanded.source);
+    CompileResult cr = Pipeline(po).run(source);
     out.trace = std::move(cr.trace);
     auto entry = std::make_shared<Entry>();
     entry->key = key;

@@ -109,15 +109,15 @@ class ProgramCache {
   ProgramCache();
   explicit ProgramCache(Config config);
 
-  /// Compile-or-fetch. Subroutine constructs are expanded first, so the
-  /// same surface syntax the CLI accepts is cacheable. Throws
-  /// support::CompileError for programs that do not compile (compile
-  /// errors are not cached).
+  /// Compile-or-fetch. Pipeline::run expands subroutine constructs, so
+  /// the same surface syntax the CLI accepts is cacheable; the key is
+  /// the caller's text. Throws support::CompileError for programs that
+  /// do not compile (compile errors are not cached).
   ///
   /// Thread-safe. mu_ guards only the map, the LRU list, the counters
   /// and the set of keys being compiled. A miss marks its key, drops
-  /// the lock, reads the disk blob or runs expansion, the pipeline,
-  /// lowering, serialization and the disk write, then relocks to
+  /// the lock, reads the disk blob or runs the pipeline, lowering,
+  /// serialization and the disk write, then relocks to
   /// publish the entry and clear the mark. So misses on different keys
   /// compile in parallel, and a hit never waits for a compile.
   /// Single-flight: a caller that misses on a key another caller is

@@ -166,6 +166,14 @@ void Graph::bind_literal(PortRef dst, std::int64_t value) {
   op.literal = value;
 }
 
+void Graph::erase_arcs(const std::vector<bool>& drop) {
+  CTDF_ASSERT(drop.size() == arcs_.size());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < arcs_.size(); ++i)
+    if (!drop[i]) arcs_[kept++] = arcs_[i];
+  arcs_.resize(kept);
+}
+
 std::vector<Arc> Graph::out_arcs(NodeId n) const {
   std::vector<Arc> out;
   for (const Arc& a : arcs_)
@@ -180,13 +188,6 @@ std::size_t Graph::fan_in(PortRef p) const {
   return c;
 }
 
-std::vector<NodeId> Graph::all_nodes() const {
-  std::vector<NodeId> out;
-  out.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) out.emplace_back(i);
-  return out;
-}
-
 std::vector<std::string> Graph::validate() const {
   std::vector<std::string> problems;
   const auto fail = [&](std::string m) { problems.push_back(std::move(m)); };
@@ -196,11 +197,14 @@ std::vector<std::string> Graph::validate() const {
   if (!end_.valid() || nodes_[end_].kind != OpKind::kEnd)
     fail("missing/invalid end node");
 
-  // Per-node wired-port bitmaps (ports are bounded by num_inputs, which
-  // can be large for loop entry/exit nodes in many-variable programs).
-  std::vector<std::vector<bool>> wired(nodes_.size());
+  // One wired flag per input port, node-major: node n's ports start at
+  // first_input[n] (ports are bounded by num_inputs, which can be large
+  // for loop entry/exit nodes in many-variable programs).
+  std::vector<std::uint32_t> first_input(nodes_.size() + 1, 0);
   for (NodeId n : all_nodes())
-    wired[n.index()].assign(nodes_[n].num_inputs, false);
+    first_input[n.index() + 1] =
+        first_input[n.index()] + nodes_[n].num_inputs;
+  std::vector<bool> wired(first_input.back(), false);
 
   for (const Arc& a : arcs_) {
     const Node& s = nodes_[a.src];
@@ -212,7 +216,7 @@ std::vector<std::string> Graph::validate() const {
     } else {
       if (d.operands[a.dst_port].is_literal)
         fail("arc into literal port of node " + std::to_string(a.dst.value()));
-      wired[a.dst.index()][a.dst_port] = true;
+      wired[first_input[a.dst.index()] + a.dst_port] = true;
     }
   }
 
@@ -223,7 +227,7 @@ std::vector<std::string> Graph::validate() const {
       fail("start node initial-value count mismatch");
     for (std::uint16_t p = 0; p < node.num_inputs; ++p) {
       if (node.operands[p].is_literal) continue;
-      if (!wired[n.index()][p])
+      if (!wired[first_input[n.index()] + p])
         fail("node " + std::to_string(n.value()) + " (" +
              to_string(node.kind) + " '" + node.label + "') input port " +
              std::to_string(p) + " unwired");

@@ -238,13 +238,20 @@ class Graph {
   /// Binds dst's in-port to a constant.
   void bind_literal(PortRef dst, std::int64_t value);
 
+  /// Removes the arcs flagged in `drop` (one flag per arc), keeping the
+  /// others in order.
+  void erase_arcs(const std::vector<bool>& drop);
+
   /// Out-arcs of (node, port).
   [[nodiscard]] std::vector<Arc> out_arcs(NodeId n) const;
 
   /// Number of arcs into (node, port).
   [[nodiscard]] std::size_t fan_in(PortRef p) const;
 
-  [[nodiscard]] std::vector<NodeId> all_nodes() const;
+  /// All node ids, ascending.
+  [[nodiscard]] support::IdRange<NodeId> all_nodes() const {
+    return support::IdRange<NodeId>{nodes_.size()};
+  }
 
   /// Structural checks; returns problems (empty = valid).
   [[nodiscard]] std::vector<std::string> validate() const;

@@ -38,75 +38,87 @@ std::size_t max_fanout(const Graph& g) {
 
 std::size_t lower_fanout(Graph& g, std::size_t max_destinations) {
   CTDF_ASSERT(max_destinations >= 2);
-  std::size_t inserted = 0;
-  // Iterate until no out-port exceeds the bound. Each round groups a
-  // port's excess arcs under fresh replicate (merge) nodes; the new
-  // nodes' own fan-out is bounded on the next round, yielding a tree.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Collect arcs by source port.
-    std::map<std::pair<std::uint32_t, std::uint16_t>, std::vector<std::size_t>>
-        by_port;
-    const auto& arcs = g.arcs();
-    for (std::size_t i = 0; i < arcs.size(); ++i)
-      by_port[{arcs[i].src.value(), arcs[i].src_port}].push_back(i);
+  const std::size_t groups = max_destinations;
+  // One pass over the out-ports in ascending (node, port) order. A port
+  // over the bound has its arcs dealt round-robin into `groups` groups:
+  // a group of one is wired directly, a larger one behind a fresh
+  // replicate (merge) node. Replicates are appended, so their ids exceed
+  // every port already passed and the same pass bounds their own
+  // fan-out later, yielding a tree. New arcs are appended and moved ones
+  // dropped at the end, so node ids and arc order are those of
+  // rebuilding the graph port by port.
+  const std::size_t original = g.num_nodes();
 
-    for (const auto& [port, idxs] : by_port) {
-      if (idxs.size() <= max_destinations) continue;
-      changed = true;
-      // Split destinations into max_destinations groups, each behind a
-      // replicate node (except groups of one, wired directly).
-      const NodeId src{port.first};
-      const std::uint16_t src_port = port.second;
-      const std::size_t groups = max_destinations;
-      std::vector<Arc> moved;
-      for (const std::size_t i : idxs) moved.push_back(arcs[i]);
-      // Remove the original arcs (by identity match, one at a time).
-      Graph rebuilt;
-      std::vector<NodeId> remap(g.num_nodes());
-      for (NodeId n : g.all_nodes()) {
-        Node copy = g.node(n);
-        remap[n.index()] = rebuilt.add(std::move(copy));
+  // The original nodes' out-arcs, grouped per port in arc order:
+  // port_arcs[port_begin[p] .. port_begin[p + 1]) for port number p,
+  // where node n's ports are numbered from first_port[n].
+  std::vector<std::uint32_t> first_port(original + 1, 0);
+  for (NodeId n : g.all_nodes())
+    first_port[n.index() + 1] =
+        first_port[n.index()] + g.node(n).num_outputs;
+  std::vector<std::uint32_t> port_begin(first_port.back() + 1, 0);
+  for (const Arc& a : g.arcs())
+    ++port_begin[first_port[a.src.index()] + a.src_port + 1];
+  for (std::size_t p = 1; p < port_begin.size(); ++p)
+    port_begin[p] += port_begin[p - 1];
+  std::vector<std::uint32_t> port_arcs(g.num_arcs());
+  {
+    std::vector<std::uint32_t> fill(port_begin.begin(), port_begin.end() - 1);
+    for (std::uint32_t i = 0; i < g.num_arcs(); ++i) {
+      const Arc& a = g.arcs()[i];
+      port_arcs[fill[first_port[a.src.index()] + a.src_port]++] = i;
+    }
+  }
+  // A replicate's out-arcs are appended together: [first, second).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> replicate_arcs;
+
+  std::vector<bool> drop(g.num_arcs(), false);
+  const auto connect = [&](PortRef src, PortRef dst, bool dummy) {
+    g.connect(src, dst, dummy);
+    drop.push_back(false);
+  };
+  std::vector<std::uint32_t> moved;
+  std::size_t inserted = 0;
+  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+    const NodeId src{i};
+    for (std::uint16_t port = 0; port < g.node(src).num_outputs; ++port) {
+      moved.clear();
+      if (i < original) {
+        const std::uint32_t p = first_port[i] + port;
+        moved.assign(port_arcs.begin() + port_begin[p],
+                     port_arcs.begin() + port_begin[p + 1]);
+      } else {
+        const auto [first, last] = replicate_arcs[i - original];
+        for (std::uint32_t k = first; k < last; ++k) moved.push_back(k);
       }
-      rebuilt.set_start(remap[g.start().index()]);
-      rebuilt.set_end(remap[g.end().index()]);
-      std::vector<bool> drop(arcs.size(), false);
-      for (const std::size_t i : idxs) drop[i] = true;
-      for (std::size_t i = 0; i < arcs.size(); ++i) {
-        if (drop[i]) continue;
-        rebuilt.connect({remap[arcs[i].src.index()], arcs[i].src_port},
-                        {remap[arcs[i].dst.index()], arcs[i].dst_port},
-                        arcs[i].dummy);
-      }
-      const bool dummy = moved.front().dummy;
+      if (moved.size() <= max_destinations) continue;
+      for (const std::uint32_t k : moved) drop[k] = true;
+      const bool dummy = g.arcs()[moved.front()].dummy;
       for (std::size_t gi = 0; gi < groups; ++gi) {
         // Destinations gi, gi+groups, gi+2*groups, ...
-        std::vector<Arc> mine;
-        for (std::size_t k = gi; k < moved.size(); k += groups)
-          mine.push_back(moved[k]);
-        if (mine.empty()) continue;
-        if (mine.size() == 1) {
-          rebuilt.connect({remap[src.index()], src_port},
-                          {remap[mine[0].dst.index()], mine[0].dst_port},
-                          mine[0].dummy);
+        if (gi + groups >= moved.size()) {  // a group of one
+          const Arc a = g.arcs()[moved[gi]];
+          connect({src, port}, {a.dst, a.dst_port}, a.dummy);
           continue;
         }
-        const NodeId rep = rebuilt.add_merge("rep");
+        const NodeId rep = g.add_merge("rep");
         // Replicate trees are single-source by design: mark the node so
         // collapse-merge never undoes the fan-out bound (the pass skips
         // Node::replicate).
-        rebuilt.node(rep).replicate = true;
+        g.node(rep).replicate = true;
         ++inserted;
-        rebuilt.connect({remap[src.index()], src_port}, {rep, 0}, dummy);
-        for (const Arc& a : mine)
-          rebuilt.connect({rep, 0}, {remap[a.dst.index()], a.dst_port},
-                          a.dummy);
+        connect({src, port}, {rep, 0}, dummy);
+        const auto first = static_cast<std::uint32_t>(g.num_arcs());
+        for (std::size_t k = gi; k < moved.size(); k += groups) {
+          const Arc a = g.arcs()[moved[k]];
+          connect({rep, 0}, {a.dst, a.dst_port}, a.dummy);
+        }
+        replicate_arcs.emplace_back(first,
+                                    static_cast<std::uint32_t>(g.num_arcs()));
       }
-      g = std::move(rebuilt);
-      break;  // arc indices are stale; restart the round
     }
   }
+  g.erase_arcs(drop);
   return inserted;
 }
 

@@ -14,8 +14,8 @@ namespace {
 
 class Parser {
  public:
-  Parser(std::string_view source, support::DiagnosticEngine& diags)
-      : diags_(diags), tokens_(lex(source, diags)) {}
+  Parser(std::vector<Token> tokens, support::DiagnosticEngine& diags)
+      : diags_(diags), tokens_(std::move(tokens)) {}
 
   Program run() {
     Program prog;
@@ -469,7 +469,13 @@ class Parser {
 }  // namespace
 
 Program parse(std::string_view source, support::DiagnosticEngine& diags) {
-  return Parser{source, diags}.run();
+  return Parser{lex(source, diags), diags}.run();
+}
+
+Program parse(std::vector<Token> tokens, support::DiagnosticEngine& diags) {
+  CTDF_ASSERT_MSG(!tokens.empty() && tokens.back().kind == TokKind::kEof,
+                  "a token stream ends in eof");
+  return Parser{std::move(tokens), diags}.run();
 }
 
 Program parse_or_throw(std::string_view source) {

@@ -26,8 +26,10 @@
 #pragma once
 
 #include <string_view>
+#include <vector>
 
 #include "lang/ast.hpp"
+#include "lang/lexer.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ctdf::lang {
@@ -35,6 +37,11 @@ namespace ctdf::lang {
 /// Parses `source`; reports problems to `diags`. Returns the (possibly
 /// partial) program; callers should check `diags.has_errors()`.
 [[nodiscard]] Program parse(std::string_view source,
+                            support::DiagnosticEngine& diags);
+
+/// Parses an already-lexed token stream, which must end in kEof.
+/// Diagnostics carry the tokens' own source positions.
+[[nodiscard]] Program parse(std::vector<Token> tokens,
                             support::DiagnosticEngine& diags);
 
 /// Convenience wrapper: parses and throws support::CompileError on any

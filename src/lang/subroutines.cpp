@@ -4,8 +4,10 @@
 #include <deque>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "lang/lexer.hpp"
+#include "lang/parser.hpp"
 #include "support/assert.hpp"
 
 namespace ctdf::lang {
@@ -21,14 +23,26 @@ struct SubDef {
 
 class Expander {
  public:
-  Expander(std::string_view source, support::DiagnosticEngine& diags)
-      : diags_(diags), tokens_(lex(source, diags)) {}
+  /// `tokens` is a whole lexed source, ending in kEof.
+  Expander(std::vector<Token> tokens, support::DiagnosticEngine& diags)
+      : diags_(diags), tokens_(std::move(tokens)) {}
 
-  ExpansionResult run() {
+  /// The program's tokens with every `sub` definition removed and every
+  /// call inlined, ending in the source's eof token. Tokens keep their
+  /// source positions; substituted identifiers view strings owned by
+  /// this expander, which must outlive them.
+  std::vector<Token> expand() {
     std::vector<Token> program;
     collect_and_strip(program);
     std::vector<Token> expanded;
     expand_stream(program, {}, 0, expanded);
+    expanded.push_back(tokens_.back());
+    return expanded;
+  }
+
+  ExpansionResult run() {
+    std::vector<Token> expanded = expand();
+    expanded.pop_back();  // eof
     ExpansionResult out;
     out.source = render(expanded);
     for (auto& [name, def] : subs_) out.subroutines.push_back(def.info);
@@ -225,7 +239,25 @@ class Expander {
 
 ExpansionResult expand_subroutines(std::string_view source,
                                    support::DiagnosticEngine& diags) {
-  return Expander{source, diags}.run();
+  return Expander{lex(source, diags), diags}.run();
+}
+
+Program parse_with_subroutines(std::string_view source,
+                               support::DiagnosticEngine& diags) {
+  std::vector<Token> tokens = lex(source, diags);
+  const bool has_subroutines =
+      std::any_of(tokens.begin(), tokens.end(), [](const Token& t) {
+        return t.kind == TokKind::kIdent &&
+               (t.text == "sub" || t.text == "call");
+      });
+  if (has_subroutines) {
+    Expander expander{std::move(tokens), diags};
+    std::vector<Token> expanded = expander.expand();
+    if (diags.has_errors()) return {};
+    return parse(std::move(expanded), diags);
+  }
+  if (diags.has_errors()) return {};
+  return parse(std::move(tokens), diags);
 }
 
 ExpansionResult expand_subroutines_or_throw(std::string_view source) {

@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "lang/ast.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ctdf::lang {
@@ -59,6 +60,14 @@ struct ExpansionResult {
 /// Throwing convenience wrapper.
 [[nodiscard]] ExpansionResult expand_subroutines_or_throw(
     std::string_view source);
+
+/// Parses `source` with its `sub`/`call` constructs expanded, lexing it
+/// once: a source without them goes straight to the parser, and one
+/// with them is parsed from the expander's token stream. Diagnostics
+/// point into `source`. Lexical and expansion errors stop before
+/// parsing; callers check `diags.has_errors()`.
+[[nodiscard]] Program parse_with_subroutines(std::string_view source,
+                                             support::DiagnosticEngine& diags);
 
 /// Section 5's analysis: formal-parameter index pairs (i < j) that may
 /// alias — i.e. some call site passes the same actual (by name) to

@@ -1,10 +1,12 @@
 #include "machine/blob.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
 
+#include "support/assert.hpp"
 #include "support/hash.hpp"
 
 #ifdef _WIN32
@@ -25,27 +27,50 @@ long current_pid() {
 #endif
 }
 
-/// Little-endian append-only byte sink.
+/// Little-endian writer of fixed-width fields into a buffer that
+/// Sizer has already sized: each field is one store.
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+  explicit Writer(std::uint8_t* out) : out_(out) {}
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) { le(v, 2); }
-  void u32(std::uint32_t v) { le(v, 4); }
-  void u64(std::uint64_t v) { le(v, 8); }
-  void i64(std::int64_t v) { le(static_cast<std::uint64_t>(v), 8); }
+  void u8(std::uint8_t v) { le(v); }
+  void u16(std::uint16_t v) { le(v); }
+  void u32(std::uint32_t v) { le(v); }
+  void u64(std::uint64_t v) { le(v); }
+  void i64(std::int64_t v) { le(static_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+    if (!s.empty()) std::memcpy(out_, s.data(), s.size());
+    out_ += s.size();
   }
 
+  [[nodiscard]] const std::uint8_t* position() const { return out_; }
+
  private:
-  void le(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i)
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  template <typename T>
+  void le(T v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out_, &v, sizeof v);
+    } else {
+      for (std::size_t i = 0; i < sizeof v; ++i)
+        out_[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    out_ += sizeof v;
   }
-  std::vector<std::uint8_t>& out_;
+  std::uint8_t* out_;
+};
+
+/// Counts the bytes a Writer would write for the same calls.
+class Sizer {
+ public:
+  void u8(std::uint8_t) { bytes += 1; }
+  void u16(std::uint16_t) { bytes += 2; }
+  void u32(std::uint32_t) { bytes += 4; }
+  void u64(std::uint64_t) { bytes += 8; }
+  void i64(std::int64_t) { bytes += 8; }
+  void str(const std::string& s) { bytes += 4 + s.size(); }
+
+  std::size_t bytes = 0;
 };
 
 /// Bounds-checked little-endian reader: any overrun latches `ok` false
@@ -98,7 +123,8 @@ class Reader {
 /// Every ExecProgram member is written and read here, field by field,
 /// in one fixed order — the payload layout documented in blob.hpp.
 struct BlobCodec {
-  static void encode(const ExecProgram& p, Writer& w) {
+  template <typename W>
+  static void encode(const ExecProgram& p, W& w) {
     w.u32(static_cast<std::uint32_t>(p.ops_.size()));
     for (const ExecOp& op : p.ops_) {
       w.u8(static_cast<std::uint8_t>(op.kind));
@@ -259,40 +285,51 @@ const char* to_string(BlobError e) {
   return "unknown";
 }
 
-std::vector<std::uint8_t> serialize(const ProgramImage& image) {
-  std::vector<std::uint8_t> payload;
-  {
-    Writer w(payload);
-    BlobCodec::encode(image.exec, w);
-    w.u64(image.memory_cells);
-    w.u32(static_cast<std::uint32_t>(image.istructures.size()));
-    for (const IStructureRegion& r : image.istructures) {
-      w.u32(r.base);
-      w.u32(r.extent);
-    }
-    w.u32(static_cast<std::uint32_t>(image.shared.size()));
-    for (const SharedRegion& r : image.shared) {
-      w.u32(r.base);
-      w.u32(r.extent);
-    }
-    w.u32(static_cast<std::uint32_t>(image.names.size()));
-    for (const NamedCell& n : image.names) {
-      w.str(n.name);
-      w.u32(n.base);
-      w.i64(n.extent);
-    }
-  }
+namespace {
 
-  std::vector<std::uint8_t> blob;
-  blob.reserve(kBlobHeaderSize + payload.size());
-  Writer w(blob);
-  for (std::size_t i = 0; i < kBlobMagicSize; ++i)
-    w.u8(static_cast<std::uint8_t>(kBlobMagic[i]));
-  w.u32(kBlobVersion);
-  w.u32(0);  // reserved
-  w.u64(payload.size());
-  w.u64(support::content_hash64(payload.data(), payload.size()));
-  blob.insert(blob.end(), payload.begin(), payload.end());
+/// The payload: the ExecProgram, then the memory image. Run once with a
+/// Sizer and once with a Writer.
+template <typename W>
+void encode_image(const ProgramImage& image, W& w) {
+  BlobCodec::encode(image.exec, w);
+  w.u64(image.memory_cells);
+  w.u32(static_cast<std::uint32_t>(image.istructures.size()));
+  for (const IStructureRegion& r : image.istructures) {
+    w.u32(r.base);
+    w.u32(r.extent);
+  }
+  w.u32(static_cast<std::uint32_t>(image.shared.size()));
+  for (const SharedRegion& r : image.shared) {
+    w.u32(r.base);
+    w.u32(r.extent);
+  }
+  w.u32(static_cast<std::uint32_t>(image.names.size()));
+  for (const NamedCell& n : image.names) {
+    w.str(n.name);
+    w.u32(n.base);
+    w.i64(n.extent);
+  }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> serialize(const ProgramImage& image) {
+  Sizer sizer;
+  encode_image(image, sizer);
+  // One allocation: the payload is written in place behind the header,
+  // then hashed there.
+  std::vector<std::uint8_t> blob(kBlobHeaderSize + sizer.bytes);
+  std::uint8_t* const payload = blob.data() + kBlobHeaderSize;
+  Writer body(payload);
+  encode_image(image, body);
+  CTDF_ASSERT(body.position() == payload + sizer.bytes);
+
+  std::memcpy(blob.data(), kBlobMagic, kBlobMagicSize);
+  Writer header(blob.data() + kBlobMagicSize);
+  header.u32(kBlobVersion);
+  header.u32(0);  // reserved
+  header.u64(sizer.bytes);
+  header.u64(support::content_hash64(payload, sizer.bytes));
   return blob;
 }
 

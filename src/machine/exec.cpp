@@ -14,7 +14,18 @@ ExecProgram lower(const dfg::Graph& g) {
   p.start_ = g.start();
   p.end_ = g.end();
 
-  // Pass 1: op table rows, operand tables, frame-slot layout.
+  // Pass 1: op table rows, operand tables, frame-slot layout. The
+  // operand and macro-step tables are sized first, so they grow once.
+  std::size_t num_operands = 0;
+  std::size_t num_steps = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const dfg::Node& node = g.node(dfg::NodeId{i});
+    num_operands += node.num_inputs;
+    if (node.kind == dfg::OpKind::kMacro) num_steps += node.steps.size();
+  }
+  p.operand_is_literal_.reserve(num_operands);
+  p.operand_literal_.reserve(num_operands);
+  p.macro_steps_.reserve(num_steps);
   std::uint32_t operand_cursor = 0;
   std::uint32_t port_cursor = 0;
   std::uint32_t frame_cursor = 0;

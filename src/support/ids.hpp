@@ -41,6 +41,35 @@ class Id {
   underlying_type value_ = kInvalid;
 };
 
+/// The ids 0 .. n-1 in ascending order, as a range over no container.
+/// `n` is fixed when the range is made, so a loop over it may add ids.
+template <typename IdT>
+class IdRange {
+ public:
+  class iterator {
+   public:
+    constexpr explicit iterator(typename IdT::underlying_type v) : v_(v) {}
+    constexpr IdT operator*() const { return IdT{v_}; }
+    constexpr iterator& operator++() {
+      ++v_;
+      return *this;
+    }
+    friend constexpr bool operator==(iterator, iterator) = default;
+
+   private:
+    typename IdT::underlying_type v_;
+  };
+
+  constexpr explicit IdRange(std::size_t n)
+      : n_(static_cast<typename IdT::underlying_type>(n)) {}
+
+  [[nodiscard]] constexpr iterator begin() const { return iterator{0}; }
+  [[nodiscard]] constexpr iterator end() const { return iterator{n_}; }
+
+ private:
+  typename IdT::underlying_type n_;
+};
+
 }  // namespace ctdf::support
 
 template <typename Tag>

@@ -33,14 +33,16 @@ class SwitchPlacement {
   /// Does fork F need a switch for access_r? (False for start, which
   /// has no run-time predicate despite being a fork by convention.)
   [[nodiscard]] bool needs_switch(cfg::NodeId fork, Resource r) const {
-    return placed_[fork].size() != 0 && placed_[fork].test(r);
+    return placed_.test(fork.index() * num_resources_ + r);
   }
 
   /// Total switches that will be emitted.
   [[nodiscard]] std::size_t total() const { return total_; }
 
  private:
-  support::IndexMap<cfg::NodeId, support::Bitset> placed_;
+  /// One bit per (node, resource), node-major; set only for real forks.
+  support::Bitset placed_;
+  std::size_t num_resources_ = 0;
   std::size_t total_ = 0;
 };
 

@@ -6,8 +6,7 @@
 #include "translate/translator.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <array>
 
 #include "cfg/dominance.hpp"
 #include "cfg/intervals.hpp"
@@ -35,25 +34,64 @@ struct ValueSrc {
   static ValueSrc of(PortRef p) { return {false, 0, p}; }
 };
 
+/// A set of candidate source ports, in insertion order. The usual one
+/// to four live inline; a longer list moves to the heap whole.
+class PortList {
+ public:
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const PortRef* begin() const {
+    return size_ <= kInline ? inline_.data() : spill_.data();
+  }
+  [[nodiscard]] const PortRef* end() const { return begin() + size_; }
+  [[nodiscard]] PortRef front() const { return *begin(); }
+
+  [[nodiscard]] bool contains(PortRef p) const {
+    return std::find(begin(), end(), p) != end();
+  }
+
+  void push_back(PortRef p) {
+    if (size_ < kInline) {
+      inline_[size_++] = p;
+      return;
+    }
+    if (size_ == kInline) spill_.assign(inline_.begin(), inline_.end());
+    spill_.push_back(p);
+    ++size_;
+  }
+
+  void add_unique(PortRef p) {
+    if (!contains(p)) push_back(p);
+  }
+
+ private:
+  static constexpr std::uint32_t kInline = 4;
+  std::uint32_t size_ = 0;
+  std::array<PortRef, kInline> inline_;
+  std::vector<PortRef> spill_;  ///< every port, once size_ > kInline
+};
+
 /// The token state of one resource at one CFG point: sets of candidate
 /// source ports for the main token and (when the resource is "split",
 /// Fig. 14 / I-structure modes) the completion-chain token.
 struct Comp {
-  std::vector<PortRef> main;
-  std::vector<PortRef> chain;
+  PortList main;
+  PortList chain;
 
   [[nodiscard]] bool empty() const { return main.empty() && chain.empty(); }
 };
 
-void add_unique(std::vector<PortRef>& v, PortRef p) {
-  if (std::find(v.begin(), v.end(), p) == v.end()) v.push_back(p);
-}
+/// Where sources arriving late at an already-built node (a loop entry
+/// or a cyclic join) wire to.
+struct Sink {
+  PortRef main;
+  PortRef chain;
+};
 
 /// True iff every source in b is already in a.
-bool subsumes(const std::vector<PortRef>& a, const std::vector<PortRef>& b) {
-  return std::all_of(b.begin(), b.end(), [&](PortRef p) {
-    return std::find(a.begin(), a.end(), p) != a.end();
-  });
+bool subsumes(const PortList& a, const PortList& b) {
+  return std::all_of(b.begin(), b.end(),
+                     [&](PortRef p) { return a.contains(p); });
 }
 
 class Builder {
@@ -89,13 +127,11 @@ class Builder {
     for (std::size_t i = 0; i < rpo.size(); ++i)
       rpo_index_[rpo[i]] = static_cast<std::uint32_t>(i);
 
-    incoming_.resize(cfg_.size());
-    sinks_.resize(cfg_.size());
+    incoming_.resize(cfg_.size() * num_res_);
+    sinks_.resize(cfg_.size() * num_res_);
     processed_.assign(cfg_.size(), false);
-    for (NodeId n : cfg_.all_nodes()) {
-      incoming_[n].resize(num_res_);
-      sinks_[n].resize(num_res_);
-    }
+    cur_.resize(num_res_);
+    loads_.resize(prog_.symbols.size());
 
     // Start: one port per resource, all tokens initially 0 (memory is
     // zeroed; eliminated resources carry the value 0).
@@ -143,6 +179,14 @@ class Builder {
   }
 
  private:
+  /// The token state of resource r entering CFG node n.
+  Comp& incoming(NodeId n, Resource r) {
+    return incoming_[n.index() * num_res_ + r];
+  }
+
+  /// Where late-arriving sources of resource r at node n wire to.
+  Sink& sink(NodeId n, Resource r) { return sinks_[n.index() * num_res_ + r]; }
+
   /// Is resource r "split" into (go, chain) tokens at node n?
   [[nodiscard]] bool split_at(NodeId n, Resource r) const {
     return classes_.split_at(loops_, n, r);
@@ -154,21 +198,21 @@ class Builder {
   /// already-known (a symbolic pass-through closing a cycle).
   void propagate(NodeId to, Resource r, const Comp& sources) {
     if (sources.empty()) return;
-    Comp& dst = incoming_[to][r];
+    Comp& dst = incoming(to, r);
     if (!processed_[to.index()]) {
-      for (PortRef p : sources.main) add_unique(dst.main, p);
-      for (PortRef p : sources.chain) add_unique(dst.chain, p);
+      for (PortRef p : sources.main) dst.main.add_unique(p);
+      for (PortRef p : sources.chain) dst.chain.add_unique(p);
       return;
     }
-    const Sink& sink = sinks_[to][r];
-    if (sink.main.valid()) {
+    const Sink& sk = sink(to, r);
+    if (sk.main.valid()) {
       for (PortRef p : sources.main)
-        result_.graph.connect(p, sink.main, arc_dummy(r));
-      if (sink.chain.valid()) {
-        const auto& chain_srcs =
+        result_.graph.connect(p, sk.main, arc_dummy(r));
+      if (sk.chain.valid()) {
+        const PortList& chain_srcs =
             sources.chain.empty() ? sources.main : sources.chain;
         for (PortRef p : chain_srcs)
-          result_.graph.connect(p, sink.chain, /*dummy=*/true);
+          result_.graph.connect(p, sk.chain, /*dummy=*/true);
       } else {
         CTDF_ASSERT_MSG(sources.chain.empty(),
                         "split token arrived at an unsplit sink");
@@ -186,14 +230,15 @@ class Builder {
     return !classes_.eliminated[r];
   }
 
-  /// Collapses a source set to one port, inserting a dataflow merge when
-  /// several exclusive sources feed the same consumer (paper Sec. 4.2:
-  /// a join with a single source is no operator).
-  PortRef coalesce(const std::vector<PortRef>& sources, Resource r,
-                   const std::string& label) {
+  /// Collapses a source set to one port, inserting a dataflow merge
+  /// (labelled `label_prefix` + the resource's name) when several
+  /// exclusive sources feed the same consumer (paper Sec. 4.2: a join
+  /// with a single source is no operator).
+  PortRef coalesce(const PortList& sources, Resource r,
+                   const char* label_prefix) {
     CTDF_ASSERT_MSG(!sources.empty(), "consumer with no token source");
     if (sources.size() == 1) return sources.front();
-    const dfg::NodeId m = result_.graph.add_merge(label);
+    const dfg::NodeId m = result_.graph.add_merge(label_prefix + res_name(r));
     for (PortRef p : sources)
       result_.graph.connect(p, {m, 0}, arc_dummy(r));
     return {m, 0};
@@ -220,13 +265,13 @@ class Builder {
                       "cyclic join outside sequential mode (loop transform "
                       "should have rerouted it)");
       for (Resource r = 0; r < num_res_; ++r) {
-        Comp& in = incoming_[n][r];
+        const Comp& in = incoming(n, r);
         if (in.empty()) continue;
         const dfg::NodeId m =
             result_.graph.add_merge("join " + cfg_.node(n).name);
         for (PortRef p : in.main)
           result_.graph.connect(p, {m, 0}, arc_dummy(r));
-        sinks_[n][r].main = {m, 0};
+        sink(n, r).main = {m, 0};
         Comp out;
         out.main.push_back({m, 0});
         propagate(succ, r, out);
@@ -234,16 +279,16 @@ class Builder {
       return;
     }
     for (Resource r = 0; r < num_res_; ++r) {
-      Comp& in = incoming_[n][r];
+      const Comp& in = incoming(n, r);
       if (in.empty()) continue;
-      Comp out;
-      if (in.main.size() > 1 || in.chain.size() > 1) {
-        out.main.push_back(coalesce(in.main, r, "merge " + res_name(r)));
-        if (!in.chain.empty())
-          out.chain.push_back(coalesce(in.chain, r, "merge'" + res_name(r)));
-      } else {
-        out = in;
+      if (in.main.size() <= 1 && in.chain.size() <= 1) {
+        propagate(succ, r, in);
+        continue;
       }
+      Comp out;
+      out.main.push_back(coalesce(in.main, r, "merge "));
+      if (!in.chain.empty())
+        out.chain.push_back(coalesce(in.chain, r, "merge'"));
       propagate(succ, r, out);
     }
   }
@@ -259,32 +304,32 @@ class Builder {
     if (!res.empty()) {
       // Port layout: for each resource in order, a main port and (if
       // split inside this loop) a chain port.
-      std::vector<std::pair<Resource, bool>> slots;
-      for (Resource r : res) slots.emplace_back(r, split_at(n, r));
+      slots_.clear();
+      for (Resource r : res) slots_.emplace_back(r, split_at(n, r));
       std::uint16_t ports = 0;
-      for (auto& [r, split] : slots) ports += split ? 2 : 1;
+      for (auto& [r, split] : slots_) ports += split ? 2 : 1;
 
       const dfg::NodeId le = g.add_loop_entry(
           node.loop, ports, "L" + std::to_string(node.loop.value()));
       std::uint16_t next_port = 0;
-      for (auto& [r, split] : slots) {
+      for (auto& [r, split] : slots_) {
         const PortRef main_in{le, next_port};
         const PortRef chain_in =
             split ? PortRef{le, static_cast<std::uint16_t>(next_port + 1)}
                   : PortRef{};
         next_port += split ? 2 : 1;
 
-        Comp& in = incoming_[n][r];
+        const Comp& in = incoming(n, r);
         CTDF_ASSERT_MSG(!in.main.empty(), "loop resource never produced");
         for (PortRef p : in.main) g.connect(p, main_in, arc_dummy(r));
         if (split) {
-          const auto& chain_srcs = in.chain.empty() ? in.main : in.chain;
+          const PortList& chain_srcs = in.chain.empty() ? in.main : in.chain;
           for (PortRef p : chain_srcs) g.connect(p, chain_in, true);
         } else {
           CTDF_ASSERT_MSG(in.chain.empty(),
                           "split token entering unsplit loop port");
         }
-        sinks_[n][r] = Sink{main_in, chain_in};
+        sink(n, r) = Sink{main_in, chain_in};
 
         Comp out;
         out.main.push_back(main_in);   // loop entry out-port i mirrors in-port i
@@ -296,7 +341,7 @@ class Builder {
     // Resources the loop does not touch flow past symbolically.
     for (Resource r = 0; r < num_res_; ++r) {
       if (std::find(res.begin(), res.end(), r) != res.end()) continue;
-      propagate(succ, r, incoming_[n][r]);
+      propagate(succ, r, incoming(n, r));
     }
   }
 
@@ -308,26 +353,26 @@ class Builder {
     const NodeId pred = cfg_.preds(n).front();
 
     if (!res.empty()) {
-      std::vector<std::pair<Resource, bool>> slots;
-      for (Resource r : res) slots.emplace_back(r, split_at(pred, r));
+      slots_.clear();
+      for (Resource r : res) slots_.emplace_back(r, split_at(pred, r));
       std::uint16_t ports = 0;
-      for (auto& [r, split] : slots) ports += split ? 2 : 1;
+      for (auto& [r, split] : slots_) ports += split ? 2 : 1;
 
       const dfg::NodeId lx = g.add_loop_exit(
           node.loop, ports, "X" + std::to_string(node.loop.value()));
       std::uint16_t next_port = 0;
-      for (auto& [r, split_in] : slots) {
+      for (auto& [r, split_in] : slots_) {
         const PortRef main_in{lx, next_port};
         const PortRef chain_in =
             split_in ? PortRef{lx, static_cast<std::uint16_t>(next_port + 1)}
                      : PortRef{};
         next_port += split_in ? 2 : 1;
 
-        Comp& in = incoming_[n][r];
+        const Comp& in = incoming(n, r);
         CTDF_ASSERT_MSG(!in.main.empty(), "loop exit resource missing");
         for (PortRef p : in.main) g.connect(p, main_in, arc_dummy(r));
         if (split_in) {
-          const auto& chain_srcs = in.chain.empty() ? in.main : in.chain;
+          const PortList& chain_srcs = in.chain.empty() ? in.main : in.chain;
           for (PortRef p : chain_srcs) g.connect(p, chain_in, true);
         }
 
@@ -349,7 +394,7 @@ class Builder {
 
     for (Resource r = 0; r < num_res_; ++r) {
       if (std::find(res.begin(), res.end(), r) != res.end()) continue;
-      propagate(succ, r, incoming_[n][r]);
+      propagate(succ, r, incoming(n, r));
     }
   }
 
@@ -365,7 +410,7 @@ class Builder {
     g.set_end(en);
 
     for (Resource r = 0; r < num_res_; ++r) {
-      Comp& in = incoming_[n][r];
+      const Comp& in = incoming(n, r);
       CTDF_ASSERT_MSG(!in.main.empty(),
                       "a resource token never reached the end node");
       const PortRef dst{en, static_cast<std::uint16_t>(r)};
@@ -383,7 +428,7 @@ class Builder {
         const dfg::NodeId st = g.add_store(
             static_cast<std::uint32_t>(layout_.base(v)),
             "writeback " + prog_.symbols.name(v));
-        const PortRef src = coalesce(in.main, r, "wb " + res_name(r));
+        const PortRef src = coalesce(in.main, r, "wb ");
         g.connect(src, {st, 0}, false);  // value
         g.connect(src, {st, 1}, false);  // permission = the token itself
         g.connect({st, 0}, dst, true);
@@ -395,46 +440,62 @@ class Builder {
 
   // --- statements (assignments and forks) -------------------------------------
 
+  // Per-statement construction state lives in two member tables that
+  // are sized once and reused by every statement: cur_ (by resource)
+  // and loads_ (by variable). An entry belongs to the current statement
+  // iff its stamp is stmt_.
+
+  /// The token state of one resource inside the current statement.
   struct CurState {
+    std::uint32_t stmt = 0;           ///< statement stamp; 0 = none yet
     PortRef entry_main;               ///< snapshot at statement entry
     PortRef main;                     ///< rolling permission/value token
     PortRef chain;                    ///< completion chain (split modes)
     std::vector<PortRef> pending_acks;  ///< parallel-read acks to collect
   };
 
-  /// Per-statement construction state.
-  struct StmtCtx {
-    std::map<Resource, CurState> cur;
-    std::unordered_map<std::uint32_t, PortRef> scalar_loads;  // by VarId
+  /// The value port of a scalar already loaded by the current statement.
+  struct LoadedScalar {
+    std::uint32_t stmt = 0;
+    PortRef value;
   };
 
-  CurState& state_of(StmtCtx& sc, Resource r) {
-    const auto it = sc.cur.find(r);
-    CTDF_ASSERT_MSG(it != sc.cur.end(),
-                    "statement touched a resource outside its use set");
-    return it->second;
+  /// Is resource r in the current statement's use set?
+  [[nodiscard]] bool touches(Resource r) const {
+    return cur_[r].stmt == stmt_;
   }
 
-  void init_statement(NodeId n, StmtCtx& sc) {
+  CurState& state_of(Resource r) {
+    CTDF_ASSERT_MSG(touches(r),
+                    "statement touched a resource outside its use set");
+    return cur_[r];
+  }
+
+  void init_statement(NodeId n) {
+    ++stmt_;
     for (Resource r : sv_.uses[n]) {
-      Comp& in = incoming_[n][r];
-      CurState st;
-      st.entry_main = coalesce(in.main, r, "in " + res_name(r));
-      st.main = st.entry_main;
-      if (!in.chain.empty())
-        st.chain = coalesce(in.chain, r, "in' " + res_name(r));
-      sc.cur.emplace(r, st);
+      const Comp& in = incoming(n, r);
+      const PortRef entry = coalesce(in.main, r, "in ");
+      const PortRef chain =
+          in.chain.empty() ? PortRef{} : coalesce(in.chain, r, "in' ");
+      CurState& st = cur_[r];
+      if (st.stmt == stmt_) continue;  // a repeated resource keeps the first
+      st.stmt = stmt_;
+      st.entry_main = entry;
+      st.main = entry;
+      st.chain = chain;
+      st.pending_acks.clear();
     }
   }
 
   /// Permission source for a read of resource r.
-  PortRef read_perm(StmtCtx& sc, Resource r) {
-    CurState& st = state_of(sc, r);
+  PortRef read_perm(Resource r) {
+    CurState& st = state_of(r);
     return opt_.parallel_reads ? st.entry_main : st.main;
   }
 
-  void note_read_ack(StmtCtx& sc, Resource r, PortRef ack) {
-    CurState& st = state_of(sc, r);
+  void note_read_ack(Resource r, PortRef ack) {
+    CurState& st = state_of(r);
     if (opt_.parallel_reads) {
       st.pending_acks.push_back(ack);
     } else {
@@ -443,8 +504,8 @@ class Builder {
   }
 
   /// Collect outstanding parallel-read acks of r into st.main.
-  void flush_reads(StmtCtx& sc, Resource r) {
-    CurState& st = state_of(sc, r);
+  void flush_reads(Resource r) {
+    CurState& st = state_of(r);
     if (st.pending_acks.empty()) return;
     if (st.pending_acks.size() == 1) {
       st.main = st.pending_acks.front();
@@ -460,8 +521,9 @@ class Builder {
     st.pending_acks.clear();
   }
 
-  void flush_all_reads(StmtCtx& sc) {
-    for (auto& [r, st] : sc.cur) flush_reads(sc, r);
+  void flush_all_reads() {
+    for (Resource r = 0; r < num_res_; ++r)
+      if (touches(r)) flush_reads(r);
   }
 
   /// Wires a ValueSrc into a node input port (literal binding or arc).
@@ -475,13 +537,12 @@ class Builder {
 
   /// Builds the access-set collection for a memory op: the synch tree
   /// that gathers access_{[x]} (Fig. 13), or a single arc.
-  void wire_permission(StmtCtx& sc, const std::vector<Resource>& rs,
-                       PortRef dst, bool for_read) {
+  void wire_permission(const std::vector<Resource>& rs, PortRef dst,
+                       bool for_read) {
     dfg::Graph& g = result_.graph;
     if (rs.size() == 1) {
       const Resource r = rs.front();
-      const PortRef src =
-          for_read ? read_perm(sc, r) : state_of(sc, r).main;
+      const PortRef src = for_read ? read_perm(r) : state_of(r).main;
       g.connect(src, dst, true);
       return;
     }
@@ -489,33 +550,31 @@ class Builder {
         g.add_synch(static_cast<std::uint16_t>(rs.size()), "access-set");
     for (std::size_t i = 0; i < rs.size(); ++i) {
       const Resource r = rs[i];
-      const PortRef src =
-          for_read ? read_perm(sc, r) : state_of(sc, r).main;
+      const PortRef src = for_read ? read_perm(r) : state_of(r).main;
       g.connect(src, {sy, static_cast<std::uint16_t>(i)}, true);
     }
     g.connect({sy, 0}, dst, true);
   }
 
-  ValueSrc read_scalar(StmtCtx& sc, VarId v) {
+  ValueSrc read_scalar(VarId v) {
     const auto& rs = cover_.access_set(v);
     if (rs.size() == 1 && classes_.eliminated[rs.front()])
-      return ValueSrc::of(state_of(sc, rs.front()).main);
+      return ValueSrc::of(state_of(rs.front()).main);
 
-    if (const auto it = sc.scalar_loads.find(v.value());
-        it != sc.scalar_loads.end())
-      return ValueSrc::of(it->second);
+    LoadedScalar& loaded = loads_[v.index()];
+    if (loaded.stmt == stmt_) return ValueSrc::of(loaded.value);
 
     dfg::Graph& g = result_.graph;
     const dfg::NodeId ld = g.add_load(
         static_cast<std::uint32_t>(layout_.base(v)), prog_.symbols.name(v));
-    wire_permission(sc, rs, {ld, 0}, /*for_read=*/true);
-    for (Resource r : rs) note_read_ack(sc, r, {ld, dfg::port::kLoadAck});
+    wire_permission(rs, {ld, 0}, /*for_read=*/true);
+    for (Resource r : rs) note_read_ack(r, {ld, dfg::port::kLoadAck});
     const PortRef value{ld, dfg::port::kLoadValue};
-    sc.scalar_loads.emplace(v.value(), value);
+    loaded = {stmt_, value};
     return ValueSrc::of(value);
   }
 
-  ValueSrc read_array(NodeId n, StmtCtx& sc, VarId a, ValueSrc index) {
+  ValueSrc read_array(NodeId n, VarId a, ValueSrc index) {
     dfg::Graph& g = result_.graph;
     const auto& rs = cover_.access_set(a);
     const auto base = static_cast<std::uint32_t>(layout_.base(a));
@@ -527,7 +586,7 @@ class Builder {
       wire_value(index, {f, 0});
       // Trigger only (no serialization, no ack): reads of I-structure
       // cells defer in memory until the write arrives.
-      g.connect(state_of(sc, rs.front()).main, {f, 1}, true);
+      g.connect(state_of(rs.front()).main, {f, 1}, true);
       return ValueSrc::of(PortRef{f, 0});
     }
     CTDF_ASSERT_MSG(rs.size() != 1 || !split_at(n, rs.front()),
@@ -537,21 +596,21 @@ class Builder {
     const dfg::NodeId ld =
         g.add_load_idx(base, extent, prog_.symbols.name(a) + "[]");
     wire_value(index, {ld, 0});
-    wire_permission(sc, rs, {ld, 1}, /*for_read=*/true);
-    for (Resource r : rs) note_read_ack(sc, r, {ld, dfg::port::kLoadAck});
+    wire_permission(rs, {ld, 1}, /*for_read=*/true);
+    for (Resource r : rs) note_read_ack(r, {ld, dfg::port::kLoadAck});
     return ValueSrc::of(PortRef{ld, dfg::port::kLoadValue});
   }
 
-  ValueSrc build_expr(NodeId n, StmtCtx& sc, const lang::Expr& e) {
+  ValueSrc build_expr(NodeId n, const lang::Expr& e) {
     switch (e.kind) {
       case lang::Expr::Kind::kConst:
         return ValueSrc::lit(e.value);
       case lang::Expr::Kind::kVar:
-        return read_scalar(sc, e.var);
+        return read_scalar(e.var);
       case lang::Expr::Kind::kArrayRef:
-        return read_array(n, sc, e.var, build_expr(n, sc, *e.lhs));
+        return read_array(n, e.var, build_expr(n, *e.lhs));
       case lang::Expr::Kind::kUnary: {
-        const ValueSrc v = build_expr(n, sc, *e.lhs);
+        const ValueSrc v = build_expr(n, *e.lhs);
         if (v.is_literal)
           return ValueSrc::lit(lang::eval_unop(e.uop, v.literal));
         const dfg::NodeId op = result_.graph.add_unop(e.uop);
@@ -559,8 +618,8 @@ class Builder {
         return ValueSrc::of(PortRef{op, 0});
       }
       case lang::Expr::Kind::kBinary: {
-        const ValueSrc l = build_expr(n, sc, *e.lhs);
-        const ValueSrc r = build_expr(n, sc, *e.rhs);
+        const ValueSrc l = build_expr(n, *e.lhs);
+        const ValueSrc r = build_expr(n, *e.rhs);
         if (l.is_literal && r.is_literal)
           return ValueSrc::lit(lang::eval_binop(e.bop, l.literal, r.literal));
         const dfg::NodeId op = result_.graph.add_binop(e.bop);
@@ -572,7 +631,7 @@ class Builder {
     CTDF_UNREACHABLE("bad Expr::Kind");
   }
 
-  void write_lvalue(NodeId n, StmtCtx& sc, const lang::LValue& lv,
+  void write_lvalue(NodeId n, const lang::LValue& lv,
                     ValueSrc value, ValueSrc index) {
     dfg::Graph& g = result_.graph;
     const VarId v = lv.var;
@@ -582,7 +641,7 @@ class Builder {
 
     // Memory-eliminated scalar: the new value becomes the token.
     if (rs.size() == 1 && classes_.eliminated[rs.front()]) {
-      CurState& st = state_of(sc, rs.front());
+      CurState& st = state_of(rs.front());
       if (value.is_literal) {
         const dfg::NodeId gate = g.add_gate(prog_.symbols.name(v) + ":=" +
                                             std::to_string(value.literal));
@@ -597,7 +656,7 @@ class Builder {
 
     // I-structure array: concurrent write, ack joins the chain.
     if (rs.size() == 1 && classes_.istructure[rs.front()]) {
-      CurState& st = state_of(sc, rs.front());
+      CurState& st = state_of(rs.front());
       const dfg::NodeId istore =
           g.add_istore(base, extent, prog_.symbols.name(v) + "[]!");
       wire_value(value, {istore, 0});
@@ -614,7 +673,7 @@ class Builder {
     // token is replicated (no serialization between iterations' stores);
     // completion accumulates on the chain.
     if (rs.size() == 1 && split_at(n, rs.front())) {
-      CurState& st = state_of(sc, rs.front());
+      CurState& st = state_of(rs.front());
       const dfg::NodeId store =
           g.add_store_idx(base, extent, prog_.symbols.name(v) + "[]*");
       wire_value(value, {store, 0});
@@ -629,44 +688,43 @@ class Builder {
 
     // Ordinary store: collect the access set (after this statement's
     // reads of those resources), write, thread the acks onward.
-    for (Resource r : rs) flush_reads(sc, r);
+    for (Resource r : rs) flush_reads(r);
     dfg::NodeId store;
     if (lv.is_array_elem()) {
       store = g.add_store_idx(base, extent, prog_.symbols.name(v) + "[]");
       wire_value(value, {store, 0});
       wire_value(index, {store, 1});
-      wire_permission(sc, rs, {store, 2}, /*for_read=*/false);
+      wire_permission(rs, {store, 2}, /*for_read=*/false);
     } else {
       store = g.add_store(base, prog_.symbols.name(v));
       wire_value(value, {store, 0});
-      wire_permission(sc, rs, {store, 1}, /*for_read=*/false);
+      wire_permission(rs, {store, 1}, /*for_read=*/false);
     }
-    for (Resource r : rs) state_of(sc, r).main = {store, 0};
+    for (Resource r : rs) state_of(r).main = {store, 0};
   }
 
   void build_statement(NodeId n) {
     dfg::Graph& g = result_.graph;
     const cfg::Node& node = cfg_.node(n);
-    StmtCtx sc;
-    init_statement(n, sc);
+    init_statement(n);
 
     if (node.kind == cfg::NodeKind::kAssign) {
-      const ValueSrc value = build_expr(n, sc, *node.rhs);
+      const ValueSrc value = build_expr(n, *node.rhs);
       ValueSrc index;
-      if (node.lhs.is_array_elem()) index = build_expr(n, sc, *node.lhs.index);
-      write_lvalue(n, sc, node.lhs, value, index);
-      flush_all_reads(sc);
+      if (node.lhs.is_array_elem()) index = build_expr(n, *node.lhs.index);
+      write_lvalue(n, node.lhs, value, index);
+      flush_all_reads();
       const NodeId succ = node.succ_true;
       for (Resource r : sv_.uses[n]) {
-        CurState& st = state_of(sc, r);
+        CurState& st = state_of(r);
         Comp out;
         out.main.push_back(st.main);
         if (st.chain.valid()) out.chain.push_back(st.chain);
         propagate(succ, r, out);
       }
       for (Resource r = 0; r < num_res_; ++r) {
-        if (sc.cur.contains(r)) continue;
-        propagate(succ, r, incoming_[n][r]);
+        if (touches(r)) continue;
+        propagate(succ, r, incoming(n, r));
       }
       return;
     }
@@ -674,8 +732,8 @@ class Builder {
     // Fork: evaluate the predicate, then switch every access token that
     // needs routing here; everything else bypasses to the immediate
     // postdominator (Sec. 4).
-    const ValueSrc pred = build_expr(n, sc, *node.pred);
-    flush_all_reads(sc);
+    const ValueSrc pred = build_expr(n, *node.pred);
+    flush_all_reads();
 
     const NodeId succ_t = node.succ_true;
     const NodeId succ_f = node.succ_false;
@@ -691,9 +749,9 @@ class Builder {
     };
 
     for (Resource r = 0; r < num_res_; ++r) {
-      const bool used = sc.cur.contains(r);
+      const bool used = touches(r);
       if (sv_.placement.needs_switch(n, r)) {
-        if (!used && incoming_[n][r].empty()) {
+        if (!used && incoming(n, r).empty()) {
           // Conservative placement marked this fork, but no token is
           // actually routed through it (it can only happen when the
           // placement over-approximates reachability).
@@ -702,14 +760,13 @@ class Builder {
         PortRef main;
         PortRef chain;
         if (used) {
-          CurState& st = state_of(sc, r);
+          CurState& st = state_of(r);
           main = st.main;
           chain = st.chain;
         } else {
-          Comp& in = incoming_[n][r];
-          main = coalesce(in.main, r, "sw-in " + res_name(r));
-          if (!in.chain.empty())
-            chain = coalesce(in.chain, r, "sw-in' " + res_name(r));
+          const Comp& in = incoming(n, r);
+          main = coalesce(in.main, r, "sw-in ");
+          if (!in.chain.empty()) chain = coalesce(in.chain, r, "sw-in' ");
         }
         const dfg::NodeId sw = add_switch(main, r, "");
         Comp out_t, out_f;
@@ -723,23 +780,18 @@ class Builder {
         propagate(succ_t, r, out_t);
         propagate(succ_f, r, out_f);
       } else if (used) {
-        CurState& st = state_of(sc, r);
+        CurState& st = state_of(r);
         Comp out;
         out.main.push_back(st.main);
         if (st.chain.valid()) out.chain.push_back(st.chain);
         propagate(ipdom, r, out);
       } else {
-        propagate(ipdom, r, incoming_[n][r]);
+        propagate(ipdom, r, incoming(n, r));
       }
     }
   }
 
   // --- members ---------------------------------------------------------------
-
-  struct Sink {
-    PortRef main;
-    PortRef chain;
-  };
 
   const lang::Program& prog_;
   const TranslateOptions& opt_;  ///< already normalized by the orchestrator
@@ -755,9 +807,14 @@ class Builder {
   std::size_t num_res_;
 
   support::IndexMap<NodeId, std::uint32_t> rpo_index_;
-  support::IndexMap<NodeId, std::vector<Comp>> incoming_;
-  support::IndexMap<NodeId, std::vector<Sink>> sinks_;
+  std::vector<Comp> incoming_;  ///< nodes x resources, node-major
+  std::vector<Sink> sinks_;     ///< nodes x resources, node-major
   std::vector<bool> processed_;
+
+  std::uint32_t stmt_ = 0;            ///< stamp of the current statement
+  std::vector<CurState> cur_;         ///< by resource
+  std::vector<LoadedScalar> loads_;   ///< by variable
+  std::vector<std::pair<Resource, bool>> slots_;  ///< loop node port layout
 
   Translation& result_;
 };

@@ -125,6 +125,34 @@ TEST(Subroutines, RunsOnTheDataflowMachineToo) {
   EXPECT_EQ(res.store.cells, ref.store.cells);
 }
 
+TEST(SubroutineErrors, ParseErrorsKeepTheirSourcePositions) {
+  // The expanded program is parsed from tokens that carry their source
+  // positions: an error after an inlined call is on its own line, and
+  // one inside a body is where the body says.
+  support::DiagnosticEngine after;
+  (void)parse_with_subroutines(
+      "var x;\nsub f(a) { a := 1; }\ncall f(x);\nx := (;\n", after);
+  ASSERT_TRUE(after.has_errors());
+  EXPECT_EQ(after.diagnostics().front().loc.to_string(), "4:7");
+
+  support::DiagnosticEngine inside;
+  (void)parse_with_subroutines(
+      "var x;\nsub f(a) {\n  a := 1 +;\n}\ncall f(x);\n", inside);
+  ASSERT_TRUE(inside.has_errors());
+  EXPECT_EQ(inside.diagnostics().front().loc.to_string(), "3:11");
+}
+
+TEST(Subroutines, ParsesLikeExpandThenParse) {
+  // Expanding tokens in place builds the program that parsing the
+  // expander's rendered text builds.
+  support::DiagnosticEngine d;
+  const Program direct = parse_with_subroutines(kPaperExample, d);
+  ASSERT_FALSE(d.has_errors()) << d.to_string();
+  const Program rendered =
+      parse_or_throw(expand_subroutines_or_throw(kPaperExample).source);
+  EXPECT_EQ(direct.to_string(), rendered.to_string());
+}
+
 TEST(SubroutineErrors, UnknownSubroutine) {
   support::DiagnosticEngine d;
   (void)expand_subroutines("var x; call nope(x);", d);

@@ -204,6 +204,18 @@ TEST(Serve, StrayClosingBraceIsACompileError) {
   }
 }
 
+TEST(Serve, CompileErrorsPointIntoTheRequestSource) {
+  // The parser reads the request's own tokens, so the position is the
+  // source's, not that of a copy re-rendered one statement per line.
+  Server server;
+  const JsonValue r = parse_response(server.handle_line(
+      R"({"op": "compile", "source": "var x; x := 1; x := (;"})"));
+  EXPECT_FALSE(r.find("ok")->boolean);
+  EXPECT_EQ(r.find("error")->find("kind")->string, "compile");
+  const std::string& message = r.find("error")->find("message")->string;
+  EXPECT_EQ(message.rfind("1:22: error: ", 0), 0u) << message;
+}
+
 TEST(Serve, TooDeepSourcesAreCompileErrors) {
   // Each of these overflowed the server's stack before the parser's
   // depth bound: the request went unanswered and the server died.

@@ -131,7 +131,6 @@
 #include "core/pipeline.hpp"
 #include "core/progcache.hpp"
 #include "dfg/asmfmt.hpp"
-#include "lang/subroutines.hpp"
 #include "machine/blob.hpp"
 #include "machine/exec.hpp"
 #include "machine/flags.hpp"
@@ -816,12 +815,12 @@ int main(int argc, char** argv) {
     // positional <file> is conventionally `-`).
     if (cli.command == "run" && !cli.load_blob.empty())
       return cmd_run_blob(cli);
-    // Expand FORTRAN-style `sub`/`call` constructs first (identity for
-    // programs without them).
-    const auto expanded =
-        lang::expand_subroutines_or_throw(read_file(cli.file));
-    const lang::Program prog = core::parse(expanded.source);
-    if (cli.command == "run") return cmd_run(cli, prog, expanded.source);
+    // core::parse expands FORTRAN-style `sub`/`call` constructs; the
+    // program cache keys the file's own text, as `ctdf serve` keys a
+    // request's.
+    const std::string source = read_file(cli.file);
+    const lang::Program prog = core::parse(source);
+    if (cli.command == "run") return cmd_run(cli, prog, source);
     if (cli.command == "interp") return cmd_interp(cli, prog);
     if (cli.command == "dot") return cmd_dot(cli, prog);
     if (cli.command == "dot-cfg") return cmd_dot_cfg(cli, prog);
