@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/assert.hpp"
+#include "support/graph_algo.hpp"
 
 namespace ctdf::cfg {
 
@@ -53,14 +54,14 @@ Liveness::Liveness(const Graph& g, const lang::SymbolTable& syms) {
   for (std::size_t v = 0; v < ud.num_vars; ++v)
     in_[g.end()].set(v);
 
-  // Round-robin over reverse order until fixpoint (graphs are small;
+  // Round-robin over postorder until fixpoint (graphs are small;
   // postorder seeding keeps iteration counts low).
-  const auto order = g.reverse_postorder();
+  support::GraphAlgo<NodeId> order;
+  support::build_order(ForwardView{g}, order);
   bool changed = true;
   while (changed) {
     changed = false;
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const NodeId n = *it;
+    for (const NodeId n : order.postorder) {
       if (n == g.end()) continue;
       support::Bitset out(ud.num_vars);
       for (NodeId s : g.succs(n)) out.union_with(in_[s]);
@@ -113,11 +114,14 @@ ReachingDefs::ReachingDefs(const Graph& g, const lang::SymbolTable& syms)
     out[n] = support::Bitset(sites);
   }
 
-  const auto order = g.reverse_postorder();
+  support::GraphAlgo<NodeId> order;
+  support::build_order(ForwardView{g}, order);
   bool changed = true;
   while (changed) {
     changed = false;
-    for (NodeId n : order) {
+    for (auto it = order.postorder.rbegin(); it != order.postorder.rend();
+         ++it) {
+      const NodeId n = *it;
       support::Bitset in(sites);
       for (NodeId p : g.preds(n)) in.union_with(out[p]);
       support::Bitset o = in;

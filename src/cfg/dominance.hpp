@@ -1,9 +1,8 @@
-// Dominator and postdominator trees (Cooper–Harvey–Kennedy iterative
-// algorithm).
+// Dominator and postdominator trees: the graph-algorithms toolkit's
+// (support/graph_algo.hpp) dominators over the CFG or its reverse.
 //
 // Postdominators drive switch placement (paper Section 4.1, Theorem 1);
-// forward dominators drive back-edge detection for the interval /
-// loop-control transformation (Section 3).
+// forward dominators drive SSA's dominance frontiers (cfg/ssa.hpp).
 #pragma once
 
 #include <cstdint>
@@ -11,7 +10,7 @@
 #include <vector>
 
 #include "cfg/graph.hpp"
-#include "support/index_map.hpp"
+#include "support/graph_algo.hpp"
 
 namespace ctdf::cfg {
 
@@ -28,11 +27,11 @@ class DomTree {
   [[nodiscard]] NodeId root() const { return root_; }
 
   /// Immediate (post)dominator; invalid for the root.
-  [[nodiscard]] NodeId idom(NodeId n) const { return idom_[n]; }
+  [[nodiscard]] NodeId idom(NodeId n) const { return algo_[n].idom; }
 
   /// Does `a` (post)dominate `b`? Reflexive.
   [[nodiscard]] bool dominates(NodeId a, NodeId b) const {
-    return tin_[a] <= tin_[b] && tout_[b] <= tout_[a];
+    return algo_.dominates(a, b);
   }
 
   /// Strict (post)domination.
@@ -48,17 +47,15 @@ class DomTree {
 
   /// Tree nodes in a bottom-up order (every node before its parent).
   [[nodiscard]] const std::vector<NodeId>& bottom_up_order() const {
-    return bottom_up_;
+    return algo_.postorder;
   }
 
  private:
   DomDirection dir_;
   NodeId root_;
-  support::IndexMap<NodeId, NodeId> idom_;
+  support::GraphAlgo<NodeId> algo_;
   std::vector<std::uint32_t> child_begin_;  ///< per node, plus an end
   std::vector<NodeId> child_ids_;
-  support::IndexMap<NodeId, std::uint32_t> tin_, tout_;
-  std::vector<NodeId> bottom_up_;
 };
 
 }  // namespace ctdf::cfg

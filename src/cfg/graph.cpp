@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "support/assert.hpp"
+#include "support/graph_algo.hpp"
 
 namespace ctdf::cfg {
 
@@ -123,61 +124,6 @@ void Graph::set_loop_refs(NodeId n, std::vector<lang::VarId> vars) {
   loop_refs_[n] = std::move(vars);
 }
 
-namespace {
-
-void dfs_postorder(const Graph& g, NodeId n, std::vector<bool>& seen,
-                   std::vector<NodeId>& post, bool reverse) {
-  // Iterative DFS; graphs can be deep (long straight-line programs).
-  // Frames read their neighbours in place, by position.
-  struct Frame {
-    NodeId node;
-    std::uint32_t i = 0;
-  };
-  std::vector<Frame> stack;
-  stack.reserve(g.size());
-  // The frame's next neighbour, or invalid when it has none left.
-  const auto next = [&](Frame& f) {
-    if (reverse) {
-      const std::vector<NodeId>& ps = g.preds(f.node);
-      return f.i < ps.size() ? ps[f.i++] : NodeId::invalid();
-    }
-    const Succs ss = g.succs(f.node);
-    return f.i < ss.size() ? ss[f.i++] : NodeId::invalid();
-  };
-  seen[n.index()] = true;
-  stack.push_back({n});
-  while (!stack.empty()) {
-    const NodeId m = next(stack.back());
-    if (!m.valid()) {
-      post.push_back(stack.back().node);
-      stack.pop_back();
-    } else if (!seen[m.index()]) {
-      seen[m.index()] = true;
-      stack.push_back({m});
-    }
-  }
-}
-
-}  // namespace
-
-std::vector<NodeId> Graph::reverse_postorder() const {
-  std::vector<bool> seen(size(), false);
-  std::vector<NodeId> post;
-  post.reserve(size());
-  dfs_postorder(*this, start_, seen, post, /*reverse=*/false);
-  std::reverse(post.begin(), post.end());
-  return post;
-}
-
-std::vector<NodeId> Graph::reverse_postorder_of_reverse() const {
-  std::vector<bool> seen(size(), false);
-  std::vector<NodeId> post;
-  post.reserve(size());
-  dfs_postorder(*this, end_, seen, post, /*reverse=*/true);
-  std::reverse(post.begin(), post.end());
-  return post;
-}
-
 std::string Graph::to_dot(const lang::SymbolTable& syms) const {
   std::ostringstream os;
   os << "digraph cfg {\n  node [shape=box, fontname=\"monospace\"];\n";
@@ -253,19 +199,14 @@ std::vector<std::string> Graph::validate() const {
   }
 
   // Reachability: every node on some start→end path.
-  {
-    std::vector<bool> fwd(size(), false), bwd(size(), false);
-    std::vector<NodeId> post;
-    post.reserve(size());
-    dfs_postorder(*this, start_, fwd, post, false);
-    post.clear();
-    dfs_postorder(*this, end_, bwd, post, true);
-    for (NodeId n : all_nodes()) {
-      if (!fwd[n.index()])
-        fail("node " + std::to_string(n.value()) + " unreachable from start");
-      else if (!bwd[n.index()])
-        fail("node " + std::to_string(n.value()) + " cannot reach end");
-    }
+  support::GraphAlgo<NodeId> fwd, bwd;
+  support::build_order(ForwardView{*this}, fwd);
+  support::build_order(ReverseView{*this}, bwd);
+  for (NodeId n : all_nodes()) {
+    if (!fwd.reachable(n))
+      fail("node " + std::to_string(n.value()) + " unreachable from start");
+    else if (!bwd.reachable(n))
+      fail("node " + std::to_string(n.value()) + " cannot reach end");
   }
   return problems;
 }

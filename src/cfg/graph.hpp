@@ -143,14 +143,6 @@ class Graph {
   /// tokens bypass loops that do not touch their variable, Section 4).
   void set_loop_refs(NodeId n, std::vector<lang::VarId> vars);
 
-  /// Reverse-postorder over forward edges from start (every reachable
-  /// node exactly once).
-  [[nodiscard]] std::vector<NodeId> reverse_postorder() const;
-
-  /// Reverse-postorder of the reverse graph from end (for
-  /// postdominators).
-  [[nodiscard]] std::vector<NodeId> reverse_postorder_of_reverse() const;
-
   /// Graphviz rendering.
   [[nodiscard]] std::string to_dot(const lang::SymbolTable& syms) const;
 
@@ -166,6 +158,33 @@ class Graph {
   support::IndexMap<NodeId, std::vector<lang::VarId>> loop_refs_;
   NodeId start_;
   NodeId end_;
+};
+
+/// The graph as the graph-algorithms toolkit (support/graph_algo.hpp)
+/// walks it: from start along out-edges, true before false.
+struct ForwardView {
+  using Id = NodeId;
+  const Graph& g;
+
+  [[nodiscard]] std::size_t size() const { return g.size(); }
+  [[nodiscard]] NodeId root() const { return g.start(); }
+  [[nodiscard]] Succs succs(NodeId n) const { return g.succs(n); }
+  [[nodiscard]] const std::vector<NodeId>& preds(NodeId n) const {
+    return g.preds(n);
+  }
+};
+
+/// The reversed graph, from end along in-edges (postdominators).
+struct ReverseView {
+  using Id = NodeId;
+  const Graph& g;
+
+  [[nodiscard]] std::size_t size() const { return g.size(); }
+  [[nodiscard]] NodeId root() const { return g.end(); }
+  [[nodiscard]] const std::vector<NodeId>& succs(NodeId n) const {
+    return g.preds(n);
+  }
+  [[nodiscard]] Succs preds(NodeId n) const { return g.succs(n); }
 };
 
 }  // namespace ctdf::cfg

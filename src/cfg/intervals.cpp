@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_set>
 #include <utility>
 
-#include "cfg/dominance.hpp"
 #include "support/assert.hpp"
+#include "support/graph_algo.hpp"
 
 namespace ctdf::cfg {
 
 namespace {
-
-using NodeSet = std::unordered_set<NodeId::underlying_type>;
-
-bool contains(const NodeSet& s, NodeId n) { return s.contains(n.value()); }
 
 /// Scratch shared by every level of node splitting, sized once per
 /// round.
@@ -238,9 +233,18 @@ int make_reducible(Graph& g, support::DiagnosticEngine& diags) {
 
 }  // namespace
 
-bool LoopInfo::in_loop(NodeId n, LoopId l) const {
-  const std::vector<NodeId>& ms = loop(l).members;
-  return std::binary_search(ms.begin(), ms.end(), n);
+void LoopInfo::group_nodes() {
+  nodes_begin_.assign(loops_.size() + 1, 0);
+  for (const LoopId l : innermost_)
+    if (l.valid()) ++nodes_begin_[pre_[l.index()] + 1];
+  for (std::size_t i = 1; i < nodes_begin_.size(); ++i)
+    nodes_begin_[i] += nodes_begin_[i - 1];
+  nodes_.resize(nodes_begin_.back());
+  std::vector<std::uint32_t> fill(nodes_begin_.begin(), nodes_begin_.end() - 1);
+  for (std::size_t n = 0; n < innermost_.size(); ++n) {
+    const LoopId l = innermost_.raw()[n];
+    if (l.valid()) nodes_[fill[pre_[l.index()]]++] = NodeId{n};
+  }
 }
 
 LoopId LoopInfo::loop_of_control_node(const Graph& g, NodeId n) const {
@@ -250,124 +254,138 @@ LoopId LoopInfo::loop_of_control_node(const Graph& g, NodeId n) const {
   return LoopId::invalid();
 }
 
-bool LoopInfo::is_back_edge(NodeId from, NodeId to) const {
-  for (const Loop& l : loops_)
-    if (l.entry == to) return in_loop(from, l.id);
-  return false;
-}
-
-std::vector<lang::VarId> LoopInfo::used_vars(const Graph& g, LoopId l) const {
-  std::vector<lang::VarId> out;
-  for (NodeId n : loop(l).members) {
-    const NodeKind k = g.kind(n);
-    if (k != NodeKind::kAssign && k != NodeKind::kFork) continue;
-    for (lang::VarId v : g.refs(n))
-      if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
+std::vector<std::vector<lang::VarId>> LoopInfo::used_vars(
+    const Graph& g) const {
+  // Each node counts in its innermost loop; nested loops come later in
+  // preorder, so walking it backward hands each loop's set to its
+  // parent before the parent is sorted.
+  std::vector<std::vector<lang::VarId>> out(loops_.size());
+  for (auto it = preorder_.rbegin(); it != preorder_.rend(); ++it) {
+    std::vector<lang::VarId>& vars = out[it->index()];
+    for (NodeId n : body(*it)) {
+      const NodeKind k = g.kind(n);
+      if (k != NodeKind::kAssign && k != NodeKind::kFork) continue;
+      const std::vector<lang::VarId> refs = g.refs(n);
+      vars.insert(vars.end(), refs.begin(), refs.end());
+    }
+    std::sort(vars.begin(), vars.end());
+    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+    const LoopId parent = loops_[it->index()].parent;
+    if (parent.valid())
+      out[parent.index()].insert(out[parent.index()].end(), vars.begin(),
+                                 vars.end());
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 LoopInfo transform_loops(Graph& g, support::DiagnosticEngine& diags) {
   LoopInfo info;
-  info.nodes_split_ = make_reducible(g, diags);
-  if (diags.has_errors()) return info;
-
+  const ForwardView view{g};
+  support::GraphAlgo<NodeId> algo;
+  support::build_order(view, algo);
+  support::build_dominators(view, algo);
+  if (!support::is_reducible(view, algo)) {
+    info.nodes_split_ = make_reducible(g, diags);
+    if (diags.has_errors()) return info;
+    support::build_order(view, algo);
+    support::build_dominators(view, algo);
+  }
   // Natural loops of the (now reducible) graph, merged per header.
-  const DomTree dom{g, DomDirection::kForward};
-  std::vector<NodeId> headers;
-  support::IndexMap<NodeId, NodeSet> members_of(g.size());
+  support::build_loops(view, algo);
+
+  // Loop ids in the order each header's first back edge is met,
+  // scanning nodes ascending and out-edges true first.
+  const std::size_t original = g.size();
+  support::IndexMap<NodeId, LoopId> id_of(original);
   for (NodeId u : g.all_nodes()) {
-    for (NodeId v : g.succs(u)) {
-      if (!dom.dominates(v, u)) continue;  // not a back edge
-      NodeSet& members = members_of[v];
-      if (members.empty()) headers.push_back(v);
-      // Backward closure from u, stopping at v.
-      std::vector<NodeId> stack;
-      const auto add = [&](NodeId n) {
-        if (members.insert(n.value()).second && n != v) stack.push_back(n);
-      };
-      add(v);
-      add(u);
-      while (!stack.empty()) {
-        const NodeId n = stack.back();
-        stack.pop_back();
-        for (NodeId p : g.preds(n)) add(p);
-      }
+    for (NodeId h : g.succs(u)) {
+      if (!algo[h].is_loop_header || id_of[h].valid() ||
+          !algo.dominates(h, u))
+        continue;
+      id_of[h] = LoopId{info.loops_.size()};
+      Loop l;
+      l.id = id_of[h];
+      l.header = h;
+      info.loops_.push_back(std::move(l));
     }
   }
-
-  // Loop records; parents by smallest strictly-containing loop.
-  std::vector<NodeSet> member_sets;
-  for (NodeId h : headers) {
-    Loop l;
-    l.id = LoopId{info.loops_.size()};
-    l.header = h;
-    info.loops_.push_back(std::move(l));
-    member_sets.push_back(members_of[h]);
-  }
-  const auto set_size = [&](LoopId l) { return member_sets[l.index()].size(); };
+  const std::size_t num_loops = info.loops_.size();
+  info.pre_.resize(num_loops);
+  info.last_.resize(num_loops);
   for (Loop& l : info.loops_) {
-    LoopId best;
-    for (const Loop& m : info.loops_) {
-      if (m.id == l.id) continue;
-      if (!member_sets[m.id.index()].contains(l.header.value())) continue;
-      if (!best.valid() || set_size(m.id) < set_size(best)) best = m.id;
-    }
-    l.parent = best;
+    const support::AlgoNode<NodeId>& h = algo[l.header];
+    l.parent = h.loop_parent.valid() ? id_of[h.loop_parent] : LoopId{};
+    l.depth = static_cast<int>(h.loop_depth) - 1;
+    info.pre_[l.id.index()] = h.loop_pre;
+    info.last_[l.id.index()] = h.loop_last;
   }
-  for (Loop& l : info.loops_) {
-    int d = 0;
-    for (LoopId p = l.parent; p.valid(); p = info.loops_[p.index()].parent)
-      ++d;
-    l.depth = d;
+  for (NodeId h : algo.loop_headers) info.preorder_.push_back(id_of[h]);
+  info.innermost_.resize(original);
+  for (NodeId n : g.all_nodes()) {
+    const NodeId h = algo[n].iloop_header;
+    if (h.valid()) info.innermost_[n] = id_of[h];
   }
 
-  // Insert loop exits and entries, innermost loops first.
-  std::vector<LoopId> order;
-  for (const Loop& l : info.loops_) order.push_back(l.id);
+  info.group_nodes();
+
+  // A loop's exit edges leave from its own body or from the exit nodes
+  // of the loops nested directly in it: an edge leaving from deeper
+  // already passes through those. The children of each loop, by
+  // ascending id, in one table.
+  std::vector<std::uint32_t> child_begin(num_loops + 1, 0);
+  for (const Loop& l : info.loops_)
+    if (l.parent.valid()) ++child_begin[l.parent.index() + 1];
+  for (std::size_t i = 0; i < num_loops; ++i)
+    child_begin[i + 1] += child_begin[i];
+  std::vector<LoopId> children(child_begin.back());
+  {
+    std::vector<std::uint32_t> fill(child_begin.begin(), child_begin.end() - 1);
+    for (const Loop& l : info.loops_)
+      if (l.parent.valid()) children[fill[l.parent.index()]++] = l.id;
+  }
+
+  // Insert loop exits and entries, innermost loops first: by depth
+  // descending, then by id.
+  std::vector<LoopId> order(num_loops);
+  for (std::size_t i = 0; i < num_loops; ++i) order[i] = LoopId{i};
   std::sort(order.begin(), order.end(), [&](LoopId a, LoopId b) {
-    return info.loops_[a.index()].depth > info.loops_[b.index()].depth;
+    const int da = info.loops_[a.index()].depth;
+    const int db = info.loops_[b.index()].depth;
+    return da != db ? da > db : a < b;
   });
 
-  const auto ancestors_of = [&](LoopId l) {
-    std::vector<LoopId> out;
-    for (LoopId p = info.loops_[l.index()].parent; p.valid();
-         p = info.loops_[p.index()].parent)
-      out.push_back(p);
-    return out;
-  };
-
+  std::vector<NodeId> preds;
   for (LoopId lid : order) {
     Loop& l = info.loops_[lid.index()];
-    NodeSet& members = member_sets[lid.index()];
-    const auto ancestors = ancestors_of(lid);
 
     // Exits first (so the freshly inserted entry node is not mistaken
-    // for an exit target): every edge member --dir--> non-member.
-    const std::vector<NodeId::underlying_type> snapshot(members.begin(),
-                                                        members.end());
-    for (const auto raw : snapshot) {
-      const NodeId a{raw};
-      for (const bool dir : {true, false}) {
-        if (!g.has_succ(a, dir)) continue;
-        const NodeId b = dir ? g.node(a).succ_true : g.node(a).succ_false;
-        if (contains(members, b)) continue;
-        const NodeId lx = g.add_loop_exit(lid);
-        g.redirect_succ(a, dir, lx);
-        g.set_succ(lx, true, b);
-        l.exits.push_back(lx);
-        // Exit nodes belong to every enclosing loop (so outer exits
-        // chain after inner ones) but not to this loop.
-        for (LoopId anc : ancestors)
-          member_sets[anc.index()].insert(lx.value());
-      }
+    // for an exit target): every edge from inside l to outside it, by
+    // ascending source and true before false. Exit nodes belong to every
+    // enclosing loop (so outer exits chain after inner ones) but not to
+    // this one.
+    const auto exit_edge = [&](NodeId a, bool dir) {
+      if (!g.has_succ(a, dir)) return;
+      const NodeId b = dir ? g.node(a).succ_true : g.node(a).succ_false;
+      if (info.in_loop(b, lid)) return;
+      const NodeId lx = g.add_loop_exit(lid);
+      g.redirect_succ(a, dir, lx);
+      g.set_succ(lx, true, b);
+      l.exits.push_back(lx);
+      info.innermost_.ensure(lx, l.parent);
+    };
+    for (NodeId a : info.body(lid)) {  // original nodes, grouped above
+      exit_edge(a, true);
+      exit_edge(a, false);
     }
+    for (std::uint32_t i = child_begin[lid.index()];
+         i < child_begin[lid.index() + 1]; ++i)
+      for (NodeId x : info.loops_[children[i].index()].exits)
+        exit_edge(x, true);
 
     // Entry: reroute every edge into the header — external entries and
     // back edges alike — through a single loop-entry node.
     const NodeId le = g.add_loop_entry(lid);
-    const std::vector<NodeId> preds = g.preds(l.header);  // copy; we mutate
+    preds.assign(g.preds(l.header).begin(), g.preds(l.header).end());
     for (NodeId p : preds) {
       for (const bool dir : {true, false}) {
         if (g.has_succ(p, dir) &&
@@ -377,17 +395,10 @@ LoopInfo transform_loops(Graph& g, support::DiagnosticEngine& diags) {
     }
     g.set_succ(le, true, l.header);
     l.entry = le;
-    members.insert(le.value());
-    for (LoopId anc : ancestors) member_sets[anc.index()].insert(le.value());
+    info.innermost_.ensure(le, lid);
   }
 
-  // Freeze membership into sorted lists (in_loop binary-searches them).
-  for (Loop& l : info.loops_) {
-    const NodeSet& members = member_sets[l.id.index()];
-    l.members.reserve(members.size());
-    for (const auto raw : members) l.members.emplace_back(raw);
-    std::sort(l.members.begin(), l.members.end());
-  }
+  info.group_nodes();  // again, with the inserted nodes
 
   for (auto& problem : g.validate())
     diags.error({}, "loop transform: " + problem);

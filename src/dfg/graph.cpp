@@ -174,6 +174,30 @@ void Graph::erase_arcs(const std::vector<bool>& drop) {
   arcs_.resize(kept);
 }
 
+FlowView::FlowView(const Graph& g)
+    : root_(g.start()),
+      succ_begin_(g.num_nodes() + 1, 0),
+      pred_begin_(g.num_nodes() + 1, 0),
+      succ_(g.num_arcs()),
+      pred_(g.num_arcs()) {
+  for (const Arc& a : g.arcs()) {
+    ++succ_begin_[a.src.index() + 1];
+    ++pred_begin_[a.dst.index() + 1];
+  }
+  for (std::size_t i = 1; i < succ_begin_.size(); ++i) {
+    succ_begin_[i] += succ_begin_[i - 1];
+    pred_begin_[i] += pred_begin_[i - 1];
+  }
+  std::vector<std::uint32_t> succ_fill(succ_begin_.begin(),
+                                       succ_begin_.end() - 1);
+  std::vector<std::uint32_t> pred_fill(pred_begin_.begin(),
+                                       pred_begin_.end() - 1);
+  for (const Arc& a : g.arcs()) {
+    succ_[succ_fill[a.src.index()]++] = a.dst;
+    pred_[pred_fill[a.dst.index()]++] = a.src;
+  }
+}
+
 std::vector<Arc> Graph::out_arcs(NodeId n) const {
   std::vector<Arc> out;
   for (const Arc& a : arcs_)

@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -264,6 +265,33 @@ class Graph {
   std::vector<Arc> arcs_;
   NodeId start_;
   NodeId end_;
+};
+
+/// The graph's arcs as the graph-algorithms toolkit
+/// (support/graph_algo.hpp) walks them: from Start in token-flow
+/// direction, each node's successors and predecessors in arc order,
+/// parallel arcs kept. Built once, as flat lists per node.
+class FlowView {
+ public:
+  using Id = NodeId;
+
+  explicit FlowView(const Graph& g);
+
+  [[nodiscard]] std::size_t size() const { return succ_begin_.size() - 1; }
+  [[nodiscard]] NodeId root() const { return root_; }
+  [[nodiscard]] std::span<const NodeId> succs(NodeId n) const {
+    return {succ_.data() + succ_begin_[n.index()],
+            succ_.data() + succ_begin_[n.index() + 1]};
+  }
+  [[nodiscard]] std::span<const NodeId> preds(NodeId n) const {
+    return {pred_.data() + pred_begin_[n.index()],
+            pred_.data() + pred_begin_[n.index() + 1]};
+  }
+
+ private:
+  NodeId root_;
+  std::vector<std::uint32_t> succ_begin_, pred_begin_;  ///< plus an end
+  std::vector<NodeId> succ_, pred_;
 };
 
 /// Static size/shape statistics used by the graph-size and

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "support/assert.hpp"
+#include "support/graph_algo.hpp"
 
 namespace ctdf::dfg {
 
@@ -524,9 +525,8 @@ FusedStep make_step(const Node& t, std::uint16_t value_port) {
 }
 
 /// fuse: collapse linear chains of single-consumer pure ops into
-/// kMacro nodes, inner loops first.
-void fuse_chains(Graph& g, const Analysis& an, std::size_t fuse_limit,
-                 OptStats& stats) {
+/// kMacro nodes.
+void fuse_chains(Graph& g, std::size_t fuse_limit, OptStats& stats) {
   const std::size_t n = g.num_nodes();
   std::vector<Arc> arcs = g.arcs();
   std::vector<bool> alive(n, true);
@@ -579,8 +579,8 @@ void fuse_chains(Graph& g, const Analysis& an, std::size_t fuse_limit,
   }
 
   // Chain heads: fuseable single-output nodes that extend forward but
-  // are not themselves absorbable — then longest-first by loop depth so
-  // inner-loop arcs are removed first.
+  // are not themselves absorbable. Chains are disjoint and each is fused
+  // whole, so the order they are taken in does not matter.
   std::vector<NodeId> heads;
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId h{static_cast<std::uint32_t>(i)};
@@ -589,9 +589,6 @@ void fuse_chains(Graph& g, const Analysis& an, std::size_t fuse_limit,
     if (!next[i].valid() || prev[i].valid()) continue;
     heads.push_back(h);
   }
-  std::stable_sort(heads.begin(), heads.end(), [&](NodeId a, NodeId b) {
-    return an.loop_depth[a.index()] > an.loop_depth[b.index()];
-  });
 
   bool any = false;
   for (const NodeId h : heads) {
@@ -696,10 +693,16 @@ OptStats run_passes(Graph& g, PassSet passes, std::size_t fuse_limit) {
     if (dirty) rebuild(g, w);
   }
 
-  const Analysis an = analyze(g);
-  stats.max_loop_depth = an.max_loop_depth();
+  {
+    const FlowView view(g);
+    support::GraphAlgo<NodeId> algo;
+    support::build_order(view, algo);
+    support::build_dominators(view, algo);
+    support::build_loops(view, algo);
+    stats.max_loop_depth = algo.max_loop_depth();
+  }
   if (passes.enabled(PassId::kFuse) && fuse_limit >= 2)
-    fuse_chains(g, an, fuse_limit, stats);
+    fuse_chains(g, fuse_limit, stats);
 
   stats.nodes_removed = initial_nodes - g.num_nodes();
   return stats;

@@ -5,8 +5,7 @@
 // Cleanup passes (iterated jointly to fixpoint, then the graph is
 // compacted):
 //
-//  * fold-switch    — constant-predicate switch folding (dfg/passes.hpp
-//                     provenance; the original peephole quartet).
+//  * fold-switch    — constant-predicate switch folding.
 //  * collapse-merge — single-source merge collapsing. Never touches the
 //                     replicate trees lower_fanout inserts (Node::
 //                     replicate), which are single-source by design.
@@ -28,14 +27,14 @@
 //                     insensitive ports (triggers/access tokens) is
 //                     bypassed.
 //
-// Fusion (runs once, after cleanup, over a fresh loop-nest analysis):
+// Fusion (runs once, after cleanup):
 //
 //  * fuse           — collapses linear chains of single-consumer pure
 //                     ops (BinOp/UnOp/Gate/Synch, every non-chain input
 //                     literal) into kMacro nodes: one match, one token,
-//                     N ALU steps. Chains are claimed in descending
-//                     loop_depth order so inner-loop arcs are removed
-//                     first; chains longer than fuse_limit split.
+//                     N ALU steps. Chains are disjoint and each is fused
+//                     whole, so no chain is preferred over another;
+//                     chains longer than fuse_limit split.
 //
 // Semantics preservation is proven by the schema-equivalence and fuzz
 // differential sweeps with every pass enabled (tests/support/
@@ -46,7 +45,6 @@
 #include <optional>
 #include <string_view>
 
-#include "dfg/analysis.hpp"
 #include "dfg/graph.hpp"
 
 namespace ctdf::dfg {
@@ -81,15 +79,6 @@ struct PassSet {
     s.disable(PassId::kFuse);
     return s;
   }
-  /// The original optimize_graph quartet (fold-switch, collapse-merge,
-  /// dce) — the legacy `post_optimize` behavior.
-  [[nodiscard]] static PassSet legacy() {
-    PassSet s;
-    s.enable(PassId::kFoldSwitch);
-    s.enable(PassId::kCollapseMerge);
-    s.enable(PassId::kDce);
-    return s;
-  }
 
   [[nodiscard]] bool enabled(PassId p) const {
     return bits & (1u << static_cast<std::uint8_t>(p));
@@ -122,7 +111,8 @@ struct OptStats {
   /// Fused-chain length histogram: index i = chains of length i + 2
   /// ops, last bucket = 8 ops or longer.
   std::size_t fused_len_hist[7] = {};
-  std::uint32_t max_loop_depth = 0;  ///< from the pre-fusion analysis
+  /// Deepest natural-loop nesting of the pre-fusion graph.
+  std::uint32_t max_loop_depth = 0;
 };
 
 inline constexpr std::size_t kDefaultFuseLimit = 8;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "dfg/pass_manager.hpp"
 #include "support/assert.hpp"
 
 namespace ctdf::dfg {
@@ -120,19 +119,6 @@ std::size_t lower_fanout(Graph& g, std::size_t max_destinations) {
   }
   g.erase_arcs(drop);
   return inserted;
-}
-
-PassStats optimize_graph(Graph& g) {
-  // Kept as the legacy entry point: the original peephole quartet is
-  // now the fold-switch/collapse-merge/dce subset of the pass manager.
-  const OptStats full = run_passes(g, PassSet::legacy());
-  PassStats stats;
-  stats.switches_folded = full.switches_folded;
-  stats.merges_collapsed = full.merges_collapsed;
-  stats.dead_removed = full.dead_removed;
-  stats.unfireable_removed = full.unfireable_removed;
-  stats.iterations = full.iterations;
-  return stats;
 }
 
 }  // namespace ctdf::dfg

@@ -1,14 +1,9 @@
-// Structural graph transforms that are not optimizer passes, plus the
-// legacy optimize_graph entry point.
+// Structural graph transforms that are not optimizer passes.
 //
 // The optimization passes themselves (constant-switch folding, merge
 // collapsing, DCE, const-fold, switch-elim, synch-narrow, macro-op
 // fusion) live in dfg/pass_manager.hpp as an ordered, individually
-// toggleable pass list; optimize_graph here is a thin wrapper running
-// the original peephole subset (PassSet::legacy()) for callers that
-// predate the pass manager.
-//
-// What remains native to this header:
+// toggleable pass list. This header holds:
 //
 //  * lower_fanout — Monsoon-fidelity fan-out bounding via replication
 //    trees (marked Node::replicate so merge-collapsing skips them).
@@ -20,22 +15,6 @@
 #include "dfg/graph.hpp"
 
 namespace ctdf::dfg {
-
-struct PassStats {
-  std::size_t switches_folded = 0;
-  std::size_t merges_collapsed = 0;
-  std::size_t dead_removed = 0;       ///< output-unused removals
-  std::size_t unfireable_removed = 0; ///< unwired-input removals
-  std::size_t iterations = 0;
-
-  [[nodiscard]] std::size_t total_removed() const {
-    return switches_folded + merges_collapsed + dead_removed +
-           unfireable_removed;
-  }
-};
-
-/// Runs all passes to fixpoint and compacts the graph in place.
-PassStats optimize_graph(Graph& g);
 
 /// Monsoon fidelity: a real explicit-token-store instruction can name
 /// only a small number of destinations (two, on Monsoon). The IR allows

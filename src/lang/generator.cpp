@@ -34,13 +34,16 @@ class Gen {
 
   void declare_vars() {
     for (int i = 0; i < opt_.num_scalars; ++i) {
-      const auto v = prog_.symbols.declare_scalar("s" + std::to_string(i));
+      std::string name = "s";
+      name += std::to_string(i);
+      const auto v = prog_.symbols.declare_scalar(name);
       CTDF_ASSERT(v.has_value());
       scalars_.push_back(*v);
     }
     for (int i = 0; i < opt_.num_arrays; ++i) {
-      const auto v = prog_.symbols.declare_array("a" + std::to_string(i),
-                                                 opt_.array_size);
+      std::string name = "a";
+      name += std::to_string(i);
+      const auto v = prog_.symbols.declare_array(name, opt_.array_size);
       CTDF_ASSERT(v.has_value());
       arrays_.push_back(*v);
     }
@@ -68,13 +71,18 @@ class Gen {
   /// A fresh loop counter: initialized before its loop, incremented once
   /// per iteration, never otherwise written.
   VarId fresh_counter() {
-    const auto v =
-        prog_.symbols.declare_scalar("k" + std::to_string(counter_seq_++));
+    std::string name = "k";
+    name += std::to_string(counter_seq_++);
+    const auto v = prog_.symbols.declare_scalar(name);
     CTDF_ASSERT(v.has_value());
     return *v;
   }
 
-  std::string fresh_label() { return "L" + std::to_string(label_seq_++); }
+  std::string fresh_label() {
+    std::string label = "L";
+    label += std::to_string(label_seq_++);
+    return label;
+  }
 
   // --- expressions ----------------------------------------------------------
 

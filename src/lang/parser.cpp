@@ -306,8 +306,12 @@ class Parser {
     LValue lv;
     lv.var = *v;
     if (accept(TokKind::kLBracket)) {
-      if (!prog.symbols.is_array(*v))
-        error(t.loc, "'" + std::string(t.text) + "' is not an array");
+      if (!prog.symbols.is_array(*v)) {
+        std::string msg = "'";
+        msg += t.text;
+        msg += "' is not an array";
+        error(t.loc, std::move(msg));
+      }
       if (!enter(t.loc)) return std::nullopt;
       lv.index = parse_expr(prog);
       leave();

@@ -63,7 +63,10 @@ std::string compact(std::string s) {
 }
 
 std::string quoted(const std::string& s) {
-  return "\"" + machine::json_escape(s) + "\"";
+  std::string out = "\"";
+  out += machine::json_escape(s);
+  out += '"';
+  return out;
 }
 
 std::string hex16(std::uint64_t v) {

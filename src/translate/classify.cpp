@@ -10,13 +10,11 @@ namespace ctdf::translate {
 bool ResourceClasses::split_at(const cfg::LoopInfo& loops, cfg::NodeId n,
                                Resource r) const {
   if (istructure[r]) return true;
-  for (const cfg::Loop& loop : loops.loops()) {
-    const auto& ms = marked[loop.id.index()];
-    if (std::find(ms.begin(), ms.end(), r) != ms.end() &&
-        loops.in_loop(n, loop.id))
-      return true;
-  }
-  return false;
+  if (loops_store_parallelized == 0) return false;
+  const cfg::LoopId l = loops.innermost(n);
+  if (!l.valid()) return false;
+  const auto& ms = marked[l.index()];
+  return std::find(ms.begin(), ms.end(), r) != ms.end();
 }
 
 std::size_t ResourceClasses::eliminated_count() const {
@@ -85,10 +83,21 @@ ResourceClasses classify_resources(const lang::Program& prog,
     if (!r || rc.istructure[*r]) continue;
     const VarId a = cover.singleton_var(*r);
     for (const cfg::Loop& loop : loops.loops()) {
-      if (stores_parallelizable(cfg, loop, a, prog.symbols)) {
+      if (stores_parallelizable(cfg, loops.nodes(loop.id), a,
+                                prog.symbols)) {
         rc.marked[loop.id.index()].push_back(*r);
         ++rc.loops_store_parallelized;
       }
+    }
+  }
+  // A loop inherits the marks of the loops enclosing it (parents come
+  // first in preorder).
+  for (const cfg::LoopId l : loops.preorder()) {
+    const cfg::LoopId parent = loops.loop(l).parent;
+    if (!parent.valid()) continue;
+    for (const Resource r : rc.marked[parent.index()]) {
+      auto& ms = rc.marked[l.index()];
+      if (std::find(ms.begin(), ms.end(), r) == ms.end()) ms.push_back(r);
     }
   }
   return rc;

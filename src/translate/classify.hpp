@@ -26,7 +26,7 @@ struct ResourceClasses {
   std::vector<bool> eliminated;   ///< Sec. 6.1: value rides the token
   std::vector<bool> istructure;   ///< Sec. 6.3: write-once region
   /// Per loop (by LoopId index): resources whose stores are Fig. 14
-  /// parallelized inside that loop.
+  /// parallelized inside that loop or a loop enclosing it.
   std::vector<std::vector<Resource>> marked;
   std::vector<IRegion> istructure_regions;
   std::size_t loops_store_parallelized = 0;  ///< Fig. 14 applications

@@ -30,12 +30,18 @@ SourceVectors compute_source_vectors(const cfg::Graph& cfg,
     for (Resource r = 0; r < num_resources; ++r) rs[r] = r;
     return rs;
   };
-  for (const cfg::Loop& loop : loops.loops()) {
-    loop_res[loop.id.index()] =
-        optimize_switches
-            ? cover.access_set_union(loops.used_vars(cfg, loop.id))
-            : all_resources();
+  if (optimize_switches) {
+    const std::vector<std::vector<lang::VarId>> used = loops.used_vars(cfg);
+    for (std::size_t l = 0; l < used.size(); ++l)
+      loop_res[l] = cover.access_set_union(used[l]);
+  } else {
+    for (auto& res : loop_res) res = all_resources();
   }
+
+  // Resources some fork inside each loop needs a switch for, one row of
+  // num_resources flags per loop: a fork counts in its innermost loop,
+  // and each loop hands its row to its parent.
+  std::vector<char> switched(loops.loops().size() * num_resources);
 
   std::optional<SwitchPlacement> placement;
   for (int iteration = 0;; ++iteration) {
@@ -50,19 +56,29 @@ SourceVectors compute_source_vectors(const cfg::Graph& cfg,
     if (!optimize_switches) break;
 
     bool changed = false;
-    for (const cfg::Loop& loop : loops.loops()) {
-      auto& res = loop_res[loop.id.index()];
-      for (NodeId n : loop.members) {
+    std::fill(switched.begin(), switched.end(), 0);
+    for (auto it = loops.preorder().rbegin(); it != loops.preorder().rend();
+         ++it) {
+      const cfg::Loop& loop = loops.loop(*it);
+      char* row = switched.data() + loop.id.index() * num_resources;
+      for (NodeId n : loops.body(loop.id)) {
         if (cfg.kind(n) != cfg::NodeKind::kFork) continue;
-        for (Resource r = 0; r < num_resources; ++r) {
-          if (placement->needs_switch(n, r) &&
-              std::find(res.begin(), res.end(), r) == res.end()) {
-            res.push_back(r);
-            changed = true;
-          }
-        }
+        for (Resource r = 0; r < num_resources; ++r)
+          if (placement->needs_switch(n, r)) row[r] = 1;
       }
-      std::sort(res.begin(), res.end());
+      auto& res = loop_res[loop.id.index()];
+      const std::size_t had = res.size();
+      for (Resource r = 0; r < num_resources; ++r) {
+        if (!row[r]) continue;
+        if (loop.parent.valid())
+          switched[loop.parent.index() * num_resources + r] = 1;
+        if (!std::binary_search(res.begin(), res.begin() + had, r))
+          res.push_back(r);
+      }
+      if (res.size() != had) {
+        std::sort(res.begin(), res.end());
+        changed = true;
+      }
     }
     if (!changed) break;
   }

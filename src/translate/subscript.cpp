@@ -84,7 +84,7 @@ std::optional<Affine> match_affine(const lang::Expr& expr) {
 }
 
 std::optional<std::int64_t> induction_step(const cfg::Graph& g,
-                                           const cfg::Loop& loop,
+                                           std::span<const cfg::NodeId> loop,
                                            lang::VarId v,
                                            const lang::SymbolTable& syms) {
   if (syms.is_array(v)) return std::nullopt;
@@ -92,7 +92,7 @@ std::optional<std::int64_t> induction_step(const cfg::Graph& g,
 
   std::optional<std::int64_t> step;
   int assignments = 0;
-  for (cfg::NodeId n : loop.members) {
+  for (cfg::NodeId n : loop) {
     const cfg::Node& node = g.node(n);
     if (node.kind != cfg::NodeKind::kAssign || node.lhs.var != v) continue;
     ++assignments;
@@ -107,10 +107,11 @@ std::optional<std::int64_t> induction_step(const cfg::Graph& g,
   return step;
 }
 
-bool stores_parallelizable(const cfg::Graph& g, const cfg::Loop& loop,
-                           lang::VarId a, const lang::SymbolTable& syms) {
+bool stores_parallelizable(const cfg::Graph& g,
+                           std::span<const cfg::NodeId> loop, lang::VarId a,
+                           const lang::SymbolTable& syms) {
   bool any_store = false;
-  for (cfg::NodeId n : loop.members) {
+  for (cfg::NodeId n : loop) {
     const cfg::Node& node = g.node(n);
     std::vector<lang::VarId> reads;
     switch (node.kind) {

@@ -17,9 +17,9 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "cfg/graph.hpp"
-#include "cfg/intervals.hpp"
 #include "lang/ast.hpp"
 
 namespace ctdf::translate {
@@ -36,19 +36,20 @@ struct Affine {
 /// including c == 0 and expressions referencing more than one variable.
 [[nodiscard]] std::optional<Affine> match_affine(const lang::Expr& expr);
 
-/// Is `v` a simple induction variable of `loop`: unaliased scalar,
-/// assigned exactly once among the loop's members, in the form
-/// v := v ± step (constant step ≠ 0)? Returns the signed step.
+/// Is `v` a simple induction variable of the loop whose nodes are
+/// `loop` (cfg::LoopInfo::nodes): unaliased scalar, assigned exactly
+/// once among them, in the form v := v ± step (constant step ≠ 0)?
+/// Returns the signed step.
 [[nodiscard]] std::optional<std::int64_t> induction_step(
-    const cfg::Graph& g, const cfg::Loop& loop, lang::VarId v,
+    const cfg::Graph& g, std::span<const cfg::NodeId> loop, lang::VarId v,
     const lang::SymbolTable& syms);
 
-/// Full Fig. 14 qualification: inside `loop`, array `a` is only ever
-/// stored to (never read by any member's rhs, subscript, or predicate),
-/// and every store's subscript is affine in a simple induction variable
-/// of the loop.
+/// Full Fig. 14 qualification: inside the loop whose nodes are `loop`,
+/// array `a` is only ever stored to (never read by any node's rhs,
+/// subscript, or predicate), and every store's subscript is affine in a
+/// simple induction variable of the loop.
 [[nodiscard]] bool stores_parallelizable(const cfg::Graph& g,
-                                         const cfg::Loop& loop,
+                                         std::span<const cfg::NodeId> loop,
                                          lang::VarId a,
                                          const lang::SymbolTable& syms);
 

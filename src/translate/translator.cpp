@@ -11,6 +11,7 @@
 #include "cfg/dominance.hpp"
 #include "cfg/intervals.hpp"
 #include "support/assert.hpp"
+#include "support/graph_algo.hpp"
 #include "translate/build_graph.hpp"
 #include "translate/classify.hpp"
 #include "translate/source_vectors.hpp"
@@ -122,10 +123,7 @@ class Builder {
   void build() {
     dfg::Graph& g = result_.graph;
 
-    const auto rpo = cfg_.reverse_postorder();
-    rpo_index_.resize(cfg_.size(), 0);
-    for (std::size_t i = 0; i < rpo.size(); ++i)
-      rpo_index_[rpo[i]] = static_cast<std::uint32_t>(i);
+    support::build_order(cfg::ForwardView{cfg_}, order_);
 
     incoming_.resize(cfg_.size() * num_res_);
     sinks_.resize(cfg_.size() * num_res_);
@@ -152,7 +150,9 @@ class Builder {
       processed_[cfg_.start().index()] = true;
     }
 
-    for (NodeId n : rpo) {
+    for (auto it = order_.postorder.rbegin(); it != order_.postorder.rend();
+         ++it) {
+      const NodeId n = *it;
       if (n == cfg_.start()) continue;
       switch (cfg_.kind(n)) {
         case cfg::NodeKind::kAssign:
@@ -252,7 +252,7 @@ class Builder {
 
   [[nodiscard]] bool has_back_in_edge(NodeId n) const {
     for (NodeId p : cfg_.preds(n))
-      if (rpo_index_[p] >= rpo_index_[n]) return true;
+      if (order_[p].postorder_i <= order_[n].postorder_i) return true;
     return false;
   }
 
@@ -806,7 +806,7 @@ class Builder {
   const cfg::DomTree& pdom_;
   std::size_t num_res_;
 
-  support::IndexMap<NodeId, std::uint32_t> rpo_index_;
+  support::GraphAlgo<NodeId> order_;  ///< the CFG's DFS order
   std::vector<Comp> incoming_;  ///< nodes x resources, node-major
   std::vector<Sink> sinks_;     ///< nodes x resources, node-major
   std::vector<bool> processed_;

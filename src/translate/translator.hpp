@@ -70,7 +70,7 @@ struct Translation {
   std::size_t loops = 0;
   int nodes_split = 0;
   std::size_t loops_store_parallelized = 0;  ///< Fig. 14 applications
-  std::size_t post_opt_removed = 0;  ///< ops removed by dfg::optimize_graph
+  std::size_t post_opt_removed = 0;  ///< nodes removed by dfg::run_passes
   std::size_t replicates_inserted = 0;  ///< fanout-lowering replicate nodes
   std::size_t dead_stores_removed = 0;  ///< liveness-based DSE (CFG level)
 };

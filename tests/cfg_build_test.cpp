@@ -133,8 +133,11 @@ TEST(CfgBuild, DotOutputMentionsEveryNode) {
   const auto p = lang::corpus::running_example();
   const Graph g = build_cfg_or_throw(p);
   const std::string dot = g.to_dot(p.symbols);
-  for (NodeId n : g.all_nodes())
-    EXPECT_NE(dot.find("n" + std::to_string(n.value())), std::string::npos);
+  for (NodeId n : g.all_nodes()) {
+    std::string id = "n";
+    id += std::to_string(n.value());
+    EXPECT_NE(dot.find(id), std::string::npos);
+  }
 }
 
 TEST(CfgBuild, AllCorpusProgramsValidate) {

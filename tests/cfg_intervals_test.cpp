@@ -84,7 +84,8 @@ TEST(LoopTransform, NestedLoopsNestProperly) {
   EXPECT_TRUE(t.info.in_loop(inner->entry, outer->id));
   for (NodeId x : inner->exits) EXPECT_TRUE(t.info.in_loop(x, outer->id));
   // Inner membership is a subset of outer membership.
-  for (NodeId m : inner->members) EXPECT_TRUE(t.info.in_loop(m, outer->id));
+  for (NodeId m : t.info.nodes(inner->id))
+    EXPECT_TRUE(t.info.in_loop(m, outer->id));
 }
 
 TEST(LoopTransform, InnerBackEdgeToOuterHeaderChainsExits) {
@@ -119,7 +120,7 @@ TEST(LoopTransform, SelfLoop) {
 TEST(LoopTransform, UsedVarsOfLoop) {
   Transformed t(lang::corpus::running_example());
   const Loop& l = t.info.loops().front();
-  const auto used = t.info.used_vars(t.g, l.id);
+  const auto used = t.info.used_vars(t.g)[l.id.index()];
   EXPECT_EQ(used.size(), 2u);  // x and y
 }
 

@@ -164,8 +164,8 @@ const Golden kGolden[] = {
   {"cold-11/mem-elim", 0xe851bf4c29d2df25ull, 9165, 0xfdd758fc3dd6d264ull, 0x89ff39b973e1683eull, 0x4817c8d0c5a10c2dull},
   {"cold-12/default", 0x348e1f7912cb3dcbull, 14215, 0x1df03bb3d9b5249eull, 0x4e7f61c11568a69eull, 0xeb9d33d582202b50ull},
   {"cold-12/mem-elim", 0x3e346030f512dd34ull, 13433, 0x1ed610a9b230f0fbull, 0x4e7f61c11568a69eull, 0x71920e10b02a7cc7ull},
-  {"cold-13/default", 0xc808960a2c9a2358ull, 12315, 0xd65272f81202b31bull, 0xf111952aa4a7577bull, 0x8b795087a12ee030ull},
-  {"cold-13/mem-elim", 0xc716c122da67e8a8ull, 12016, 0xce6c503e16125f68ull, 0xf111952aa4a7577bull, 0xcb20028fe756c779ull},
+  {"cold-13/default", 0xc808960a2c9a2358ull, 12315, 0xd65272f81202b31bull, 0xf67751ac0a0d5016ull, 0x8b795087a12ee030ull},
+  {"cold-13/mem-elim", 0xc716c122da67e8a8ull, 12016, 0xce6c503e16125f68ull, 0xf67751ac0a0d5016ull, 0xcb20028fe756c779ull},
   {"cold-14/default", 0xaa029a44be34568cull, 15143, 0xe7c3f229b0cdd3c7ull, 0x007afea35c82a3a9ull, 0x32537705313c184eull},
   {"cold-14/mem-elim", 0x056639807138dbbbull, 13619, 0x9d61b1b10642c32eull, 0x007afea35c82a3a9ull, 0x819bfaac32ec6a94ull},
   {"cold-15/default", 0xed20103c493cddd5ull, 14611, 0x560c10712819a3ccull, 0xabff542e02a8b543ull, 0xc1a847ab161e8e18ull},
@@ -182,8 +182,8 @@ const Golden kGolden[] = {
   {"cold-20/mem-elim", 0x3295242acab44bdcull, 10838, 0xef95a5833c55c06full, 0x7d2f69e8c01949cfull, 0xabf86cf6d1f41d85ull},
   {"cold-21/default", 0x5a8792065f6d7b74ull, 12950, 0xf28b453bf4e9cb7aull, 0xe2bfc881579788d7ull, 0xeb3211f8105c8bc9ull},
   {"cold-21/mem-elim", 0xdfc014ce9939d0cfull, 11926, 0xe5eca55e6e37fb4eull, 0xe2bfc881579788d7ull, 0x6c649c7258b87aaeull},
-  {"cold-22/default", 0x8445e27c51326377ull, 10707, 0x4c724efd2775f4aaull, 0x58f14a8a12e8f3eaull, 0xe7afb4642f59476eull},
-  {"cold-22/mem-elim", 0x0e6c71ac42fec998ull, 10187, 0x9a410ef91e2f14bcull, 0x58f14a8a12e8f3eaull, 0x37c76dc43c83f70cull},
+  {"cold-22/default", 0x8445e27c51326377ull, 10707, 0x4c724efd2775f4aaull, 0xb0a2cbd3ae46f4aaull, 0xe7afb4642f59476eull},
+  {"cold-22/mem-elim", 0x0e6c71ac42fec998ull, 10187, 0x9a410ef91e2f14bcull, 0xb0a2cbd3ae46f4aaull, 0x37c76dc43c83f70cull},
   {"cold-23/default", 0x0bdc4d2c7f26e290ull, 21108, 0x48e43d9a850e78afull, 0x7176532c4230c150ull, 0x2810b90314d8751bull},
   {"cold-23/mem-elim", 0x09429d4bb2b18fbeull, 19947, 0x9779ba9dde5b6dbeull, 0x7176532c4230c150ull, 0xd244407e6e6ae600ull},
   {"cold-24/default", 0x8fbf869566dd8c23ull, 7613, 0x442ce93562b2208full, 0x19eb0425122a90f2ull, 0x7d0bb9b6c49a104aull},
@@ -206,8 +206,8 @@ const Golden kGolden[] = {
   {"cold-32/mem-elim", 0xd58580322a12fcd4ull, 11387, 0xcd9ac495f157ee16ull, 0x7603aa44ebcde2f6ull, 0x60cdc29eb2f10033ull},
   {"cold-33/default", 0xd6f2d38e6de2e827ull, 4925, 0xbe50d548f5ba8449ull, 0x740354cca97c33e7ull, 0x9fc7b1fc178b2362ull},
   {"cold-33/mem-elim", 0x43a2aa0c6c4e3f45ull, 4725, 0x9efb7fd48eb8f822ull, 0x740354cca97c33e7ull, 0xb5a70e5d8c750907ull},
-  {"cold-34/default", 0x47c58a4262a78408ull, 18313, 0x1afab7fb931930d3ull, 0x8ed0334a8e8175d9ull, 0x7e50f0bc157c9c28ull},
-  {"cold-34/mem-elim", 0xc50c8ee31c453be6ull, 17416, 0x2d717081830d6aeeull, 0x8ed0334a8e8175d9ull, 0xebaa331aac7298bbull},
+  {"cold-34/default", 0x47c58a4262a78408ull, 18313, 0x1afab7fb931930d3ull, 0xf0e17af00e2f179full, 0x7e50f0bc157c9c28ull},
+  {"cold-34/mem-elim", 0xc50c8ee31c453be6ull, 17416, 0x2d717081830d6aeeull, 0xf0e17af00e2f179full, 0xebaa331aac7298bbull},
   {"cold-35/default", 0xf4f792a40fea504full, 13269, 0x1d7d9fe1993095e5ull, 0x64132a70094e1109ull, 0x7cec41e73a1fc956ull},
   {"cold-35/mem-elim", 0x0cb154e881725c3eull, 12699, 0x93649246b3b6e637ull, 0x64132a70094e1109ull, 0x0185858a019d8481ull},
   {"cold-36/default", 0x1c0c45f1ce5cc156ull, 13931, 0xc4b1b7aa96a22604ull, 0x244c382bfa219216ull, 0x13dfe249dbf926f3ull},
@@ -220,8 +220,8 @@ const Golden kGolden[] = {
   {"cold-39/mem-elim", 0x744397f3d8ff1a1cull, 22879, 0x2562336c7e5bb18dull, 0xecb4fef1416da54full, 0xf9e057856b97c618ull},
   {"cold-40/default", 0x2e3a217586e23bf5ull, 7475, 0x1f5ac9b1edd8b6fcull, 0x1e9beebcd957dd3aull, 0x0b9561b367a96e88ull},
   {"cold-40/mem-elim", 0x15a82d39317e95b7ull, 6829, 0x1b24340c6c5e4c48ull, 0x1e9beebcd957dd3aull, 0x6928df0b1881a0d7ull},
-  {"cold-41/default", 0x3de3174fd802dd71ull, 8596, 0xda1b4b04215e4076ull, 0x64100ea96fad5bb5ull, 0xcacc6c4283c10655ull},
-  {"cold-41/mem-elim", 0xa9c7673d6c422a2bull, 8103, 0x5800ea1360b17bd7ull, 0x64100ea96fad5bb5ull, 0xf60b76c632fefa59ull},
+  {"cold-41/default", 0x3de3174fd802dd71ull, 8596, 0xda1b4b04215e4076ull, 0x92294a6063c0b2f8ull, 0xcacc6c4283c10655ull},
+  {"cold-41/mem-elim", 0xa9c7673d6c422a2bull, 8103, 0x5800ea1360b17bd7ull, 0x92294a6063c0b2f8ull, 0xf60b76c632fefa59ull},
   {"cold-42/default", 0x6b6c198d23836b8bull, 16776, 0xcd2ac3c427589c72ull, 0x569e0e6d0ccf86bbull, 0xd4dda701ee62558aull},
   {"cold-42/mem-elim", 0xf88123cb9727b8d0ull, 16167, 0x7e912aee5eb01983ull, 0x569e0e6d0ccf86bbull, 0x5b6dbb7af7de9c4aull},
   {"cold-43/default", 0x14b648dbea035a48ull, 7576, 0x369183e61f8e84a5ull, 0xa3399a938cb48dbdull, 0x99c5b4c54b3f710eull},
@@ -256,8 +256,8 @@ const Golden kGolden[] = {
   {"cold-57/mem-elim", 0x28fa58b2785209b6ull, 6407, 0xf898fdf916df8324ull, 0x0e21541bc29d9764ull, 0x70d5f38d0cd64b13ull},
   {"cold-58/default", 0x327a721535124442ull, 17239, 0xcb1433b3063c7350ull, 0x16586f99a00d92b8ull, 0x7e4015547eb72a90ull},
   {"cold-58/mem-elim", 0xc8e2877cc7c7bd8eull, 16036, 0x51382b35ca4af165ull, 0x16586f99a00d92b8ull, 0x4d29595d11d51d60ull},
-  {"cold-59/default", 0xf64f473d47962f62ull, 10641, 0x77d212fdec0ef4caull, 0x8ea8b1ff7518a2e3ull, 0xa1e8b9d29208c73full},
-  {"cold-59/mem-elim", 0x7c5318ae42c26912ull, 10445, 0xe12bfb38d9e218c2ull, 0x8ea8b1ff7518a2e3ull, 0xe817e6d48d92b313ull},
+  {"cold-59/default", 0xf64f473d47962f62ull, 10641, 0x77d212fdec0ef4caull, 0x023a7872dd3cf5d8ull, 0xa1e8b9d29208c73full},
+  {"cold-59/mem-elim", 0x7c5318ae42c26912ull, 10445, 0xe12bfb38d9e218c2ull, 0x023a7872dd3cf5d8ull, 0xe817e6d48d92b313ull},
   {"cold-60/default", 0xf3bdd10f622057d1ull, 12016, 0x712846431c094876ull, 0xad0d5a6c423ae9f1ull, 0x57058d4947c7fd9dull},
   {"cold-60/mem-elim", 0xfcbbfc95c990d9e0ull, 11196, 0x8fe742ae4478dcf9ull, 0xad0d5a6c423ae9f1ull, 0x2c559f895ed71238ull},
   {"cold-61/default", 0xb24610a17e2b6066ull, 10726, 0x2ee9747ce8ebcd2aull, 0xa7f955161e4fa642ull, 0x7e1506e79a5eaf7bull},

@@ -1,13 +1,24 @@
-// Unit tests for the loop-nest and dominance analysis
-// (dfg/analysis.hpp) on hand-built dataflow graphs, where every
+// Unit tests for the graph-algorithms toolkit (support/graph_algo.hpp)
+// over dfg::FlowView on hand-built dataflow graphs, where every
 // dominator and loop depth can be stated by inspection.
 #include <gtest/gtest.h>
 
-#include "dfg/analysis.hpp"
 #include "dfg/graph.hpp"
+#include "support/graph_algo.hpp"
 
 namespace ctdf::dfg {
 namespace {
+
+using Algo = support::GraphAlgo<NodeId>;
+
+Algo analyze(const Graph& g) {
+  const FlowView view(g);
+  Algo algo;
+  support::build_order(view, algo);
+  support::build_dominators(view, algo);
+  support::build_loops(view, algo);
+  return algo;
+}
 
 NodeId add_start(Graph& g, std::uint16_t outs = 1) {
   Node s;
@@ -36,7 +47,7 @@ void wire(Graph& g, NodeId src, NodeId dst, std::uint16_t dst_port = 0) {
   g.connect({src, 0}, {dst, dst_port}, false);
 }
 
-TEST(Analysis, StraightLineHasChainDominatorsAndDepthZero) {
+TEST(GraphAlgo, StraightLineHasChainDominatorsAndDepthZero) {
   Graph g;
   const NodeId s = add_start(g);
   const NodeId a = block(g, "a");
@@ -46,20 +57,20 @@ TEST(Analysis, StraightLineHasChainDominatorsAndDepthZero) {
   wire(g, a, b);
   wire(g, b, e);
 
-  const Analysis an = analyze(g);
+  const Algo an = analyze(g);
   EXPECT_EQ(an.preorder.size(), 4u);
   EXPECT_EQ(an.postorder.size(), 4u);
-  EXPECT_EQ(an.idom[a.index()], s);
-  EXPECT_EQ(an.idom[b.index()], a);
-  EXPECT_EQ(an.idom[e.index()], b);
+  EXPECT_EQ(an[a].idom, s);
+  EXPECT_EQ(an[b].idom, a);
+  EXPECT_EQ(an[e].idom, b);
   for (const NodeId n : {s, a, b, e}) {
     EXPECT_TRUE(an.reachable(n));
-    EXPECT_EQ(an.loop_depth[n.index()], 0u);
-    EXPECT_FALSE(an.loop_header[n.index()].valid());
+    EXPECT_EQ(an.loop_depth(n), 0u);
+    EXPECT_FALSE(an[n].iloop_header.valid());
   }
 }
 
-TEST(Analysis, DiamondJoinIsDominatedByTheForkOnly) {
+TEST(GraphAlgo, DiamondJoinIsDominatedByTheForkOnly) {
   Graph g;
   const NodeId s = add_start(g);
   const NodeId fork = block(g, "fork");
@@ -74,8 +85,8 @@ TEST(Analysis, DiamondJoinIsDominatedByTheForkOnly) {
   wire(g, right, join);
   wire(g, join, e);
 
-  const Analysis an = analyze(g);
-  EXPECT_EQ(an.idom[join.index()], fork);
+  const Algo an = analyze(g);
+  EXPECT_EQ(an[join].idom, fork);
   EXPECT_TRUE(an.dominates(fork, join));
   EXPECT_TRUE(an.dominates(s, join));
   EXPECT_FALSE(an.dominates(left, join));
@@ -84,7 +95,7 @@ TEST(Analysis, DiamondJoinIsDominatedByTheForkOnly) {
   EXPECT_EQ(an.max_loop_depth(), 0u);
 }
 
-TEST(Analysis, SelfLoopIsItsOwnHeaderAtDepthOne) {
+TEST(GraphAlgo, SelfLoopIsItsOwnHeaderAtDepthOne) {
   Graph g;
   const NodeId s = add_start(g);
   const NodeId a = block(g, "a");
@@ -93,15 +104,15 @@ TEST(Analysis, SelfLoopIsItsOwnHeaderAtDepthOne) {
   wire(g, a, a);  // back arc: a dominates a
   wire(g, a, e);
 
-  const Analysis an = analyze(g);
-  EXPECT_EQ(an.loop_depth[a.index()], 1u);
-  EXPECT_EQ(an.loop_header[a.index()], a);
-  EXPECT_EQ(an.loop_depth[s.index()], 0u);
-  EXPECT_EQ(an.loop_depth[e.index()], 0u);
+  const Algo an = analyze(g);
+  EXPECT_EQ(an.loop_depth(a), 1u);
+  EXPECT_EQ(an[a].iloop_header, a);
+  EXPECT_EQ(an.loop_depth(s), 0u);
+  EXPECT_EQ(an.loop_depth(e), 0u);
   EXPECT_EQ(an.max_loop_depth(), 1u);
 }
 
-TEST(Analysis, SimpleLoopBodySharesTheHeader) {
+TEST(GraphAlgo, SimpleLoopBodySharesTheHeader) {
   Graph g;
   const NodeId s = add_start(g);
   const NodeId h = block(g, "head");
@@ -112,16 +123,16 @@ TEST(Analysis, SimpleLoopBodySharesTheHeader) {
   wire(g, b, h);  // back arc: h dominates b
   wire(g, b, e);
 
-  const Analysis an = analyze(g);
-  EXPECT_EQ(an.idom[b.index()], h);
-  EXPECT_EQ(an.loop_depth[h.index()], 1u);
-  EXPECT_EQ(an.loop_depth[b.index()], 1u);
-  EXPECT_EQ(an.loop_header[h.index()], h);
-  EXPECT_EQ(an.loop_header[b.index()], h);
-  EXPECT_EQ(an.loop_depth[e.index()], 0u);
+  const Algo an = analyze(g);
+  EXPECT_EQ(an[b].idom, h);
+  EXPECT_EQ(an.loop_depth(h), 1u);
+  EXPECT_EQ(an.loop_depth(b), 1u);
+  EXPECT_EQ(an[h].iloop_header, h);
+  EXPECT_EQ(an[b].iloop_header, h);
+  EXPECT_EQ(an.loop_depth(e), 0u);
 }
 
-TEST(Analysis, NestedLoopsStackDepths) {
+TEST(GraphAlgo, NestedLoopsStackDepths) {
   // start → h1 → h2 → b → (h2 back) ; b → x → (h1 back) ; x → end
   Graph g;
   const NodeId s = add_start(g);
@@ -138,19 +149,44 @@ TEST(Analysis, NestedLoopsStackDepths) {
   wire(g, x, h1);  // outer back arc
   wire(g, x, e);
 
-  const Analysis an = analyze(g);
-  EXPECT_EQ(an.loop_depth[h1.index()], 1u);
-  EXPECT_EQ(an.loop_depth[x.index()], 1u);
-  EXPECT_EQ(an.loop_depth[h2.index()], 2u);
-  EXPECT_EQ(an.loop_depth[b.index()], 2u);
-  EXPECT_EQ(an.loop_header[b.index()], h2);
-  EXPECT_EQ(an.loop_header[x.index()], h1);
+  const Algo an = analyze(g);
+  EXPECT_EQ(an.loop_depth(h1), 1u);
+  EXPECT_EQ(an.loop_depth(x), 1u);
+  EXPECT_EQ(an.loop_depth(h2), 2u);
+  EXPECT_EQ(an.loop_depth(b), 2u);
+  EXPECT_EQ(an[b].iloop_header, h2);
+  EXPECT_EQ(an[x].iloop_header, h1);
   EXPECT_EQ(an.max_loop_depth(), 2u);
   // The inner header's innermost loop is its own.
-  EXPECT_EQ(an.loop_header[h2.index()], h2);
+  EXPECT_EQ(an[h2].iloop_header, h2);
+  EXPECT_EQ(an[h2].loop_parent, h1);
+  EXPECT_TRUE(an.loop_contains(h1, b));
+  EXPECT_FALSE(an.loop_contains(h2, x));
+  EXPECT_TRUE(support::is_reducible(FlowView{g}, an));
 }
 
-TEST(Analysis, UnreachableNodesHaveNoOrderDominatorOrDepth) {
+TEST(GraphAlgo, TwoEntryCycleIsIrreducibleAndNoLoop) {
+  // start → a, start → b, a ⇄ b: neither entry dominates the other.
+  Graph g;
+  const NodeId s = add_start(g, 2);
+  const NodeId a = block(g, "a");
+  const NodeId b = block(g, "b");
+  const NodeId e = add_end(g);
+  g.connect({s, 0}, {a, 0}, false);
+  g.connect({s, 1}, {b, 0}, false);
+  wire(g, a, b);
+  wire(g, b, a);
+  wire(g, b, e);
+
+  const Algo an = analyze(g);
+  EXPECT_FALSE(support::is_reducible(FlowView{g}, an));
+  EXPECT_EQ(an[a].idom, s);
+  EXPECT_EQ(an[b].idom, s);
+  EXPECT_EQ(an.max_loop_depth(), 0u);
+  EXPECT_TRUE(an.loop_headers.empty());
+}
+
+TEST(GraphAlgo, UnreachableNodesHaveNoOrderDominatorOrDepth) {
   Graph g;
   const NodeId s = add_start(g);
   const NodeId a = block(g, "a");
@@ -160,11 +196,11 @@ TEST(Analysis, UnreachableNodesHaveNoOrderDominatorOrDepth) {
   wire(g, a, e);
   wire(g, orphan, e);
 
-  const Analysis an = analyze(g);
+  const Algo an = analyze(g);
   EXPECT_FALSE(an.reachable(orphan));
-  EXPECT_EQ(an.preorder_index[orphan.index()], Analysis::kUnreachable);
-  EXPECT_FALSE(an.idom[orphan.index()].valid());
-  EXPECT_EQ(an.loop_depth[orphan.index()], 0u);
+  EXPECT_EQ(an[orphan].preorder_i, support::kUnvisited);
+  EXPECT_FALSE(an[orphan].idom.valid());
+  EXPECT_EQ(an.loop_depth(orphan), 0u);
   EXPECT_FALSE(an.dominates(s, orphan));
   EXPECT_FALSE(an.dominates(orphan, e));
   // Reachable nodes are unaffected by the orphan.

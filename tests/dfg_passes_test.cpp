@@ -1,11 +1,26 @@
 #include <gtest/gtest.h>
 
 #include "core/compiler.hpp"
+#include "dfg/pass_manager.hpp"
 #include "dfg/passes.hpp"
 #include "lang/corpus.hpp"
 
 namespace ctdf::dfg {
 namespace {
+
+/// The original peephole trio: fold-switch, collapse-merge and dce.
+OptStats run_peepholes(Graph& g) {
+  PassSet set;
+  set.enable(PassId::kFoldSwitch);
+  set.enable(PassId::kCollapseMerge);
+  set.enable(PassId::kDce);
+  return run_passes(g, set);
+}
+
+std::size_t total_removed(const OptStats& s) {
+  return s.switches_folded + s.merges_collapsed + s.dead_removed +
+         s.unfireable_removed;
+}
 
 translate::Translation compile(std::string_view src,
                                bool post_optimize = false) {
@@ -19,7 +34,7 @@ TEST(Passes, ConstantSwitchIsFolded) {
   auto tx = compile(src);
   const auto before = compute_stats(tx.graph);
   ASSERT_GT(before.switches, 0u);
-  const PassStats stats = optimize_graph(tx.graph);
+  const OptStats stats = run_peepholes(tx.graph);
   EXPECT_GT(stats.switches_folded, 0u);
   EXPECT_EQ(compute_stats(tx.graph).switches, 0u);
   EXPECT_TRUE(tx.graph.validate().empty());
@@ -29,7 +44,7 @@ TEST(Passes, UntakenBranchIsRemoved) {
   const char* src = "var x; if 0 { x := 5; } else { x := 6; }";
   auto tx = compile(src);
   const auto before = compute_stats(tx.graph);
-  const PassStats stats = optimize_graph(tx.graph);
+  const OptStats stats = run_peepholes(tx.graph);
   // The then-branch store can never fire after folding and is removed.
   EXPECT_GT(stats.unfireable_removed, 0u);
   EXPECT_LT(compute_stats(tx.graph).stores, before.stores);
@@ -54,10 +69,10 @@ TEST(Passes, FoldedProgramStillComputesCorrectly) {
 
 TEST(Passes, IdempotentOnCleanGraphs) {
   auto tx = compile(lang::corpus::running_example_source());
-  (void)optimize_graph(tx.graph);
+  (void)run_peepholes(tx.graph);
   const auto once = compute_stats(tx.graph);
-  const PassStats again = optimize_graph(tx.graph);
-  EXPECT_EQ(again.total_removed(), 0u);
+  const OptStats again = run_peepholes(tx.graph);
+  EXPECT_EQ(total_removed(again), 0u);
   const auto twice = compute_stats(tx.graph);
   EXPECT_EQ(once.nodes, twice.nodes);
   EXPECT_EQ(once.arcs, twice.arcs);
@@ -69,7 +84,7 @@ TEST(Passes, PreservesValidityOnCorpus) {
       auto o = translate::TranslateOptions::schema2_optimized();
       o.eliminate_memory = mem_elim;
       auto tx = core::compile(lang::parse_or_throw(np.source), o);
-      (void)optimize_graph(tx.graph);
+      (void)run_peepholes(tx.graph);
       EXPECT_TRUE(tx.graph.validate().empty()) << np.name;
 
       const auto prog = lang::parse_or_throw(np.source);
@@ -89,7 +104,7 @@ TEST(Passes, DeadValueChainsShrinkDrainTraffic) {
   o.eliminate_memory = true;
   auto tx = core::compile(lang::corpus::running_example(), o);
   const auto before = compute_stats(tx.graph).nodes;
-  (void)optimize_graph(tx.graph);
+  (void)run_peepholes(tx.graph);
   EXPECT_LE(compute_stats(tx.graph).nodes, before);
   EXPECT_TRUE(tx.graph.validate().empty());
 }

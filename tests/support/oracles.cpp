@@ -85,4 +85,97 @@ std::vector<cfg::NodeId> naive_cd_plus(const cfg::Graph& g, cfg::NodeId n) {
   return out;
 }
 
+FlowGraph flow_graph(const cfg::Graph& g) {
+  FlowGraph f;
+  f.root = g.start().index();
+  f.succs.resize(g.size());
+  for (cfg::NodeId n : g.all_nodes())
+    for (cfg::NodeId s : g.succs(n)) f.succs[n.index()].push_back(s.index());
+  return f;
+}
+
+FlowGraph flow_graph(const dfg::Graph& g) {
+  FlowGraph f;
+  f.root = g.start().index();
+  f.succs.resize(g.num_nodes());
+  for (const dfg::Arc& a : g.arcs())
+    f.succs[a.src.index()].push_back(a.dst.index());
+  return f;
+}
+
+namespace {
+
+/// Nodes reachable from the root without entering `removed` (none when
+/// the root itself is removed).
+std::vector<bool> reach_without(const FlowGraph& g, std::size_t removed) {
+  std::vector<bool> seen(g.succs.size(), false);
+  if (g.root == removed) return seen;
+  std::vector<std::size_t> stack{g.root};
+  seen[g.root] = true;
+  while (!stack.empty()) {
+    const std::size_t n = stack.back();
+    stack.pop_back();
+    for (std::size_t s : g.succs[n]) {
+      if (s == removed || seen[s]) continue;
+      seen[s] = true;
+      stack.push_back(s);
+    }
+  }
+  return seen;
+}
+
+}  // namespace
+
+std::vector<bool> naive_dominated_by(const FlowGraph& g, std::size_t a) {
+  std::vector<bool> out = reach_without(g, g.succs.size());  // reachable
+  const std::vector<bool> avoiding = reach_without(g, a);
+  for (std::size_t b = 0; b < out.size(); ++b)
+    out[b] = out[b] && (a == b || !avoiding[b]);
+  return out;
+}
+
+bool naive_dominates(const FlowGraph& g, std::size_t a, std::size_t b) {
+  return naive_dominated_by(g, a)[b];
+}
+
+NaiveLoops naive_natural_loops(const FlowGraph& g) {
+  const std::size_t n = g.succs.size();
+  std::vector<std::vector<std::size_t>> preds(n);
+  for (std::size_t u = 0; u < n; ++u)
+    for (std::size_t s : g.succs[u]) preds[s].push_back(u);
+
+  const std::vector<bool> reachable = reach_without(g, n);
+  std::vector<std::vector<bool>> loop_of(n);  // by header
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t h : g.succs[u]) {
+      if (!naive_dominates(g, h, u)) continue;
+      std::vector<bool>& members = loop_of[h];
+      if (members.empty()) members.assign(n, false);
+      members[h] = true;
+      // Backward from u, never through h.
+      std::vector<std::size_t> stack;
+      if (!members[u]) {
+        members[u] = true;
+        stack.push_back(u);
+      }
+      while (!stack.empty()) {
+        const std::size_t m = stack.back();
+        stack.pop_back();
+        for (std::size_t p : preds[m]) {
+          if (members[p] || !reachable[p]) continue;
+          members[p] = true;
+          stack.push_back(p);
+        }
+      }
+    }
+  }
+  NaiveLoops out;
+  for (std::size_t h = 0; h < n; ++h) {
+    if (loop_of[h].empty()) continue;
+    out.headers.push_back(h);
+    out.members.push_back(std::move(loop_of[h]));
+  }
+  return out;
+}
+
 }  // namespace ctdf::testing

@@ -5,9 +5,11 @@
 // with the production implementations is meaningful evidence.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "cfg/graph.hpp"
+#include "dfg/graph.hpp"
 
 namespace ctdf::testing {
 
@@ -29,5 +31,35 @@ namespace ctdf::testing {
 /// CD⁺(n) by naive fixpoint over naive_control_dependent.
 [[nodiscard]] std::vector<cfg::NodeId> naive_cd_plus(const cfg::Graph& g,
                                                      cfg::NodeId n);
+
+/// A flow graph as plain successor lists (node ids are the graph's own
+/// dense ids), for the dominance and loop oracles below.
+struct FlowGraph {
+  std::size_t root = 0;
+  std::vector<std::vector<std::size_t>> succs;
+};
+
+/// The CFG from start, successors true first.
+[[nodiscard]] FlowGraph flow_graph(const cfg::Graph& g);
+/// The dataflow graph from Start, one successor per arc.
+[[nodiscard]] FlowGraph flow_graph(const dfg::Graph& g);
+
+/// Naive dominance: a dominates b iff b is reachable from the root and
+/// removing a makes it unreachable (plus reflexivity on reachable
+/// nodes). One search per call: by node, the nodes a dominates.
+[[nodiscard]] std::vector<bool> naive_dominated_by(const FlowGraph& g,
+                                                   std::size_t a);
+[[nodiscard]] bool naive_dominates(const FlowGraph& g, std::size_t a,
+                                   std::size_t b);
+
+/// Natural loops by definition: for every edge u → h where h
+/// naive-dominates u, h plus every node that reaches u without passing
+/// through h (nodes unreachable from the root excluded); loops with the
+/// same header merged.
+struct NaiveLoops {
+  std::vector<std::size_t> headers;          ///< ascending
+  std::vector<std::vector<bool>> members;    ///< per header, by node
+};
+[[nodiscard]] NaiveLoops naive_natural_loops(const FlowGraph& g);
 
 }  // namespace ctdf::testing

@@ -68,7 +68,9 @@ struct LoopFixture {
     EXPECT_FALSE(info.loops().empty());
   }
 
-  const cfg::Loop& loop() const { return info.loops().front(); }
+  std::span<const cfg::NodeId> loop() const {
+    return info.nodes(info.loops().front().id);
+  }
   lang::VarId var(const char* n) const { return *prog.symbols.lookup(n); }
 };
 
