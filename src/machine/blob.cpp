@@ -180,9 +180,10 @@ struct BlobCodec {
   }
 
   /// Returns an empty string on success, a kMalformed detail otherwise.
-  /// Structural validation is deliberately shallow — the content hash
-  /// already rules out corruption, so this only guards against blobs
-  /// produced by a buggy or adversarial writer.
+  /// Structural validation covers the table ranges and the frame layout
+  /// the engine indexes without checking — the content hash already
+  /// rules out corruption, so this only guards against blobs produced
+  /// by a buggy or adversarial writer.
   static std::string decode(Reader& r, ExecProgram& p) {
     const std::uint32_t num_ops = r.u32();
     if (num_ops > (1u << 24)) return "implausible op count";
@@ -257,6 +258,12 @@ struct BlobCodec {
     if (!p.fanout_begin_.empty() &&
         p.fanout_begin_.back() != p.fanout_.size())
       return "fan-out index does not cover the destination table";
+    // The frame layout is the one lowering assigns: framed ops own
+    // consecutive slot ranges, and a firing consumes a token for every
+    // non-literal port. Frames are not zero-filled, so this is what
+    // makes every slot a firing reads one a token or a literal wrote.
+    std::uint64_t slots = 0;
+    std::uint64_t framed = 0;
     for (const ExecOp& op : p.ops_) {
       if (op.first_port + op.num_outputs + 1 > p.fanout_begin_.size())
         return "op fan-out range out of bounds";
@@ -265,6 +272,26 @@ struct BlobCodec {
       if (static_cast<std::size_t>(op.first_step) + op.num_steps >
           p.macro_steps_.size())
         return "op macro-step range out of bounds";
+      std::uint16_t tokens = 0;
+      for (std::uint16_t in = 0; in < op.num_inputs; ++in)
+        if (!p.literal_at(op, in)) ++tokens;
+      if (op.consumed_inputs != tokens)
+        return "op consumes a different number of tokens than it has "
+               "non-literal ports";
+      if (!op.framed()) continue;
+      if (op.frame_base != slots || op.strict_index != framed)
+        return "op frame range out of place";
+      slots += op.num_inputs;
+      ++framed;
+    }
+    if (slots != p.frame_slots_ || framed != p.num_framed_)
+      return "frame geometry does not match the op table";
+    for (const ExecDest& d : p.fanout_) {
+      if (d.node.index() >= num_ops) return "destination node out of range";
+      const ExecOp& to = p.ops_[d.node.index()];
+      if (d.port >= to.num_inputs) return "destination port out of range";
+      if (!to.framed() && !(to.flags & kExecNonStrict))
+        return "strict destination without a frame range";
     }
     if (p.start_.index() >= num_ops || p.end_.index() >= num_ops)
       return "start/end node out of range";

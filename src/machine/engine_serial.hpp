@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -99,8 +100,10 @@ class SerialEngine {
                const std::vector<IStructureRegion>& istructures,
                const std::vector<SharedRegion>& shared = {})
       : ep_(ep),
+        tables_(ep.tables()),
         opt_(opt),
         rng_(opt.scheduler_seed),
+        cs_(opt.placement == Placement::kByContext ? opt.processors : 0),
         frames_(ep),
         pending_(opt) {
     CTDF_ASSERT_MSG(opt_.alu_latency >= 1 && opt_.mem_latency >= 1,
@@ -204,7 +207,7 @@ class SerialEngine {
       // A *store* still in flight, however, means memory is not final
       // and the translation failed to collect its acknowledgement.
       const auto is_write = [&](dfg::NodeId n) {
-        return (ep_.op(n).flags & kExecWrite) != 0;
+        return (tables_.op(n).flags & kExecWrite) != 0;
       };
       dfg::NodeId pending_write;
       for (std::size_t i = ready_head_; i < ready_.size(); ++i) {
@@ -240,7 +243,7 @@ class SerialEngine {
 
   void boot() {
     const dfg::NodeId s = ep_.start();
-    const ExecOp& start = ep_.op(s);
+    const ExecOp& start = tables_.op(s);
     ++stats_.ops_fired;
     ++stats_.fired_by_kind[static_cast<std::size_t>(start.kind)];
     // Boot emissions model program loading, not network traffic: they
@@ -251,7 +254,7 @@ class SerialEngine {
     booting_ = false;
   }
 
-  void deliver(const Token& t, std::uint64_t cycle) {
+  [[gnu::always_inline]] void deliver(const Token& t, std::uint64_t cycle) {
     if (fault_) {
       if (t.refire) {
         // A NACKed memory firing (or a capacity-stalled barrier entry)
@@ -266,7 +269,7 @@ class SerialEngine {
       }
     }
     ++stats_.tokens_sent;
-    const ExecOp& op = ep_.op(t.node);
+    const ExecOp& op = tables_.op(t.node);
     if (non_strict(op, opt_.loop_mode)) {
       ReadyEntry& r = ready_slot(t.ctx, t.node);
       r.value = t.value;
@@ -319,11 +322,14 @@ class SerialEngine {
     return r;
   }
 
-  [[nodiscard]] unsigned pe_of(std::uint32_t ctx, dfg::NodeId node) const {
-    if (opt_.processors == 0) return 0;
-    const std::uint64_t key =
-        opt_.placement == Placement::kByNode ? node.value() : ctx;
-    return support::golden_bucket(key, opt_.processors);
+  /// The processing element (ctx, node) fires on: the context's,
+  /// placed when it was allocated, or under --place-by-node the op's.
+  /// Requires opt_.processors > 0.
+  [[nodiscard]] std::uint32_t pe_of(std::uint32_t ctx,
+                                    dfg::NodeId node) const {
+    return opt_.placement == Placement::kByNode
+               ? support::golden_bucket(node.value(), opt_.processors)
+               : cs_.pe(ctx);
   }
 
   /// One cycle of multi-PE issue: each PE fires at most one ready
@@ -336,7 +342,7 @@ class SerialEngine {
     std::uint32_t fired = 0;
     std::size_t i = ready_head_;
     for (; i < ready_.size() && !completed_ && stats_.error.empty(); ++i) {
-      const unsigned pe = pe_of(ready_[i].ctx, ready_[i].node);
+      const std::uint32_t pe = pe_of(ready_[i].ctx, ready_[i].node);
       if (busy_[pe]) {
         kept_.push_back(ready_[i]);
         continue;
@@ -376,10 +382,13 @@ class SerialEngine {
   /// token as live in its context until a firing consumes it.
   void emit(std::uint32_t ctx, dfg::NodeId node, std::uint16_t port,
             std::int64_t value, std::uint64_t cycle, std::uint64_t latency) {
-    const unsigned from_pe = pe_of(fire_ctx_, node);
-    for (const ExecDest& d : ep_.dests(node, port)) {
+    const std::span<const ExecDest> dests =
+        tables_.dests(tables_.op(node), port);
+    const bool multi_pe = opt_.processors > 0;
+    const std::uint32_t from_pe = multi_pe ? pe_of(fire_ctx_, node) : 0;
+    for (const ExecDest& d : dests) {
       std::uint64_t hop = 0;
-      if (opt_.processors > 0 && pe_of(ctx, d.node) != from_pe)
+      if (multi_pe && pe_of(ctx, d.node) != from_pe)
         hop = opt_.network_latency;
       std::uint64_t due = cycle + latency + hop;
       std::uint64_t seq = 0;
@@ -418,11 +427,12 @@ class SerialEngine {
       t.value = value;
       t.port = d.port;
       t.seq = seq;
-      cs_.add_live(ctx);
     }
+    cs_.add_live(ctx, static_cast<std::uint32_t>(dests.size()));
   }
 
-  void consume(std::uint32_t ctx, std::uint64_t cycle, std::uint32_t n = 1) {
+  [[gnu::always_inline]] void consume(std::uint32_t ctx, std::uint64_t cycle,
+                                      std::uint32_t n = 1) {
     const bool retired =
         cs_.consume(ctx, n, [&](std::vector<Token>&& stalled) {
           // Re-deliver the stalled forwardings to the loop entry; they
@@ -450,8 +460,8 @@ class SerialEngine {
   /// match the unconstrained one.
   bool capacity_stall(const ReadyEntry& e, const ExecOp& op,
                       std::uint64_t cycle) {
-    if (!cs_.would_allocate(op.loop, e.ctx) ||
-        cs_.live_contexts() < opt_.frame_capacity)
+    if (cs_.live_contexts() < opt_.frame_capacity ||
+        !cs_.would_allocate(op.loop, e.ctx))
       return false;
     ++stats_.backpressure_stalls;
     if (e.immediate) {
@@ -483,7 +493,7 @@ class SerialEngine {
         return;
       }
     }
-    const ExecOp& op = ep_.op(e.node);
+    const ExecOp& op = tables_.op(e.node);
     if (fault_) {
       if ((op.flags & kExecMem) && !e.refire) {
         // Split-phase memory NACK: the memory rejects the request and
@@ -567,12 +577,16 @@ class SerialEngine {
       }
     }
 
-    // Strict firings: consume the frame-slot range — copy the matched
-    // inputs out and release it before executing, so the op is
-    // re-creatable even while its own emissions are being produced.
+    // Strict firings: release the frame-slot range before executing, so
+    // the op is re-creatable even while its own emissions are being
+    // produced, and read the matched inputs where they sit. Nothing
+    // writes the frame before the consume() at the end, after the last
+    // read of `in`: emissions and deferred readers only push pending
+    // tokens, release() only resets the op's state word (the integrity
+    // tags live outside the frame), and consume() is the one call that
+    // can recycle the frame.
     CTDF_ASSERT(frames_.has(e.ctx, op) && frames_.remaining(e.ctx, op) == 0);
-    const std::int64_t* slots = frames_.inputs(e.ctx, op);
-    in_buf_.assign(slots, slots + op.num_inputs);
+    const std::int64_t* in = frames_.inputs(e.ctx, op);
     const int missing = frames_.release(e.ctx, op);
     if (check_) {
       ++stats_.integrity_checks;
@@ -582,7 +596,6 @@ class SerialEngine {
         return;
       }
     }
-    const std::int64_t* in = in_buf_.data();
     // The consume() itself runs after the outputs are emitted so a
     // context never transiently retires while its own successor tokens
     // are being produced.
@@ -724,6 +737,7 @@ class SerialEngine {
   }
 
   const ExecProgram& ep_;
+  ExecTables tables_;  ///< ep_'s op table and fan-out arrays
   MachineOptions opt_;
   support::SplitMix64 rng_;
 
@@ -740,7 +754,6 @@ class SerialEngine {
   std::vector<ReadyEntry> kept_;
   std::vector<std::uint8_t> busy_;
   std::uint32_t fire_ctx_ = 0;  ///< context of the firing in progress
-  std::vector<std::int64_t> in_buf_;  ///< matched inputs of the firing
 
   /// First arrival of a seq wins; the second is dropped and the entry
   /// forgotten (a seq is used by exactly two copies, so the set stays

@@ -78,6 +78,25 @@ struct ExecOp {
   [[nodiscard]] bool framed() const { return frame_base != kNoFrameSlot; }
 };
 
+/// The op table and the fan-out arrays as spans: what the engine reads
+/// for every token, resolved once per run (ExecProgram::tables()) so a
+/// token reaches them without going through the program's vectors.
+struct ExecTables {
+  std::span<const ExecOp> ops;
+  std::span<const ExecDest> fanout;  ///< all dests, port-contiguous
+  std::span<const std::uint32_t> fanout_begin;  ///< per (op, port), +1 sentinel
+
+  [[nodiscard]] const ExecOp& op(dfg::NodeId n) const { return ops[n.index()]; }
+
+  /// Fan-out destinations of (op, out-port), in graph-arc order.
+  [[nodiscard]] std::span<const ExecDest> dests(const ExecOp& o,
+                                                std::uint16_t port) const {
+    const std::uint32_t p = o.first_port + port;
+    return {fanout.data() + fanout_begin[p],
+            fanout.data() + fanout_begin[p + 1]};
+  }
+};
+
 class ExecProgram {
  public:
   [[nodiscard]] std::size_t num_ops() const { return ops_.size(); }
@@ -92,16 +111,15 @@ class ExecProgram {
     return start_values_;
   }
 
+  /// The engine's per-token view of this program; valid while the
+  /// program lives and is not modified.
+  [[nodiscard]] ExecTables tables() const {
+    return {ops_, fanout_, fanout_begin_};
+  }
   /// Fan-out destinations of (op, out-port), in graph-arc order.
   [[nodiscard]] std::span<const ExecDest> dests(const ExecOp& o,
                                                 std::uint16_t port) const {
-    const std::uint32_t p = o.first_port + port;
-    return {fanout_.data() + fanout_begin_[p],
-            fanout_.data() + fanout_begin_[p + 1]};
-  }
-  [[nodiscard]] std::span<const ExecDest> dests(dfg::NodeId n,
-                                                std::uint16_t port) const {
-    return dests(op(n), port);
+    return tables().dests(o, port);
   }
 
   [[nodiscard]] bool literal_at(const ExecOp& o, std::uint16_t port) const {

@@ -15,6 +15,7 @@
 #include "machine/exec.hpp"
 #include "machine/machine.hpp"
 #include "support/assert.hpp"
+#include "support/hash.hpp"
 
 namespace ctdf::machine {
 
@@ -85,7 +86,11 @@ using DeferredMap =
 /// a recycled frame is already in the all-kNotCreated state a fresh one
 /// starts in). Retired contexts can transiently revive (an inner loop
 /// exiting later re-injects tokens); a revived context simply draws a
-/// fresh frame. Frames are allocated lazily on first delivery.
+/// fresh frame. Frames are allocated lazily on first delivery. Chunks
+/// are not zero-filled: a frame's presence and state words are set
+/// when it is carved out, and every value slot is written, by a token
+/// or a pre-filled literal, before the firing that reads it (BlobCodec
+/// rejects a decoded program whose frame layout breaks this).
 class FrameStore {
  public:
   explicit FrameStore(const ExecProgram& ep)
@@ -122,8 +127,9 @@ class FrameStore {
   void enable_checking() { checking_ = true; }
 
   /// Files one token into (ctx, op)'s slot range.
-  Deliver deliver(std::uint32_t ctx, const ExecOp& op, std::uint16_t port,
-                  std::int64_t value) {
+  [[gnu::always_inline]] Deliver deliver(std::uint32_t ctx, const ExecOp& op,
+                                         std::uint16_t port,
+                                         std::int64_t value) {
     std::byte* f = frame(ctx);
     std::uint16_t& state = states(f)[op.strict_index];
     if (state == kNotCreated) {
@@ -170,7 +176,8 @@ class FrameStore {
     return states(frames_[ctx])[op.strict_index];
   }
 
-  /// The matched input values; valid until release().
+  /// The matched input values, in place. They outlive release(): the
+  /// slots change only when a token is next filed into this frame.
   [[nodiscard]] const std::int64_t* inputs(std::uint32_t ctx,
                                            const ExecOp& op) const {
     return values(frames_[ctx]) + op.frame_base;
@@ -280,11 +287,15 @@ class FrameStore {
       return p;
     }
     if (chunks_.empty() || next_in_chunk_ == frames_per_chunk_) {
-      chunks_.push_back(std::make_unique<std::byte[]>(
+      chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(
           stride_ * frames_per_chunk_));
       next_in_chunk_ = 0;
     }
     std::byte* p = chunks_.back().get() + next_in_chunk_++ * stride_;
+    // Creating a slot range sets or resets each of its presence bits
+    // before one is tested, but bit_set/bit_reset read the whole word,
+    // and reading an indeterminate uint64_t is undefined behaviour.
+    std::fill_n(bits(p), words_, std::uint64_t{0});
     std::uint16_t* st = states(p);
     for (std::size_t i = 0; i < nstates_; ++i) st[i] = kNotCreated;
     return p;
@@ -327,16 +338,22 @@ class FrameStore {
 /// stall (a next-cycle pending push).
 class ContextState {
  public:
-  ContextState() {
+  /// `processors` > 0 places every context on a processing element
+  /// once, when it is allocated (by-context placement); 0 keeps no
+  /// placement.
+  explicit ContextState(unsigned processors = 0) : processors_(processors) {
     contexts_.push_back(CtxInfo{});  // root context 0
     live_tokens_.push_back(0);
     retired_.push_back(false);
+    place(0);
   }
 
   [[nodiscard]] std::size_t size() const { return contexts_.size(); }
   [[nodiscard]] const CtxInfo& info(std::uint32_t ctx) const {
     return contexts_[ctx];
   }
+  /// The processing element `ctx` was placed on; requires processors > 0.
+  [[nodiscard]] std::uint32_t pe(std::uint32_t ctx) const { return pe_[ctx]; }
 
   void add_live(std::uint32_t ctx, std::uint32_t n = 1) {
     live_tokens_[ctx] += n;
@@ -364,6 +381,7 @@ class ContextState {
     contexts_.push_back(CtxInfo{loop, 0, inst});
     live_tokens_.push_back(0);
     retired_.push_back(false);
+    place(ctx);
     ++stats.contexts_allocated;
     ++inst->in_flight;
     ++live_contexts_;
@@ -442,6 +460,11 @@ class ContextState {
     return (static_cast<std::uint64_t>(loop.value()) << 32) | invocation;
   }
 
+  void place(std::uint32_t ctx) {
+    if (processors_ > 0)
+      pe_.push_back(support::golden_bucket(ctx, processors_));
+  }
+
   /// Where the context of iteration (loop ← from) is linked, and the
   /// invocation it belongs to. From inside the loop that is `from`'s own
   /// successor link, with no lookup. Only a token entering the loop
@@ -455,9 +478,11 @@ class ContextState {
     return {&inst.first, &inst};
   }
 
+  unsigned processors_;
   std::vector<CtxInfo> contexts_;
   std::vector<std::uint32_t> live_tokens_;
   std::vector<bool> retired_;
+  std::vector<std::uint32_t> pe_;  ///< per context, when processors_ > 0
   std::uint64_t live_contexts_ = 0;
   /// One entry per loop invocation, keyed by (loop, invocation context).
   /// Node-based, so the CtxInfo::instance pointers into it stay valid.

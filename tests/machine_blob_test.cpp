@@ -26,6 +26,7 @@
 #include "lang/corpus.hpp"
 #include "lang/generator.hpp"
 #include "machine/blob.hpp"
+#include "machine/mutate.hpp"
 #include "machine/report.hpp"
 #include "support/hash.hpp"
 
@@ -255,6 +256,19 @@ TEST_F(BlobAdversarial, HashValidTrailingGarbageIsMalformed) {
   const BlobReadResult r = deserialize(forged);
   EXPECT_EQ(r.error, BlobError::kMalformed);
   EXPECT_NE(r.message.find("trailing bytes"), std::string::npos) << r.message;
+}
+
+TEST_F(BlobAdversarial, HashValidArityUndercountIsMalformed) {
+  // A buggy writer's blob can hash correctly yet record an op that
+  // fires one token early. Frames are not zero-filled, so that firing
+  // would read a slot no token wrote; the decoder rejects it instead.
+  BlobReadResult read = deserialize(blob_);
+  ASSERT_TRUE(read.ok()) << read.message;
+  ASSERT_TRUE(apply_mutation(read.image.exec, Mutation::kUndercountArity));
+  const BlobReadResult r = deserialize(serialize(read.image));
+  EXPECT_EQ(r.error, BlobError::kMalformed);
+  EXPECT_NE(r.message.find("different number of tokens"), std::string::npos)
+      << r.message;
 }
 
 TEST_F(BlobAdversarial, NotABlobAtAllIsBadMagic) {

@@ -8,6 +8,8 @@
 // drift rather than establishing equivalence from scratch.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "core/compiler.hpp"
 #include "dfg/graph.hpp"
 #include "lang/corpus.hpp"
@@ -347,6 +349,66 @@ TEST(EventEquiv, DrainedPendingTokenDoesNotCountAsFiring) {
   EXPECT_EQ(scan.stats.leftover_tokens, 1u);
   EXPECT_EQ(scan.stats.fired_by_kind[static_cast<std::size_t>(OpKind::kMerge)],
             0u);
+}
+
+/// Leaves freed heap filled with 0xA5: allocates blocks the size of a
+/// frame arena chunk (64 KiB, below malloc's mmap threshold), writes
+/// the pattern and frees them. A small block allocated after them keeps
+/// them off the top of the heap, so the allocator reuses them rather
+/// than returning them to the system; the caller frees it.
+void* dirty_heap() {
+  constexpr std::size_t kBlock = 64 * 1024;
+  void* blocks[8];
+  for (void*& b : blocks) {
+    b = std::malloc(kBlock);
+    // Volatile stores: a memset into memory about to be freed is dead
+    // code the optimizer may drop.
+    auto* w = static_cast<volatile std::uint64_t*>(b);
+    for (std::size_t i = 0; i < kBlock / 8; ++i) w[i] = 0xA5A5A5A5A5A5A5A5ull;
+  }
+  void* guard = std::malloc(64);
+  for (void* b : blocks) std::free(b);
+  return guard;
+}
+
+// FrameStore does not zero its arena chunks: it sets a frame's presence
+// and state words when it carves the frame out, and every value slot is
+// written before it is read. ASan and UBSan do not report reads of
+// uninitialised memory, so run the corpus on a heap left dirty and
+// demand the results of a run on a clean one.
+TEST(EventEquiv, DirtyHeapGivesTheCleanResults) {
+  auto mem_elim = translate::TranslateOptions::schema2_optimized();
+  mem_elim.eliminate_memory = true;
+  mem_elim.parallel_reads = true;
+  const std::vector<std::pair<const char*, translate::TranslateOptions>>
+      translations = {
+          {"default", translate::TranslateOptions::schema2_optimized()},
+          {"mem-elim", mem_elim},
+      };
+  for (const auto& np : lang::corpus::all()) {
+    const lang::Program prog = lang::parse_or_throw(np.source);
+    for (const auto& [tname, topt] : translations) {
+      const auto tx = core::compile(prog, topt);
+      for (const auto loop_mode : {LoopMode::kBarrier, LoopMode::kPipelined}) {
+        for (const unsigned processors : {0u, 3u}) {
+          MachineOptions mopt;
+          mopt.loop_mode = loop_mode;
+          mopt.processors = processors;
+          mopt.record_profile = true;
+          const std::string context =
+              np.name + "/" + tname + " loop=" + to_string(loop_mode) +
+              " pe=" + std::to_string(processors);
+          const RunResult clean = core::execute(tx, mopt);
+          EXPECT_TRUE(clean.stats.completed) << context << ": "
+                                             << clean.stats.error;
+          void* guard = dirty_heap();
+          const RunResult dirty = core::execute(tx, mopt);
+          std::free(guard);
+          expect_identical(clean, dirty, context + " dirty heap");
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
