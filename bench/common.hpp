@@ -92,7 +92,8 @@ inline Measurement measure(const lang::Program& prog,
   auto res = core::execute(tx, mopt);
   if (!res.stats.completed) {
     std::fprintf(stderr, "machine failed under %s: %s\n--- program ---\n%s",
-                 topt.describe().c_str(), res.stats.error.c_str(),
+                 topt.describe().c_str(),
+                 res.stats.error_detail.render().c_str(),
                  prog.to_string().c_str());
     std::abort();
   }

@@ -29,7 +29,8 @@ XStoreResult run_one(const lang::Program& prog,
   mopt.mem_latency = 12;
   const auto res = core::execute(tx, mopt);
   if (!res.stats.completed) {
-    std::fprintf(stderr, "failed: %s\n", res.stats.error.c_str());
+    std::fprintf(stderr, "failed: %s\n",
+                 res.stats.error_detail.render().c_str());
     std::abort();
   }
   XStoreResult out;

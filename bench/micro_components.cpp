@@ -217,40 +217,6 @@ void BM_MachineMultiPE(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineMultiPE)->Arg(0)->Arg(1);
 
-void BM_MachineFaultsOff(benchmark::State& state) {
-  // Fault-machinery overhead gate on a token-heavy two-PE workload.
-  // Arg 0: inert FaultPlan — the engine must take its legacy
-  // fault-free paths unchanged. Arg 1: the fault-aware path engaged
-  // (a frame capacity far above the program's footprint activates the
-  // machinery) but with every rate zero, so no fault ever fires and
-  // the delta against arg 0 is pure bookkeeping overhead. The bench
-  // gate holds that delta to a few percent (scripts/bench_machine.py,
-  // --faults-overhead-floor).
-  const auto prog = core::parse(lang::corpus::nested_loops_source(8, 8));
-  auto topt = translate::TranslateOptions::schema2_optimized();
-  topt.eliminate_memory = true;
-  const auto tx = core::compile(prog, topt);
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    machine::MachineOptions mopt;
-    mopt.loop_mode = machine::LoopMode::kPipelined;
-    mopt.processors = 2;
-    if (state.range(0)) mopt.frame_capacity = 1u << 20;
-    const auto res = core::execute(tx, mopt);
-    ops += res.stats.ops_fired;
-    benchmark::DoNotOptimize(res.stats.cycles);
-  }
-  state.counters["ops/s"] = benchmark::Counter(
-      static_cast<double>(ops), benchmark::Counter::kIsRate);
-}
-// The 0-vs-1 ratio gates a few-percent budget, so single-run noise
-// matters: report the median of five interleaved repetitions.
-BENCHMARK(BM_MachineFaultsOff)
-    ->Arg(0)
-    ->Arg(1)
-    ->Repetitions(5)
-    ->ReportAggregatesOnly(true);
-
 void BM_MachineBudgetOverhead(benchmark::State& state) {
   // Run-budget overhead gate on the token-throughput workload. Arg 0:
   // no budget — the firing loop takes its pre-budget path. Arg 1: an
@@ -314,7 +280,7 @@ void BM_MachineIntegrityOverhead(benchmark::State& state) {
   state.counters["checks/run"] = benchmark::Counter(
       static_cast<double>(checks), benchmark::Counter::kAvgIterations);
 }
-// Same median-of-five discipline as the faults-off gate: the off row
+// Same median-of-five discipline as the budget gate: the off row
 // gates at ~0%, so single-run noise would swamp the signal.
 BENCHMARK(BM_MachineIntegrityOverhead)
     ->Arg(0)
@@ -358,45 +324,6 @@ BENCHMARK(BM_MachineFusedChains)
     ->Repetitions(5)
     ->ReportAggregatesOnly(true);
 
-void BM_MachineFaultRecovery(benchmark::State& state) {
-  // Simulated cost of fault recovery: cycles to completion under a
-  // seeded plan, against the zero-rate rows as reference. Args:
-  // {loop mode (0 = barrier, 1 = pipelined), per-event fault rate in
-  // permille applied to drop/dup/jitter/nack alike}. Two simulated
-  // PEs so the network faults engage. Every decision is a pure
-  // function of the seed, so cycles/run is exact and host-independent
-  // — the recorded baseline doubles as a determinism check.
-  const auto prog = core::parse(lang::corpus::nested_loops_source(6, 6));
-  auto topt = translate::TranslateOptions::schema2_optimized();
-  topt.eliminate_memory = true;
-  const auto tx = core::compile(prog, topt);
-  std::uint64_t cycles = 0, faults = 0;
-  for (auto _ : state) {
-    machine::MachineOptions mopt;
-    mopt.loop_mode = state.range(0) ? machine::LoopMode::kPipelined
-                                    : machine::LoopMode::kBarrier;
-    mopt.processors = 2;
-    const double rate = static_cast<double>(state.range(1)) / 1000.0;
-    mopt.faults.seed = 7;
-    mopt.faults.drop = mopt.faults.dup = rate;
-    mopt.faults.jitter = mopt.faults.nack = rate;
-    const auto res = core::execute(tx, mopt);
-    cycles += res.stats.cycles;
-    faults += res.stats.faults_injected;
-    benchmark::DoNotOptimize(res.stats.ops_fired);
-  }
-  state.counters["cycles/run"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kAvgIterations);
-  state.counters["faults/run"] = benchmark::Counter(
-      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_MachineFaultRecovery)
-    ->Args({0, 0})
-    ->Args({0, 10})
-    ->Args({0, 50})
-    ->Args({1, 0})
-    ->Args({1, 10})
-    ->Args({1, 50});
 
 void BM_ServeWarmVsCold(benchmark::State& state) {
   // The compile-once economics of `ctdf serve`, measured end to end

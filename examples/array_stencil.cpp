@@ -61,7 +61,8 @@ int main() {
     const auto tx = core::compile(prog, v.options);
     const auto res = core::execute(tx, mopt);
     if (!res.stats.completed) {
-      std::printf("%-16s FAILED: %s\n", v.name, res.stats.error.c_str());
+      std::printf("%-16s FAILED: %s\n", v.name,
+                  res.stats.error_detail.render().c_str());
       return 1;
     }
     if (!(res.store == interp.store)) {

@@ -45,7 +45,7 @@ int main() {
     const auto res = core::execute(tx, mopt);
     if (!res.stats.completed) {
       std::printf("%-14s FAILED: %s\n", to_string(strategy),
-                  res.stats.error.c_str());
+                  res.stats.error_detail.render().c_str());
       return 1;
     }
     if (!(res.store == interp.store)) {

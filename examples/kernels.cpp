@@ -108,7 +108,8 @@ int main() {
       const auto res = core::execute(tx, mopt);
       if (!res.stats.completed || !(res.store == ref.store)) {
         std::printf("%-20s FAILED under %s: %s\n", kern.name,
-                    topt.describe().c_str(), res.stats.error.c_str());
+                    topt.describe().c_str(),
+                    res.stats.error_detail.render().c_str());
         return 1;
       }
       cycles[i++] = res.stats.cycles;

@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
     machine::MachineOptions mopt;  // unlimited width: the dataflow limit
     const auto result = core::execute(tx, mopt);
     if (!result.stats.completed) {
-      std::printf("%-42s FAILED: %s\n", v.name, result.stats.error.c_str());
+      std::printf("%-42s FAILED: %s\n", v.name,
+                  result.stats.error_detail.render().c_str());
       return 1;
     }
     const auto stats = dfg::compute_stats(tx.graph);

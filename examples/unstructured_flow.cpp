@@ -26,7 +26,8 @@ void show(const char* name, const lang::Program& prog) {
     const auto tx = core::compile(prog, options);
     const auto res = core::execute(tx, {});
     if (!res.stats.completed) {
-      std::printf("  %-12s FAILED: %s\n", schema, res.stats.error.c_str());
+      std::printf("  %-12s FAILED: %s\n", schema,
+                  res.stats.error_detail.render().c_str());
       continue;
     }
     const bool matches = res.store == interp.store;

@@ -7,16 +7,13 @@ frame-store matching rate (BM_MachineMatchThroughput), the graph →
 ExecProgram lowering time (BM_LowerExecProgram), the latency-bound
 workload (BM_MachineIdleCycles), the context-churn workload
 (BM_FrameAlloc), the four-PE issue path (BM_MachineMultiPE, arg 0 =
-placed by context / 1 = by node), the fault-machinery overhead pair
-(BM_MachineFaultsOff, arg 0 = legacy path / 1 = fault path engaged
-with zero rates), the run-budget cost pair
+placed by context / 1 = by node), the run-budget cost pair
 (BM_MachineBudgetOverhead, arg 0 = no budget / 1 = armed but
 unreachable deadline + token ceiling), the integrity-checker cost pair
 (BM_MachineIntegrityOverhead, arg 0 = --check=off / 1 =
 --check=integrity), the macro-op fusion pair (BM_MachineFusedChains,
-arg 0 = cleanup passes only / 1 = --opt=all), the deterministic
-recovery cost (BM_MachineFaultRecovery, cycles per run), and the
-serve front-end's compile-once economics (BM_ServeWarmVsCold,
+arg 0 = cleanup passes only / 1 = --opt=all), and the serve
+front-end's compile-once economics (BM_ServeWarmVsCold,
 arg 0 = a cold server per request / 1 = a primed program cache; the
 warm path must beat the cold path by --serve-warm-speedup-floor, a
 within-run ratio, so it is host-independent), and writes them to a
@@ -24,11 +21,9 @@ JSON summary (BENCH_machine.json).
 
 With --check BASELINE it additionally compares against a committed
 baseline and exits non-zero on a regression beyond --tolerance
-(default 25%, or a per-section override): throughput/match/context
-rates lower, or lowering time / recovery cycles higher. It also
-holds the engaged-but-faultless path to within --faults-overhead-floor
-of the legacy path, holds the armed-but-unreachable run budget to
-within --budget-overhead-floor of the unbudgeted path, and holds
+(default 25%): throughput/match/context rates lower, or lowering time
+higher. It also holds the armed-but-unreachable run budget to within
+--budget-overhead-floor of the unbudgeted path, and holds
 --check=integrity to within --integrity-overhead-floor of the
 unchecked path (the ratios are measured within one run, so they
 are host-independent). Macro-op fusion must *speed up* the chain-heavy
@@ -67,11 +62,9 @@ FILTER = "|".join(
         "BM_MachineTokenThroughput",
         "BM_MachineMatchThroughput",
         "BM_MachineIdleCycles",
-        "BM_MachineFaultsOff",
         "BM_MachineBudgetOverhead",
         "BM_MachineIntegrityOverhead",
         "BM_MachineFusedChains",
-        "BM_MachineFaultRecovery",
         "BM_FrameAlloc",
         "BM_MachineMultiPE",
         "BM_ServeWarmVsCold",
@@ -79,21 +72,14 @@ FILTER = "|".join(
     ]
 )
 
-# section -> (benchmark prefix, counter key, higher_is_better
-#             [, tolerance override])
-# BM_MachineFaultRecovery reports *simulated* cycles — a deterministic
-# function of the fault seed, so any baseline drift there is a real
-# semantic change, not noise; gate it tightly.
+# section -> (benchmark prefix, counter key, higher_is_better)
 SECTIONS = {
     "machine_ops_per_s": ("BM_MachineTokenThroughput", "ops/s", True),
     "matches_per_s": ("BM_MachineMatchThroughput", "matches/s", True),
     "idle_ops_per_s": ("BM_MachineIdleCycles", "ops/s", True),
-    "faults_off_ops_per_s": ("BM_MachineFaultsOff", "ops/s", True),
     "budget_ops_per_s": ("BM_MachineBudgetOverhead", "ops/s", True),
     "integrity_ops_per_s": ("BM_MachineIntegrityOverhead", "ops/s", True),
     "fused_runs_per_s": ("BM_MachineFusedChains", "runs/s", True),
-    "fault_recovery_cycles": ("BM_MachineFaultRecovery", "cycles/run",
-                              False, 0.05),
     "serve_req_per_s": ("BM_ServeWarmVsCold", "req/s", True),
     "frame_ctxs_per_s": ("BM_FrameAlloc", "ctxs/s", True),
     "multi_pe_ops_per_s": ("BM_MachineMultiPE", "ops/s", True),
@@ -106,8 +92,9 @@ def run_bench(bench_path):
         bench_path,
         f"--benchmark_filter={FILTER}",
         "--benchmark_format=json",
-        # Shuffle repeated benchmarks (BM_MachineFaultsOff) so frequency
-        # drift doesn't land entirely on one side of the overhead ratio.
+        # Shuffle repeated benchmarks (BM_MachineBudgetOverhead) so
+        # frequency drift doesn't land entirely on one side of the
+        # overhead ratio.
         "--benchmark_enable_random_interleaving=true",
     ]
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -133,18 +120,6 @@ def summarize(report):
                 out[section][name] = b[key]
                 break
     return out
-
-
-def faults_overhead(summary):
-    """Engaged-but-faultless over legacy-path throughput ratio on
-    BM_MachineFaultsOff, or None when either row is missing. Both rows
-    come from the same run, so the ratio is host-independent."""
-    rows = summary.get("faults_off_ops_per_s", {})
-    legacy = rows.get("BM_MachineFaultsOff/0")
-    engaged = rows.get("BM_MachineFaultsOff/1")
-    if not legacy or not engaged:
-        return None
-    return engaged / legacy
 
 
 def budget_overhead(summary):
@@ -202,23 +177,23 @@ def serve_warm_speedup(summary):
     return warm / cold
 
 
-def check(current, baseline, tolerance, overhead_floor, budget_floor,
-          integrity_floor, fusion_floor, serve_floor):
+def check(current, baseline, tolerance, budget_floor, integrity_floor,
+          fusion_floor, serve_floor):
     failures = []
 
     def compare(section, spec):
         key, higher = spec[1], spec[2]
-        tol = spec[3] if len(spec) > 3 else tolerance
         for name, base in baseline.get(section, {}).items():
             now = current.get(section, {}).get(name)
             if now is None or base <= 0:
                 continue
             ratio = now / base
-            bad = ratio < 1.0 - tol if higher else ratio > 1.0 + tol
+            bad = (ratio < 1.0 - tolerance if higher
+                   else ratio > 1.0 + tolerance)
             flag = "REGRESSION" if bad else "ok"
             print(f"  {name}: {base:.3g} -> {now:.3g} "
                   f"({ratio:.1%} of baseline, {key}, "
-                  f"tol {tol:.0%}) {flag}")
+                  f"tol {tolerance:.0%}) {flag}")
             if bad:
                 failures.append(name)
 
@@ -230,15 +205,6 @@ def check(current, baseline, tolerance, overhead_floor, budget_floor,
     for section, spec in SECTIONS.items():
         if not spec[2]:
             compare(section, spec)
-
-    overhead = faults_overhead(current)
-    if overhead is not None:
-        flag = "ok" if overhead >= overhead_floor else "REGRESSION"
-        print(f"fault-path overhead on BM_MachineFaultsOff: "
-              f"{overhead:.1%} of legacy throughput "
-              f"(floor {overhead_floor:.0%}) {flag}")
-        if overhead < overhead_floor:
-            failures.append("faults-off-overhead")
 
     budget = budget_overhead(current)
     if budget is not None:
@@ -290,10 +256,6 @@ def main():
                          "for the full regeneration workflow")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed relative regression (default 0.25)")
-    ap.add_argument("--faults-overhead-floor", type=float, default=0.95,
-                    help="required engaged-but-faultless/legacy "
-                         "throughput ratio on BM_MachineFaultsOff "
-                         "(default 0.95, i.e. at most 5%% overhead)")
     ap.add_argument("--budget-overhead-floor", type=float, default=0.95,
                     help="required armed-but-unreachable-budget/no-budget "
                          "throughput ratio on BM_MachineBudgetOverhead "
@@ -322,10 +284,6 @@ def main():
     print(f"wrote {args.out}")
 
     if args.record:
-        overhead = faults_overhead(summary)
-        if overhead is not None:
-            print(f"fault-path overhead on BM_MachineFaultsOff: "
-                  f"{overhead:.1%} of legacy throughput")
         budget = budget_overhead(summary)
         if budget is not None:
             print(f"armed-budget overhead on BM_MachineBudgetOverhead: "
@@ -351,7 +309,6 @@ def main():
         with open(args.check) as f:
             baseline = json.load(f)
         failures = check(summary, baseline, args.tolerance,
-                         args.faults_overhead_floor,
                          args.budget_overhead_floor,
                          args.integrity_overhead_floor,
                          args.fusion_speedup_floor,

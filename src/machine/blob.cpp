@@ -254,10 +254,18 @@ struct BlobCodec {
     for (std::string& l : p.labels_) l = r.str();
 
     if (!r.ok) return "payload ended mid-field";
-    // Cross-field consistency the engine relies on unconditionally.
-    if (!p.fanout_begin_.empty() &&
-        p.fanout_begin_.back() != p.fanout_.size())
-      return "fan-out index does not cover the destination table";
+    // Cross-field consistency the engine relies on unconditionally: the
+    // fan-out index starts at 0, never decreases and ends at the table's
+    // size, so every (op, port) span lies inside the destination table.
+    if (!p.fanout_begin_.empty()) {
+      if (p.fanout_begin_.front() != 0)
+        return "fan-out index does not start at 0";
+      if (p.fanout_begin_.back() != p.fanout_.size())
+        return "fan-out index does not cover the destination table";
+      for (std::size_t i = 1; i < p.fanout_begin_.size(); ++i)
+        if (p.fanout_begin_[i] < p.fanout_begin_[i - 1])
+          return "fan-out index decreases";
+    }
     // The frame layout is the one lowering assigns: framed ops own
     // consecutive slot ranges, and a firing consumes a token for every
     // non-literal port. Frames are not zero-filled, so this is what

@@ -1,9 +1,9 @@
 // Live tracking of a RunBudget (machine/options.hpp): the cooperative
 // deadline and token ceilings the engine polls on its firing path.
 //
-// The cost contract mirrors the fault/integrity machinery: an unarmed
-// budget is one dead `if (budget_)` branch per firing, and an armed but
-// unexercised one must stay within 5% of the legacy throughput
+// The cost contract mirrors integrity checking's: an unarmed budget is
+// one dead `if (budget_)` branch per firing, and an armed but
+// unexercised one must stay within 5% of the unbudgeted throughput
 // (BM_MachineBudgetOverhead gates the ratio). Two tricks keep the armed
 // path cheap:
 //   * the token ceiling is a plain integer compare against a counter
@@ -21,7 +21,7 @@
 #include <cstdint>
 #include <string>
 
-#include "machine/faults.hpp"
+#include "machine/errors.hpp"
 #include "machine/options.hpp"
 
 namespace ctdf::machine {

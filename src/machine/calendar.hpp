@@ -32,8 +32,9 @@ namespace ctdf::machine {
 
 class CalendarQueue {
  public:
-  /// Largest supported horizon (exclusive); run() falls back to the
-  /// scan policy above this rather than allocating a degenerate wheel.
+  /// Largest supported horizon (exclusive). The latency flags are
+  /// bounded (kMaxLatency) so no run's horizon reaches it, and run()
+  /// asserts as much.
   static constexpr std::uint64_t kMaxHorizon = 1u << 20;
 
   /// `horizon` = the maximum distance between the current cycle and any

@@ -1,14 +1,17 @@
 // The execution engine, parameterized over its pending-token queue.
-// machine.cpp runs every program on a calendar-queue policy that also
-// recycles retired contexts' frames ("event"), and falls back to
-// MapPending (ordered map keyed by delivery cycle, frames never freed:
-// "scan") only when the latency horizon is too large for a wheel.
-// MapPending is also the reference the differential suites compare the
-// calendar policy against. Every semantics-bearing line — delivery,
-// matching, firing, token accounting, error reporting — is this one
-// template, which is what makes the two policies byte-identical by
-// construction; tests/machine_event_equiv_test.cpp guards the policies
-// themselves against drift.
+// machine.cpp instantiates it once, on a calendar-queue policy that
+// also recycles retired contexts' frames ("event"). The test oracle in
+// tests/support/scan_reference.cpp instantiates it on an ordered map
+// keyed by delivery cycle that never frees a frame ("scan"). Every
+// semantics-bearing line — delivery, matching, firing, token
+// accounting, error reporting — is this one template, which is what
+// makes the two policies byte-identical by construction;
+// tests/machine_event_equiv_test.cpp guards the policies themselves
+// against drift.
+//
+// Delivery is reliable, as on Monsoon: every token reaches its matching
+// slot exactly once, after its latency plus, across PEs, the network
+// latency.
 //
 // A PendingQueue policy provides:
 //   static constexpr bool kRecycleFrames;     // recycle frames on
@@ -24,17 +27,15 @@
 #pragma once
 
 #include <cstdio>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "machine/budget.hpp"
 #include "machine/exec.hpp"
-#include "machine/faults.hpp"
+#include "machine/errors.hpp"
 #include "machine/fire.hpp"
 #include "machine/integrity.hpp"
 #include "machine/frames.hpp"
@@ -55,42 +56,8 @@ struct ReadyEntry {
   /// Non-strict firings carry their single token inline.
   bool immediate = false;
   bool requeued = false;  ///< see Token::requeued
-  bool refire = false;    ///< see Token::refire
 };
 static_assert(sizeof(ReadyEntry) == 24);
-
-/// The scan policy's pending queue: an ordered map of delivery cycle →
-/// token FIFO. The reference policy, and the only one that carries a
-/// horizon at or past CalendarQueue::kMaxHorizon.
-struct MapPending {
-  static constexpr bool kRecycleFrames = false;
-
-  explicit MapPending(const MachineOptions&) {}
-
-  Token& push(std::uint64_t due) { return m_[due].emplace_back(); }
-
-  template <class F>
-  void drain(std::uint64_t cycle, F&& f) {
-    const auto it = m_.find(cycle);
-    if (it == m_.end()) return;
-    for (const Token& t : it->second) f(t);
-    m_.erase(it);
-  }
-
-  [[nodiscard]] bool empty() const { return m_.empty(); }
-
-  [[nodiscard]] std::uint64_t next_due(std::uint64_t) const {
-    return m_.begin()->first;
-  }
-
-  template <class F>
-  void for_each_pending(std::uint64_t, F&& f) const {
-    for (const auto& [due, v] : m_)
-      for (const Token& t : v) f(t);
-  }
-
-  std::map<std::uint64_t, std::vector<Token>> m_;
-};
 
 template <class PendingQueue>
 class SerialEngine {
@@ -108,17 +75,12 @@ class SerialEngine {
         pending_(opt) {
     CTDF_ASSERT_MSG(opt_.alu_latency >= 1 && opt_.mem_latency >= 1,
                     "latencies must be at least one cycle");
-    // The fault machinery engages only when the plan can actually bite;
-    // otherwise every fault branch below is one dead `if (fault_)` and
-    // the engine is byte-identical to its fault-free self.
-    if (fault_active(opt)) fault_.emplace(opt.faults);
-    // And again for the run budget: a deadline or token ceiling engages
-    // the per-firing poll; without one, firings pay one dead branch.
+    // A deadline or token ceiling engages the per-firing poll; without
+    // one, firings pay one dead branch.
     if (opt.budget.armed()) budget_.emplace(opt.budget);
     mem_.init(memory_cells, istructures);
-    // Same bargain for integrity checking: off means every checking
-    // branch is one dead `if (check_)` / null `integ` and the hot path
-    // is the legacy one.
+    // Likewise for integrity checking: off means every checking branch
+    // is one dead `if (check_)` / null `integ`.
     if (opt.check == CheckMode::kIntegrity) {
       check_ = true;
       frames_.enable_checking();
@@ -133,13 +95,12 @@ class SerialEngine {
   RunResult run() {
     boot();
     std::uint64_t cycle = 0;
-    while (!completed_ && stats_.error.empty()) {
+    while (!completed_ && !failed()) {
       if (cycle >= opt_.budget.max_cycles) {
         stats_.cycles = cycle;
         stats_.fail(ErrorCode::kCycleCap,
                     "cycle cap exceeded (possible livelock or "
-                    "non-terminating program)",
-                    fault_ ? progress_diagnosis(cycle) : std::string{});
+                    "non-terminating program)");
         break;
       }
       // 1. Deliver tokens due this cycle.
@@ -154,7 +115,7 @@ class SerialEngine {
         const std::uint64_t budget =
             opt_.width == 0 ? UINT64_MAX : opt_.width;
         while (ready_head_ < ready_.size() && fired < budget && !completed_ &&
-               stats_.error.empty()) {
+               !failed()) {
           fire(pop_ready(), cycle);
           ++fired;
         }
@@ -164,28 +125,9 @@ class SerialEngine {
       if (opt_.record_profile && profile_ok(cycle))
         stats_.profile[cycle] = fired;
 
-      // No-progress watchdog (faulted runs only): scheduler steps can
-      // legally fire nothing while operands trickle in, but an unbroken
-      // run of them means the recovery machinery is spinning.
-      if (fault_ && completed_ == false && stats_.error.empty()) {
-        if (fired == 0) {
-          if (++no_fire_steps_ >= fault_->watchdog_limit()) {
-            ++stats_.watchdog_triggers;
-            stats_.fail(ErrorCode::kDeadlock,
-                        "watchdog: no operator fired for " +
-                            std::to_string(no_fire_steps_) +
-                            " scheduler step(s) — livelock or stalled "
-                            "recovery",
-                        progress_diagnosis(cycle));
-          }
-        } else {
-          no_fire_steps_ = 0;
-        }
-      }
-
       // 3. Advance time: next cycle if work remains ready, else jump to
       // the next scheduled delivery.
-      if (completed_ || !stats_.error.empty()) {
+      if (completed_ || failed()) {
         stats_.cycles = cycle + 1;
         break;
       }
@@ -199,7 +141,7 @@ class SerialEngine {
         break;
       }
     }
-    stats_.completed = completed_ && stats_.error.empty();
+    stats_.completed = completed_ && !failed();
     if (stats_.completed) {
       // Tokens may legally still be draining when End fires (dead value
       // chains — e.g. a loop value overwritten before use — produce
@@ -235,6 +177,8 @@ class SerialEngine {
   }
 
  private:
+  [[nodiscard]] bool failed() const { return !stats_.error_detail.empty(); }
+
   bool profile_ok(std::uint64_t cycle) {
     if (cycle >= (1u << 22)) return false;
     if (stats_.profile.size() <= cycle) stats_.profile.resize(cycle + 1, 0);
@@ -246,27 +190,17 @@ class SerialEngine {
     const ExecOp& start = tables_.op(s);
     ++stats_.ops_fired;
     ++stats_.fired_by_kind[static_cast<std::size_t>(start.kind)];
-    // Boot emissions model program loading, not network traffic: they
-    // are exempt from fault injection.
-    booting_ = true;
     for (std::uint16_t p = 0; p < start.num_outputs; ++p)
       emit(0, s, p, ep_.start_values()[p], /*cycle=*/0, /*latency=*/0);
-    booting_ = false;
   }
 
   [[gnu::always_inline]] void deliver(const Token& t, std::uint64_t cycle) {
-    if (fault_) {
-      if (t.refire) {
-        // A NACKed memory firing (or a capacity-stalled barrier entry)
-        // re-entering the ready queue: its operands are still matched
-        // in the frame, so re-ready the op without filing a slot.
-        ready_slot(t.ctx, t.node).refire = true;
-        return;
-      }
-      if (t.seq != 0 && !dedup_accept(t.seq)) {
-        ++stats_.duplicates_dropped;
-        return;
-      }
+    if (t.refire) {
+      // A capacity-stalled barrier entry re-entering the ready queue:
+      // its operands are still matched in the frame, so re-ready the op
+      // without filing a slot.
+      ready_slot(t.ctx, t.node);
+      return;
     }
     ++stats_.tokens_sent;
     const ExecOp& op = tables_.op(t.node);
@@ -341,7 +275,7 @@ class SerialEngine {
     kept_.clear();
     std::uint32_t fired = 0;
     std::size_t i = ready_head_;
-    for (; i < ready_.size() && !completed_ && stats_.error.empty(); ++i) {
+    for (; i < ready_.size() && !completed_ && !failed(); ++i) {
       const std::uint32_t pe = pe_of(ready_[i].ctx, ready_[i].node);
       if (busy_[pe]) {
         kept_.push_back(ready_[i]);
@@ -390,43 +324,12 @@ class SerialEngine {
       std::uint64_t hop = 0;
       if (multi_pe && pe_of(ctx, d.node) != from_pe)
         hop = opt_.network_latency;
-      std::uint64_t due = cycle + latency + hop;
-      std::uint64_t seq = 0;
-      if (fault_ && hop > 0 && !booting_) {
-        // Network fault injection (cross-PE transmissions only). A drop
-        // is modeled as its own recovery: the retransmission ladder is
-        // rolled up front and the token is scheduled once with the total
-        // backoff delay — same arrival cycle, no token ever in limbo.
-        const FaultState::Transit f = fault_->transit(fault_->next_id());
-        if (f.exhausted) {
-          ++stats_.watchdog_triggers;
-          if (stats_.error.empty())
-            stats_.fail(ErrorCode::kRetryExhausted,
-                        "retry budget exhausted: token for node '" +
-                            ep_.label(d.node.index()) + "' dropped " +
-                            std::to_string(opt_.faults.max_attempts) +
-                            " time(s) in the network",
-                        progress_diagnosis(cycle));
-        }
-        stats_.faults_injected += f.drops + f.jitters + (f.duplicated ? 1 : 0);
-        stats_.retries += f.drops;
-        due += f.delay;
-        if (f.duplicated) {
-          // Both copies share one sequence number; the receiver delivers
-          // whichever lands first and drops the other, so the logical
-          // token is counted live exactly once.
-          seq = fault_->next_seq();
-          pending_.push(cycle + latency + hop + f.dup_delay) = {
-              .ctx = ctx, .node = d.node, .value = value, .port = d.port,
-              .seq = seq};
-        }
-      }
-      Token& t = pending_.push(due);  // filled in place, see ready_slot()
+      // Filled in place, see ready_slot().
+      Token& t = pending_.push(cycle + latency + hop);
       t.ctx = ctx;
       t.node = d.node;
       t.value = value;
       t.port = d.port;
-      t.seq = seq;
     }
     cs_.add_live(ctx, static_cast<std::uint32_t>(dests.size()));
   }
@@ -482,7 +385,7 @@ class SerialEngine {
     // The budget poll lives on the shared firing path — the one line
     // both pending-queue policies execute — so scan and event honor the
     // ceilings at identical points. Both firing loops (abstract pool
-    // and multi-PE) already stop on stats_.error.
+    // and multi-PE) already stop on a failure.
     if (budget_) {
       if (budget_->tokens_exceeded(stats_.tokens_sent)) {
         stats_.fail(budget_->token_error());
@@ -494,36 +397,9 @@ class SerialEngine {
       }
     }
     const ExecOp& op = tables_.op(e.node);
-    if (fault_) {
-      if ((op.flags & kExecMem) && !e.refire) {
-        // Split-phase memory NACK: the memory rejects the request and
-        // the firing retries after capped exponential backoff, operands
-        // still matched in the frame. A rejected attempt is not a
-        // firing — no counters advance.
-        const FaultState::Nack n = fault_->nack(fault_->next_id());
-        if (n.exhausted) {
-          ++stats_.watchdog_triggers;
-          stats_.fail(ErrorCode::kRetryExhausted,
-                      "retry budget exhausted: memory NACKed node '" +
-                          ep_.label(e.node.index()) + "' " +
-                          std::to_string(opt_.faults.max_attempts) +
-                          " time(s)",
-                      progress_diagnosis(cycle));
-          return;
-        }
-        if (n.nacks > 0) {
-          stats_.nacks_seen += n.nacks;
-          stats_.retries += n.nacks;
-          stats_.faults_injected += n.nacks;
-          pending_.push(cycle + n.delay) = {
-              .ctx = e.ctx, .node = e.node, .refire = true};
-          return;
-        }
-      }
-      if (opt_.frame_capacity > 0 && op.kind == dfg::OpKind::kLoopEntry &&
-          capacity_stall(e, op, cycle))
-        return;
-    }
+    if (opt_.frame_capacity > 0 && op.kind == dfg::OpKind::kLoopEntry &&
+        capacity_stall(e, op, cycle))
+      return;
     fire_ctx_ = e.ctx;
     ++stats_.ops_fired;
     ++stats_.fired_by_kind[static_cast<std::size_t>(op.kind)];
@@ -657,9 +533,9 @@ class SerialEngine {
     consume(e.ctx, cycle, op.consumed_inputs);
   }
 
-  /// The per-loop live/throttled breakdown shared by the deadlock
-  /// report and the watchdog diagnosis: distinguishes k-bound- or
-  /// capacity-induced stalls from translation bugs.
+  /// The per-loop live/throttled breakdown of the deadlock report:
+  /// distinguishes k-bound- or capacity-induced stalls from translation
+  /// bugs.
   std::string loop_breakdown() const {
     std::string msg =
         "  loop state: " + std::to_string(cs_.live_contexts()) +
@@ -676,24 +552,6 @@ class SerialEngine {
              " stalled forwarding(s)";
     });
     return msg;
-  }
-
-  /// Structured no-progress diagnosis (watchdog, retry exhaustion,
-  /// fault-mode cycle cap): what is blocked and what is oldest in
-  /// flight.
-  std::string progress_diagnosis(std::uint64_t cycle) const {
-    std::string msg = "  blocked: " + std::to_string(frames_.live_slots()) +
-                      " matching slot(s) still waiting";
-    bool first = true;
-    pending_.for_each_pending(cycle, [&](const Token& t) {
-      if (!first) return;
-      first = false;
-      msg += "\n  oldest pending token: node " +
-             std::to_string(t.node.value()) + " ('" +
-             ep_.label(t.node.index()) + "') port " + std::to_string(t.port) +
-             " ctx " + std::to_string(t.ctx);
-    });
-    return msg + "\n" + loop_breakdown();
   }
 
   RunError deadlock_error() const {
@@ -755,26 +613,13 @@ class SerialEngine {
   std::vector<std::uint8_t> busy_;
   std::uint32_t fire_ctx_ = 0;  ///< context of the firing in progress
 
-  /// First arrival of a seq wins; the second is dropped and the entry
-  /// forgotten (a seq is used by exactly two copies, so the set stays
-  /// bounded by the duplicates currently in flight).
-  bool dedup_accept(std::uint64_t seq) {
-    const auto [it, inserted] = dedup_seen_.insert(seq);
-    if (!inserted) dedup_seen_.erase(it);
-    return inserted;
-  }
-
-  std::optional<FaultState> fault_;  ///< engaged iff fault_active(opt_)
   std::optional<BudgetState> budget_;  ///< engaged iff opt_.budget.armed()
   bool check_ = false;  ///< opt_.check == CheckMode::kIntegrity
   std::optional<IntegrityState> integ_;  ///< engaged iff check_
-  bool booting_ = false;
   /// Loop-entry work blocked by frame_capacity, engine-global: any
   /// retirement may free the frame a blocked forwarding needs, whatever
   /// loop it belongs to.
   std::vector<Token> cap_stalled_;
-  std::unordered_set<std::uint64_t> dedup_seen_;
-  std::uint64_t no_fire_steps_ = 0;
 
   RunStats stats_;
   bool completed_ = false;

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "machine/faults.hpp"
 #include "support/parse.hpp"
 
 namespace ctdf::machine {
@@ -29,6 +28,22 @@ MachineFlagParse set_unsigned(const std::string& arg, T& field) {
   return MachineFlagParse::kApplied;
 }
 
+/// A latency flag: at least `min`, at most kMaxLatency, so no run's
+/// event horizon can outgrow the calendar wheel (machine.cpp).
+MachineFlagParse set_latency(const std::string& arg, unsigned min,
+                             unsigned& field, std::string* detail) {
+  unsigned long long v = 0;
+  if (!parse_unsigned(value_of(arg), v)) return MachineFlagParse::kBadValue;
+  if (v < min || v > kMaxLatency) {
+    if (detail)
+      *detail = "must be in [" + std::to_string(min) + ", " +
+                std::to_string(kMaxLatency) + "]";
+    return MachineFlagParse::kBadValue;
+  }
+  field = static_cast<unsigned>(v);
+  return MachineFlagParse::kApplied;
+}
+
 }  // namespace
 
 MachineFlagParse apply_machine_flag(MachineOptions& o, const std::string& arg,
@@ -46,10 +61,11 @@ MachineFlagParse apply_machine_flag(MachineOptions& o, const std::string& arg,
     return MachineFlagParse::kApplied;
   }
   if (starts_with(arg, "--width=")) return set_unsigned(arg, o.width);
-  if (starts_with(arg, "--mem-latency=")) return set_unsigned(arg, o.mem_latency);
+  if (starts_with(arg, "--mem-latency="))
+    return set_latency(arg, 1, o.mem_latency, detail);
   if (starts_with(arg, "--processors=")) return set_unsigned(arg, o.processors);
   if (starts_with(arg, "--network-latency="))
-    return set_unsigned(arg, o.network_latency);
+    return set_latency(arg, 0, o.network_latency, detail);
   if (arg == "--place-by-node") {
     o.placement = Placement::kByNode;
     return MachineFlagParse::kApplied;
@@ -76,15 +92,6 @@ MachineFlagParse apply_machine_flag(MachineOptions& o, const std::string& arg,
   }
   if (starts_with(arg, "--frame-capacity="))
     return set_unsigned(arg, o.frame_capacity);
-  if (starts_with(arg, "--fault-seed=")) return set_unsigned(arg, o.faults.seed);
-  if (starts_with(arg, "--faults=")) {
-    const std::string complaint = parse_fault_spec(value_of(arg), o.faults);
-    if (!complaint.empty()) {
-      if (detail) *detail = complaint;
-      return MachineFlagParse::kBadValue;
-    }
-    return MachineFlagParse::kApplied;
-  }
   if (arg == "--trace") {
     o.trace = true;
     return MachineFlagParse::kApplied;

@@ -1,8 +1,8 @@
 // Shared CLI-style parsing of machine options.
 //
 // The ctdf CLI and the serve front-end (src/serve/) accept the same
-// `--check=…`/`--faults=…`/… machine flags — the CLI from argv, serve
-// from a per-request JSON "options" array. One parser keeps the two
+// `--check=…`/`--mem-latency=…`/… machine flags — the CLI from argv,
+// serve from a per-request JSON "options" array. One parser keeps the two
 // surfaces identical, the same way translate::apply_schema_flag is
 // shared between the CLI and the bench harnesses.
 #pragma once
@@ -23,7 +23,8 @@ enum class MachineFlagParse : std::uint8_t {
 /// `*detail` (when given) receives a short complaint suitable for
 /// appending to a "bad value: ARG" diagnostic (may stay empty).
 /// Numeric values are parsed strictly: signs, embedded junk, and
-/// overflow are kBadValue, never silent wrapping.
+/// overflow are kBadValue, never silent wrapping. `--mem-latency` must
+/// lie in [1, kMaxLatency] and `--network-latency` in [0, kMaxLatency].
 [[nodiscard]] MachineFlagParse apply_machine_flag(MachineOptions& o,
                                                   const std::string& arg,
                                                   std::string* detail = nullptr);

@@ -20,7 +20,7 @@
 namespace ctdf::machine {
 
 /// A token: (context, instruction, port, value). Fields are ordered so
-/// the record packs into 32 bytes: tokens are the elements of every
+/// the record packs into 24 bytes: tokens are the elements of every
 /// pending-queue bucket.
 struct Token {
   std::uint32_t ctx = 0;
@@ -31,15 +31,12 @@ struct Token {
   /// stall: it was already consumed from its source context when it
   /// was buffered, so a successful re-fire must not consume it again.
   bool requeued = false;
-  /// Fault recovery (machine/faults.hpp): a NACKed memory firing
-  /// re-entering the ready queue — its operands are still matched in
-  /// the frame, so delivery must re-ready the op without filing a slot.
+  /// True for a barrier loop entry woken after a frame-capacity stall:
+  /// its operands are still matched in the frame, so delivery must
+  /// re-ready the op without filing a slot.
   bool refire = false;
-  /// Nonzero for a token the network duplicated: both copies carry the
-  /// same sequence number and the receiver delivers exactly one.
-  std::uint64_t seq = 0;
 };
-static_assert(sizeof(Token) == 32);
+static_assert(sizeof(Token) == 24);
 
 /// One loop invocation: the link to its first iteration's context and
 /// its k-bound state.
@@ -439,7 +436,7 @@ class ContextState {
 
   /// f(loop id, invocation ctx, iterations in flight, stalled
   /// forwardings) per loop instance, in (loop, invocation) order — the
-  /// per-loop breakdown of the deadlock / watchdog diagnosis.
+  /// per-loop breakdown of the deadlock diagnosis.
   template <class F>
   void for_each_instance(F&& f) const {
     std::vector<std::uint64_t> keys;

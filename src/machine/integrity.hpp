@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "dfg/graph.hpp"
-#include "machine/faults.hpp"
+#include "machine/errors.hpp"
 #include "machine/machine.hpp"
 
 namespace ctdf::machine {

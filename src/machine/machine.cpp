@@ -5,6 +5,7 @@
 #include "machine/budget.hpp"
 #include "machine/calendar.hpp"
 #include "machine/engine_serial.hpp"
+#include "support/assert.hpp"
 
 namespace ctdf::machine {
 
@@ -13,14 +14,11 @@ namespace {
 /// The farthest ahead of the current cycle any delivery can be
 /// scheduled under `opt`: the wheel must span at least this. Firings
 /// schedule at cycle + alu or mem latency, plus one network hop when
-/// producer and consumer land on different PEs; k-bound stalls
-/// re-deliver at cycle + 1. Fault injection can add at most
-/// max_fault_delay (the full retry/backoff ladder plus jitter and
-/// duplicate spread) to any single delivery.
+/// producer and consumer land on different PEs; k-bound and capacity
+/// stalls re-deliver at cycle + 1.
 std::uint64_t event_horizon(const MachineOptions& opt) {
   std::uint64_t h = std::max<std::uint64_t>(opt.alu_latency, opt.mem_latency);
   if (opt.processors > 0) h += opt.network_latency;
-  h += max_fault_delay(opt.faults);
   return h;
 }
 
@@ -69,14 +67,10 @@ RunResult run(const ExecProgram& program, std::size_t memory_cells,
     out.stats.fail(BudgetState::deadline_error_for(0));
     return out;
   }
-  // Absurd latency configurations whose horizon would need a degenerate
-  // wheel run on the ordered-map policy instead — results are
-  // byte-identical either way.
-  if (event_horizon(options) >= CalendarQueue::kMaxHorizon) {
-    return detail::SerialEngine<detail::MapPending>{
-        program, memory_cells, options, istructures, shared}
-        .run();
-  }
+  // apply_machine_flag bounds the latency flags so no accepted option
+  // set gets here; the engine asserts that every latency is positive.
+  CTDF_ASSERT_MSG(event_horizon(options) < CalendarQueue::kMaxHorizon,
+                  "latencies too large for the calendar wheel");
   return detail::SerialEngine<WheelPending>{program, memory_cells, options,
                                             istructures, shared}
       .run();

@@ -32,7 +32,7 @@
 
 #include "dfg/graph.hpp"
 #include "lang/interp.hpp"
-#include "machine/faults.hpp"
+#include "machine/errors.hpp"
 #include "machine/options.hpp"
 
 namespace ctdf::machine {
@@ -41,22 +41,15 @@ class ExecProgram;
 
 struct RunStats {
   bool completed = false;
-  /// Rendered error_detail (message [+ "\n" + diagnosis]); non-empty on
-  /// any failure. Kept for backward compatibility — new code should
-  /// consult error_detail.code.
-  std::string error;
-  /// Typed failure taxonomy (machine/faults.hpp).
+  /// Why the run failed (machine/errors.hpp); code kNone on success.
+  /// error_detail.render() is the flat text every surface prints.
   RunError error_detail;
 
-  /// Records a failure: sets error_detail and the rendered string.
+  /// Records a failure.
   void fail(ErrorCode code, std::string message, std::string diagnosis = {}) {
     error_detail = RunError{code, std::move(message), std::move(diagnosis)};
-    error = error_detail.render();
   }
-  void fail(RunError err) {
-    error_detail = std::move(err);
-    error = error_detail.render();
-  }
+  void fail(RunError err) { error_detail = std::move(err); }
 
   std::uint64_t cycles = 0;
   std::uint64_t ops_fired = 0;
@@ -77,14 +70,8 @@ struct RunStats {
   /// machine.cpp — a draining *store* is an error instead).
   std::uint64_t leftover_tokens = 0;
 
-  /// Fault-injection accounting (all zero on fault-free runs; see
-  /// machine/faults.hpp).
-  std::uint64_t faults_injected = 0;   ///< drops + duplicates + jitters + NACKs
-  std::uint64_t retries = 0;           ///< retransmissions + memory refires
-  std::uint64_t nacks_seen = 0;        ///< memory NACKs absorbed
-  std::uint64_t duplicates_dropped = 0;  ///< dedup'd redundant deliveries
-  std::uint64_t watchdog_triggers = 0;   ///< livelock/retry-budget diagnoses
-  std::uint64_t backpressure_stalls = 0;  ///< frame-capacity stalls
+  /// Loop-entry firings stalled by MachineOptions::frame_capacity.
+  std::uint64_t backpressure_stalls = 0;
 
   /// Integrity validations performed (MachineOptions::check): one per
   /// checked strict delivery (tag transition), per firing (permission

@@ -56,45 +56,6 @@ enum class CheckMode : std::uint8_t {
   return c == CheckMode::kOff ? "off" : "integrity";
 }
 
-/// Deterministic fault-injection plan (see machine/faults.hpp for the
-/// model and the recovery machinery). All rates are per-event
-/// probabilities in [0,1]; every decision is a pure function of `seed`
-/// and the event's identity, so faulted runs are exactly reproducible.
-/// With every rate zero the plan is inert and the engine runs its
-/// fault-free code paths unchanged.
-struct FaultPlan {
-  std::uint64_t seed = 0;
-
-  /// Per-transmission probability that a cross-PE token is dropped and
-  /// must be retransmitted after backoff (multi-processor mode only —
-  /// the abstract pool has no network to lose tokens in).
-  double drop = 0.0;
-  /// Probability that a cross-PE token is duplicated in the network;
-  /// the receiver drops the second copy by sequence number.
-  double dup = 0.0;
-  /// Probability of 1-4 cycles of extra network delay on a cross-PE
-  /// token.
-  double jitter = 0.0;
-  /// Per-firing probability that the split-phase memory NACKs a
-  /// request; the firing retries after backoff.
-  double nack = 0.0;
-
-  /// Transmission attempts (first try + retries) before the retry
-  /// budget is exhausted and the run fails with kRetryExhausted.
-  unsigned max_attempts = 6;
-  /// Exponential backoff before retry k: base << (k-1) cycles ...
-  unsigned backoff_base = 2;
-  /// ... capped at this many cycles.
-  unsigned backoff_cap = 64;
-  /// Scheduler steps without a single firing before the no-progress
-  /// watchdog declares livelock; 0 = a generous default (1M steps).
-  std::uint64_t watchdog_steps = 0;
-
-  [[nodiscard]] bool enabled() const {
-    return drop > 0.0 || dup > 0.0 || jitter > 0.0 || nack > 0.0;
-  }
-};
-
 /// Cooperative run budget: every way a single run may consume resources
 /// has a ceiling here, checked on the engine's firing path
 /// (machine/budget.hpp). The Monsoon discipline of bounding
@@ -118,12 +79,19 @@ struct RunBudget {
 
   /// True when the per-firing budget poll must be engaged (the
   /// max_cycles ceiling rides the existing per-cycle check and needs no
-  /// polling). When false the engine runs its legacy hot path behind
-  /// one dead branch — the fault/integrity bargain.
+  /// polling). When false the poll costs the firing path one dead
+  /// branch, as integrity checking does when it is off.
   [[nodiscard]] bool armed() const {
     return deadline_ms >= 0 || max_tokens > 0;
   }
 };
+
+/// The largest value --mem-latency and --network-latency accept
+/// (apply_machine_flag rejects more as a bad value). A delivery is due
+/// at most max(alu, mem) + network latency cycles ahead, so at this
+/// bound the horizon stays far below CalendarQueue::kMaxHorizon and the
+/// per-run wheel stays small.
+inline constexpr unsigned kMaxLatency = 1u << 16;
 
 struct MachineOptions {
   LoopMode loop_mode = LoopMode::kBarrier;
@@ -152,13 +120,13 @@ struct MachineOptions {
   Placement placement = Placement::kByContext;
 
   /// Extra cycles for a token whose producer and consumer live on
-  /// different PEs (multi-processor mode only).
+  /// different PEs (multi-processor mode only), at most kMaxLatency.
   unsigned network_latency = 2;
 
-  /// Latency of non-memory operators, cycles.
+  /// Latency of non-memory operators, cycles (at least 1).
   unsigned alu_latency = 1;
 
-  /// Split-phase memory round-trip latency, cycles.
+  /// Split-phase memory round-trip latency, cycles (1 to kMaxLatency).
   unsigned mem_latency = 4;
 
   /// Cooperative deadline / cycle / token ceilings (CLI
@@ -171,9 +139,6 @@ struct MachineOptions {
   /// instead of aborting — graceful degradation, like an adaptive
   /// k-bound. 0 = unbounded (today's behavior).
   std::uint64_t frame_capacity = 0;
-
-  /// Deterministic fault injection (inert by default).
-  FaultPlan faults;
 
   /// 0 = deterministic FIFO scheduling. Non-zero seeds randomize the
   /// choice of which ready operator fires next — used by the

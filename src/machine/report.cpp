@@ -14,7 +14,7 @@ std::string render_report(const RunStats& stats) {
     os << "run FAILED";
     if (stats.error_detail.code != ErrorCode::kNone)
       os << " [" << code_slug(stats.error_detail.code) << "]";
-    os << ": " << stats.error << "\n";
+    os << ": " << stats.error_detail.render() << "\n";
     return os.str();
   }
   os << "cycles                " << stats.cycles << "\n";
@@ -36,12 +36,8 @@ std::string render_report(const RunStats& stats) {
        << " checks passed\n";
   if (stats.leftover_tokens)
     os << "drain tokens at end   " << stats.leftover_tokens << "\n";
-  if (stats.faults_injected || stats.nacks_seen || stats.duplicates_dropped ||
-      stats.retries || stats.backpressure_stalls)
-    os << "faults                " << stats.faults_injected << " injected, "
-       << stats.retries << " retries, " << stats.nacks_seen << " NACKs, "
-       << stats.duplicates_dropped << " duplicates dropped, "
-       << stats.backpressure_stalls << " backpressure stalls\n";
+  if (stats.backpressure_stalls)
+    os << "backpressure stalls   " << stats.backpressure_stalls << "\n";
 
   os << "firings by kind      ";
   for (std::size_t k = 0; k < stats.fired_by_kind.size(); ++k) {
@@ -121,20 +117,15 @@ std::string render_stats_json(const RunStats& stats,
      << "\"frame_capacity\": " << opt.frame_capacity << ", "
      << "\"max_cycles\": " << opt.budget.max_cycles << ", "
      << "\"deadline_ms\": " << opt.budget.deadline_ms << ", "
-     << "\"max_tokens\": " << opt.budget.max_tokens << ", "
-     << "\"fault_seed\": " << opt.faults.seed << ", "
-     << "\"fault_drop\": " << opt.faults.drop << ", "
-     << "\"fault_dup\": " << opt.faults.dup << ", "
-     << "\"fault_jitter\": " << opt.faults.jitter << ", "
-     << "\"fault_nack\": " << opt.faults.nack << "},\n";
+     << "\"max_tokens\": " << opt.budget.max_tokens << "},\n";
   os << "  \"completed\": " << (stats.completed ? "true" : "false") << ",\n";
-  // Typed failure taxonomy; the legacy flat string is kept alongside so
-  // pre-existing consumers keep parsing.
+  // Typed failure taxonomy, and the same failure as one flat string.
   os << "  \"error\": {\"code\": \"" << code_slug(stats.error_detail.code)
      << "\", \"message\": \"" << json_escape(stats.error_detail.message)
      << "\", \"diagnosis\": \"" << json_escape(stats.error_detail.diagnosis)
      << "\"},\n";
-  os << "  \"error_string\": \"" << json_escape(stats.error) << "\",\n";
+  os << "  \"error_string\": \""
+     << json_escape(stats.error_detail.render()) << "\",\n";
   os << "  \"cycles\": " << stats.cycles << ",\n";
   os << "  \"ops_fired\": " << stats.ops_fired << ",\n";
   os << "  \"tokens_sent\": " << stats.tokens_sent << ",\n";
@@ -147,11 +138,6 @@ std::string render_stats_json(const RunStats& stats,
   os << "  \"deferred_reads\": " << stats.deferred_reads << ",\n";
   os << "  \"peak_ready\": " << stats.peak_ready << ",\n";
   os << "  \"leftover_tokens\": " << stats.leftover_tokens << ",\n";
-  os << "  \"faults_injected\": " << stats.faults_injected << ",\n";
-  os << "  \"retries\": " << stats.retries << ",\n";
-  os << "  \"nacks_seen\": " << stats.nacks_seen << ",\n";
-  os << "  \"duplicates_dropped\": " << stats.duplicates_dropped << ",\n";
-  os << "  \"watchdog_triggers\": " << stats.watchdog_triggers << ",\n";
   os << "  \"backpressure_stalls\": " << stats.backpressure_stalls << ",\n";
   os << "  \"integrity_checks\": " << stats.integrity_checks << ",\n";
   os << "  \"avg_parallelism\": " << stats.avg_parallelism() << ",\n";

@@ -315,7 +315,7 @@ std::string handle_program_request(core::ProgramCache& cache,
       if (res.stats.completed)
         store = store_json(out.entry->image, res.store, req);
       else
-        machine_error = res.stats.error;
+        machine_error = res.stats.error_detail.render();
     } catch (const std::exception& e) {
       // The request boundary: a machine that throws (say, a declared
       // array too large to allocate) fails this request, not the

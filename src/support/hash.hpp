@@ -1,9 +1,9 @@
 // Shared SplitMix64 mixing primitives and the streaming content hash.
 //
 // The same finalizer (Steele/Lea/Flood constants) was copied between the
-// RNG, the fault-decision streams, and the PE placement hash; one
-// header keeps the constants and the avalanche in a single place so the
-// streams stay bit-identical across call sites.
+// RNG and the PE placement hash; one header keeps the constants and the
+// avalanche in a single place so the streams stay bit-identical across
+// call sites.
 //
 // Fnv1a64 is the one streaming hash of the codebase: ExecProgram blob
 // integrity headers (machine/blob.hpp) and program-cache keys

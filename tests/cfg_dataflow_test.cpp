@@ -178,7 +178,7 @@ TEST(DeadStoreElim, EndToEndSemanticsPreserved) {
     const auto tx = core::compile(prog, topt);
     const auto res = core::execute(tx, {});
     ASSERT_TRUE(res.stats.completed) << "seed " << seed << ": "
-                                     << res.stats.error;
+                                     << res.stats.error_detail.render();
     EXPECT_EQ(res.store.cells, ref.store.cells) << "seed " << seed;
   }
 }

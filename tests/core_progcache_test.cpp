@@ -124,7 +124,7 @@ TEST(ProgramCache, CacheServedProgramsExecuteIdentically) {
   const machine::MachineOptions mopt;
   const auto a = execute(hit.entry->image, mopt);
   const auto b = execute(fresh, mopt);
-  ASSERT_TRUE(a.stats.completed) << a.stats.error;
+  ASSERT_TRUE(a.stats.completed) << a.stats.error_detail.render();
   EXPECT_EQ(a.store, b.store);
   EXPECT_EQ(a.stats.cycles, b.stats.cycles);
   EXPECT_EQ(a.stats.ops_fired, b.stats.ops_fired);
@@ -204,7 +204,7 @@ TEST(ProgramCache, DiskTierServesANewProcess) {
   EXPECT_EQ(s.misses, 0u);
 
   const auto ran = execute(out.entry->image, machine::MachineOptions{});
-  EXPECT_TRUE(ran.stats.completed) << ran.stats.error;
+  EXPECT_TRUE(ran.stats.completed) << ran.stats.error_detail.render();
 }
 
 TEST(ProgramCache, CorruptDiskBlobIsRejectedRecompiledAndRewritten) {
@@ -225,7 +225,7 @@ TEST(ProgramCache, CorruptDiskBlobIsRejectedRecompiledAndRewritten) {
   EXPECT_EQ(out.disposition, CacheDisposition::kMiss);  // recompiled
   EXPECT_EQ(burned.stats().disk_rejects, 1u);
   const auto ran = execute(out.entry->image, machine::MachineOptions{});
-  EXPECT_TRUE(ran.stats.completed) << ran.stats.error;
+  EXPECT_TRUE(ran.stats.completed) << ran.stats.error_detail.render();
 
   // The rewrite healed the file: the next process gets a disk hit.
   ProgramCache healed(cfg);
@@ -408,7 +408,7 @@ TEST(PipelineRunMany, CacheOverloadDeduplicatesAcrossAndWithinBatches) {
     EXPECT_GT(cr.exec.num_ops(), 0u);
     EXPECT_FALSE(cr.names.empty());
     const auto ran = execute(cr, machine::MachineOptions{});
-    EXPECT_TRUE(ran.stats.completed) << ran.stats.error;
+    EXPECT_TRUE(ran.stats.completed) << ran.stats.error_detail.render();
   }
 
   // A later batch reuses everything — no pipeline stage runs at all.

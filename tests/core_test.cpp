@@ -13,7 +13,7 @@ TEST(Core, ParseCompileExecuteRoundTrip) {
   const auto tx =
       compile(prog, translate::TranslateOptions::schema2_optimized());
   const auto res = execute(tx, {});
-  ASSERT_TRUE(res.stats.completed) << res.stats.error;
+  ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   EXPECT_EQ(read_scalar(prog, res.store, "x"), 5);
   EXPECT_EQ(read_scalar(prog, res.store, "y"), 5);
 }
@@ -70,7 +70,7 @@ TEST(Core, IStructureRegionsFlowThroughExecute) {
   const auto tx = compile(lang::corpus::array_loop(5), o);
   ASSERT_EQ(tx.istructures.size(), 1u);
   const auto res = execute(tx, {});
-  ASSERT_TRUE(res.stats.completed) << res.stats.error;
+  ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   const auto prog = lang::corpus::array_loop(5);
   for (int i = 1; i <= 5; ++i)
     EXPECT_EQ(read_element(prog, res.store, "x", i), 1);

@@ -47,8 +47,10 @@ TEST(Asm, ParsedModuleExecutesIdentically) {
     const Module m2 = parse_asm_or_throw(write_asm(m));
     const auto r1 = run_module(m);
     const auto r2 = run_module(m2);
-    ASSERT_TRUE(r1.stats.completed) << np.name << ": " << r1.stats.error;
-    ASSERT_TRUE(r2.stats.completed) << np.name << ": " << r2.stats.error;
+    ASSERT_TRUE(r1.stats.completed)
+        << np.name << ": " << r1.stats.error_detail.render();
+    ASSERT_TRUE(r2.stats.completed)
+        << np.name << ": " << r2.stats.error_detail.render();
     EXPECT_EQ(r1.store.cells, r2.store.cells) << np.name;
     EXPECT_EQ(r1.stats.cycles, r2.stats.cycles) << np.name;
     EXPECT_EQ(r1.stats.ops_fired, r2.stats.ops_fired) << np.name;
@@ -64,7 +66,7 @@ TEST(Asm, IStructureRegionsSurvive) {
   const Module m2 = parse_asm_or_throw(write_asm(m));
   EXPECT_EQ(m2.istructures, m.istructures);
   const auto r = run_module(m2);
-  EXPECT_TRUE(r.stats.completed) << r.stats.error;
+  EXPECT_TRUE(r.stats.completed) << r.stats.error_detail.render();
 }
 
 TEST(Asm, LabelsWithSpacesAndQuotesSurvive) {

@@ -86,7 +86,7 @@ TEST(Fusion, CollapsesALinearChainIntoOneMacro) {
 
   // ((5 + 1) negated) = -6; 20 - (-6) = 26.
   const auto r = machine::run(g, 1, {});
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
+  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 26);
 }
 
@@ -115,7 +115,7 @@ TEST(Fusion, FuseLimitSegmentsLongChains) {
   ASSERT_TRUE(g.validate().empty());
 
   const auto r = machine::run(g, 1, {});
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
+  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 11);
 }
 
@@ -140,7 +140,7 @@ TEST(Fusion, MacroNodesSurviveAsmRoundTripAndLowering) {
   EXPECT_NE(rendered.find("steps=2"), std::string::npos);
 
   const auto r = machine::run(back.graph, back.memory_cells, {});
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
+  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 26);
 }
 
@@ -163,7 +163,7 @@ TEST(ConstFold, IdentityOperatorsAreBypassed) {
   ASSERT_TRUE(g.validate().empty());
 
   const auto r = machine::run(g, 1, {});
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
+  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 7);
 }
 
@@ -190,7 +190,7 @@ TEST(ConstFold, AbsorbersStillConsumeTheLiveToken) {
   ASSERT_TRUE(g.validate().empty());
 
   const auto r = machine::run(g, 1, {});
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
+  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 0);
 }
 
@@ -213,7 +213,7 @@ TEST(SynchNarrow, SynchFeedingOnlyASynchMergesIntoIt) {
   ASSERT_TRUE(g.validate().empty());
 
   const auto r = machine::run(g, 0, {});
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
+  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
 }
 
 TEST(PassManager, ReplicateTreesAreNeverRecollapsed) {
@@ -238,7 +238,7 @@ TEST(PassManager, ReplicateTreesAreNeverRecollapsed) {
   const auto prog = lang::parse_or_throw(lang::corpus::read_heavy_source(16));
   const auto ref = lang::interpret(prog);
   const auto res = core::execute(tx, {});
-  ASSERT_TRUE(res.stats.completed) << res.stats.error;
+  ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   EXPECT_EQ(res.store.cells, ref.store.cells);
 }
 
@@ -276,9 +276,9 @@ TEST(PassManager, FusedAndUnfusedStoresAreByteIdentical) {
       const auto r_off = core::execute(tx_off, {});
       const auto r_on = core::execute(tx_on, {});
       ASSERT_TRUE(r_off.stats.completed) << np.name << ": "
-                                         << r_off.stats.error;
+                                         << r_off.stats.error_detail.render();
       ASSERT_TRUE(r_on.stats.completed) << np.name << ": "
-                                        << r_on.stats.error;
+                                        << r_on.stats.error_detail.render();
       EXPECT_EQ(r_on.store.cells, r_off.store.cells) << np.name;
       EXPECT_EQ(r_on.store.cells, ref.store.cells) << np.name;
     }

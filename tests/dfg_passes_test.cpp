@@ -62,7 +62,8 @@ TEST(Passes, FoldedProgramStillComputesCorrectly) {
     o.post_optimize = true;
     const auto tx = core::compile(prog, o);
     const auto res = core::execute(tx, {});
-    ASSERT_TRUE(res.stats.completed) << src << ": " << res.stats.error;
+    ASSERT_TRUE(res.stats.completed)
+        << src << ": " << res.stats.error_detail.render();
     EXPECT_EQ(res.store.cells, ref.store.cells) << src;
   }
 }
@@ -90,7 +91,8 @@ TEST(Passes, PreservesValidityOnCorpus) {
       const auto prog = lang::parse_or_throw(np.source);
       const auto ref = lang::interpret(prog);
       const auto res = core::execute(tx, {});
-      ASSERT_TRUE(res.stats.completed) << np.name << ": " << res.stats.error;
+      ASSERT_TRUE(res.stats.completed)
+          << np.name << ": " << res.stats.error_detail.render();
       EXPECT_EQ(res.store.cells, ref.store.cells) << np.name;
     }
   }
@@ -143,7 +145,7 @@ out: s := s * 2;
     machine::MachineOptions m;
     m.loop_mode = mode;
     const auto res = core::execute(tx, m);
-    ASSERT_TRUE(res.stats.completed) << res.stats.error;
+    ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
     EXPECT_EQ(res.store.cells, ref.store.cells);
   }
 }
@@ -178,7 +180,8 @@ TEST(FanoutLowering, LoweredGraphStillComputesCorrectly) {
     EXPECT_LE(max_fanout(tx.graph), 2u) << np.name;
     EXPECT_TRUE(tx.graph.validate().empty()) << np.name;
     const auto res = core::execute(tx, {});
-    ASSERT_TRUE(res.stats.completed) << np.name << ": " << res.stats.error;
+    ASSERT_TRUE(res.stats.completed)
+        << np.name << ": " << res.stats.error_detail.render();
     EXPECT_EQ(res.store.cells, ref.store.cells) << np.name;
   }
 }

@@ -121,7 +121,7 @@ TEST(Subroutines, RunsOnTheDataflowMachineToo) {
   const auto tx =
       core::compile(prog, translate::TranslateOptions::schema2_optimized());
   const auto res = core::execute(tx, {});
-  ASSERT_TRUE(res.stats.completed) << res.stats.error;
+  ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   EXPECT_EQ(res.store.cells, ref.store.cells);
 }
 

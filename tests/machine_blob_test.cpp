@@ -12,6 +12,7 @@
 // rejection, because core/progcache.hpp's disk tier switches on it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -87,7 +88,8 @@ void expect_roundtrip(const lang::Program& prog, core::PipelineOptions po,
   const MachineOptions mopt;
   const RunResult fresh = core::execute(original, mopt);
   const RunResult decoded = core::execute(read.image, mopt);
-  ASSERT_TRUE(fresh.stats.completed) << label << ": " << fresh.stats.error;
+  ASSERT_TRUE(fresh.stats.completed)
+      << label << ": " << fresh.stats.error_detail.render();
   EXPECT_EQ(render_stats_json(decoded.stats, mopt),
             render_stats_json(fresh.stats, mopt))
       << label;
@@ -236,15 +238,14 @@ TEST_F(BlobAdversarial, HashFieldCorruptionIsHashMismatch) {
   EXPECT_EQ(deserialize(bad).error, BlobError::kHashMismatch);
 }
 
-TEST_F(BlobAdversarial, HashValidTrailingGarbageIsMalformed) {
-  // An adversarial writer can append bytes to the payload and re-hash,
-  // so the integrity header passes; the structural decoder must still
-  // notice the image does not consume the whole payload.
-  std::vector<std::uint8_t> payload(blob_.begin() + kBlobHeaderSize,
-                                    blob_.end());
-  payload.push_back(0);
-  std::vector<std::uint8_t> forged(blob_.begin(),
-                                   blob_.begin() + kBlobHeaderSize);
+/// `header` (from a valid blob) with its size and hash fields rewritten
+/// for `payload`, followed by `payload`: what an adversarial writer
+/// produces, so the integrity header passes whatever the payload says.
+std::vector<std::uint8_t> forge(std::span<const std::uint8_t> header,
+                                const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> forged(kBlobHeaderSize + payload.size());
+  std::copy_n(header.begin(), kBlobHeaderSize, forged.begin());
+  std::copy(payload.begin(), payload.end(), forged.begin() + kBlobHeaderSize);
   const std::uint64_t size = payload.size();
   const std::uint64_t hash =
       support::content_hash64(payload.data(), payload.size());
@@ -252,10 +253,67 @@ TEST_F(BlobAdversarial, HashValidTrailingGarbageIsMalformed) {
     forged[16 + i] = static_cast<std::uint8_t>(size >> (8 * i));
     forged[24 + i] = static_cast<std::uint8_t>(hash >> (8 * i));
   }
-  forged.insert(forged.end(), payload.begin(), payload.end());
-  const BlobReadResult r = deserialize(forged);
+  return forged;
+}
+
+TEST_F(BlobAdversarial, HashValidTrailingGarbageIsMalformed) {
+  // The structural decoder must notice that a re-hashed image does not
+  // consume the whole payload.
+  std::vector<std::uint8_t> payload(blob_.begin() + kBlobHeaderSize,
+                                    blob_.end());
+  payload.push_back(0);
+  const BlobReadResult r = deserialize(forge(blob_, payload));
   EXPECT_EQ(r.error, BlobError::kMalformed);
   EXPECT_NE(r.message.find("trailing bytes"), std::string::npos) << r.message;
+}
+
+TEST_F(BlobAdversarial, HashValidFanoutIndexIsMalformed) {
+  // The fan-out index must start at 0 and never decrease: a span
+  // [begin[p], begin[p + 1]) past the destination table would make the
+  // engine read out of bounds, even with the last entry correct. Find
+  // the serialized index (its u32 count, then the entries) and bend
+  // one entry at a time.
+  const BlobReadResult read = deserialize(blob_);
+  ASSERT_TRUE(read.ok()) << read.message;
+  const std::span<const std::uint32_t> index =
+      read.image.exec.tables().fanout_begin;
+  ASSERT_GE(index.size(), 3u);
+  const auto u32_bytes = [](std::uint32_t v) {
+    return std::vector<std::uint8_t>{
+        static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+        static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
+  };
+  std::vector<std::uint8_t> needle =
+      u32_bytes(static_cast<std::uint32_t>(index.size()));
+  for (const std::uint32_t v : index) {
+    const auto b = u32_bytes(v);
+    needle.insert(needle.end(), b.begin(), b.end());
+  }
+  const std::vector<std::uint8_t> payload(blob_.begin() + kBlobHeaderSize,
+                                          blob_.end());
+  const auto at = std::search(payload.begin(), payload.end(), needle.begin(),
+                              needle.end());
+  ASSERT_NE(at, payload.end());
+  const std::size_t entries =
+      static_cast<std::size_t>(at - payload.begin()) + 4;
+  const auto bent = [&](std::size_t entry, std::uint32_t value) {
+    std::vector<std::uint8_t> p = payload;
+    const auto b = u32_bytes(value);
+    std::copy(b.begin(), b.end(), p.begin() + entries + 4 * entry);
+    return deserialize(forge(blob_, p));
+  };
+  // An inner entry far past the table: the index now decreases after it.
+  const std::uint32_t past = index.back() + 1000;
+  BlobReadResult r = bent(1, past);
+  EXPECT_EQ(r.error, BlobError::kMalformed);
+  EXPECT_NE(r.message.find("fan-out index decreases"), std::string::npos)
+      << r.message;
+  // A first entry other than 0.
+  r = bent(0, 1);
+  EXPECT_EQ(r.error, BlobError::kMalformed);
+  EXPECT_NE(r.message.find("fan-out index does not start at 0"),
+            std::string::npos)
+      << r.message;
 }
 
 TEST_F(BlobAdversarial, HashValidArityUndercountIsMalformed) {

@@ -53,7 +53,7 @@ TEST(MachineBudget, DeadlineExpiryIsTypedAndIdenticalUnderBothPolicies) {
     const RunResult r = run_source(kSpinSource, mopt, cfg.scan);
     EXPECT_FALSE(r.stats.completed) << cfg.name;
     EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kDeadlineExceeded)
-        << cfg.name << ": " << r.stats.error;
+        << cfg.name << ": " << r.stats.error_detail.render();
     // Partial stats survive the expiry: the run did real work first.
     EXPECT_GT(r.stats.cycles, 0u) << cfg.name;
     EXPECT_GT(r.stats.ops_fired, 0u) << cfg.name;
@@ -62,7 +62,7 @@ TEST(MachineBudget, DeadlineExpiryIsTypedAndIdenticalUnderBothPolicies) {
     EXPECT_NE(json.find("\"code\": \"deadline-exceeded\""), std::string::npos)
         << cfg.name << ":\n" << json;
     EXPECT_NE(json.find("\"completed\": false"), std::string::npos);
-    messages.push_back(r.stats.error);
+    messages.push_back(r.stats.error_detail.render());
   }
   for (std::size_t i = 1; i < messages.size(); ++i)
     EXPECT_EQ(messages[i], messages[0]) << kPolicies[i].name;
@@ -76,9 +76,9 @@ TEST(MachineBudget, TokenCeilingIsTypedAndIdenticalUnderBothPolicies) {
     const RunResult r = run_source(kSpinSource, mopt, cfg.scan);
     EXPECT_FALSE(r.stats.completed) << cfg.name;
     EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kTokenBudget)
-        << cfg.name << ": " << r.stats.error;
+        << cfg.name << ": " << r.stats.error_detail.render();
     EXPECT_GT(r.stats.tokens_sent, 1000u) << cfg.name;
-    messages.push_back(r.stats.error);
+    messages.push_back(r.stats.error_detail.render());
   }
   for (std::size_t i = 1; i < messages.size(); ++i)
     EXPECT_EQ(messages[i], messages[0]) << kPolicies[i].name;
@@ -96,7 +96,7 @@ TEST(MachineBudget, ZeroDeadlineRejectsUpFront) {
   // Rejected before a single cycle: nothing fired, store untouched.
   EXPECT_EQ(r.stats.cycles, 0u);
   EXPECT_EQ(r.stats.ops_fired, 0u);
-  EXPECT_EQ(r.stats.error,
+  EXPECT_EQ(r.stats.error_detail.render(),
             "deadline exceeded: the 0 ms wall-clock budget was spent "
             "before the program completed");
 }
@@ -104,13 +104,15 @@ TEST(MachineBudget, ZeroDeadlineRejectsUpFront) {
 TEST(MachineBudget, GenerousBudgetIsByteIdenticalToNoBudget) {
   for (const Policy& cfg : kPolicies) {
     const RunResult bare = run_source(kFiniteSource, {}, cfg.scan);
-    ASSERT_TRUE(bare.stats.completed) << cfg.name << ": " << bare.stats.error;
+    ASSERT_TRUE(bare.stats.completed)
+        << cfg.name << ": " << bare.stats.error_detail.render();
 
     MachineOptions armed;
     armed.budget.deadline_ms = 600'000;
     armed.budget.max_tokens = 1ull << 60;
     const RunResult r = run_source(kFiniteSource, armed, cfg.scan);
-    ASSERT_TRUE(r.stats.completed) << cfg.name << ": " << r.stats.error;
+    ASSERT_TRUE(r.stats.completed)
+        << cfg.name << ": " << r.stats.error_detail.render();
     EXPECT_TRUE(r.store == bare.store) << cfg.name;
     EXPECT_EQ(render_report(r.stats), render_report(bare.stats)) << cfg.name;
   }

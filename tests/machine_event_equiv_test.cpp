@@ -15,6 +15,7 @@
 #include "lang/corpus.hpp"
 #include "lang/generator.hpp"
 #include "lang/parser.hpp"
+#include "machine/flags.hpp"
 #include "machine/machine.hpp"
 #include "support/scan_reference.hpp"
 
@@ -29,7 +30,8 @@ using dfg::OpKind;
 void expect_identical(const RunResult& scan, const RunResult& event,
                       const std::string& context) {
   EXPECT_EQ(scan.stats.completed, event.stats.completed) << context;
-  EXPECT_EQ(scan.stats.error, event.stats.error) << context;
+  EXPECT_EQ(scan.stats.error_detail.render(),
+            event.stats.error_detail.render()) << context;
   EXPECT_EQ(scan.stats.cycles, event.stats.cycles) << context;
   EXPECT_EQ(scan.stats.ops_fired, event.stats.ops_fired) << context;
   EXPECT_EQ(scan.stats.tokens_sent, event.stats.tokens_sent) << context;
@@ -82,7 +84,8 @@ void sweep_program(const lang::Program& prog,
             context + " loop=" + to_string(loop_mode) +
                 " seed=" + std::to_string(seed) +
                 " width=" + std::to_string(width));
-        EXPECT_TRUE(res.stats.completed) << context << ": " << res.stats.error;
+        EXPECT_TRUE(res.stats.completed)
+            << context << ": " << res.stats.error_detail.render();
       }
     }
   }
@@ -127,7 +130,7 @@ TEST(EventEquiv, MultiPePlacementsAndNetworkLatency) {
             std::string("nested_loops pe=") + std::to_string(processors) +
                 " placement=" + to_string(placement) +
                 " net=" + std::to_string(net));
-        EXPECT_TRUE(res.stats.completed) << res.stats.error;
+        EXPECT_TRUE(res.stats.completed) << res.stats.error_detail.render();
       }
     }
   }
@@ -147,7 +150,7 @@ TEST(EventEquiv, KBoundedLoops) {
       const auto res = check_event(tx, mopt,
                                    "array_loop k=" + std::to_string(k) +
                                        " seed=" + std::to_string(seed));
-      EXPECT_TRUE(res.stats.completed) << res.stats.error;
+      EXPECT_TRUE(res.stats.completed) << res.stats.error_detail.render();
       if (k == 1) {
         EXPECT_GT(res.stats.throttle_stalls, 0u);
       }
@@ -178,16 +181,35 @@ TEST(EventEquiv, RandomPrograms) {
   }
 }
 
-TEST(EventEquiv, AbsurdLatencyFallsBackToScan) {
-  // A horizon at or past CalendarQueue::kMaxHorizon must transparently
-  // take the scan path — same results, no degenerate wheel.
+TEST(EventEquiv, LatencyFlagsPastTheWheelBoundAreRejected) {
+  // Every run takes the calendar wheel, and the latency flags keep its
+  // horizon bounded: an absurd latency is a typed bad value.
+  MachineOptions mopt;
+  for (const char* flag :
+       {"--mem-latency=0", "--mem-latency=65537", "--mem-latency=2097152",
+        "--network-latency=65537", "--network-latency=4294967296"})
+    EXPECT_EQ(apply_machine_flag(mopt, flag), MachineFlagParse::kBadValue)
+        << flag;
+  EXPECT_EQ(apply_machine_flag(mopt, "--mem-latency=65536"),
+            MachineFlagParse::kApplied);
+  EXPECT_EQ(apply_machine_flag(mopt, "--network-latency=65536"),
+            MachineFlagParse::kApplied);
+  EXPECT_EQ(mopt.mem_latency, kMaxLatency);
+  EXPECT_EQ(mopt.network_latency, kMaxLatency);
+}
+
+TEST(EventEquiv, LargestAcceptedLatenciesMatchScan) {
+  // The widest wheel any accepted option set asks for: both latencies
+  // at the bound, on two PEs so cross-PE hops add the network latency.
   const auto tx =
       core::compile(lang::corpus::running_example(),
                     translate::TranslateOptions::schema2_optimized());
   MachineOptions mopt;
-  mopt.mem_latency = 1u << 21;
-  const RunResult scan = check_event(tx, mopt, "huge-latency fallback");
-  EXPECT_TRUE(scan.stats.completed) << scan.stats.error;
+  mopt.mem_latency = kMaxLatency;
+  mopt.network_latency = kMaxLatency;
+  mopt.processors = 2;
+  const RunResult scan = check_event(tx, mopt, "largest latencies");
+  EXPECT_TRUE(scan.stats.completed) << scan.stats.error_detail.render();
 }
 
 // ---- error-path identity: diagnostics (including their text, which
@@ -317,7 +339,7 @@ TEST(EventEquiv, DrainedReadyTokenDoesNotCountAsFiring) {
   g.connect({gate, 0}, {sink, 0}, false);
 
   const RunResult scan = check_graph_event(g, 0, {}, {}, "ready-drain");
-  ASSERT_TRUE(scan.stats.completed) << scan.stats.error;
+  ASSERT_TRUE(scan.stats.completed) << scan.stats.error_detail.render();
   // Only start and end fired; the gate's token drained unfired.
   EXPECT_EQ(scan.stats.ops_fired, 2u);
   EXPECT_EQ(scan.stats.leftover_tokens, 1u);
@@ -342,7 +364,7 @@ TEST(EventEquiv, DrainedPendingTokenDoesNotCountAsFiring) {
   MachineOptions o;
   o.alu_latency = 7;
   const RunResult scan = check_graph_event(g, 0, o, {}, "pending-drain");
-  ASSERT_TRUE(scan.stats.completed) << scan.stats.error;
+  ASSERT_TRUE(scan.stats.completed) << scan.stats.error_detail.render();
   // start, gate, and end fired; the sink merge's token is still seven
   // cycles out when End fires and must not become a merge firing.
   EXPECT_EQ(scan.stats.ops_fired, 3u);
@@ -399,8 +421,8 @@ TEST(EventEquiv, DirtyHeapGivesTheCleanResults) {
               np.name + "/" + tname + " loop=" + to_string(loop_mode) +
               " pe=" + std::to_string(processors);
           const RunResult clean = core::execute(tx, mopt);
-          EXPECT_TRUE(clean.stats.completed) << context << ": "
-                                             << clean.stats.error;
+          EXPECT_TRUE(clean.stats.completed)
+              << context << ": " << clean.stats.error_detail.render();
           void* guard = dirty_heap();
           const RunResult dirty = core::execute(tx, mopt);
           std::free(guard);

@@ -79,7 +79,7 @@ TEST_P(LoopModes, CountedLoopComputesTripCount) {
   MachineOptions o;
   o.loop_mode = GetParam();
   const RunResult r = run(loop.g, 1, o);
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
+  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 7);
   // One context per iteration (the final iteration exits without
   // starting context 8).
@@ -92,7 +92,7 @@ TEST_P(LoopModes, ZeroTripLoopStillExits) {
   MachineOptions o;
   o.loop_mode = GetParam();
   const RunResult r = run(loop.g, 1, o);
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
+  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 1);
   EXPECT_EQ(r.stats.contexts_allocated, 1u);
 }
@@ -158,8 +158,8 @@ TEST(LoopContexts, BarrierEntryWaitsForAllPorts) {
   pipelined.loop_mode = LoopMode::kPipelined;
   const RunResult rb = run(g, 1, barrier);
   const RunResult rp = run(g, 1, pipelined);
-  ASSERT_TRUE(rb.stats.completed) << rb.stats.error;
-  ASSERT_TRUE(rp.stats.completed) << rp.stats.error;
+  ASSERT_TRUE(rb.stats.completed) << rb.stats.error_detail.render();
+  ASSERT_TRUE(rp.stats.completed) << rp.stats.error_detail.render();
   EXPECT_EQ(rb.store.cells[0], 4);
   EXPECT_EQ(rp.store.cells[0], 4);
   // Pipelined entry lets the fast chain run ahead of the slow one:
@@ -232,7 +232,7 @@ TEST(LoopContexts, NestedLoopsGetDistinctInvocationContexts) {
     o.loop_mode = mode;
     const RunResult r = run(g, 1, o);
     ASSERT_TRUE(r.stats.completed) << to_string(mode) << ": "
-                                   << r.stats.error;
+                                   << r.stats.error_detail.render();
     EXPECT_EQ(r.store.cells[0], 3);
     // 3 outer iterations + 2 inner iterations per outer invocation.
     EXPECT_EQ(r.stats.contexts_allocated, 3u + 3u * 2u) << to_string(mode);

@@ -34,7 +34,7 @@ TEST(MultiPe, SemanticsIndependentOfTopology) {
         const auto res = run_pe(prog, pes, placement);
         ASSERT_TRUE(res.stats.completed)
             << np.name << " pes=" << pes << " " << to_string(placement)
-            << ": " << res.stats.error;
+            << ": " << res.stats.error_detail.render();
         EXPECT_EQ(res.store.cells, ref.store.cells)
             << np.name << " pes=" << pes << " " << to_string(placement);
       }
@@ -102,7 +102,8 @@ TEST(MultiPe, RandomProgramsAllTopologies) {
     for (const unsigned pes : {3u, 7u}) {
       const auto res = run_pe(prog, pes, Placement::kByContext);
       ASSERT_TRUE(res.stats.completed)
-          << "seed " << seed << " pes " << pes << ": " << res.stats.error;
+          << "seed " << seed << " pes " << pes << ": "
+          << res.stats.error_detail.render();
       EXPECT_EQ(res.store.cells, ref.store.cells) << "seed " << seed;
     }
   }

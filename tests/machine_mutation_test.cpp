@@ -91,7 +91,8 @@ void expect_mutation_caught(Mutation m, ErrorCode expected) {
     EXPECT_FALSE(r.stats.completed) << v.name << ": " << to_string(m);
     EXPECT_EQ(r.stats.error_detail.code, expected)
         << v.name << ": " << to_string(m) << " reported ["
-        << code_slug(r.stats.error_detail.code) << "] " << r.stats.error;
+        << code_slug(r.stats.error_detail.code) << "] "
+        << r.stats.error_detail.render();
   }
 }
 
@@ -100,7 +101,8 @@ TEST(IntegrityMutation, UnmutatedLoopRunsViolationFree) {
   std::uint64_t checks = 0;
   for (const Variant& v : kVariants) {
     const RunResult r = run_variant(v, c.exec, c.cells, checked_options(v));
-    ASSERT_TRUE(r.stats.completed) << v.name << ": " << r.stats.error;
+    ASSERT_TRUE(r.stats.completed)
+        << v.name << ": " << r.stats.error_detail.render();
     EXPECT_GT(r.stats.integrity_checks, 0u) << v.name;
     // The certificate is variant-independent: every variant performs
     // the same checks because they share the firing core.
@@ -136,9 +138,9 @@ TEST(IntegrityMutation, DoubleWriteDiagnosisNamesTheSlot) {
   MachineOptions o = checked_options(kVariants[1]);
   const RunResult r = run(c.exec, c.cells, o, {});
   ASSERT_FALSE(r.stats.completed);
-  EXPECT_NE(r.stats.error.find("double write to matching slot"),
+  EXPECT_NE(r.stats.error_detail.render().find("double write to matching slot"),
             std::string::npos)
-      << r.stats.error;
+      << r.stats.error_detail.render();
   EXPECT_NE(r.stats.error_detail.diagnosis.find("single-assignment"),
             std::string::npos)
       << r.stats.error_detail.diagnosis;
@@ -149,7 +151,7 @@ TEST(IntegrityMutation, DoubleWriteDiagnosisNamesTheSlot) {
   const RunResult off = run(c.exec, c.cells, o, {});
   ASSERT_FALSE(off.stats.completed);
   EXPECT_EQ(off.stats.error_detail.code, ErrorCode::kSlotCollision)
-      << off.stats.error;
+      << off.stats.error_detail.render();
 }
 
 // ---------------------------------------------------------------------
@@ -210,7 +212,8 @@ TEST(IntegrityMutation, SkippedSynchIsMemRace) {
     o.mem_latency = 8;
 
     const RunResult clean = run_variant(v, g, 2, o);
-    ASSERT_TRUE(clean.stats.completed) << v.name << ": " << clean.stats.error;
+    ASSERT_TRUE(clean.stats.completed)
+        << v.name << ": " << clean.stats.error_detail.render();
     EXPECT_EQ(clean.store.cells[1], 5) << v.name;
 
     ExecProgram ep = lower(g);
@@ -219,7 +222,7 @@ TEST(IntegrityMutation, SkippedSynchIsMemRace) {
     EXPECT_FALSE(r.stats.completed) << v.name;
     EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kIntegrityMemRace)
         << v.name << ": [" << code_slug(r.stats.error_detail.code) << "] "
-        << r.stats.error;
+        << r.stats.error_detail.render();
   }
 }
 
@@ -245,7 +248,8 @@ TEST(IntegrityMutation, AliasedIStoreBaseIsDoubleWrite) {
     const MachineOptions o = checked_options(v);
 
     const RunResult clean = run_variant(v, g, 2, o, {{0, 2}});
-    ASSERT_TRUE(clean.stats.completed) << v.name << ": " << clean.stats.error;
+    ASSERT_TRUE(clean.stats.completed)
+        << v.name << ": " << clean.stats.error_detail.render();
     EXPECT_EQ(clean.store.cells[0], 40) << v.name;
     EXPECT_EQ(clean.store.cells[1], 41) << v.name;
 
@@ -255,7 +259,7 @@ TEST(IntegrityMutation, AliasedIStoreBaseIsDoubleWrite) {
     EXPECT_FALSE(r.stats.completed) << v.name;
     EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kIStoreDoubleWrite)
         << v.name << ": [" << code_slug(r.stats.error_detail.code) << "] "
-        << r.stats.error;
+        << r.stats.error_detail.render();
   }
 }
 
@@ -297,7 +301,8 @@ TEST(IntegrityMutation, DuplicatedMemResponseIsOrphan) {
     MachineOptions o = checked_options(v);
 
     const RunResult clean = run_variant(v, g, 2, o, {{0, 1}});
-    ASSERT_TRUE(clean.stats.completed) << v.name << ": " << clean.stats.error;
+    ASSERT_TRUE(clean.stats.completed)
+        << v.name << ": " << clean.stats.error_detail.render();
     EXPECT_EQ(clean.stats.deferred_reads, 1u) << v.name;
 
     o.test_dup_response = true;
@@ -305,7 +310,7 @@ TEST(IntegrityMutation, DuplicatedMemResponseIsOrphan) {
     EXPECT_FALSE(r.stats.completed) << v.name;
     EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kIntegrityOrphanResponse)
         << v.name << ": [" << code_slug(r.stats.error_detail.code) << "] "
-        << r.stats.error;
+        << r.stats.error_detail.render();
   }
 }
 

@@ -68,17 +68,14 @@ const std::vector<std::string> kTopLevelKeys = {
     "options", "completed", "error", "error_string", "cycles", "ops_fired",
     "tokens_sent", "matches", "contexts_allocated", "mem_reads",
     "mem_writes", "peak_live_contexts", "throttle_stalls", "deferred_reads",
-    "peak_ready", "leftover_tokens", "faults_injected", "retries",
-    "nacks_seen", "duplicates_dropped", "watchdog_triggers",
-    "backpressure_stalls", "integrity_checks", "avg_parallelism",
-    "fired_by_kind"};
+    "peak_ready", "leftover_tokens", "backpressure_stalls",
+    "integrity_checks", "avg_parallelism", "fired_by_kind"};
 
 const std::vector<std::string> kOptionsKeys = {
     "check", "loop_mode", "width", "loop_bound", "processors",
     "placement", "network_latency", "alu_latency", "mem_latency",
     "scheduler_seed", "frame_capacity", "max_cycles", "deadline_ms",
-    "max_tokens",
-    "fault_seed", "fault_drop", "fault_dup", "fault_jitter", "fault_nack"};
+    "max_tokens"};
 
 const std::vector<std::string> kErrorKeys = {"code", "message", "diagnosis"};
 
@@ -89,7 +86,7 @@ TEST(StatsJsonSchema, SuccessfulRunEmitsTheGoldenKeySet) {
   MachineOptions opt;
   opt.check = CheckMode::kIntegrity;
   const RunResult r = core::execute(tx, opt);
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
+  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
 
   const std::string json = render_stats_json(r.stats, opt);
   EXPECT_EQ(keys_of(json, 0, true), kTopLevelKeys) << json;

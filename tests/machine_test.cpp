@@ -52,7 +52,7 @@ TEST(Machine, StoreThenLoad) {
   ASSERT_TRUE(g.validate().empty());
 
   const RunResult r = run(g, 5, {});
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
+  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[3], 77);
   EXPECT_EQ(r.store.cells[4], 77);
   EXPECT_EQ(r.stats.mem_reads, 1u);
@@ -74,7 +74,7 @@ TEST(Machine, AluEvaluation) {
   g.connect({st, 0}, {e, 0}, true);
 
   const RunResult r = run(g, 1, {});
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
+  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], -30);
 }
 
@@ -96,7 +96,7 @@ TEST(Machine, SwitchRoutesByPredicate) {
     g.connect({st_f, 0}, {e, 0}, true);
 
     const RunResult r = run(g, 2, {});
-    ASSERT_TRUE(r.stats.completed) << r.stats.error;
+    ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
     EXPECT_EQ(r.store.cells[pred ? 0 : 1], 9);
     EXPECT_EQ(r.store.cells[pred ? 1 : 0], 0);
   }
@@ -189,8 +189,8 @@ TEST(Machine, DeadlockDetected) {
   g.connect({sy, 0}, {e, 0}, true);
   const RunResult r = run(g, 0, {});
   EXPECT_FALSE(r.stats.completed);
-  EXPECT_NE(r.stats.error.find("deadlock"), std::string::npos);
-  EXPECT_NE(r.stats.error.find("starved"), std::string::npos);
+  EXPECT_NE(r.stats.error_detail.render().find("deadlock"), std::string::npos);
+  EXPECT_NE(r.stats.error_detail.render().find("starved"), std::string::npos);
 }
 
 TEST(Machine, TokenCollisionDetected) {
@@ -208,7 +208,7 @@ TEST(Machine, TokenCollisionDetected) {
   g.connect({gate, 0}, {sy, 1}, true);
   const RunResult r = run(g, 0, {});
   EXPECT_FALSE(r.stats.completed);
-  EXPECT_NE(r.stats.error.find("collision"), std::string::npos);
+  EXPECT_NE(r.stats.error_detail.render().find("collision"), std::string::npos);
 }
 
 TEST(Machine, IStructureDeferredReadIsSatisfied) {
@@ -242,7 +242,7 @@ TEST(Machine, IStructureDeferredReadIsSatisfied) {
   g.connect({sy, 0}, {e, 0}, true);
 
   const RunResult r = run(g, 5, {}, {{0, 4}});
-  ASSERT_TRUE(r.stats.completed) << r.stats.error;
+  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[4], 55);
   EXPECT_EQ(r.stats.deferred_reads, 1u);
 }
@@ -262,7 +262,8 @@ TEST(Machine, IStructureDoubleWriteTrapped) {
   }
   const RunResult r = run(g, 4, {}, {{0, 4}});
   EXPECT_FALSE(r.stats.completed);
-  EXPECT_NE(r.stats.error.find("double write"), std::string::npos);
+  EXPECT_NE(r.stats.error_detail.render().find("double write"),
+            std::string::npos);
 }
 
 TEST(Machine, CycleCapReported) {
@@ -282,7 +283,7 @@ TEST(Machine, CycleCapReported) {
   o.budget.max_cycles = 500;
   const RunResult r = run(g, 0, o);
   EXPECT_FALSE(r.stats.completed);
-  EXPECT_FALSE(r.stats.error.empty());
+  EXPECT_FALSE(r.stats.error_detail.render().empty());
 }
 
 TEST(Machine, BenignLeftoverTokensAreCountedNotFatal) {
@@ -297,7 +298,7 @@ TEST(Machine, BenignLeftoverTokensAreCountedNotFatal) {
   const NodeId e = add_end(g, 1);
   g.connect({s, 0}, {e, 0}, true);
   const RunResult r = run(g, 0, {});
-  EXPECT_TRUE(r.stats.completed) << r.stats.error;
+  EXPECT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_GT(r.stats.leftover_tokens, 0u);
 }
 
@@ -317,7 +318,8 @@ TEST(Machine, UnfiredStoreAtEndIsFatal) {
   g.connect({s, 0}, {e, 0}, true);
   const RunResult r = run(g, 1, {});
   EXPECT_FALSE(r.stats.completed);
-  EXPECT_NE(r.stats.error.find("uncollected"), std::string::npos);
+  EXPECT_NE(r.stats.error_detail.render().find("uncollected"),
+            std::string::npos);
 }
 
 TEST(Machine, CycleCapReportsCapAsCycleCount) {
@@ -338,7 +340,7 @@ TEST(Machine, CycleCapReportsCapAsCycleCount) {
   o.budget.max_cycles = 500;
   const RunResult r = run(g, 0, o);
   EXPECT_FALSE(r.stats.completed);
-  EXPECT_EQ(r.stats.error,
+  EXPECT_EQ(r.stats.error_detail.render(),
             "cycle cap exceeded (possible livelock or "
             "non-terminating program)");
   EXPECT_EQ(r.stats.cycles, 500u);
@@ -363,22 +365,18 @@ TEST(Machine, DeadlockReportListsStarvedSlots) {
   const NodeId e = add_end(g, 1);
   g.connect({sy, 0}, {e, 0}, true);
   const RunResult r = run(g, 0, {});
+  const std::string error = r.stats.error_detail.render();
   EXPECT_FALSE(r.stats.completed);
-  EXPECT_NE(r.stats.error.find("matching slot(s) still waiting"),
-            std::string::npos)
-      << r.stats.error;
-  EXPECT_NE(r.stats.error.find("missing 1 input(s)"), std::string::npos)
-      << r.stats.error;
+  EXPECT_NE(error.find("matching slot(s) still waiting"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("missing 1 input(s)"), std::string::npos) << error;
   // The report carries the per-loop live/throttled breakdown (and the
   // typed code) even outside loops — the headline line is always there.
-  EXPECT_NE(r.stats.error.find("loop state:"), std::string::npos)
-      << r.stats.error;
-  EXPECT_NE(r.stats.error.find("live iteration context(s)"),
-            std::string::npos)
-      << r.stats.error;
-  EXPECT_NE(r.stats.error.find("k-bound throttle stall(s)"),
-            std::string::npos)
-      << r.stats.error;
+  EXPECT_NE(error.find("loop state:"), std::string::npos) << error;
+  EXPECT_NE(error.find("live iteration context(s)"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("k-bound throttle stall(s)"), std::string::npos)
+      << error;
   EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kDeadlock);
 }
 
@@ -394,11 +392,12 @@ TEST(Machine, DeadlockReportIncludesDeferredReaders) {
   const NodeId e = add_end(g, 1);
   g.connect({fetch, 0}, {e, 0}, true);
   const RunResult r = run(g, 4, {}, {{0, 4}});
+  const std::string error = r.stats.error_detail.render();
   EXPECT_FALSE(r.stats.completed);
-  EXPECT_NE(r.stats.error.find("deadlock"), std::string::npos);
-  EXPECT_NE(r.stats.error.find("I-structure cell(s) with deferred readers"),
+  EXPECT_NE(error.find("deadlock"), std::string::npos);
+  EXPECT_NE(error.find("I-structure cell(s) with deferred readers"),
             std::string::npos)
-      << r.stats.error;
+      << error;
   EXPECT_EQ(r.stats.deferred_reads, 1u);
 }
 
@@ -418,11 +417,12 @@ TEST(Machine, KBoundOneRunsLoopSerially) {
   mopt.loop_mode = LoopMode::kPipelined;
   mopt.mem_latency = 60;  // stretch iteration lifetimes
   const auto unbounded = core::execute(tx, mopt);
-  ASSERT_TRUE(unbounded.stats.completed) << unbounded.stats.error;
+  ASSERT_TRUE(unbounded.stats.completed)
+      << unbounded.stats.error_detail.render();
 
   mopt.loop_bound = 1;
   const auto k1 = core::execute(tx, mopt);
-  ASSERT_TRUE(k1.stats.completed) << k1.stats.error;
+  ASSERT_TRUE(k1.stats.completed) << k1.stats.error_detail.render();
   EXPECT_EQ(k1.store.cells, ref.store.cells);
   // One iteration in flight (the bound is exact for a flat loop), so
   // nearly every forwarding had to stall at the entry at least once.
@@ -453,7 +453,7 @@ TEST(Machine, ReportRendersHeadlinesAndKinds) {
 TEST(Machine, ReportShowsFailures) {
   RunStats s;
   s.completed = false;
-  s.error = "synthetic failure";
+  s.error_detail.message = "synthetic failure";
   EXPECT_NE(render_report(s).find("synthetic failure"), std::string::npos);
 }
 

@@ -65,7 +65,7 @@ TEST_P(ArrayTransforms, Fig14AndIStructuresMatchInterpreter) {
         const auto res = core::execute(tx, mopt);
         ASSERT_TRUE(res.stats.completed)
             << topt.describe() << " " << to_string(mode) << ": "
-            << res.stats.error << "\n" << fam.source;
+            << res.stats.error_detail.render() << "\n" << fam.source;
         EXPECT_EQ(res.store.cells, ref.store.cells)
             << topt.describe() << " " << to_string(mode) << "\n"
             << fam.source;
@@ -88,7 +88,7 @@ l: i := i + 1; a[3 * i] := i; if i < 20 then goto l else goto end;
   EXPECT_EQ(tx.loops_store_parallelized, 1u);
   const auto ref = lang::interpret(prog);
   const auto res = core::execute(tx, {});
-  ASSERT_TRUE(res.stats.completed) << res.stats.error;
+  ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   EXPECT_EQ(res.store.cells, ref.store.cells);
 }
 
@@ -105,7 +105,7 @@ if i < 12 then goto l else goto end;
   EXPECT_EQ(tx.loops_store_parallelized, 1u);
   const auto ref = lang::interpret(prog);
   const auto res = core::execute(tx, {});
-  ASSERT_TRUE(res.stats.completed) << res.stats.error;
+  ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   EXPECT_EQ(res.store.cells, ref.store.cells);
 }
 

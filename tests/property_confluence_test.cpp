@@ -31,7 +31,7 @@ void check_confluent(const lang::Program& prog,
         const auto res = core::execute(tx, mopt);
         ASSERT_TRUE(res.stats.completed)
             << context << " seed=" << seed << " width=" << width << ": "
-            << res.stats.error;
+            << res.stats.error_detail.render();
         EXPECT_EQ(res.store.cells, ref.store.cells)
             << context << " seed=" << seed << " width=" << width
             << " loop=" << to_string(loop_mode);

@@ -140,6 +140,24 @@ TEST(Serve, ErrorTaxonomyIsTyped) {
             "compile");
 }
 
+TEST(Serve, OutOfRangeLatenciesAreOptionsErrorsAndServingGoesOn) {
+  // A zero memory latency would fail the engine's assertion and take
+  // the whole server down; a latency past the bound would outgrow the
+  // calendar wheel. Both are rejected while decoding the options.
+  Server server;
+  for (const char* line : {
+           R"({"id": 1, "op": "run", "options": ["--mem-latency=0"], "source": "var x;\n x := 1 + 2;\n"})",
+           R"({"id": 2, "op": "run", "options": ["--processors=2", "--network-latency=65537"], "source": "var x;\n x := 1 + 2;\n"})"}) {
+    const JsonValue r = parse_response(server.handle_line(line));
+    EXPECT_EQ(keys(r), kShortErrorKeys) << line;
+    EXPECT_FALSE(r.find("ok")->boolean) << line;
+    EXPECT_EQ(r.find("error")->find("kind")->string, "options") << line;
+  }
+  const JsonValue r = parse_response(server.handle_line(kRunX));
+  EXPECT_TRUE(r.find("ok")->boolean);
+  EXPECT_EQ(r.find("store")->find("x")->number, 3.0);
+}
+
 TEST(Serve, MachineFailuresKeepTheFullResponseShape) {
   Server server;
   const JsonValue r = parse_response(server.handle_line(

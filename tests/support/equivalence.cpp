@@ -153,7 +153,8 @@ std::string check_equivalence(const lang::Program& prog,
     const auto tx = core::compile(prog, cfg.topt);
     const auto res = core::execute(tx, cfg.mopt);
     if (!res.stats.completed)
-      return cfg.name + ": machine did not complete: " + res.stats.error;
+      return cfg.name + ": machine did not complete: " +
+             res.stats.error_detail.render();
     if (!(res.store == ref.store)) {
       std::ostringstream os;
       os << cfg.name << ": final store differs from interpreter;";

@@ -1,10 +1,10 @@
 // The scan pending policy as a test oracle.
 //
 // machine::run executes every program on the calendar-queue ("event")
-// policy. The ordered-map ("scan") policy, detail::MapPending, is the
-// reference it must match byte for byte, but no MachineOptions field
-// selects it, so the differential suites call it through these helpers
-// and compare the results against machine::run.
+// policy. The ordered-map ("scan") policy, defined in
+// scan_reference.cpp, is the reference it must match byte for byte.
+// Only the tests instantiate it: the differential suites call it
+// through these helpers and compare the results against machine::run.
 #pragma once
 
 #include <cstddef>

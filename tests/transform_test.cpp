@@ -20,7 +20,7 @@ Exec exec(const lang::Program& prog, const TranslateOptions& topt,
   const auto tx = core::compile(prog, topt);
   auto res = core::execute(tx, mopt);
   EXPECT_TRUE(res.stats.completed) << topt.describe() << ": "
-                                   << res.stats.error;
+                                   << res.stats.error_detail.render();
   return {std::move(res.stats), std::move(res.store)};
 }
 
@@ -169,7 +169,8 @@ TEST(IStructures, WrongWriteOnceAssertionIsTrapped) {
   const auto tx = core::compile(prog, topt);
   const auto res = core::execute(tx, {});
   EXPECT_FALSE(res.stats.completed);
-  EXPECT_NE(res.stats.error.find("double write"), std::string::npos);
+  EXPECT_NE(res.stats.error_detail.render().find("double write"),
+            std::string::npos);
 }
 
 TEST(Transforms, ComposeAllTogether) {

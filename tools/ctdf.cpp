@@ -58,21 +58,16 @@
 //                           violations fail the run with a typed
 //                           integrity/* error code
 //   --width=N               operators fired per cycle (0 = unlimited)
-//   --mem-latency=N         split-phase memory round trip (default 4)
+//   --mem-latency=N         split-phase memory round trip (default 4;
+//                           1 to 65536)
 //   --barrier               barrier loop control (default: pipelined)
 //   --loop-bound=K          at most K iterations in flight (0 = unbounded)
 //   --processors=N          N PEs, one op/cycle each (0 = abstract pool)
-//   --network-latency=N     cross-PE token charge (default 2)
+//   --network-latency=N     cross-PE token charge (default 2; at most
+//                           65536)
 //   --place-by-node         hash instructions to PEs (default: frames)
 //   --sched-seed=N          randomized scheduling (0 = FIFO)
 //   --max-cycles=N          abort with a cycle-cap error after N cycles
-//   --faults=SPEC           deterministic fault injection (comma list:
-//                           drop=P,dup=P,jitter=P,nack=P rates in [0,1];
-//                           attempts=N, backoff=N, cap=N retry ladder;
-//                           watchdog=N no-progress steps). Recovery is
-//                           built in; within-budget plans preserve the
-//                           final store and semantic counters.
-//   --fault-seed=N          fault stream seed (default 0)
 //   --frame-capacity=N      finite frame store: at most N live iteration
 //                           contexts, loop entries stall (back-pressure)
 //                           at the bound (0 = unbounded)
@@ -435,13 +430,15 @@ int cmd_run_blob(const Cli& cli) {
                 static_cast<unsigned long long>(read.blob_bytes),
                 static_cast<unsigned long long>(read.content_hash));
     if (!res.stats.completed) {
-      std::fprintf(stderr, "machine error: %s\n", res.stats.error.c_str());
+      std::fprintf(stderr, "machine error: %s\n",
+                   res.stats.error_detail.render().c_str());
       return 1;
     }
     return 0;
   }
   if (!res.stats.completed) {
-    std::fprintf(stderr, "machine error: %s\n", res.stats.error.c_str());
+    std::fprintf(stderr, "machine error: %s\n",
+                 res.stats.error_detail.render().c_str());
     return 1;
   }
   std::printf("# blob %s | %llu bytes, hash %016llx | %s loop control\n",
@@ -595,13 +592,15 @@ int cmd_run(const Cli& cli, const lang::Program& prog,
                   pipeline_json(trace).c_str(), cache_json.c_str());
     }
     if (!res.stats.completed) {
-      std::fprintf(stderr, "machine error: %s\n", res.stats.error.c_str());
+      std::fprintf(stderr, "machine error: %s\n",
+                   res.stats.error_detail.render().c_str());
       return 1;
     }
     return 0;
   }
   if (!res.stats.completed) {
-    std::fprintf(stderr, "machine error: %s\n", res.stats.error.c_str());
+    std::fprintf(stderr, "machine error: %s\n",
+                 res.stats.error_detail.render().c_str());
     return 1;
   }
   std::printf("# %s | %s loop control, width %u, mem latency %u\n",
@@ -667,7 +666,8 @@ int cmd_exec(const Cli& cli) {
   for (const auto& [b, e] : m.istructures) regions.push_back({b, e});
   const auto res = machine::run(m.graph, m.memory_cells, cli.mopt, regions);
   if (!res.stats.completed) {
-    std::fprintf(stderr, "machine error: %s\n", res.stats.error.c_str());
+    std::fprintf(stderr, "machine error: %s\n",
+                 res.stats.error_detail.render().c_str());
     return 1;
   }
   std::printf("# cycles=%llu ops=%llu ops/cycle=%.2f\n",
@@ -725,7 +725,8 @@ int cmd_compare(const Cli& cli, const lang::Program& prog) {
     const auto tx = core::compile(prog, v.topt);
     const auto res = core::execute(tx, cli.mopt);
     if (!res.stats.completed) {
-      std::printf("%-14s FAILED: %s\n", v.name, res.stats.error.c_str());
+      std::printf("%-14s FAILED: %s\n", v.name,
+                  res.stats.error_detail.render().c_str());
       return 1;
     }
     if (!(res.store == interp.store)) {
@@ -786,7 +787,8 @@ int cmd_explain(const Cli& cli, const lang::Program& prog) {
                 res.stats.avg_parallelism(),
                 static_cast<unsigned long long>(res.stats.contexts_allocated));
   } else {
-    std::printf("execution failed: %s\n", res.stats.error.c_str());
+    std::printf("execution failed: %s\n",
+                res.stats.error_detail.render().c_str());
   }
   return 0;
 }

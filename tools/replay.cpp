@@ -2,7 +2,7 @@
 //
 // Drives a live `ctdf serve` process with thousands of seeded mixed
 // requests — well-formed runs, compiles, batches, malformed lines,
-// fault-injected and cycle-capped programs, deadline-doomed requests,
+// frame-exhausted and cycle-capped programs, deadline-doomed requests,
 // stats probes — over either the stdin/stdout pipe or the Unix-socket
 // transport, and checks the overload-safety invariants end to end:
 //
@@ -214,8 +214,8 @@ std::string generate_request(std::mt19937_64& rng, std::size_t id) {
                quoted(kFib) + "}";
       case 1:
         return "{" + idf + ", \"op\": \"run\", \"options\": "
-               "[\"--faults=drop=1\", \"--processors=2\", \"--mem-elim\"], "
-               "\"source\": " + quoted(kFib) + "}";
+               "[\"--frame-capacity=1\", \"--processors=2\", "
+               "\"--mem-elim\"], \"source\": " + quoted(kFib) + "}";
       case 2:
         return "{" + idf + ", \"op\": \"run\", \"options\": "
                "[\"--check=wheelie\"], \"source\": " + quoted(kRunning) + "}";
