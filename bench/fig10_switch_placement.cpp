@@ -35,8 +35,11 @@ PlacementStats place_for(std::uint64_t seed, int stmts) {
       translate::Cover::make(prog.symbols, translate::CoverStrategy::kSingleton);
   support::IndexMap<cfg::NodeId, std::vector<translate::Resource>> uses(
       g.size());
-  for (cfg::NodeId n : g.all_nodes())
-    uses[n] = cover.access_set_union(g.refs(n));
+  std::vector<lang::VarId> refs;
+  for (cfg::NodeId n : g.all_nodes()) {
+    g.refs(n, refs);
+    cover.access_set_union(refs, uses[n]);
+  }
 
   PlacementStats out;
   out.cfg_nodes = g.size();

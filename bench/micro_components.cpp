@@ -14,6 +14,7 @@
 #include "machine/exec.hpp"
 #include "machine/report.hpp"
 #include "serve/serve.hpp"
+#include "support/json_writer.hpp"
 
 using namespace ctdf;
 
@@ -335,7 +336,7 @@ void BM_ServeWarmVsCold(benchmark::State& state) {
   // ratio is host-independent.
   const std::string source = lang::corpus::independent_chains_source(6, 8);
   const std::string request =
-      "{\"op\": \"run\", \"source\": \"" + machine::json_escape(source) +
+      "{\"op\": \"run\", \"source\": \"" + support::json_escape(source) +
       "\"}";
   const bool warm = state.range(0) == 1;
   serve::Server shared;

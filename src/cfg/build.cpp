@@ -59,7 +59,7 @@ class Builder {
         wire_to(joins_.at(s.target_true));
         break;
       case lang::Stmt::Kind::kCondGoto: {
-        const NodeId f = g_.add_fork(s.expr->clone());
+        const NodeId f = g_.add_fork(*s.expr);
         wire_to(f);
         g_.set_succ(f, true, joins_.at(s.target_true));
         g_.set_succ(f, false, joins_.at(s.target_false));
@@ -74,12 +74,12 @@ class Builder {
   void lower_structured(const lang::Stmt& s) {
     switch (s.kind) {
       case lang::Stmt::Kind::kAssign:
-        append(g_.add_assign(s.lhs.clone(), s.expr->clone()));
+        append(g_.add_assign(s.lhs, *s.expr));
         break;
       case lang::Stmt::Kind::kSkip:
         break;
       case lang::Stmt::Kind::kIf: {
-        const NodeId f = g_.add_fork(s.expr->clone());
+        const NodeId f = g_.add_fork(*s.expr);
         wire_to(f);
         const NodeId j = g_.add_join();
         current_ = {f, true};
@@ -94,7 +94,7 @@ class Builder {
       case lang::Stmt::Kind::kWhile: {
         const NodeId h = g_.add_join();
         append(h);
-        const NodeId f = g_.add_fork(s.expr->clone());
+        const NodeId f = g_.add_fork(*s.expr);
         wire_to(f);
         current_ = {f, true};
         for (const auto& t : s.then_body) lower_structured(*t);
@@ -126,18 +126,20 @@ class Builder {
     }
 
     Graph fresh;
+    // Loop transformation adds an entry and exits per loop.
+    fresh.reserve(2 * old.size());
     support::IndexMap<NodeId, NodeId> remap(old.size());
     remap[old.start()] = fresh.start();
     remap[old.end()] = fresh.end();
     for (NodeId n : old.all_nodes()) {
       if (!reach[n.index()] || n == old.start() || n == old.end()) continue;
-      Node& node = old.node(n);
+      const Node& node = old.node(n);
       switch (node.kind) {
         case NodeKind::kAssign:
-          remap[n] = fresh.add_assign(std::move(node.lhs), std::move(node.rhs));
+          remap[n] = fresh.add_assign(*node.lhs, *node.rhs);
           break;
         case NodeKind::kFork:
-          remap[n] = fresh.add_fork(std::move(node.pred));
+          remap[n] = fresh.add_fork(*node.pred);
           break;
         case NodeKind::kJoin:
           remap[n] = fresh.add_join(node.name);

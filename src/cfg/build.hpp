@@ -20,10 +20,21 @@ namespace ctdf::cfg {
 
 /// Lowers `prog` to a CFG. On malformed flow (infinite loop with no
 /// exit) reports to `diags` and returns the partial graph.
+///
+/// Lifetime: assign and fork nodes point into `prog`'s statements
+/// (their lvalues and expressions) instead of copying them, so `prog`
+/// must outlive the returned graph and every graph derived from it
+/// (loop transformation, node splitting and pruning copy the
+/// pointers). Moving the Program is fine: its statements live on the
+/// heap. The rvalue overloads are deleted so a temporary program
+/// cannot be passed.
 [[nodiscard]] Graph build_cfg(const lang::Program& prog,
                               support::DiagnosticEngine& diags);
+Graph build_cfg(lang::Program&& prog, support::DiagnosticEngine& diags) = delete;
 
 /// Convenience wrapper that throws support::CompileError on any error.
+/// Same lifetime contract as build_cfg.
 [[nodiscard]] Graph build_cfg_or_throw(const lang::Program& prog);
+Graph build_cfg_or_throw(lang::Program&& prog) = delete;
 
 }  // namespace ctdf::cfg

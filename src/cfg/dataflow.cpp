@@ -21,16 +21,17 @@ UseDef::UseDef(const Graph& g, const lang::SymbolTable& syms)
     : num_vars(syms.size()) {
   use.resize(g.size());
   def.resize(g.size());
+  std::vector<lang::VarId> reads;
   for (NodeId n : g.all_nodes()) {
     use[n] = support::Bitset(num_vars);
     def[n] = support::Bitset(num_vars);
     const Node& node = g.node(n);
-    std::vector<lang::VarId> reads;
+    reads.clear();
     switch (node.kind) {
       case NodeKind::kAssign:
         node.rhs->collect_vars(reads);
-        if (node.lhs.index) node.lhs.index->collect_vars(reads);
-        if (strong_def(syms, node.lhs)) def[n].set(node.lhs.var.index());
+        if (node.lhs->index) node.lhs->index->collect_vars(reads);
+        if (strong_def(syms, *node.lhs)) def[n].set(node.lhs->var.index());
         break;
       case NodeKind::kFork:
         node.pred->collect_vars(reads);
@@ -98,9 +99,9 @@ ReachingDefs::ReachingDefs(const Graph& g, const lang::SymbolTable& syms)
     gen[n] = support::Bitset(sites);
     const Node& node = g.node(n);
     if (node.kind == NodeKind::kAssign) {
-      def_var_[n] = node.lhs.var;
+      def_var_[n] = node.lhs->var;
       gen[n].set(n.index());
-      strong[n] = strong_def(syms, node.lhs);
+      strong[n] = strong_def(syms, *node.lhs);
     } else if (n == g.start()) {
       for (std::size_t v = 0; v < num_vars; ++v)
         gen[n].set(initial_site(lang::VarId{v}));
@@ -172,15 +173,15 @@ std::size_t eliminate_dead_stores(Graph& g, const lang::SymbolTable& syms) {
     for (NodeId n : g.all_nodes()) {
       Node& node = g.node(n);
       if (node.kind != NodeKind::kAssign) continue;
-      if (node.lhs.is_array_elem() || syms.is_array(node.lhs.var)) continue;
-      if (syms.alias_class(node.lhs.var).size() != 1) continue;
-      if (live.live_out(n).test(node.lhs.var.index())) continue;
+      if (node.lhs->is_array_elem() || syms.is_array(node.lhs->var)) continue;
+      if (syms.alias_class(node.lhs->var).size() != 1) continue;
+      if (live.live_out(n).test(node.lhs->var.index())) continue;
       // Dead: the value can never be observed. Demote to a join (no-op
       // pass-through); expression evaluation has no side effects.
       node.kind = NodeKind::kJoin;
       node.name = "dse";
-      node.rhs.reset();
-      node.lhs = lang::LValue{};
+      node.rhs = nullptr;
+      node.lhs = nullptr;
       ++removed;
       changed = true;
     }

@@ -32,20 +32,19 @@ NodeId Graph::add_node(NodeKind kind) {
   const NodeId id{nodes_.size()};
   nodes_.ensure(id);
   nodes_[id].kind = kind;
-  loop_refs_.ensure(id);
   return id;
 }
 
-NodeId Graph::add_assign(lang::LValue lhs, lang::ExprPtr rhs) {
+NodeId Graph::add_assign(const lang::LValue& lhs, const lang::Expr& rhs) {
   const NodeId id = add_node(NodeKind::kAssign);
-  nodes_[id].lhs = std::move(lhs);
-  nodes_[id].rhs = std::move(rhs);
+  nodes_[id].lhs = &lhs;
+  nodes_[id].rhs = &rhs;
   return id;
 }
 
-NodeId Graph::add_fork(lang::ExprPtr pred) {
+NodeId Graph::add_fork(const lang::Expr& pred) {
   const NodeId id = add_node(NodeKind::kFork);
-  nodes_[id].pred = std::move(pred);
+  nodes_[id].pred = &pred;
   return id;
 }
 
@@ -94,34 +93,21 @@ bool Graph::has_succ(NodeId from, bool dir) const {
   return (dir ? n.succ_true : n.succ_false).valid();
 }
 
-std::vector<lang::VarId> Graph::refs(NodeId n) const {
+void Graph::refs(NodeId n, std::vector<lang::VarId>& out) const {
   const Node& node = nodes_[n];
-  std::vector<lang::VarId> out;
+  out.clear();
   switch (node.kind) {
     case NodeKind::kAssign:
-      out.push_back(node.lhs.var);
-      if (node.lhs.index) node.lhs.index->collect_vars(out);
+      out.push_back(node.lhs->var);
+      if (node.lhs->index) node.lhs->index->collect_vars(out);
       node.rhs->collect_vars(out);
       break;
     case NodeKind::kFork:
       node.pred->collect_vars(out);
       break;
-    case NodeKind::kLoopEntry:
-    case NodeKind::kLoopExit:
-      out = loop_refs_[n];
-      break;
-    case NodeKind::kStart:
-    case NodeKind::kEnd:
-    case NodeKind::kJoin:
+    default:
       break;
   }
-  return out;
-}
-
-void Graph::set_loop_refs(NodeId n, std::vector<lang::VarId> vars) {
-  CTDF_ASSERT(nodes_[n].kind == NodeKind::kLoopEntry ||
-              nodes_[n].kind == NodeKind::kLoopExit);
-  loop_refs_[n] = std::move(vars);
 }
 
 std::string Graph::to_dot(const lang::SymbolTable& syms) const {
@@ -137,7 +123,7 @@ std::string Graph::to_dot(const lang::SymbolTable& syms) const {
         label = node.name.empty() ? "join" : "join " + node.name;
         break;
       case NodeKind::kAssign:
-        label = node.lhs.to_string(syms) + " := " + node.rhs->to_string(syms);
+        label = node.lhs->to_string(syms) + " := " + node.rhs->to_string(syms);
         break;
       case NodeKind::kFork:
         label = "if " + node.pred->to_string(syms);

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "support/bitset.hpp"
 #include "support/ids.hpp"
 #include "support/index_map.hpp"
+#include "support/small_vec.hpp"
 
 namespace ctdf::cfg {
 
@@ -64,20 +66,21 @@ class Succs {
 struct Node {
   NodeKind kind = NodeKind::kJoin;
 
-  // kAssign payload.
-  lang::LValue lhs;
-  lang::ExprPtr rhs;
+  // kAssign payload. Borrowed from the lang::Program the graph was
+  // built from (see build_cfg): the CFG never creates an expression.
+  const lang::LValue* lhs = nullptr;
+  const lang::Expr* rhs = nullptr;
 
-  // kFork payload.
-  lang::ExprPtr pred;
+  // kFork payload, borrowed likewise.
+  const lang::Expr* pred = nullptr;
 
   // Out-edges. Non-forks use only succ_true ("true" is the conventional
   // single out-direction); kEnd has none.
   NodeId succ_true;
   NodeId succ_false;
 
-  // In-edges, in insertion order.
-  std::vector<NodeId> preds;
+  // In-edges, in insertion order; inline up to two (wider joins spill).
+  support::SmallVec<NodeId, 2> preds;
 
   // Loop-control payload (kLoopEntry / kLoopExit).
   LoopId loop;
@@ -98,11 +101,16 @@ class Graph {
   [[nodiscard]] Node& node(NodeId n) { return nodes_[n]; }
   [[nodiscard]] NodeKind kind(NodeId n) const { return nodes_[n].kind; }
 
-  NodeId add_assign(lang::LValue lhs, lang::ExprPtr rhs);
-  NodeId add_fork(lang::ExprPtr pred);
+  /// The node refers to `lhs`, `rhs` and `pred`, which must outlive
+  /// the graph.
+  NodeId add_assign(const lang::LValue& lhs, const lang::Expr& rhs);
+  NodeId add_fork(const lang::Expr& pred);
   NodeId add_join(std::string name = {});
   NodeId add_loop_entry(LoopId loop);
   NodeId add_loop_exit(LoopId loop);
+
+  /// Room for `n` nodes, so building a graph of that size moves none.
+  void reserve(std::size_t n) { nodes_.raw().reserve(n); }
 
   /// Wires the `dir` out-edge of `from` to `to` and records the reverse
   /// edge. The slot must be unset.
@@ -124,8 +132,9 @@ class Graph {
   /// True iff `from` has an out-edge in direction `dir`.
   [[nodiscard]] bool has_succ(NodeId from, bool dir) const;
 
-  [[nodiscard]] const std::vector<NodeId>& preds(NodeId n) const {
-    return nodes_[n].preds;
+  [[nodiscard]] std::span<const NodeId> preds(NodeId n) const {
+    const auto& p = nodes_[n].preds;
+    return {p.begin(), p.end()};
   }
 
   /// All node ids, ascending.
@@ -133,15 +142,11 @@ class Graph {
     return support::IdRange<NodeId>{nodes_.size()};
   }
 
-  /// Variables referenced by node n: for assignments the lhs variable,
-  /// index variables and rhs variables; for forks the predicate
-  /// variables; empty for joins/start/end; set explicitly for loop
-  /// control nodes (see set_loop_refs).
-  [[nodiscard]] std::vector<lang::VarId> refs(NodeId n) const;
-
-  /// Overrides refs() for a loop-control node (used to let access
-  /// tokens bypass loops that do not touch their variable, Section 4).
-  void set_loop_refs(NodeId n, std::vector<lang::VarId> vars);
+  /// Replaces `out` with the variables node n references: for
+  /// assignments the lhs variable, index variables and rhs variables;
+  /// for forks the predicate variables; none for other nodes. `out` is
+  /// the caller's scratch, reused across calls.
+  void refs(NodeId n, std::vector<lang::VarId>& out) const;
 
   /// Graphviz rendering.
   [[nodiscard]] std::string to_dot(const lang::SymbolTable& syms) const;
@@ -155,7 +160,6 @@ class Graph {
   NodeId add_node(NodeKind kind);
 
   support::IndexMap<NodeId, Node> nodes_;
-  support::IndexMap<NodeId, std::vector<lang::VarId>> loop_refs_;
   NodeId start_;
   NodeId end_;
 };
@@ -169,7 +173,7 @@ struct ForwardView {
   [[nodiscard]] std::size_t size() const { return g.size(); }
   [[nodiscard]] NodeId root() const { return g.start(); }
   [[nodiscard]] Succs succs(NodeId n) const { return g.succs(n); }
-  [[nodiscard]] const std::vector<NodeId>& preds(NodeId n) const {
+  [[nodiscard]] std::span<const NodeId> preds(NodeId n) const {
     return g.preds(n);
   }
 };
@@ -181,7 +185,7 @@ struct ReverseView {
 
   [[nodiscard]] std::size_t size() const { return g.size(); }
   [[nodiscard]] NodeId root() const { return g.end(); }
-  [[nodiscard]] const std::vector<NodeId>& succs(NodeId n) const {
+  [[nodiscard]] std::span<const NodeId> succs(NodeId n) const {
     return g.preds(n);
   }
   [[nodiscard]] Succs preds(NodeId n) const { return g.succs(n); }

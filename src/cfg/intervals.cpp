@@ -136,10 +136,10 @@ NodeId clone_node(Graph& g, NodeId n) {
   NodeId copy;
   switch (node.kind) {
     case NodeKind::kAssign:
-      copy = g.add_assign(node.lhs.clone(), node.rhs->clone());
+      copy = g.add_assign(*node.lhs, *node.rhs);
       break;
     case NodeKind::kFork:
-      copy = g.add_fork(node.pred->clone());
+      copy = g.add_fork(*node.pred);
       break;
     case NodeKind::kJoin:
       copy = g.add_join(node.name.empty() ? "" : node.name + "'");
@@ -260,12 +260,13 @@ std::vector<std::vector<lang::VarId>> LoopInfo::used_vars(
   // preorder, so walking it backward hands each loop's set to its
   // parent before the parent is sorted.
   std::vector<std::vector<lang::VarId>> out(loops_.size());
+  std::vector<lang::VarId> refs;
   for (auto it = preorder_.rbegin(); it != preorder_.rend(); ++it) {
     std::vector<lang::VarId>& vars = out[it->index()];
     for (NodeId n : body(*it)) {
       const NodeKind k = g.kind(n);
       if (k != NodeKind::kAssign && k != NodeKind::kFork) continue;
-      const std::vector<lang::VarId> refs = g.refs(n);
+      g.refs(n, refs);
       vars.insert(vars.end(), refs.begin(), refs.end());
     }
     std::sort(vars.begin(), vars.end());

@@ -69,7 +69,7 @@ PhiPlacement place_phis(const Graph& g, const lang::SymbolTable& syms,
     std::vector<NodeId> defs{g.start()};  // the initial value
     for (NodeId n : g.all_nodes()) {
       const Node& node = g.node(n);
-      if (node.kind == NodeKind::kAssign && node.lhs.var == v)
+      if (node.kind == NodeKind::kAssign && node.lhs->var == v)
         defs.push_back(n);
     }
     if (defs.size() < 2) continue;  // never assigned: no joins needed

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -65,20 +64,25 @@ std::string ProgramCache::blob_path(std::uint64_t key) const {
   return config_.dir + "/" + name + ".ctdfblob";
 }
 
-void ProgramCache::insert_locked(std::shared_ptr<const Entry> entry) {
+std::shared_ptr<const ProgramCache::Entry> ProgramCache::insert_locked(
+    std::shared_ptr<const Entry> entry) {
   const std::uint64_t key = entry->key;
   lru_.push_front(key);
   stats_.blob_bytes += entry->blob_bytes;
   map_[key] = Slot{std::move(entry), lru_.begin()};
-  while (map_.size() > config_.capacity) {
+  std::shared_ptr<const Entry> evicted;
+  // One insert adds at most one entry, so it evicts at most one.
+  if (map_.size() > config_.capacity) {
     const std::uint64_t victim = lru_.back();
     lru_.pop_back();
     const auto it = map_.find(victim);
     stats_.blob_bytes -= it->second.entry->blob_bytes;
+    evicted = std::move(it->second.entry);
     map_.erase(it);
     ++stats_.evictions;
   }
   stats_.entries = map_.size();
+  return evicted;
 }
 
 void ProgramCache::write_disk_blob(std::uint64_t key,
@@ -113,6 +117,11 @@ ProgramCache::Outcome ProgramCache::get(std::string_view source,
     if (compiling_.insert(key).second) break;
     compiled_.wait(lock);  // another caller is compiling this key
   }
+  // The entry this miss evicts. Declared before `unmark`, so it is
+  // destroyed after unmark has unlocked: when the cache held the last
+  // reference, its tables are freed outside mu_, not while other
+  // callers' get and stats() wait.
+  std::shared_ptr<const Entry> evicted;
   // Clears the mark and wakes the waiters on every exit path. A compile
   // that throws caches nothing, so each waiter retries it and gets its
   // own error.
@@ -168,7 +177,7 @@ ProgramCache::Outcome ProgramCache::get(std::string_view source,
     ++stats_.disk_hits;
   else
     ++stats_.misses;
-  insert_locked(out.entry);
+  evicted = insert_locked(out.entry);
   return out;
 }
 
@@ -177,23 +186,29 @@ CacheStats ProgramCache::stats() const {
   return stats_;
 }
 
+void write_cache_json(support::JsonWriter& w, const CacheStats& stats,
+                      CacheDisposition disposition, std::uint64_t key) {
+  w.begin_block()
+      .member("disposition", to_string(disposition))
+      .key("key")
+      .hex16(key)
+      .member("hits", stats.hits)
+      .member("disk_hits", stats.disk_hits)
+      .member("misses", stats.misses)
+      .member("evictions", stats.evictions)
+      .member("disk_rejects", stats.disk_rejects)
+      .member("entries", stats.entries)
+      .member("blob_bytes", stats.blob_bytes)
+      .end_object();
+}
+
 std::string render_cache_json(const CacheStats& stats,
                               CacheDisposition disposition,
                               std::uint64_t key) {
-  char key_hex[32];
-  std::snprintf(key_hex, sizeof key_hex, "%016llx",
-                static_cast<unsigned long long>(key));
-  std::ostringstream os;
-  os << "{\n    \"disposition\": \"" << to_string(disposition) << "\""
-     << ",\n    \"key\": \"" << key_hex << "\""
-     << ",\n    \"hits\": " << stats.hits
-     << ",\n    \"disk_hits\": " << stats.disk_hits
-     << ",\n    \"misses\": " << stats.misses
-     << ",\n    \"evictions\": " << stats.evictions
-     << ",\n    \"disk_rejects\": " << stats.disk_rejects
-     << ",\n    \"entries\": " << stats.entries
-     << ",\n    \"blob_bytes\": " << stats.blob_bytes << "\n  }";
-  return os.str();
+  std::string out;
+  support::JsonWriter w(out, support::JsonWriter::Layout::kMultiLine, 1);
+  write_cache_json(w, stats, disposition, key);
+  return out;
 }
 
 }  // namespace ctdf::core

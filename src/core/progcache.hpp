@@ -46,6 +46,7 @@
 
 #include "core/pipeline.hpp"
 #include "machine/blob.hpp"
+#include "support/json_writer.hpp"
 
 namespace ctdf::core {
 
@@ -138,8 +139,10 @@ class ProgramCache {
   };
 
   /// Inserts an entry, evicting the least-recently-used past capacity.
-  /// Caller holds mu_.
-  void insert_locked(std::shared_ptr<const Entry> entry);
+  /// Caller holds mu_. Returns the evicted entry (or null) so the caller
+  /// can drop it after unlocking.
+  [[nodiscard]] std::shared_ptr<const Entry> insert_locked(
+      std::shared_ptr<const Entry> entry);
   [[nodiscard]] std::string blob_path(std::uint64_t key) const;
   void write_disk_blob(std::uint64_t key,
                        const std::vector<std::uint8_t>& blob);
@@ -154,9 +157,14 @@ class ProgramCache {
 };
 
 /// The cache object of `--stats-json` and serve responses: stats plus
-/// this request's disposition and key, rendered with the same "  " base
-/// indentation contract as machine::render_stats_json. Key-set frozen
-/// by tests/machine_stats_json_schema_test.cpp.
+/// this request's disposition and key, written as a block object
+/// through `w`. Key set frozen by
+/// tests/machine_stats_json_schema_test.cpp.
+void write_cache_json(support::JsonWriter& w, const CacheStats& stats,
+                      CacheDisposition disposition, std::uint64_t key);
+
+/// write_cache_json's object in the multi-line layout, one level deep
+/// (the CLI's --stats-json nests it under "cache").
 [[nodiscard]] std::string render_cache_json(const CacheStats& stats,
                                             CacheDisposition disposition,
                                             std::uint64_t key);

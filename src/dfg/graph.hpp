@@ -43,6 +43,7 @@
 #include "lang/ast.hpp"
 #include "support/ids.hpp"
 #include "support/index_map.hpp"
+#include "support/small_vec.hpp"
 
 namespace ctdf::dfg {
 
@@ -163,7 +164,8 @@ struct Node {
 
   cfg::LoopId loop;  ///< kLoopEntry / kLoopExit
 
-  std::vector<Operand> operands;            ///< size num_inputs
+  /// Size num_inputs; inline up to three, the common case.
+  support::SmallVec<Operand, 3> operands;
   std::vector<std::int64_t> start_values;   ///< kStart: initial token values
 
   /// kMacro: the original kind of the chain head (how the matched
@@ -210,6 +212,9 @@ class Graph {
 
   /// Adds a node; `label` is for debugging/DOT only.
   NodeId add(Node node);
+
+  /// Room for `n` nodes, so building a graph of that size moves none.
+  void reserve(std::size_t n) { nodes_.raw().reserve(n); }
 
   // Convenience constructors.
   NodeId add_binop(lang::BinOp op, std::string label = {});

@@ -398,12 +398,10 @@ bool narrow_synch_trees(Work& w, OptStats& stats) {
               arc.dst_port = static_cast<std::uint16_t>(base + arc.dst_port);
             }
           }
-          std::vector<Operand> ops(cnode.operands);
-          ops.erase(ops.begin() + cport);
-          ops.insert(ops.end(), node.operands.begin(), node.operands.end());
+          cnode.operands.erase(cnode.operands.begin() + cport);
+          cnode.operands.append(node.operands.begin(), node.operands.end());
           cnode.num_inputs =
               static_cast<std::uint16_t>(base + node.num_inputs);
-          cnode.operands = std::move(ops);
           w.alive[n.index()] = false;
           ++stats.synchs_narrowed;
           changed = true;

@@ -113,19 +113,6 @@ ExprPtr Expr::unary(UnOp op, ExprPtr operand, support::SourceLoc loc) {
   return e;
 }
 
-ExprPtr Expr::clone() const {
-  auto e = std::make_unique<Expr>();
-  e->kind = kind;
-  e->loc = loc;
-  e->value = value;
-  e->var = var;
-  e->bop = bop;
-  e->uop = uop;
-  if (lhs) e->lhs = lhs->clone();
-  if (rhs) e->rhs = rhs->clone();
-  return e;
-}
-
 void Expr::collect_vars(std::vector<VarId>& out) const {
   switch (kind) {
     case Kind::kConst:
@@ -167,13 +154,6 @@ std::string Expr::to_string(const SymbolTable& syms) const {
       break;
   }
   return os.str();
-}
-
-LValue LValue::clone() const {
-  LValue out;
-  out.var = var;
-  if (index) out.index = index->clone();
-  return out;
 }
 
 std::string LValue::to_string(const SymbolTable& syms) const {

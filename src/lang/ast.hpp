@@ -67,8 +67,6 @@ struct Expr {
                         support::SourceLoc loc = {});
   static ExprPtr unary(UnOp op, ExprPtr operand, support::SourceLoc loc = {});
 
-  [[nodiscard]] ExprPtr clone() const;
-
   /// Every variable referenced (base variables of array refs included),
   /// deduplicated, appended to `out`.
   void collect_vars(std::vector<VarId>& out) const;
@@ -85,7 +83,6 @@ struct LValue {
   ExprPtr index;  ///< null for scalars
 
   [[nodiscard]] bool is_array_elem() const { return index != nullptr; }
-  [[nodiscard]] LValue clone() const;
   [[nodiscard]] std::string to_string(const SymbolTable& syms) const;
 };
 

@@ -90,6 +90,7 @@ class SerialEngine {
     }
     stats_.fired_by_kind.assign(dfg::kNumOpKinds, 0);
     stats_.first_fire_cycle.assign(ep.num_ops(), UINT64_MAX);
+    pe_fired_at_.assign(opt.processors, UINT64_MAX);
   }
 
   RunResult run() {
@@ -269,19 +270,19 @@ class SerialEngine {
   /// One cycle of multi-PE issue: each PE fires at most one ready
   /// operator (FIFO per PE); the rest wait. The waiting entries move to
   /// kept_, which then swaps with ready_, so both buffers keep their
-  /// capacity from cycle to cycle.
+  /// capacity from cycle to cycle. A PE is busy when it last fired in
+  /// this cycle, so no per-PE state is reset between cycles.
   std::uint32_t fire_multi_pe(std::uint64_t cycle) {
-    busy_.assign(opt_.processors, 0);
     kept_.clear();
     std::uint32_t fired = 0;
     std::size_t i = ready_head_;
     for (; i < ready_.size() && !completed_ && !failed(); ++i) {
       const std::uint32_t pe = pe_of(ready_[i].ctx, ready_[i].node);
-      if (busy_[pe]) {
+      if (pe_fired_at_[pe] == cycle) {
         kept_.push_back(ready_[i]);
         continue;
       }
-      busy_[pe] = 1;
+      pe_fired_at_[pe] = cycle;
       fire(ready_[i], cycle);
       ++fired;
     }
@@ -610,7 +611,8 @@ class SerialEngine {
   std::size_t ready_head_ = 0;
   /// fire_multi_pe's per-cycle scratch, kept so its capacity survives.
   std::vector<ReadyEntry> kept_;
-  std::vector<std::uint8_t> busy_;
+  /// Per PE, the cycle it last fired in (UINT64_MAX: never).
+  std::vector<std::uint64_t> pe_fired_at_;
   std::uint32_t fire_ctx_ = 0;  ///< context of the firing in progress
 
   std::optional<BudgetState> budget_;  ///< engaged iff opt_.budget.armed()

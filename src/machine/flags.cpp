@@ -28,16 +28,18 @@ MachineFlagParse set_unsigned(const std::string& arg, T& field) {
   return MachineFlagParse::kApplied;
 }
 
-/// A latency flag: at least `min`, at most kMaxLatency, so no run's
-/// event horizon can outgrow the calendar wheel (machine.cpp).
-MachineFlagParse set_latency(const std::string& arg, unsigned min,
-                             unsigned& field, std::string* detail) {
+/// A flag bounded to [min, max]: the latencies (at most kMaxLatency,
+/// so no run's event horizon can outgrow the calendar wheel,
+/// machine.cpp) and the PE count (at most kMaxProcessors).
+MachineFlagParse set_bounded(const std::string& arg, unsigned min,
+                             unsigned max, unsigned& field,
+                             std::string* detail) {
   unsigned long long v = 0;
   if (!parse_unsigned(value_of(arg), v)) return MachineFlagParse::kBadValue;
-  if (v < min || v > kMaxLatency) {
+  if (v < min || v > max) {
     if (detail)
       *detail = "must be in [" + std::to_string(min) + ", " +
-                std::to_string(kMaxLatency) + "]";
+                std::to_string(max) + "]";
     return MachineFlagParse::kBadValue;
   }
   field = static_cast<unsigned>(v);
@@ -62,10 +64,11 @@ MachineFlagParse apply_machine_flag(MachineOptions& o, const std::string& arg,
   }
   if (starts_with(arg, "--width=")) return set_unsigned(arg, o.width);
   if (starts_with(arg, "--mem-latency="))
-    return set_latency(arg, 1, o.mem_latency, detail);
-  if (starts_with(arg, "--processors=")) return set_unsigned(arg, o.processors);
+    return set_bounded(arg, 1, kMaxLatency, o.mem_latency, detail);
+  if (starts_with(arg, "--processors="))
+    return set_bounded(arg, 0, kMaxProcessors, o.processors, detail);
   if (starts_with(arg, "--network-latency="))
-    return set_latency(arg, 0, o.network_latency, detail);
+    return set_bounded(arg, 0, kMaxLatency, o.network_latency, detail);
   if (arg == "--place-by-node") {
     o.placement = Placement::kByNode;
     return MachineFlagParse::kApplied;

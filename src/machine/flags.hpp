@@ -24,7 +24,8 @@ enum class MachineFlagParse : std::uint8_t {
 /// appending to a "bad value: ARG" diagnostic (may stay empty).
 /// Numeric values are parsed strictly: signs, embedded junk, and
 /// overflow are kBadValue, never silent wrapping. `--mem-latency` must
-/// lie in [1, kMaxLatency] and `--network-latency` in [0, kMaxLatency].
+/// lie in [1, kMaxLatency], `--network-latency` in [0, kMaxLatency] and
+/// `--processors` in [0, kMaxProcessors].
 [[nodiscard]] MachineFlagParse apply_machine_flag(MachineOptions& o,
                                                   const std::string& arg,
                                                   std::string* detail = nullptr);

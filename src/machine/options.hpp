@@ -93,6 +93,10 @@ struct RunBudget {
 /// per-run wheel stays small.
 inline constexpr unsigned kMaxLatency = 1u << 16;
 
+/// The largest value --processors accepts. A run keeps per-PE state
+/// (the multi-PE issue stamps), so the PE count bounds its memory.
+inline constexpr unsigned kMaxProcessors = 1u << 16;
+
 struct MachineOptions {
   LoopMode loop_mode = LoopMode::kBarrier;
 
@@ -114,6 +118,7 @@ struct MachineOptions {
   /// firing at most one operator per cycle, with `network_latency`
   /// added to every token that crosses PEs. 0 = the abstract single
   /// pool governed by `width` alone (the model the paper reasons in).
+  /// At most kMaxProcessors.
   unsigned processors = 0;
 
   /// Work distribution across PEs (multi-processor mode only).

@@ -1,7 +1,6 @@
 #include "machine/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "dfg/graph.hpp"
@@ -77,81 +76,64 @@ std::string render_report(const RunStats& stats) {
   return os.str();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+void write_stats_json(support::JsonWriter& w, const RunStats& stats,
+                      const MachineOptions& opt) {
+  w.begin_block();
+  w.key("options")
+      .begin_object()
+      .member("check", to_string(opt.check))
+      .member("loop_mode", to_string(opt.loop_mode))
+      .member("width", opt.width)
+      .member("loop_bound", opt.loop_bound)
+      .member("processors", opt.processors)
+      .member("placement", to_string(opt.placement))
+      .member("network_latency", opt.network_latency)
+      .member("alu_latency", opt.alu_latency)
+      .member("mem_latency", opt.mem_latency)
+      .member("scheduler_seed", opt.scheduler_seed)
+      .member("frame_capacity", opt.frame_capacity)
+      .member("max_cycles", opt.budget.max_cycles)
+      .member("deadline_ms", opt.budget.deadline_ms)
+      .member("max_tokens", opt.budget.max_tokens)
+      .end_object();
+  w.member("completed", stats.completed);
+  // Typed failure taxonomy, and the same failure as one flat string.
+  w.key("error")
+      .begin_object()
+      .member("code", code_slug(stats.error_detail.code))
+      .member("message", stats.error_detail.message)
+      .member("diagnosis", stats.error_detail.diagnosis)
+      .end_object();
+  w.member("error_string", stats.error_detail.render())
+      .member("cycles", stats.cycles)
+      .member("ops_fired", stats.ops_fired)
+      .member("tokens_sent", stats.tokens_sent)
+      .member("matches", stats.matches)
+      .member("contexts_allocated", stats.contexts_allocated)
+      .member("mem_reads", stats.mem_reads)
+      .member("mem_writes", stats.mem_writes)
+      .member("peak_live_contexts", stats.peak_live_contexts)
+      .member("throttle_stalls", stats.throttle_stalls)
+      .member("deferred_reads", stats.deferred_reads)
+      .member("peak_ready", stats.peak_ready)
+      .member("leftover_tokens", stats.leftover_tokens)
+      .member("backpressure_stalls", stats.backpressure_stalls)
+      .member("integrity_checks", stats.integrity_checks)
+      .member("avg_parallelism", stats.avg_parallelism());
+  w.key("fired_by_kind").begin_object();
+  for (std::size_t k = 0; k < stats.fired_by_kind.size(); ++k)
+    if (stats.fired_by_kind[k] != 0)
+      w.member(dfg::to_string(static_cast<dfg::OpKind>(k)),
+               stats.fired_by_kind[k]);
+  w.end_object().end_object();
 }
 
 std::string render_stats_json(const RunStats& stats,
                               const MachineOptions& opt) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"options\": {"
-     << "\"check\": \"" << to_string(opt.check) << "\", "
-     << "\"loop_mode\": \"" << to_string(opt.loop_mode) << "\", "
-     << "\"width\": " << opt.width << ", "
-     << "\"loop_bound\": " << opt.loop_bound << ", "
-     << "\"processors\": " << opt.processors << ", "
-     << "\"placement\": \"" << to_string(opt.placement) << "\", "
-     << "\"network_latency\": " << opt.network_latency << ", "
-     << "\"alu_latency\": " << opt.alu_latency << ", "
-     << "\"mem_latency\": " << opt.mem_latency << ", "
-     << "\"scheduler_seed\": " << opt.scheduler_seed << ", "
-     << "\"frame_capacity\": " << opt.frame_capacity << ", "
-     << "\"max_cycles\": " << opt.budget.max_cycles << ", "
-     << "\"deadline_ms\": " << opt.budget.deadline_ms << ", "
-     << "\"max_tokens\": " << opt.budget.max_tokens << "},\n";
-  os << "  \"completed\": " << (stats.completed ? "true" : "false") << ",\n";
-  // Typed failure taxonomy, and the same failure as one flat string.
-  os << "  \"error\": {\"code\": \"" << code_slug(stats.error_detail.code)
-     << "\", \"message\": \"" << json_escape(stats.error_detail.message)
-     << "\", \"diagnosis\": \"" << json_escape(stats.error_detail.diagnosis)
-     << "\"},\n";
-  os << "  \"error_string\": \""
-     << json_escape(stats.error_detail.render()) << "\",\n";
-  os << "  \"cycles\": " << stats.cycles << ",\n";
-  os << "  \"ops_fired\": " << stats.ops_fired << ",\n";
-  os << "  \"tokens_sent\": " << stats.tokens_sent << ",\n";
-  os << "  \"matches\": " << stats.matches << ",\n";
-  os << "  \"contexts_allocated\": " << stats.contexts_allocated << ",\n";
-  os << "  \"mem_reads\": " << stats.mem_reads << ",\n";
-  os << "  \"mem_writes\": " << stats.mem_writes << ",\n";
-  os << "  \"peak_live_contexts\": " << stats.peak_live_contexts << ",\n";
-  os << "  \"throttle_stalls\": " << stats.throttle_stalls << ",\n";
-  os << "  \"deferred_reads\": " << stats.deferred_reads << ",\n";
-  os << "  \"peak_ready\": " << stats.peak_ready << ",\n";
-  os << "  \"leftover_tokens\": " << stats.leftover_tokens << ",\n";
-  os << "  \"backpressure_stalls\": " << stats.backpressure_stalls << ",\n";
-  os << "  \"integrity_checks\": " << stats.integrity_checks << ",\n";
-  os << "  \"avg_parallelism\": " << stats.avg_parallelism() << ",\n";
-  os << "  \"fired_by_kind\": {";
-  bool first = true;
-  for (std::size_t k = 0; k < stats.fired_by_kind.size(); ++k) {
-    if (stats.fired_by_kind[k] == 0) continue;
-    if (!first) os << ", ";
-    first = false;
-    os << '"' << dfg::to_string(static_cast<dfg::OpKind>(k)) << "\": "
-       << stats.fired_by_kind[k];
-  }
-  os << "}\n}";
-  return os.str();
+  std::string out;
+  support::JsonWriter w(out, support::JsonWriter::Layout::kMultiLine);
+  write_stats_json(w, stats, opt);
+  return out;
 }
 
 }  // namespace ctdf::machine

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "machine/machine.hpp"
+#include "support/json_writer.hpp"
 
 namespace ctdf::machine {
 
@@ -14,15 +15,21 @@ namespace ctdf::machine {
 /// ops-per-cycle timeline rendered as a text sparkline.
 [[nodiscard]] std::string render_report(const RunStats& stats);
 
-/// Escapes a string for embedding in a JSON string literal.
-[[nodiscard]] std::string json_escape(const std::string& s);
+/// The escape lives with the JSON writer; kept here for callers that
+/// name it through the machine library.
+using support::json_escape;
 
 /// One JSON object covering the machine configuration and every
 /// RunStats counter (fired_by_kind keyed by op-kind name; the per-node
-/// and per-cycle vectors are summarized, not dumped). Keys are emitted
-/// in a fixed order so the output is deterministic for a given run.
-/// `ctdf run --stats-json` wraps this together with the pipeline-stage
-/// counters.
+/// and per-cycle vectors are summarized, not dumped), written as a
+/// block object through `w`. Keys are emitted in a fixed order so the
+/// output is deterministic for a given run.
+void write_stats_json(support::JsonWriter& w, const RunStats& stats,
+                      const MachineOptions& opt);
+
+/// write_stats_json's object in the multi-line layout, at the top
+/// level. `ctdf run --stats-json` wraps this together with the
+/// pipeline-stage counters.
 [[nodiscard]] std::string render_stats_json(const RunStats& stats,
                                             const MachineOptions& opt);
 

@@ -13,8 +13,9 @@
 #include <istream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "machine/report.hpp"
 #include "serve/json.hpp"
 #include "support/diagnostics.hpp"
+#include "support/json_writer.hpp"
 #include "translate/options.hpp"
 
 #ifndef _WIN32
@@ -44,36 +46,14 @@ std::int64_t nanos_since(Clock::time_point t0) {
       .count();
 }
 
-/// Multi-line JSON (render_stats_json, render_cache_json) folded onto
-/// one NDJSON line. Newlines in JSON exist only as inter-token
-/// whitespace, so dropping them preserves the document.
-std::string compact(std::string s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\n') {
-      out.push_back(s[i]);
-      continue;
-    }
-    // Swallow the following indentation too; keep one space so tokens
-    // stay separated ("key": value pairs already carry their spaces).
-    while (i + 1 < s.size() && s[i + 1] == ' ') ++i;
-  }
-  return out;
-}
+using support::JsonWriter;
 
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  out += machine::json_escape(s);
-  out += '"';
-  return out;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+/// Opens a response object: {"id": <id>, "op": "<op>", "ok": <ok>.
+/// Every response starts with these three members.
+JsonWriter& open_response(JsonWriter& w, std::string_view id_json,
+                          std::string_view op, bool ok) {
+  return w.begin_object().key("id").raw(id_json).member("op", op).member("ok",
+                                                                        ok);
 }
 
 /// One request, decoded as far as flag parsing can take it.
@@ -92,205 +72,195 @@ struct Request {
   std::string error_kind;
   std::string error_message;
   [[nodiscard]] bool ok() const { return error_kind.empty(); }
-  void fail(std::string kind, std::string message) {
+  /// Records the first failure; returns false so decoding can stop with
+  /// `return req.fail(...)`.
+  bool fail(std::string kind, std::string message) {
     if (error_kind.empty()) {
       error_kind = std::move(kind);
       error_message = std::move(message);
     }
+    return false;
   }
 };
 
-/// The request-independent option baseline: the CLI's translate default
-/// (schema2+opt) and the CLI's machine defaults.
+/// The option baseline a request starts from: the CLI's translate
+/// default (schema2+opt) and machine defaults at the top level, the
+/// batch's own options inside a run-batch.
 struct Defaults {
   translate::TranslateOptions topt =
       translate::TranslateOptions::schema2_optimized();
   machine::MachineOptions mopt = machine::default_cli_machine_options();
   std::int64_t deadline_ms = -1;
+  /// The op of a request that names none; empty: "op" is required.
+  std::string op;
 };
+
+/// Applies one "options" entry: a schema flag, else a machine flag.
+bool apply_flag(Request& req, const std::string& flag) {
+  switch (translate::apply_schema_flag(req.topt, flag)) {
+    case translate::SchemaFlagParse::kApplied:
+      return true;
+    case translate::SchemaFlagParse::kBadValue:
+      return req.fail("options", "bad value: " + flag);
+    case translate::SchemaFlagParse::kNotSchemaFlag:
+      break;
+  }
+  std::string detail;
+  switch (machine::apply_machine_flag(req.mopt, flag, &detail)) {
+    case machine::MachineFlagParse::kApplied:
+      return true;
+    case machine::MachineFlagParse::kBadValue:
+      return req.fail("options", "bad value: " + flag +
+                                     (detail.empty() ? "" : " (" + detail + ")"));
+    case machine::MachineFlagParse::kNotMachineFlag:
+      break;
+  }
+  return req.fail("options", "unknown option: " + flag);
+}
+
+/// Fills `req` from the request object; false on the first failure.
+bool decode_fields(const JsonValue& obj, const Defaults& defaults,
+                   Request& req) {
+  if (!obj.is_object())
+    return req.fail("protocol", "request must be a JSON object");
+  if (const JsonValue* id = obj.find("id")) {
+    if (id->is_array() || id->is_object())
+      return req.fail("protocol", "\"id\" must be a scalar");
+    req.id_json = json_render(*id);
+  }
+  const JsonValue* op = obj.find("op");
+  if (op ? !op->is_string() : defaults.op.empty())
+    return req.fail("protocol", "missing \"op\" string");
+  req.op = op ? op->string : defaults.op;
+  if (const JsonValue* src = obj.find("source")) {
+    if (!src->is_string())
+      return req.fail("protocol", "\"source\" must be a string");
+    req.source = src->string;
+  }
+  if (const JsonValue* opts = obj.find("options")) {
+    if (!opts->is_array())
+      return req.fail("protocol", "\"options\" must be an array of strings");
+    for (const JsonValue& o : opts->array) {
+      if (!o.is_string())
+        return req.fail("protocol",
+                        "\"options\" must be an array of strings");
+      if (!apply_flag(req, o.string)) return false;
+    }
+  }
+  if (const JsonValue* dl = obj.find("deadline_ms")) {
+    const double v = dl->number;
+    if (dl->kind != JsonValue::Kind::kNumber || v < 0 || v > 1e12 ||
+        v != static_cast<double>(static_cast<std::int64_t>(v)))
+      return req.fail("protocol",
+                      "\"deadline_ms\" must be a non-negative integer");
+    req.deadline_ms = static_cast<std::int64_t>(v);
+  }
+  if (const JsonValue* print = obj.find("print")) {
+    if (!print->is_array())
+      return req.fail("protocol", "\"print\" must be an array of strings");
+    req.has_print = true;
+    req.print.reserve(print->array.size());
+    for (const JsonValue& p : print->array) {
+      if (!p.is_string())
+        return req.fail("protocol", "\"print\" must be an array of strings");
+      req.print.push_back(p.string);
+    }
+  }
+  req.batch = obj.find("requests");
+  return true;
+}
 
 Request decode_request(const JsonValue& obj, const Defaults& defaults) {
   Request req;
   req.topt = defaults.topt;
   req.mopt = defaults.mopt;
   req.deadline_ms = defaults.deadline_ms;
-  if (!obj.is_object()) {
-    req.fail("protocol", "request must be a JSON object");
-    return req;
-  }
-  if (const JsonValue* id = obj.find("id")) {
-    if (id->is_array() || id->is_object()) {
-      req.fail("protocol", "\"id\" must be a scalar");
-      return req;
-    }
-    req.id_json = json_render(*id);
-  }
-  const JsonValue* op = obj.find("op");
-  if (!op || !op->is_string()) {
-    req.fail("protocol", "missing \"op\" string");
-    return req;
-  }
-  req.op = op->string;
-  if (const JsonValue* src = obj.find("source")) {
-    if (!src->is_string()) {
-      req.fail("protocol", "\"source\" must be a string");
-      return req;
-    }
-    req.source = src->string;
-  }
-  if (const JsonValue* opts = obj.find("options")) {
-    if (!opts->is_array()) {
-      req.fail("protocol", "\"options\" must be an array of strings");
-      return req;
-    }
-    for (const JsonValue& o : opts->array) {
-      if (!o.is_string()) {
-        req.fail("protocol", "\"options\" must be an array of strings");
-        return req;
-      }
-      const std::string& flag = o.string;
-      switch (translate::apply_schema_flag(req.topt, flag)) {
-        case translate::SchemaFlagParse::kApplied:
-          continue;
-        case translate::SchemaFlagParse::kBadValue:
-          req.fail("options", "bad value: " + flag);
-          return req;
-        case translate::SchemaFlagParse::kNotSchemaFlag:
-          break;
-      }
-      std::string detail;
-      switch (machine::apply_machine_flag(req.mopt, flag, &detail)) {
-        case machine::MachineFlagParse::kApplied:
-          continue;
-        case machine::MachineFlagParse::kBadValue:
-          req.fail("options", "bad value: " + flag +
-                                  (detail.empty() ? "" : " (" + detail + ")"));
-          return req;
-        case machine::MachineFlagParse::kNotMachineFlag:
-          req.fail("options", "unknown option: " + flag);
-          return req;
-      }
-    }
-  }
-  if (const JsonValue* dl = obj.find("deadline_ms")) {
-    const double v = dl->number;
-    if (dl->kind != JsonValue::Kind::kNumber || v < 0 || v > 1e12 ||
-        v != static_cast<double>(static_cast<std::int64_t>(v))) {
-      req.fail("protocol", "\"deadline_ms\" must be a non-negative integer");
-      return req;
-    }
-    req.deadline_ms = static_cast<std::int64_t>(v);
-  }
-  if (const JsonValue* print = obj.find("print")) {
-    if (!print->is_array()) {
-      req.fail("protocol", "\"print\" must be an array of strings");
-      return req;
-    }
-    req.has_print = true;
-    for (const JsonValue& p : print->array) {
-      if (!p.is_string()) {
-        req.fail("protocol", "\"print\" must be an array of strings");
-        return req;
-      }
-      req.print.push_back(p.string);
-    }
-  }
-  req.batch = obj.find("requests");
+  (void)decode_fields(obj, defaults, req);
   return req;
 }
 
 /// {"kind": "...", "message": "..."} error responses keep the short
 /// key set {id, op, ok, error}; tests/serve_test.cpp freezes it.
 std::string error_response(const Request& req) {
-  std::ostringstream os;
-  os << "{\"id\": " << req.id_json << ", \"op\": " << quoted(req.op)
-     << ", \"ok\": false, \"error\": {\"kind\": " << quoted(req.error_kind)
-     << ", \"message\": " << quoted(req.error_message) << "}}";
-  return os.str();
+  std::string out;
+  JsonWriter w(out, JsonWriter::Layout::kCompact);
+  open_response(w, req.id_json, req.op, false)
+      .key("error")
+      .begin_object()
+      .member("kind", req.error_kind)
+      .member("message", req.error_message)
+      .end_object()
+      .end_object();
+  return out;
 }
 
-std::string stage_nanos_json(const translate::PipelineTrace& trace) {
-  std::ostringstream os;
-  os << '{';
-  for (const auto& r : trace.stages) {
-    if (!r.ran) continue;
-    os << '"' << translate::to_string(r.stage) << "\": " << r.nanos << ", ";
-  }
-  os << "\"total\": " << trace.total_nanos() << '}';
-  return os.str();
+void write_stage_nanos(JsonWriter& w, const translate::PipelineTrace& trace) {
+  w.begin_object();
+  for (const auto& r : trace.stages)
+    if (r.ran) w.member(translate::to_string(r.stage), r.nanos);
+  w.member("total", trace.total_nanos()).end_object();
 }
 
 /// The final store as {"name": value, "name": [v, ...]}. Default: every
 /// scalar (the CLI's print_store convention); an explicit print list
 /// selects names, unknown names render as null.
-std::string store_json(const machine::ProgramImage& image,
-                       const lang::Store& store, const Request& req) {
+void write_store(JsonWriter& w, const machine::ProgramImage& image,
+                 const lang::Store& store, const Request& req) {
   const auto cell_value = [&](std::uint64_t idx) -> std::int64_t {
     return idx < store.cells.size() ? store.cells[idx] : 0;
   };
-  std::ostringstream os;
-  os << '{';
-  bool first = true;
   const auto emit = [&](const machine::NamedCell& c) {
-    if (!first) os << ", ";
-    first = false;
-    os << quoted(c.name) << ": ";
+    w.key(c.name);
     if (c.extent == 0) {
-      os << cell_value(c.base);
+      w.value(cell_value(c.base));
       return;
     }
-    os << '[';
+    w.begin_array();
     for (std::int64_t i = 0; i < c.extent; ++i)
-      os << (i ? ", " : "") << cell_value(c.base + static_cast<std::uint64_t>(i));
-    os << ']';
+      w.value(cell_value(c.base + static_cast<std::uint64_t>(i)));
+    w.end_array();
   };
+  w.begin_object();
   if (req.has_print) {
     for (const std::string& name : req.print) {
-      const machine::NamedCell* found = nullptr;
-      for (const auto& c : image.names)
-        if (c.name == name) {
-          found = &c;
-          break;
-        }
-      if (found) {
-        emit(*found);
-      } else {
-        if (!first) os << ", ";
-        first = false;
-        os << quoted(name) << ": null";
-      }
+      const auto it =
+          std::find_if(image.names.begin(), image.names.end(),
+                       [&](const machine::NamedCell& c) { return c.name == name; });
+      if (it != image.names.end())
+        emit(*it);
+      else
+        w.key(name).null();
     }
   } else {
     for (const auto& c : image.names)
       if (c.extent == 0) emit(c);
   }
-  os << '}';
-  return os.str();
+  w.end_object();
 }
 
-/// compile / run, shared by top-level requests and batch items.
-std::string handle_program_request(core::ProgramCache& cache,
-                                   const Request& req, ServeStats& stats,
-                                   const ServeOptions& opts) {
+/// compile / run, shared by top-level requests and batch items: writes
+/// the response into `out` and returns its "ok".
+bool program_response(core::ProgramCache& cache, const Request& req,
+                      ServeStats& stats, const ServeOptions& opts,
+                      std::string& out) {
   const auto t0 = Clock::now();
-  if (req.source.empty())
-    return error_response([&] {
-      Request r = req;
-      r.fail("protocol", "missing \"source\" for op " + req.op);
-      return r;
-    }());
-
-  core::ProgramCache::Outcome out;
-  try {
-    out = cache.get(req.source, core::PipelineOptions(req.topt));
-  } catch (const std::exception& e) {
+  const auto fail = [&](std::string kind, std::string message) {
     Request r = req;
-    r.fail("compile", e.what());
-    return error_response(r);
+    r.fail(std::move(kind), std::move(message));
+    out = error_response(r);
+    return false;
+  };
+  if (req.source.empty())
+    return fail("protocol", "missing \"source\" for op " + req.op);
+
+  core::ProgramCache::Outcome got;
+  try {
+    got = cache.get(req.source, core::PipelineOptions(req.topt));
+  } catch (const std::exception& e) {
+    return fail("compile", e.what());
   }
 
-  std::string stats_json = "null";
-  std::string store = "null";
+  std::optional<machine::RunResult> res;  // run only, unless it threw
   std::string machine_error;
   std::int64_t exec_nanos = 0;
   machine::MachineOptions mopt = req.mopt;
@@ -309,48 +279,54 @@ std::string handle_program_request(core::ProgramCache& cache,
     }
     const auto e0 = Clock::now();
     try {
-      const machine::RunResult res = core::execute(out.entry->image, mopt);
-      exec_nanos = nanos_since(e0);
-      stats_json = compact(machine::render_stats_json(res.stats, mopt));
-      if (res.stats.completed)
-        store = store_json(out.entry->image, res.store, req);
-      else
-        machine_error = res.stats.error_detail.render();
+      res = core::execute(got.entry->image, mopt);
+      if (!res->stats.completed)
+        machine_error = res->stats.error_detail.render();
     } catch (const std::exception& e) {
       // The request boundary: a machine that throws (say, a declared
       // array too large to allocate) fails this request, not the
       // server. No stats exist for a run that never finished.
-      exec_nanos = nanos_since(e0);
-      stats_json = "null";
-      store = "null";
+      res.reset();
       machine_error = std::string("machine threw: ") + e.what();
     }
+    exec_nanos = nanos_since(e0);
   }
 
   const std::int64_t total_nanos = nanos_since(t0);
   if (opts.slow_ms >= 0 && total_nanos > opts.slow_ms * 1'000'000)
     stats.slow_requests.fetch_add(1, std::memory_order_relaxed);
 
-  const core::CacheStats cstats = cache.stats();
-  std::ostringstream os;
-  os << "{\"id\": " << req.id_json << ", \"op\": " << quoted(req.op)
-     << ", \"ok\": " << (machine_error.empty() ? "true" : "false")
-     << ", \"cache\": "
-     << compact(core::render_cache_json(cstats, out.disposition,
-                                        out.entry->key))
-     << ", \"content_hash\": " << quoted(hex16(out.entry->content_hash))
-     << ", \"stage_nanos\": " << stage_nanos_json(out.trace)
-     << ", \"exec_nanos\": " << exec_nanos
-     << ", \"total_nanos\": " << total_nanos
-     << ", \"stats\": " << stats_json << ", \"store\": " << store
-     << ", \"error\": ";
-  if (machine_error.empty())
-    os << "null";
+  const bool ok = machine_error.empty();
+  // A run response is 1 to 2 KB, the stats object alone about 850
+  // bytes: one allocation instead of doubling up from empty.
+  out.reserve(2048);
+  JsonWriter w(out, JsonWriter::Layout::kCompact);
+  open_response(w, req.id_json, req.op, ok).key("cache");
+  core::write_cache_json(w, cache.stats(), got.disposition, got.entry->key);
+  w.key("content_hash").hex16(got.entry->content_hash).key("stage_nanos");
+  write_stage_nanos(w, got.trace);
+  w.member("exec_nanos", exec_nanos)
+      .member("total_nanos", total_nanos)
+      .key("stats");
+  if (res)
+    machine::write_stats_json(w, res->stats, mopt);
   else
-    os << "{\"kind\": \"machine\", \"message\": " << quoted(machine_error)
-       << "}";
-  os << '}';
-  return os.str();
+    w.null();
+  w.key("store");
+  if (res && res->stats.completed)
+    write_store(w, got.entry->image, res->store, req);
+  else
+    w.null();
+  w.key("error");
+  if (ok)
+    w.null();
+  else
+    w.begin_object()
+        .member("kind", "machine")
+        .member("message", machine_error)
+        .end_object();
+  w.end_object();
+  return ok;
 }
 
 /// The "stats" op: a liveness probe that never touches the cache or
@@ -358,25 +334,30 @@ std::string handle_program_request(core::ProgramCache& cache,
 std::string stats_response(const Request& req, const ServeStats& s,
                            const WorkerGauge* gauges, std::size_t num_gauges,
                            const ServeOptions& opts) {
-  std::ostringstream os;
-  os << "{\"id\": " << req.id_json
-     << ", \"op\": \"stats\", \"ok\": true, \"serve\": {"
-     << "\"workers\": " << std::max<std::size_t>(1, opts.workers)
-     << ", \"max_queue\": " << opts.max_queue
-     << ", \"accepted\": " << s.accepted.load()
-     << ", \"completed\": " << s.completed.load()
-     << ", \"rejected_overload\": " << s.rejected_overload.load()
-     << ", \"rejected_draining\": " << s.rejected_draining.load()
-     << ", \"slow_requests\": " << s.slow_requests.load()
-     << ", \"client_disconnects\": " << s.client_disconnects.load()
-     << ", \"queue_depth\": " << s.queue_depth.load()
-     << ", \"in_flight\": " << s.in_flight.load() << ", \"per_worker\": [";
+  std::string out;
+  JsonWriter w(out, JsonWriter::Layout::kCompact);
+  open_response(w, req.id_json, "stats", true)
+      .key("serve")
+      .begin_object()
+      .member("workers", std::max<std::size_t>(1, opts.workers))
+      .member("max_queue", opts.max_queue)
+      .member("accepted", s.accepted.load())
+      .member("completed", s.completed.load())
+      .member("rejected_overload", s.rejected_overload.load())
+      .member("rejected_draining", s.rejected_draining.load())
+      .member("slow_requests", s.slow_requests.load())
+      .member("client_disconnects", s.client_disconnects.load())
+      .member("queue_depth", s.queue_depth.load())
+      .member("in_flight", s.in_flight.load())
+      .key("per_worker")
+      .begin_array();
   for (std::size_t i = 0; i < num_gauges; ++i)
-    os << (i ? ", " : "") << "{\"handled\": " << gauges[i].handled.load()
-       << ", \"busy\": " << (gauges[i].in_flight.load() ? "true" : "false")
-       << "}";
-  os << "]}, \"error\": null}";
-  return os.str();
+    w.begin_object()
+        .member("handled", gauges[i].handled.load())
+        .member("busy", gauges[i].in_flight.load() != 0)
+        .end_object();
+  w.end_array().end_object().key("error").null().end_object();
+  return out;
 }
 
 }  // namespace
@@ -411,14 +392,22 @@ std::string Server::handle_line(const std::string& line, bool* shutdown) {
 
   if (req.op == "shutdown") {
     if (shutdown) *shutdown = true;
-    return finish("{\"id\": " + req.id_json +
-                  ", \"op\": \"shutdown\", \"ok\": true, \"error\": null}");
+    std::string out;
+    JsonWriter w(out, JsonWriter::Layout::kCompact);
+    open_response(w, req.id_json, "shutdown", true)
+        .key("error")
+        .null()
+        .end_object();
+    return finish(std::move(out));
   }
   if (req.op == "stats")
     return finish(
         stats_response(req, stats_, gauges_.get(), num_gauges_, options_));
-  if (req.op == "compile" || req.op == "run")
-    return finish(handle_program_request(cache_, req, stats_, options_));
+  if (req.op == "compile" || req.op == "run") {
+    std::string out;
+    (void)program_response(cache_, req, stats_, options_, out);
+    return finish(std::move(out));
+  }
   if (req.op != "run-batch") {
     req.fail("protocol", "unknown op: " + req.op);
     return finish(error_response(req));
@@ -430,11 +419,12 @@ std::string Server::handle_line(const std::string& line, bool* shutdown) {
   }
   // The batch's own topt/mopt become each item's baseline, so shared
   // options (and the batch deadline) can be stated once at the batch
-  // level.
+  // level. "op" is optional inside a batch and defaults to "run".
   Defaults batch_defaults;
   batch_defaults.topt = req.topt;
   batch_defaults.mopt = req.mopt;
   batch_defaults.deadline_ms = req.deadline_ms;
+  batch_defaults.op = "run";
   const std::vector<JsonValue>& items = req.batch->array;
   std::vector<Request> decoded;
   decoded.reserve(items.size());
@@ -443,21 +433,12 @@ std::string Server::handle_line(const std::string& line, bool* shutdown) {
     if (r.ok()) {
       if (r.op.empty()) r.op = "run";
       if (r.op == "run-batch") r.fail("protocol", "run-batch cannot nest");
-    } else if (r.error_message == "missing \"op\" string") {
-      // Re-decode with the default op: "op" is optional inside a batch.
-      JsonValue patched = item;
-      JsonValue opval;
-      opval.kind = JsonValue::Kind::kString;
-      opval.string = "run";
-      patched.object.emplace_back("op", opval);
-      r = decode_request(patched, batch_defaults);
     }
     decoded.push_back(std::move(r));
   }
 
   std::vector<std::string> results(decoded.size());
   std::atomic<std::size_t> errors{0};
-  std::atomic<std::size_t> batch_cache_hits{0};
   const core::CacheStats before = cache_.stats();
   std::atomic<std::size_t> next{0};
   const auto work = [&] {
@@ -470,8 +451,8 @@ std::string Server::handle_line(const std::string& line, bool* shutdown) {
         ++errors;
         continue;
       }
-      results[i] = handle_program_request(cache_, r, stats_, options_);
-      if (results[i].find("\"ok\": false") != std::string::npos) ++errors;
+      if (!program_response(cache_, r, stats_, options_, results[i]))
+        ++errors;
     }
   };
   const std::size_t workers =
@@ -486,19 +467,22 @@ std::string Server::handle_line(const std::string& line, bool* shutdown) {
     for (std::thread& t : pool) t.join();
   }
   const core::CacheStats after = cache_.stats();
-  batch_cache_hits = (after.hits - before.hits) +
-                     (after.disk_hits - before.disk_hits);
 
-  std::ostringstream os;
-  os << "{\"id\": " << req.id_json << ", \"op\": \"run-batch\", \"ok\": true"
-     << ", \"batch\": {\"requests\": " << decoded.size()
-     << ", \"errors\": " << errors.load()
-     << ", \"cache_hits\": " << batch_cache_hits.load() << "}"
-     << ", \"results\": [";
-  for (std::size_t i = 0; i < results.size(); ++i)
-    os << (i ? ", " : "") << results[i];
-  os << "], \"error\": null}";
-  return finish(os.str());
+  std::string out;
+  JsonWriter w(out, JsonWriter::Layout::kCompact);
+  open_response(w, req.id_json, "run-batch", true)
+      .key("batch")
+      .begin_object()
+      .member("requests", decoded.size())
+      .member("errors", errors.load())
+      .member("cache_hits", (after.hits - before.hits) +
+                                (after.disk_hits - before.disk_hits))
+      .end_object()
+      .key("results")
+      .begin_array();
+  for (const std::string& r : results) w.raw(r);
+  w.end_array().key("error").null().end_object();
+  return finish(std::move(out));
 }
 
 int Server::serve_stream(std::istream& in, std::ostream& out) {
@@ -715,28 +699,35 @@ class Pump {
     const std::int64_t retry = std::clamp<std::int64_t>(
         svc_ms * (static_cast<std::int64_t>(depth / num_workers_) + 1), 1,
         60'000);
-    return "{\"id\": null, \"op\": \"\", \"ok\": false, \"error\": "
-           "{\"kind\": \"overloaded\", \"message\": \"server overloaded: " +
-           std::to_string(depth) + " request(s) queued (max-queue " +
-           std::to_string(opts_.max_queue) +
-           ")\", \"retry_after_ms\": " + std::to_string(retry) + "}}";
+    std::string out;
+    JsonWriter w(out, JsonWriter::Layout::kCompact);
+    open_response(w, "null", "", false)
+        .key("error")
+        .begin_object()
+        .member("kind", "overloaded")
+        .member("message", "server overloaded: " + std::to_string(depth) +
+                               " request(s) queued (max-queue " +
+                               std::to_string(opts_.max_queue) + ")")
+        .member("retry_after_ms", retry)
+        .end_object()
+        .end_object();
+    return out;
   }
 
   /// Drain rejections arrive rarely enough to afford re-parsing the
   /// line for its id, so clients can correlate directly.
   [[nodiscard]] static std::string draining_response(const std::string& line) {
-    std::string id = "null";
-    std::string op;
+    Request r;
     if (const auto doc = json_parse(line); doc && doc->is_object()) {
       if (const JsonValue* idv = doc->find("id"))
-        if (!idv->is_array() && !idv->is_object()) id = json_render(*idv);
+        if (!idv->is_array() && !idv->is_object()) r.id_json = json_render(*idv);
       if (const JsonValue* opv = doc->find("op"))
-        if (opv->is_string()) op = opv->string;
+        if (opv->is_string()) r.op = opv->string;
     }
-    return "{\"id\": " + id + ", \"op\": " + quoted(op) +
-           ", \"ok\": false, \"error\": {\"kind\": \"draining\", "
-           "\"message\": \"server draining: request was not started before "
-           "the drain window closed\"}}";
+    r.fail("draining",
+           "server draining: request was not started before the drain "
+           "window closed");
+    return error_response(r);
   }
 
   Server& server_;

@@ -33,7 +33,8 @@
 //    "content_hash": "<16 hex>",               // the program's blob hash
 //    "stage_nanos": {"parse":..., ..., "total":...},  // compile stages
 //        this request actually ran; {"total": 0} on cache hits
-//    "exec_nanos":..., "total_nanos":...,      // this request's wall time
+//    "exec_nanos":..., "total_nanos":...,      // this request's wall time,
+//        up to writing its response
 //    "stats": {<machine::render_stats_json>} | null,   // run only
 //    "store": {"x": 3, "a": [1, 2]} | null,    // run only
 //    "error": null | {"kind": "protocol"|"options"|"compile"|"machine",

@@ -73,14 +73,16 @@ Cover Cover::make(const lang::SymbolTable& syms, CoverStrategy strategy) {
   return c;
 }
 
-std::vector<Resource> Cover::access_set_union(
-    const std::vector<lang::VarId>& vars) const {
-  std::vector<Resource> out;
+void Cover::access_set_union(std::span<const lang::VarId> vars,
+                             std::vector<Resource>& out) const {
+  std::size_t total = 0;
+  for (lang::VarId v : vars) total += access_sets_[v].size();
+  out.clear();
+  out.reserve(total);
   for (lang::VarId v : vars)
     out.insert(out.end(), access_sets_[v].begin(), access_sets_[v].end());
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 bool Cover::eliminable(Resource r, const lang::SymbolTable& syms) const {

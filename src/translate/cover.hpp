@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,9 +59,11 @@ class Cover {
     return access_sets_[v];
   }
 
-  /// Union of access sets over several variables (sorted, deduped).
-  [[nodiscard]] std::vector<Resource> access_set_union(
-      const std::vector<lang::VarId>& vars) const;
+  /// Replaces `out` with the union of the access sets of `vars`
+  /// (sorted, deduped). `out` is the caller's, so a stage can reuse
+  /// one buffer or fill its per-node result in place.
+  void access_set_union(std::span<const lang::VarId> vars,
+                        std::vector<Resource>& out) const;
 
   /// True iff r is a single unaliased scalar — the precondition for
   /// eliminating its memory operations entirely (paper Section 6.1).

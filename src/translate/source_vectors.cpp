@@ -17,10 +17,12 @@ SourceVectors compute_source_vectors(const cfg::Graph& cfg,
 
   SourceVectors sv;
   sv.uses.resize(cfg.size());
+  std::vector<lang::VarId> refs;
   for (NodeId n : cfg.all_nodes()) {
     const cfg::NodeKind k = cfg.kind(n);
-    if (k == cfg::NodeKind::kAssign || k == cfg::NodeKind::kFork)
-      sv.uses[n] = cover.access_set_union(cfg.refs(n));
+    if (k != cfg::NodeKind::kAssign && k != cfg::NodeKind::kFork) continue;
+    cfg.refs(n, refs);
+    cover.access_set_union(refs, sv.uses[n]);
   }
 
   // Per-loop resource sets.
@@ -33,7 +35,7 @@ SourceVectors compute_source_vectors(const cfg::Graph& cfg,
   if (optimize_switches) {
     const std::vector<std::vector<lang::VarId>> used = loops.used_vars(cfg);
     for (std::size_t l = 0; l < used.size(); ++l)
-      loop_res[l] = cover.access_set_union(used[l]);
+      cover.access_set_union(used[l], loop_res[l]);
   } else {
     for (auto& res : loop_res) res = all_resources();
   }

@@ -94,7 +94,7 @@ std::optional<std::int64_t> induction_step(const cfg::Graph& g,
   int assignments = 0;
   for (cfg::NodeId n : loop) {
     const cfg::Node& node = g.node(n);
-    if (node.kind != cfg::NodeKind::kAssign || node.lhs.var != v) continue;
+    if (node.kind != cfg::NodeKind::kAssign || node.lhs->var != v) continue;
     ++assignments;
     if (assignments > 1) return std::nullopt;
     // rhs must be v ± step, i.e. affine in v with coefficient 1.
@@ -111,16 +111,17 @@ bool stores_parallelizable(const cfg::Graph& g,
                            std::span<const cfg::NodeId> loop, lang::VarId a,
                            const lang::SymbolTable& syms) {
   bool any_store = false;
+  std::vector<lang::VarId> reads;
   for (cfg::NodeId n : loop) {
     const cfg::Node& node = g.node(n);
-    std::vector<lang::VarId> reads;
+    reads.clear();
     switch (node.kind) {
       case cfg::NodeKind::kFork:
         node.pred->collect_vars(reads);
         break;
       case cfg::NodeKind::kAssign:
         node.rhs->collect_vars(reads);
-        if (node.lhs.index) node.lhs.index->collect_vars(reads);
+        if (node.lhs->index) node.lhs->index->collect_vars(reads);
         break;
       default:
         continue;
@@ -128,9 +129,9 @@ bool stores_parallelizable(const cfg::Graph& g,
     if (std::find(reads.begin(), reads.end(), a) != reads.end())
       return false;  // the array is read somewhere in the loop
 
-    if (node.kind != cfg::NodeKind::kAssign || node.lhs.var != a) continue;
-    if (!node.lhs.index) return false;
-    const auto affine = match_affine(*node.lhs.index);
+    if (node.kind != cfg::NodeKind::kAssign || node.lhs->var != a) continue;
+    if (!node.lhs->index) return false;
+    const auto affine = match_affine(*node.lhs->index);
     if (!affine) return false;
     if (!induction_step(g, loop, affine->var, syms)) return false;
     any_store = true;

@@ -125,6 +125,9 @@ class Builder {
 
     support::build_order(cfg::ForwardView{cfg_}, order_);
 
+    // Serve-cold programs emit about 3.5 nodes per CFG node; a larger
+    // graph grows from there.
+    g.reserve(4 * cfg_.size());
     incoming_.resize(cfg_.size() * num_res_);
     sinks_.resize(cfg_.size() * num_res_);
     processed_.assign(cfg_.size(), false);
@@ -711,8 +714,8 @@ class Builder {
     if (node.kind == cfg::NodeKind::kAssign) {
       const ValueSrc value = build_expr(n, *node.rhs);
       ValueSrc index;
-      if (node.lhs.is_array_elem()) index = build_expr(n, *node.lhs.index);
-      write_lvalue(n, node.lhs, value, index);
+      if (node.lhs->is_array_elem()) index = build_expr(n, *node.lhs->index);
+      write_lvalue(n, *node.lhs, value, index);
       flush_all_reads();
       const NodeId succ = node.succ_true;
       for (Resource r : sv_.uses[n]) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "cfg/build.hpp"
 #include "lang/corpus.hpp"
 #include "lang/parser.hpp"
@@ -7,8 +9,11 @@
 namespace ctdf::cfg {
 namespace {
 
+/// The graph borrows its statements from the program, so the parsed
+/// programs are kept for the life of the test binary.
 Graph build(std::string_view src) {
-  return build_cfg_or_throw(lang::parse_or_throw(src));
+  static std::deque<lang::Program> programs;
+  return build_cfg_or_throw(programs.emplace_back(lang::parse_or_throw(src)));
 }
 
 std::size_t count_kind(const Graph& g, NodeKind k) {
@@ -72,7 +77,8 @@ TEST(CfgBuild, WhileMakesCycle) {
 }
 
 TEST(CfgBuild, RunningExampleShape) {
-  const Graph g = build_cfg_or_throw(lang::corpus::running_example());
+  const auto p = lang::corpus::running_example();
+  const Graph g = build_cfg_or_throw(p);
   EXPECT_TRUE(g.validate().empty());
   EXPECT_EQ(count_kind(g, NodeKind::kAssign), 2u);
   EXPECT_EQ(count_kind(g, NodeKind::kFork), 1u);
@@ -116,9 +122,10 @@ TEST(CfgBuild, RefsOfNodes) {
   const auto p = lang::parse_or_throw(
       "var x, y; array a[4]; x := a[y] + x;");
   const Graph g = build_cfg_or_throw(p);
+  std::vector<lang::VarId> refs;
   for (NodeId n : g.all_nodes()) {
     if (g.kind(n) != NodeKind::kAssign) continue;
-    auto refs = g.refs(n);
+    g.refs(n, refs);
     EXPECT_EQ(refs.size(), 3u);  // x, a, y
   }
 }
@@ -142,7 +149,8 @@ TEST(CfgBuild, DotOutputMentionsEveryNode) {
 
 TEST(CfgBuild, AllCorpusProgramsValidate) {
   for (const auto& np : lang::corpus::all()) {
-    const Graph g = build_cfg_or_throw(lang::parse_or_throw(np.source));
+    const lang::Program prog = lang::parse_or_throw(np.source);
+    const Graph g = build_cfg_or_throw(prog);
     EXPECT_TRUE(g.validate().empty()) << np.name;
   }
 }

@@ -14,12 +14,14 @@ namespace ctdf::cfg {
 namespace {
 
 struct Analysis {
+  lang::Program prog;  ///< the graph borrows its statements
   Graph g;
   DomTree pdom;
   ControlDeps cd;
 
-  explicit Analysis(const lang::Program& p)
-      : g(build_cfg_or_throw(p)),
+  explicit Analysis(lang::Program p)
+      : prog(std::move(p)),
+        g(build_cfg_or_throw(prog)),
         pdom(g, DomDirection::kPostdom),
         cd(g, pdom) {}
 };

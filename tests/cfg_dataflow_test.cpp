@@ -25,7 +25,7 @@ struct Fixture {
     const lang::VarId v = var(n);
     int seen = 0;
     for (NodeId node : g.all_nodes()) {
-      if (g.kind(node) == NodeKind::kAssign && g.node(node).lhs.var == v) {
+      if (g.kind(node) == NodeKind::kAssign && g.node(node).lhs->var == v) {
         if (seen++ == which) return node;
       }
     }

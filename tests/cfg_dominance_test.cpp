@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "cfg/build.hpp"
 #include "cfg/dominance.hpp"
 #include "lang/corpus.hpp"
@@ -10,8 +12,11 @@
 namespace ctdf::cfg {
 namespace {
 
+/// The graph borrows its statements from the program, so the parsed
+/// programs are kept for the life of the test binary.
 Graph build(std::string_view src) {
-  return build_cfg_or_throw(lang::parse_or_throw(src));
+  static std::deque<lang::Program> programs;
+  return build_cfg_or_throw(programs.emplace_back(lang::parse_or_throw(src)));
 }
 
 TEST(Postdominators, RootIsEnd) {
@@ -22,13 +27,15 @@ TEST(Postdominators, RootIsEnd) {
 }
 
 TEST(Postdominators, EndPostdominatesEverything) {
-  const Graph g = build_cfg_or_throw(lang::corpus::fig9());
+  const auto p = lang::corpus::fig9();
+  const Graph g = build_cfg_or_throw(p);
   const DomTree pdom(g, DomDirection::kPostdom);
   for (NodeId n : g.all_nodes()) EXPECT_TRUE(pdom.dominates(g.end(), n));
 }
 
 TEST(Postdominators, ReflexiveAndAntisymmetric) {
-  const Graph g = build_cfg_or_throw(lang::corpus::fig9());
+  const auto p = lang::corpus::fig9();
+  const Graph g = build_cfg_or_throw(p);
   const DomTree pdom(g, DomDirection::kPostdom);
   for (NodeId a : g.all_nodes()) {
     EXPECT_TRUE(pdom.dominates(a, a));
@@ -52,7 +59,8 @@ TEST(Postdominators, DiamondJoinPostdominatesFork) {
 }
 
 TEST(Dominators, StartDominatesEverything) {
-  const Graph g = build_cfg_or_throw(lang::corpus::running_example());
+  const auto p = lang::corpus::running_example();
+  const Graph g = build_cfg_or_throw(p);
   const DomTree dom(g, DomDirection::kForward);
   for (NodeId n : g.all_nodes()) EXPECT_TRUE(dom.dominates(g.start(), n));
 }
@@ -71,7 +79,8 @@ TEST(Dominators, LoopHeaderDominatesBody) {
 }
 
 TEST(DomTree, BottomUpOrderIsChildrenFirst) {
-  const Graph g = build_cfg_or_throw(lang::corpus::fig9());
+  const auto p = lang::corpus::fig9();
+  const Graph g = build_cfg_or_throw(p);
   const DomTree pdom(g, DomDirection::kPostdom);
   std::vector<bool> seen(g.size(), false);
   for (NodeId n : pdom.bottom_up_order()) {

@@ -13,10 +13,12 @@ namespace ctdf::cfg {
 namespace {
 
 struct Transformed {
+  lang::Program prog;  ///< the graph borrows its statements
   Graph g;
   LoopInfo info;
 
-  explicit Transformed(const lang::Program& p) : g(build_cfg_or_throw(p)) {
+  explicit Transformed(lang::Program p)
+      : prog(std::move(p)), g(build_cfg_or_throw(prog)) {
     support::DiagnosticEngine d;
     info = transform_loops(g, d);
     EXPECT_FALSE(d.has_errors()) << d.to_string();
@@ -140,8 +142,7 @@ TEST_P(LoopTransformProperty, TransformedGraphsValidate) {
   opt.allow_unstructured = true;
   opt.allow_irreducible = true;
   opt.num_arrays = 1;
-  const auto prog = lang::generate_program(opt, GetParam());
-  Transformed t(prog);
+  Transformed t(lang::generate_program(opt, GetParam()));
   EXPECT_TRUE(t.g.validate().empty());
 
   // All cycles pass through a loop-entry node: removing every loop

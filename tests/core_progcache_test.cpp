@@ -370,6 +370,31 @@ TEST(ProgramCacheConcurrency, AHitIsServedWhileAnotherKeyCompiles) {
       << "the hit waited for another key's compile";
 }
 
+TEST(ProgramCacheConcurrency, EvictedEntriesStayUsableByTheirHolders) {
+  // Capacity 1: every miss evicts the entry another thread may still be
+  // executing. The holder's reference keeps it alive; the cache frees
+  // it, outside its mutex, only if the cache held the last reference.
+  ProgramCache::Config cfg;
+  cfg.capacity = 1;
+  ProgramCache cache(cfg);
+  constexpr int kRounds = 6;
+  on_threads([&](int i) {
+    for (int round = 0; round < kRounds; ++round) {
+      const int value = i * kRounds + round;
+      const ProgramCache::Outcome out =
+          cache.get(scalar_source(value), default_po());
+      const auto ran = execute(out.entry->image, machine::MachineOptions{});
+      ASSERT_TRUE(ran.stats.completed) << ran.stats.error_detail.render();
+      EXPECT_EQ(ran.store.cells.at(0), value + 1);
+      (void)cache.stats();
+    }
+  });
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.misses, static_cast<std::uint64_t>(kThreads * kRounds));
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.evictions, s.misses - 1);
+}
+
 TEST(ProgramCacheConcurrency, RacingMissesWithADiskTierWriteOneBlob) {
   const std::string dir = fresh_dir("racing_misses");
   ProgramCache::Config cfg;

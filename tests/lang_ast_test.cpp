@@ -43,17 +43,6 @@ TEST(EvalUnop, NegAndNot) {
   EXPECT_EQ(eval_unop(UnOp::kNot, -7), 0);
 }
 
-TEST(Expr, CloneIsDeep) {
-  const Program p = parse_or_throw("var x; array a[4]; x := a[x + 1] * 2;");
-  const Expr& original = *p.body.front()->expr;
-  const ExprPtr copy = original.clone();
-  EXPECT_EQ(copy->to_string(p.symbols), original.to_string(p.symbols));
-  // Mutating the copy must not affect the original. Root is the `*`;
-  // lhs is the array ref, whose index (stored in lhs) is `x + 1`.
-  copy->lhs->lhs->rhs->value = 99;  // the literal 1 inside a[x + 1]
-  EXPECT_NE(copy->to_string(p.symbols), original.to_string(p.symbols));
-}
-
 TEST(Expr, CollectVarsDeduplicatesAndFindsIndexVars) {
   const Program p =
       parse_or_throw("var x, y; array a[4]; x := x + a[y] + x * y;");
@@ -67,12 +56,11 @@ TEST(Expr, ToStringParenthesizesStructure) {
   EXPECT_EQ(p.body.front()->expr->to_string(p.symbols), "((x + 1) * 2)");
 }
 
-TEST(LValue, CloneAndPrint) {
+TEST(LValue, ArrayElementPrints) {
   const Program p = parse_or_throw("var i; array a[4]; a[i + 1] := 0;");
   const LValue& lv = p.body.front()->lhs;
   EXPECT_TRUE(lv.is_array_elem());
-  const LValue copy = lv.clone();
-  EXPECT_EQ(copy.to_string(p.symbols), "a[(i + 1)]");
+  EXPECT_EQ(lv.to_string(p.symbols), "a[(i + 1)]");
 }
 
 TEST(Stmt, FactoriesProduceExpectedKinds) {

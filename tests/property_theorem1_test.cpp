@@ -35,14 +35,16 @@ void check_theorem1(const Graph& g, const std::string& context) {
 
 TEST(Theorem1, HoldsOnCorpus) {
   for (const auto& np : lang::corpus::all()) {
-    const Graph g = build_cfg_or_throw(lang::parse_or_throw(np.source));
+    const lang::Program prog = lang::parse_or_throw(np.source);
+    const Graph g = build_cfg_or_throw(prog);
     check_theorem1(g, np.name);
   }
 }
 
 TEST(Theorem1, IteratedSetAgreesWithNaiveClosure) {
   for (const auto& np : lang::corpus::all()) {
-    const Graph g = build_cfg_or_throw(lang::parse_or_throw(np.source));
+    const lang::Program prog = lang::parse_or_throw(np.source);
+    const Graph g = build_cfg_or_throw(prog);
     const DomTree pdom(g, DomDirection::kPostdom);
     const ControlDeps cd(g, pdom);
     for (NodeId n : g.all_nodes()) {

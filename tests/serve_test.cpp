@@ -158,6 +158,31 @@ TEST(Serve, OutOfRangeLatenciesAreOptionsErrorsAndServingGoesOn) {
   EXPECT_EQ(r.find("store")->find("x")->number, 3.0);
 }
 
+TEST(Serve, OutOfRangeProcessorCountIsAnOptionsErrorAndServingGoesOn) {
+  // A run keeps per-PE state, so an unbounded PE count would let one
+  // request ask for gigabytes. Past kMaxProcessors it is rejected while
+  // decoding the options; the bound itself still runs.
+  Server server;
+  for (const char* line : {
+           R"({"id": 1, "op": "run", "options": ["--processors=65537"], "source": "var x;\n x := 1 + 2;\n"})",
+           R"({"id": 2, "op": "run", "options": ["--processors=4000000000"], "source": "var x;\n x := 1 + 2;\n"})"}) {
+    const JsonValue r = parse_response(server.handle_line(line));
+    EXPECT_EQ(keys(r), kShortErrorKeys) << line;
+    EXPECT_FALSE(r.find("ok")->boolean) << line;
+    EXPECT_EQ(r.find("error")->find("kind")->string, "options") << line;
+    EXPECT_NE(r.find("error")->find("message")->string.find("must be in [0, 65536]"),
+              std::string::npos)
+        << line;
+  }
+  const JsonValue widest = parse_response(server.handle_line(
+      R"({"id": 3, "op": "run", "options": ["--processors=65536"], "source": "var x;\n x := 1 + 2;\n"})"));
+  EXPECT_TRUE(widest.find("ok")->boolean);
+  EXPECT_EQ(widest.find("store")->find("x")->number, 3.0);
+  const JsonValue r = parse_response(server.handle_line(kRunX));
+  EXPECT_TRUE(r.find("ok")->boolean);
+  EXPECT_EQ(r.find("store")->find("x")->number, 3.0);
+}
+
 TEST(Serve, MachineFailuresKeepTheFullResponseShape) {
   Server server;
   const JsonValue r = parse_response(server.handle_line(

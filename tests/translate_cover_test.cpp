@@ -83,8 +83,10 @@ TEST(Cover, EliminabilityRequiresUnaliasedSingletonScalar) {
 TEST(Cover, AccessSetUnion) {
   const auto p = paper_aliases();
   const Cover c = Cover::make(p.symbols, CoverStrategy::kSingleton);
-  const auto u = c.access_set_union(
-      {*p.symbols.lookup("x"), *p.symbols.lookup("y")});
+  const std::vector<lang::VarId> vars = {*p.symbols.lookup("x"),
+                                         *p.symbols.lookup("y")};
+  std::vector<Resource> u = {99};  // replaced, not appended to
+  c.access_set_union(vars, u);
   EXPECT_EQ(u.size(), 3u);  // {x,z} ∪ {y,z}
 }
 

@@ -30,8 +30,11 @@ struct Placed {
         cd(g, pdom),
         cover(Cover::make(prog.symbols, CoverStrategy::kSingleton)) {
     uses.resize(g.size());
-    for (cfg::NodeId n : g.all_nodes())
-      uses[n] = cover.access_set_union(g.refs(n));
+    std::vector<lang::VarId> refs;
+    for (cfg::NodeId n : g.all_nodes()) {
+      g.refs(n, refs);
+      cover.access_set_union(refs, uses[n]);
+    }
   }
 
   SwitchPlacement place(bool optimize) const {

@@ -62,7 +62,8 @@
 //                           1 to 65536)
 //   --barrier               barrier loop control (default: pipelined)
 //   --loop-bound=K          at most K iterations in flight (0 = unbounded)
-//   --processors=N          N PEs, one op/cycle each (0 = abstract pool)
+//   --processors=N          N PEs, one op/cycle each (0 = abstract pool;
+//                           at most 65536)
 //   --network-latency=N     cross-PE token charge (default 2; at most
 //                           65536)
 //   --place-by-node         hash instructions to PEs (default: frames)
@@ -131,6 +132,7 @@
 #include "machine/flags.hpp"
 #include "machine/report.hpp"
 #include "serve/serve.hpp"
+#include "support/json_writer.hpp"
 #include "support/parse.hpp"
 
 using namespace ctdf;
@@ -426,7 +428,7 @@ int cmd_run_blob(const Cli& cli) {
     std::printf("{\n  \"machine\": %s,\n  \"blob\": {\"path\": \"%s\", "
                 "\"blob_bytes\": %llu, \"content_hash\": \"%016llx\"}\n}\n",
                 machine::render_stats_json(res.stats, cli.mopt).c_str(),
-                machine::json_escape(cli.load_blob).c_str(),
+                support::json_escape(cli.load_blob).c_str(),
                 static_cast<unsigned long long>(read.blob_bytes),
                 static_cast<unsigned long long>(read.content_hash));
     if (!res.stats.completed) {
@@ -526,7 +528,7 @@ std::string pipeline_json(const translate::PipelineTrace& trace) {
     for (const auto& [name, value] : r.counters) {
       if (!first_counter) os << ", ";
       first_counter = false;
-      os << '"' << machine::json_escape(name) << "\": " << value;
+      os << '"' << support::json_escape(name) << "\": " << value;
     }
     os << "}}";
   }
