@@ -89,7 +89,7 @@ inline Measurement measure(const lang::Program& prog,
   if (stage_stats_from_env())
     std::fprintf(stderr, "pipeline stages (%s):\n%s",
                  topt.describe().c_str(), compiled.trace.table().c_str());
-  auto res = core::execute(tx, mopt);
+  auto res = core::execute(compiled.image, mopt);
   if (!res.stats.completed) {
     std::fprintf(stderr, "machine failed under %s: %s\n--- program ---\n%s",
                  topt.describe().c_str(),

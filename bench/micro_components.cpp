@@ -300,8 +300,8 @@ void BM_MachineFusedChains(benchmark::State& state) {
   const auto prog = core::parse(lang::corpus::chain_loop_source(400, 24));
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
-  topt.post_optimize = true;
-  if (state.range(0)) topt.opt_passes = dfg::PassSet::all();
+  topt.opt_passes =
+      state.range(0) ? dfg::PassSet::all() : dfg::PassSet::cleanup();
   const auto tx = core::compile(prog, topt);
   std::uint64_t runs = 0, ops = 0;
   for (auto _ : state) {

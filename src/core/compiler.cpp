@@ -2,6 +2,7 @@
 
 #include "core/pipeline.hpp"
 #include "lang/subroutines.hpp"
+#include "machine/exec.hpp"
 
 namespace ctdf::core {
 
@@ -22,51 +23,14 @@ translate::Translation compile(std::string_view source,
   return Pipeline(PipelineOptions(options)).run(source).translation;
 }
 
-namespace {
-
-std::vector<machine::IStructureRegion> istructure_regions(
-    const translate::Translation& tx) {
-  std::vector<machine::IStructureRegion> regions;
-  regions.reserve(tx.istructures.size());
-  for (const auto& r : tx.istructures)
-    regions.push_back({r.base, r.extent});
-  return regions;
-}
-
-std::vector<machine::SharedRegion> shared_regions(
-    const translate::Translation& tx) {
-  std::vector<machine::SharedRegion> regions;
-  regions.reserve(tx.shared_cells.size());
-  for (const auto& r : tx.shared_cells)
-    regions.push_back({r.base, r.extent});
-  return regions;
-}
-
-}  // namespace
-
 machine::RunResult execute(const translate::Translation& tx,
                            const machine::MachineOptions& options) {
-  return machine::run(tx.graph, tx.memory_cells, options,
-                      istructure_regions(tx), shared_regions(tx));
-}
-
-machine::RunResult execute(const CompileResult& cr,
-                           const machine::MachineOptions& options) {
-  const translate::Translation& tx = cr.translation;
-  if (cr.exec.num_ops() == 0)  // `lower` stage disabled
-    return execute(tx, options);
-  return machine::run(cr.exec, tx.memory_cells, options,
-                      istructure_regions(tx), shared_regions(tx));
+  return machine::run(machine::lower(tx.graph), tx.memory_cells, options,
+                      tx.istructures, tx.shared_cells);
 }
 
 machine::ProgramImage make_program_image(CompileResult cr) {
-  machine::ProgramImage image;
-  image.exec = std::move(cr.exec);
-  image.memory_cells = cr.translation.memory_cells;
-  image.istructures = istructure_regions(cr.translation);
-  image.shared = shared_regions(cr.translation);
-  image.names = std::move(cr.names);
-  return image;
+  return std::move(cr.image);
 }
 
 machine::RunResult execute(const machine::ProgramImage& image,

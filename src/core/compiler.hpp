@@ -36,17 +36,11 @@ namespace ctdf::core {
                                              const translate::TranslateOptions& options);
 
 /// Runs a translation on the simulated dataflow machine (lowers the
-/// graph internally on every call).
+/// graph on every call; a CompileResult's image is already lowered).
 [[nodiscard]] machine::RunResult execute(const translate::Translation& tx,
                                          const machine::MachineOptions& options);
 
-/// Runs a pipeline compilation, reusing the ExecProgram cached by the
-/// `lower` stage; falls back to lowering on the fly when that stage was
-/// disabled.
-[[nodiscard]] machine::RunResult execute(const CompileResult& cr,
-                                         const machine::MachineOptions& options);
-
-/// Packs a compilation into the self-contained unit blobs serialize
+/// Takes a compilation's image, the self-contained unit blobs serialize
 /// and the program cache stores: the lowered ExecProgram, the memory
 /// geometry, and the name→cell table. Consumes the CompileResult (the
 /// graph is dropped — an image is execution-only).

@@ -1,10 +1,8 @@
 #include "core/pipeline.hpp"
 
 #include <chrono>
-#include <unordered_map>
 #include <utility>
 
-#include "core/progcache.hpp"
 #include "lang/subroutines.hpp"
 #include "lang/symbols.hpp"
 #include "machine/exec.hpp"
@@ -35,38 +33,77 @@ class TraceHooks final : public translate::StageHooks {
   std::string& dump_;
 };
 
-/// Lowers the translated graph into CompileResult::exec and appends the
-/// `lower` stage record. Emitted here, not in translate::run_stages:
+/// Lowers the translated graph into CompileResult::image and appends
+/// the `lower` stage record. Emitted here, not in translate::run_stages:
 /// the translate library cannot depend on the machine library.
-void run_lower_stage(const PipelineOptions& options, CompileResult& result,
-                     TraceHooks& hooks) {
+void run_lower_stage(CompileResult& result, TraceHooks& hooks) {
+  const translate::Translation& tx = result.translation;
+  machine::ProgramImage& image = result.image;
+  const auto t0 = Clock::now();
+  image.exec = machine::lower(tx.graph);
   StageRecord r;
   r.stage = Stage::kLower;
-  if (!options.lower) {
-    hooks.record(std::move(r));
-    return;
-  }
-  const auto t0 = Clock::now();
-  result.exec = machine::lower(result.translation.graph);
   r.ran = true;
   r.nanos =
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
           .count();
-  r.size_in = result.translation.graph.num_nodes();
-  r.size_out = result.exec.num_ops();
+  r.size_in = tx.graph.num_nodes();
+  r.size_out = image.exec.num_ops();
   r.counters = {
-      {"ops", static_cast<std::int64_t>(result.exec.num_ops())},
-      {"dests", static_cast<std::int64_t>(result.exec.num_dests())},
-      {"frame-slots", static_cast<std::int64_t>(result.exec.frame_slots())},
-      {"literals", static_cast<std::int64_t>(result.exec.num_literals())}};
+      {"ops", static_cast<std::int64_t>(image.exec.num_ops())},
+      {"dests", static_cast<std::int64_t>(image.exec.num_dests())},
+      {"frame-slots", static_cast<std::int64_t>(image.exec.frame_slots())},
+      {"literals", static_cast<std::int64_t>(image.exec.num_literals())}};
   hooks.record(std::move(r));
   if (hooks.wants_dump(Stage::kLower))
-    hooks.dump(Stage::kLower, machine::render(result.exec));
+    hooks.dump(Stage::kLower, machine::render(image.exec));
+  image.memory_cells = tx.memory_cells;
+  image.istructures = tx.istructures;
+  image.shared = tx.shared_cells;
 }
 
-/// The name→cell table travelling with the compile (and into blobs):
-/// one row per variable, with the same base/extent the interpreter's
-/// StorageLayout assigns, so store rendering by name needs no symbols.
+/// The one body behind both Pipeline::run overloads: parses `source`
+/// unless `given` holds an already-parsed program (then `parse` is
+/// reported skipped), runs the stages, and lowers.
+CompileResult run_pipeline(const PipelineOptions& options,
+                           std::string_view source,
+                           const lang::Program* given) {
+  CompileResult result;
+  TraceHooks hooks(result.trace, options.dump_after, result.dump);
+
+  support::DiagnosticEngine diags;
+  lang::Program parsed;  // the parse stage's artifact when `given` is null
+  StageRecord pr;
+  pr.stage = Stage::kParse;
+  if (given == nullptr) {
+    const auto t0 = Clock::now();
+    parsed = lang::parse_with_subroutines(source, diags);
+    pr.ran = true;
+    pr.nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   Clock::now() - t0)
+                   .count();
+    pr.size_in = source.size();
+    pr.size_out = parsed.body.size();
+    pr.counters = {
+        {"stmts", static_cast<std::int64_t>(parsed.body.size())},
+        {"vars", static_cast<std::int64_t>(parsed.symbols.size())}};
+  }
+  hooks.record(std::move(pr));
+  diags.throw_if_errors();
+  const lang::Program& prog = given ? *given : parsed;
+  if (given == nullptr && hooks.wants_dump(Stage::kParse))
+    hooks.dump(Stage::kParse, prog.to_string());
+
+  result.translation = translate::run_stages(prog, options.translate, diags,
+                                             &hooks, options.compute_ssa);
+  diags.throw_if_errors();
+  result.image.names = named_cells(prog);
+  run_lower_stage(result, hooks);
+  return result;
+}
+
+}  // namespace
+
 std::vector<machine::NamedCell> named_cells(const lang::Program& prog) {
   const lang::StorageLayout layout{prog.symbols};
   std::vector<machine::NamedCell> names;
@@ -82,129 +119,14 @@ std::vector<machine::NamedCell> named_cells(const lang::Program& prog) {
   return names;
 }
 
-}  // namespace
-
-bool PipelineOptions::configure_stage(std::string_view name, bool enabled) {
-  if (name == "dse") {
-    translate.dead_store_elimination = enabled;
-  } else if (name == "ssa") {
-    compute_ssa = enabled;
-  } else if (name == "optimize" || name == "post-opt") {
-    translate.post_optimize = enabled;
-  } else if (name == "validate") {
-    validate = enabled;
-  } else if (name == "lower") {
-    lower = enabled;
-  } else if ((name == "fanout" || name == "fanout-lower") && !enabled) {
-    translate.max_fanout = 0;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 Pipeline::Pipeline(PipelineOptions options) : options_(std::move(options)) {}
 
 CompileResult Pipeline::run(std::string_view source) const {
-  CompileResult result;
-  TraceHooks hooks(result.trace, options_.dump_after, result.dump);
-
-  support::DiagnosticEngine diags;
-  const auto t0 = Clock::now();
-  const lang::Program prog = lang::parse_with_subroutines(source, diags);
-  StageRecord pr;
-  pr.stage = Stage::kParse;
-  pr.ran = true;
-  pr.nanos =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-          .count();
-  pr.size_in = source.size();
-  pr.size_out = prog.body.size();
-  pr.counters = {
-      {"stmts", static_cast<std::int64_t>(prog.body.size())},
-      {"vars", static_cast<std::int64_t>(prog.symbols.size())}};
-  hooks.record(std::move(pr));
-  diags.throw_if_errors();
-  if (hooks.wants_dump(Stage::kParse))
-    hooks.dump(Stage::kParse, prog.to_string());
-
-  translate::StageSet set;
-  set.ssa = options_.compute_ssa;
-  set.validate = options_.validate;
-  result.translation =
-      translate::run_stages(prog, options_.translate, diags, &hooks, set);
-  diags.throw_if_errors();
-  result.names = named_cells(prog);
-  run_lower_stage(options_, result, hooks);
-  return result;
+  return run_pipeline(options_, source, nullptr);
 }
 
 CompileResult Pipeline::run(const lang::Program& prog) const {
-  CompileResult result;
-  TraceHooks hooks(result.trace, options_.dump_after, result.dump);
-
-  StageRecord pr;  // no parsing happened on this path
-  pr.stage = Stage::kParse;
-  pr.ran = false;
-  hooks.record(std::move(pr));
-
-  support::DiagnosticEngine diags;
-  translate::StageSet set;
-  set.ssa = options_.compute_ssa;
-  set.validate = options_.validate;
-  result.translation =
-      translate::run_stages(prog, options_.translate, diags, &hooks, set);
-  diags.throw_if_errors();
-  result.names = named_cells(prog);
-  run_lower_stage(options_, result, hooks);
-  return result;
-}
-
-BatchResult Pipeline::run_many(const std::vector<std::string>& sources) const {
-  BatchResult batch;
-  batch.programs.reserve(sources.size());
-  // Front-end sharing: textually identical sources compile once.
-  std::unordered_map<std::string, std::size_t> seen;
-  for (const std::string& src : sources) {
-    if (const auto it = seen.find(src); it != seen.end()) {
-      batch.programs.push_back(batch.programs[it->second]);
-      ++batch.cache_hits;
-    } else {
-      seen.emplace(src, batch.programs.size());
-      batch.programs.push_back(run(src));
-    }
-    batch.combined.merge(batch.programs.back().trace);
-  }
-  return batch;
-}
-
-BatchResult Pipeline::run_many(const std::vector<std::string>& sources,
-                               ProgramCache& cache) const {
-  BatchResult batch;
-  batch.programs.reserve(sources.size());
-  for (const std::string& src : sources) {
-    ProgramCache::Outcome out = cache.get(src, options_);
-    const machine::ProgramImage& image = out.entry->image;
-    CompileResult cr;
-    cr.exec = image.exec;
-    cr.names = image.names;
-    // Rehydrate the memory geometry execute() reads off the
-    // translation; the graph itself is not reconstructed for hits.
-    cr.translation.memory_cells = image.memory_cells;
-    for (const auto& r : image.istructures)
-      cr.translation.istructures.push_back({r.base, r.extent});
-    for (const auto& r : image.shared)
-      cr.translation.shared_cells.push_back({r.base, r.extent});
-    cr.trace = std::move(out.trace);
-    if (out.disposition != CacheDisposition::kMiss) {
-      ++batch.cache_hits;
-      ++batch.lowerings_reused;
-    }
-    batch.combined.merge(cr.trace);
-    batch.programs.push_back(std::move(cr));
-  }
-  batch.cache_blob_bytes = cache.stats().blob_bytes;
-  return batch;
+  return run_pipeline(options_, {}, &prog);
 }
 
 }  // namespace ctdf::core

@@ -1,13 +1,13 @@
 // The staged compilation pipeline, driver side.
 //
 // core::Pipeline runs the explicit stage sequence defined in
-// translate/stages.hpp (parse → cfg-build → … → validate) and collects
-// a PipelineTrace: per-stage wall time, artifact sizes, and
-// stage-specific counters. It optionally captures one stage's rendered
-// artifact (`--dump-after` in the ctdf CLI). core::compile is a thin
-// wrapper over Pipeline::run; both produce byte-identical graphs for
-// identical options because the stage orchestration itself lives in
-// translate::run_stages and is shared by every path.
+// translate/stages.hpp (parse → cfg-build → … → validate), then lowers
+// the graph (`lower`), and collects a PipelineTrace: per-stage wall
+// time, artifact sizes, and stage-specific counters. It optionally
+// captures one stage's rendered artifact (`--dump-after` in the ctdf
+// CLI). core::compile is a thin wrapper over Pipeline::run; every path
+// produces byte-identical graphs for identical options because the
+// stage orchestration itself lives in translate::run_stages.
 //
 //   ctdf::core::Pipeline p(ctdf::core::PipelineOptions{
 //       translate::TranslateOptions::schema2_optimized()});
@@ -22,13 +22,10 @@
 
 #include "lang/ast.hpp"
 #include "machine/blob.hpp"
-#include "machine/exec.hpp"
 #include "translate/stages.hpp"
 #include "translate/translator.hpp"
 
 namespace ctdf::core {
-
-class ProgramCache;
 
 // The stage vocabulary is defined once, in the translate layer; core
 // re-exports it so downstream users need only this header.
@@ -37,20 +34,13 @@ using translate::Stage;
 using translate::StageRecord;
 
 /// Unified configuration for a pipeline run: the translation options
-/// plus the pipeline-level stage toggles and dump selection.
+/// plus the stats-only `ssa` stage and the dump selection. validate and
+/// lower always run.
 struct PipelineOptions {
   translate::TranslateOptions translate;
 
   /// Run the stats-only `ssa` stage (φ-placement counts in the trace).
   bool compute_ssa = false;
-
-  /// Run the final `validate` stage (on by default, as core::compile
-  /// always validated).
-  bool validate = true;
-
-  /// Run the `lower` stage: graph → machine::ExecProgram, cached in
-  /// CompileResult::exec so execution needs no per-run lowering.
-  bool lower = true;
 
   /// Capture the rendered artifact of this stage into
   /// CompileResult::dump (Graphviz for graph stages, text for
@@ -61,45 +51,26 @@ struct PipelineOptions {
   /// Implicit on purpose: every TranslateOptions is a valid pipeline
   /// configuration, so call sites can keep passing schema presets.
   PipelineOptions(translate::TranslateOptions t) : translate(std::move(t)) {}
-
-  /// Enables/disables a stage by name ("dse", "ssa", "optimize", ...;
-  /// the old names "post-opt" and "fanout-lower" are accepted as
-  /// aliases). Returns false for unknown names and for stages that
-  /// cannot be toggled (cfg-build, translate, ...).
-  bool configure_stage(std::string_view name, bool enabled);
 };
 
 struct CompileResult {
   translate::Translation translation;
-  /// The lowered program (empty when PipelineOptions::lower is off).
-  /// machine::run's ExecProgram overload executes it directly.
-  machine::ExecProgram exec;
-  /// Name→cell table of the memory image, carried into blobs
-  /// (machine/blob.hpp) so a deserialized program renders stores by
-  /// variable name without the source's symbol table.
-  std::vector<machine::NamedCell> names;
+  /// What the `lower` stage builds: the ExecProgram, the memory geometry
+  /// and the name→cell table (carried into blobs, machine/blob.hpp, so a
+  /// deserialized program renders stores by variable name without the
+  /// source's symbol table). core::execute runs it directly.
+  machine::ProgramImage image;
   PipelineTrace trace;
   /// The artifact requested via PipelineOptions::dump_after (empty when
   /// none was requested or the stage did not run).
   std::string dump;
 };
 
-/// Result of a batch run over several sources.
-struct BatchResult {
-  std::vector<CompileResult> programs;
-  /// Per-stage aggregate over the batch (times/sizes/counters summed).
-  PipelineTrace combined;
-  /// Sources that reused a previous identical source's front-end work
-  /// (within-batch text sharing or a ProgramCache hit).
-  std::size_t cache_hits = 0;
-  /// Of cache_hits, sources whose lowered ExecProgram came out of a
-  /// ProgramCache (run_many's cache overload): no pipeline stage — not
-  /// even lower — ran for these.
-  std::size_t lowerings_reused = 0;
-  /// Serialized size of the cache's resident entries after the batch
-  /// (0 for the cache-less overload).
-  std::uint64_t cache_blob_bytes = 0;
-};
+/// The name→cell table of `prog`'s memory image: one row per variable,
+/// in declaration order, with the base and extent lang::StorageLayout
+/// assigns (extent 0 for a scalar).
+[[nodiscard]] std::vector<machine::NamedCell> named_cells(
+    const lang::Program& prog);
 
 class Pipeline {
  public:
@@ -115,22 +86,6 @@ class Pipeline {
 
   /// Run from an already-parsed program; `parse` is reported skipped.
   [[nodiscard]] CompileResult run(const lang::Program& prog) const;
-
-  /// Compiles a batch, sharing front-end work: textually identical
-  /// sources are parsed and compiled once and the result is copied
-  /// (traces still list every program; shared compiles count toward
-  /// BatchResult::cache_hits).
-  [[nodiscard]] BatchResult run_many(
-      const std::vector<std::string>& sources) const;
-
-  /// Batch compilation through a content-addressed program cache
-  /// (core/progcache.hpp): identical (source, options) pairs share the
-  /// whole pipeline *including lowering*, across batches and — with a
-  /// disk tier — across processes. Cache-served programs carry an
-  /// executable image (exec, memory geometry, names) but no graph and
-  /// an empty trace; BatchResult::lowerings_reused counts them.
-  [[nodiscard]] BatchResult run_many(const std::vector<std::string>& sources,
-                                     ProgramCache& cache) const;
 
  private:
   PipelineOptions options_;

@@ -28,7 +28,6 @@ std::uint64_t program_cache_key(std::string_view source,
   h.update_u64(t.eliminate_memory ? 1 : 0);
   h.update_u64(t.parallel_reads ? 1 : 0);
   h.update_u64(t.dead_store_elimination ? 1 : 0);
-  h.update_u64(t.post_optimize ? 1 : 0);
   h.update_u64(t.opt_passes.bits);
   h.update_u64(t.fuse_limit);
   h.update_u64(t.max_fanout);
@@ -157,9 +156,7 @@ ProgramCache::Outcome ProgramCache::get(std::string_view source,
     }
   }
   if (!out.entry) {
-    PipelineOptions po = options;
-    po.lower = true;  // an image without an ExecProgram is useless
-    CompileResult cr = Pipeline(po).run(source);
+    CompileResult cr = Pipeline(options).run(source);
     out.trace = std::move(cr.trace);
     auto entry = std::make_shared<Entry>();
     entry->key = key;

@@ -6,9 +6,8 @@
 // ladder) pair is hashed into a 64-bit key; the first request compiles
 // through core::Pipeline and stores the resulting machine::ProgramImage;
 // every later identical request skips the entire 13-stage pipeline plus
-// lowering and goes straight to execution. `ctdf serve`, `ctdf run
-// --cache-dir=`, and Pipeline::run_many's cache overload all multiplex
-// off this one class.
+// lowering and goes straight to execution. `ctdf serve` and `ctdf run
+// --cache-dir=` both multiplex off this one class.
 //
 // Two tiers:
 //  * an in-memory LRU of deserialization-free ProgramImages (capacity
@@ -29,9 +28,9 @@
 // switch placement, memory elimination, read/store parallelization,
 // DSE, the optimizer pass set and fuse limit, fan-out bound, and the
 // per-array name lists — plus machine::kBlobVersion so a format bump
-// invalidates every address at once. Pipeline-level toggles that only
-// affect traces/dumps (compute_ssa, validate, dump_after) are
-// deliberately excluded: they do not change the image.
+// invalidates every address at once. The pipeline options that only
+// affect traces/dumps (compute_ssa, dump_after) are deliberately
+// excluded: they do not change the image.
 #pragma once
 
 #include <condition_variable>

@@ -41,8 +41,8 @@ std::string write_asm(const Module& module) {
   std::ostringstream os;
   os << "; ctdf dataflow assembly v1\n";
   os << "memory " << module.memory_cells << "\n";
-  for (const auto& [base, extent] : module.istructures)
-    os << "istructure " << base << ' ' << extent << "\n";
+  for (const lang::CellRegion& r : module.istructures)
+    os << "istructure " << r.base << ' ' << r.extent << "\n";
 
   for (NodeId n : g.all_nodes()) {
     const Node& node = g.node(n);
@@ -228,8 +228,8 @@ class Parser {
       }
     } else if (cmd == "istructure") {
       if (toks.size() == 3 && to_int(toks[1], a) && to_int(toks[2], b)) {
-        module_.istructures.emplace_back(static_cast<std::uint32_t>(a),
-                                         static_cast<std::uint32_t>(b));
+        module_.istructures.push_back({static_cast<std::uint32_t>(a),
+                                       static_cast<std::uint32_t>(b)});
       } else {
         error(lineno, "bad istructure line");
       }

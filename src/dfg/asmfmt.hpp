@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "dfg/graph.hpp"
+#include "lang/symbols.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ctdf::dfg {
@@ -40,8 +41,8 @@ namespace ctdf::dfg {
 struct Module {
   Graph graph;
   std::size_t memory_cells = 0;
-  /// (base, extent) of write-once regions.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> istructures;
+  /// Write-once (I-structure) regions.
+  std::vector<lang::CellRegion> istructures;
 };
 
 [[nodiscard]] std::string write_asm(const Module& module);

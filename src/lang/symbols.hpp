@@ -104,6 +104,24 @@ class SymbolTable {
   VarId::underlying_type find_root(VarId::underlying_type i) const;
 };
 
+/// A contiguous range of memory cells, as StorageLayout hands them out:
+/// the one region type of the translation, the dataflow assembly and
+/// the program image. A translation lists two kinds:
+///  * I-structure regions: write-once cells with deferred reads.
+///  * Bind-shared regions: updatable cells reachable under more than one
+///    program name (a storage-binding class with several members). The
+///    translator orders same-name accesses through acknowledgement
+///    edges; cross-name ordering flows through ordinary token edges, so
+///    the integrity checker's mem-latency spacing rule, whose soundness
+///    argument covers only acknowledgement round trips, exempts these
+///    cells (machine/integrity.hpp).
+struct CellRegion {
+  std::uint32_t base = 0;
+  std::uint32_t extent = 0;
+
+  friend bool operator==(const CellRegion&, const CellRegion&) = default;
+};
+
 /// Assigns every storage-binding class a contiguous cell range. Scalars
 /// occupy one cell; arrays occupy `array_size` cells.
 class StorageLayout {

@@ -329,12 +329,12 @@ void encode_image(const ProgramImage& image, W& w) {
   BlobCodec::encode(image.exec, w);
   w.u64(image.memory_cells);
   w.u32(static_cast<std::uint32_t>(image.istructures.size()));
-  for (const IStructureRegion& r : image.istructures) {
+  for (const lang::CellRegion& r : image.istructures) {
     w.u32(r.base);
     w.u32(r.extent);
   }
   w.u32(static_cast<std::uint32_t>(image.shared.size()));
-  for (const SharedRegion& r : image.shared) {
+  for (const lang::CellRegion& r : image.shared) {
     w.u32(r.base);
     w.u32(r.extent);
   }
@@ -428,12 +428,12 @@ BlobReadResult deserialize(std::span<const std::uint8_t> bytes) {
   if (complaint.empty()) {
     out.image.memory_cells = r.u64();
     out.image.istructures.resize(r.u32());
-    for (IStructureRegion& reg : out.image.istructures) {
+    for (lang::CellRegion& reg : out.image.istructures) {
       reg.base = r.u32();
       reg.extent = r.u32();
     }
     out.image.shared.resize(r.u32());
-    for (SharedRegion& reg : out.image.shared) {
+    for (lang::CellRegion& reg : out.image.shared) {
       reg.base = r.u32();
       reg.extent = r.u32();
     }

@@ -63,8 +63,8 @@ struct NamedCell {
 struct ProgramImage {
   ExecProgram exec;
   std::uint64_t memory_cells = 0;
-  std::vector<IStructureRegion> istructures;
-  std::vector<SharedRegion> shared;
+  std::vector<lang::CellRegion> istructures;
+  std::vector<lang::CellRegion> shared;
   std::vector<NamedCell> names;
 };
 

@@ -64,8 +64,8 @@ class SerialEngine {
  public:
   SerialEngine(const ExecProgram& ep, std::size_t memory_cells,
                const MachineOptions& opt,
-               const std::vector<IStructureRegion>& istructures,
-               const std::vector<SharedRegion>& shared = {})
+               const std::vector<lang::CellRegion>& istructures,
+               const std::vector<lang::CellRegion>& shared = {})
       : ep_(ep),
         tables_(ep.tables()),
         opt_(opt),

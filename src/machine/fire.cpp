@@ -3,7 +3,7 @@
 namespace ctdf::machine {
 
 void MemoryState::init(std::size_t memory_cells,
-                       const std::vector<IStructureRegion>& istructures) {
+                       const std::vector<lang::CellRegion>& istructures) {
   store.cells.assign(memory_cells, 0);
   istate.assign(memory_cells, kNormal);
   for (const auto& r : istructures)

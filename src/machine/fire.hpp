@@ -35,7 +35,7 @@ struct MemoryState {
   std::vector<std::uint8_t> istate;  ///< per cell
 
   void init(std::size_t memory_cells,
-            const std::vector<IStructureRegion>& istructures);
+            const std::vector<lang::CellRegion>& istructures);
 };
 
 /// A resolved memory request: the absolute cell and, for writes, the

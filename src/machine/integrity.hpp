@@ -87,11 +87,11 @@ struct IntegrityState {
   bool dup_response = false;
 
   void init(std::size_t num_cells, std::uint64_t latency, bool dup,
-            const std::vector<SharedRegion>& shared = {}) {
+            const std::vector<lang::CellRegion>& shared = {}) {
     cells.assign(num_cells, Cell{});
     mem_latency = latency;
     dup_response = dup;
-    for (const SharedRegion& r : shared)
+    for (const lang::CellRegion& r : shared)
       for (std::uint32_t i = 0; i < r.extent; ++i)
         if (r.base + i < cells.size()) cells[r.base + i].shared = true;
   }

@@ -54,8 +54,8 @@ struct WheelPending {
 
 RunResult run(const ExecProgram& program, std::size_t memory_cells,
               const MachineOptions& options,
-              const std::vector<IStructureRegion>& istructures,
-              const std::vector<SharedRegion>& shared) {
+              const std::vector<lang::CellRegion>& istructures,
+              const std::vector<lang::CellRegion>& shared) {
   // A zero-millisecond deadline is already expired: reject up front —
   // 0 cycles, 0 firings, the store untouched — with the same typed
   // error a mid-run expiry produces (so a serving layer can clamp a
@@ -74,13 +74,6 @@ RunResult run(const ExecProgram& program, std::size_t memory_cells,
   return detail::SerialEngine<WheelPending>{program, memory_cells, options,
                                             istructures, shared}
       .run();
-}
-
-RunResult run(const dfg::Graph& graph, std::size_t memory_cells,
-              const MachineOptions& options,
-              const std::vector<IStructureRegion>& istructures,
-              const std::vector<SharedRegion>& shared) {
-  return run(lower(graph), memory_cells, options, istructures, shared);
 }
 
 }  // namespace ctdf::machine

@@ -103,37 +103,15 @@ struct RunResult {
   lang::Store store;  ///< final memory contents
 };
 
-/// An I-structure region of memory (write-once cells with deferred
-/// reads).
-struct IStructureRegion {
-  std::uint32_t base = 0;
-  std::uint32_t extent = 0;
-};
-
-/// An updatable region reachable under more than one program name
-/// (storage binding). The integrity checker's mem-race spacing rule
-/// exempts these cells: cross-name ordering flows through ordinary
-/// token edges, not mem-latency acknowledgement round trips, so the
-/// rule's soundness argument does not cover them.
-struct SharedRegion {
-  std::uint32_t base = 0;
-  std::uint32_t extent = 0;
-};
-
-/// Executes `graph` against a zeroed memory of `memory_cells` cells.
-/// Lowers the graph to an ExecProgram internally; callers that execute
-/// one program repeatedly should lower once and use the overload below.
-[[nodiscard]] RunResult run(const dfg::Graph& graph, std::size_t memory_cells,
-                            const MachineOptions& options,
-                            const std::vector<IStructureRegion>& istructures = {},
-                            const std::vector<SharedRegion>& shared = {});
-
 /// Executes an already-lowered program (see machine/exec.hpp; the
-/// pipeline's `lower` stage caches one in core::CompileResult).
+/// pipeline's `lower` stage builds one into core::CompileResult::image)
+/// against a zeroed memory of `memory_cells` cells. `istructures` are
+/// write-once regions; `shared` are bind-shared regions, which the
+/// integrity checker's mem-race spacing rule exempts (lang::CellRegion).
 [[nodiscard]] RunResult run(const ExecProgram& program,
                             std::size_t memory_cells,
                             const MachineOptions& options,
-                            const std::vector<IStructureRegion>& istructures = {},
-                            const std::vector<SharedRegion>& shared = {});
+                            const std::vector<lang::CellRegion>& istructures = {},
+                            const std::vector<lang::CellRegion>& shared = {});
 
 }  // namespace ctdf::machine

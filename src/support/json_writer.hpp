@@ -65,6 +65,8 @@ class JsonWriter {
   JsonWriter& begin_block() { return open('{', true); }
   JsonWriter& end_object() { return close('}'); }
   JsonWriter& begin_array() { return open('[', false); }
+  /// An array with one element per line (multi-line layout).
+  JsonWriter& begin_block_array() { return open('[', true); }
   JsonWriter& end_array() { return close(']'); }
 
   /// Starts an object member: the separator, then `"k": `.

@@ -68,8 +68,8 @@ ResourceClasses classify_resources(const lang::Program& prog,
       rc.istructure[*r] = true;
       const VarId v = cover.singleton_var(*r);
       rc.istructure_regions.push_back(
-          IRegion{static_cast<std::uint32_t>(layout.base(v)),
-                  static_cast<std::uint32_t>(layout.extent(v))});
+          lang::CellRegion{static_cast<std::uint32_t>(layout.base(v)),
+                           static_cast<std::uint32_t>(layout.extent(v))});
     }
   }
 

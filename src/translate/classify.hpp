@@ -28,7 +28,7 @@ struct ResourceClasses {
   /// Per loop (by LoopId index): resources whose stores are Fig. 14
   /// parallelized inside that loop or a loop enclosing it.
   std::vector<std::vector<Resource>> marked;
-  std::vector<IRegion> istructure_regions;
+  std::vector<lang::CellRegion> istructure_regions;
   std::size_t loops_store_parallelized = 0;  ///< Fig. 14 applications
 
   /// Is resource r "split" into (go, chain) tokens at node n — an

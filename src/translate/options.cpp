@@ -35,8 +35,8 @@ std::string TranslateOptions::describe() const {
   if (!parallel_store_arrays.empty()) os << "+fig14";
   if (!istructure_arrays.empty()) os << "+istructures";
   if (dead_store_elimination) os << "+dse";
-  if (post_optimize) os << "+post-opt";
-  if (post_optimize && opt_passes.enabled(dfg::PassId::kFuse)) os << "+fuse";
+  if (opt_passes.any()) os << "+post-opt";
+  if (opt_passes.enabled(dfg::PassId::kFuse)) os << "+fuse";
   return os.str();
 }
 
@@ -84,14 +84,12 @@ SchemaFlagParse apply_schema_flag(TranslateOptions& o, std::string_view arg) {
   } else if (arg == "--dse") {
     o.dead_store_elimination = true;
   } else if (arg == "--post-opt") {
-    o.post_optimize = true;
+    if (!o.opt_passes.any()) o.opt_passes = dfg::PassSet::cleanup();
   } else if (starts_with(arg, "--opt=")) {
     const auto v = value_of(arg);
     if (v == "none") {
-      o.post_optimize = false;
       o.opt_passes = dfg::PassSet::none();
     } else if (v == "all") {
-      o.post_optimize = true;
       o.opt_passes = dfg::PassSet::all();
     } else {
       dfg::PassSet set;
@@ -101,7 +99,6 @@ SchemaFlagParse apply_schema_flag(TranslateOptions& o, std::string_view arg) {
         set.enable(*pass);
       }
       if (!set.any()) return SchemaFlagParse::kBadValue;
-      o.post_optimize = true;
       o.opt_passes = set;
     }
   } else if (starts_with(arg, "--fuse-limit=")) {

@@ -51,16 +51,11 @@ struct TranslateOptions {
   /// dropped. Classic liveness-based cleanup; see cfg/dataflow.hpp.
   bool dead_store_elimination = false;
 
-  /// Run the dfg pass manager's `optimize` stage after construction.
-  /// `--post-opt` enables the cleanup passes; `--opt=<list|all|none>`
-  /// selects passes individually (and implies enabling the stage unless
-  /// the set is empty).
-  bool post_optimize = false;
-
-  /// Which optimizer passes the `optimize` stage runs when
-  /// post_optimize is set (dfg::PassSet; default = every cleanup pass,
-  /// no fusion — the historical `--post-opt` meaning).
-  dfg::PassSet opt_passes = dfg::PassSet::cleanup();
+  /// The dfg pass manager's passes; the `optimize` stage runs after
+  /// construction if and only if this set is non-empty. `--post-opt`
+  /// selects the cleanup passes when none is selected yet;
+  /// `--opt=<list|all|none>` selects passes individually.
+  dfg::PassSet opt_passes = dfg::PassSet::none();
 
   /// Macro-op fusion: maximum ops per fused chain (`--fuse-limit=N`,
   /// N ≥ 2; chains longer than this split into several macros).
@@ -113,7 +108,8 @@ enum class SchemaFlagParse : std::uint8_t {
 
 /// The one parser for schema-selection flags, shared by the `ctdf` CLI
 /// and the bench harnesses: "--schema1", "--no-opt", "--cover=...",
-/// "--mem-elim", "--dse", "--post-opt", "--opt=<pass,list|all|none>",
+/// "--mem-elim", "--dse", "--post-opt" (the cleanup passes, unless a
+/// pass set is already selected), "--opt=<pass,list|all|none>",
 /// "--fuse-limit=N", "--max-fanout=N" (0 or ≥ 2), "--par-reads",
 /// "--fig14=a,b", "--istructure=a,b".
 SchemaFlagParse apply_schema_flag(TranslateOptions& o, std::string_view arg);

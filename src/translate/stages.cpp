@@ -1,6 +1,5 @@
 #include "translate/stages.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <sstream>
 
@@ -52,9 +51,6 @@ const std::vector<Stage>& all_stages() {
 std::optional<Stage> stage_from_name(std::string_view name) {
   for (Stage s : all_stages())
     if (name == to_string(s)) return s;
-  // Pre-pass-manager stage names, kept as aliases.
-  if (name == "post-opt") return Stage::kOptimize;
-  if (name == "fanout-lower") return Stage::kFanout;
   return std::nullopt;
 }
 
@@ -126,31 +122,6 @@ std::string PipelineTrace::summary() const {
     os << "\n";
   }
   return os.str();
-}
-
-void PipelineTrace::merge(const PipelineTrace& other) {
-  for (const StageRecord& r : other.stages) {
-    auto it = std::find_if(stages.begin(), stages.end(),
-                           [&](const StageRecord& m) {
-                             return m.stage == r.stage;
-                           });
-    if (it == stages.end()) {
-      stages.push_back(r);
-      continue;
-    }
-    it->ran = it->ran || r.ran;
-    it->nanos += r.nanos;
-    it->size_in += r.size_in;
-    it->size_out += r.size_out;
-    for (const auto& [k, v] : r.counters) {
-      auto cit = std::find_if(it->counters.begin(), it->counters.end(),
-                              [&](const auto& c) { return c.first == k; });
-      if (cit == it->counters.end())
-        it->counters.emplace_back(k, v);
-      else
-        cit->second += v;
-    }
-  }
 }
 
 namespace {
@@ -288,7 +259,7 @@ std::size_t count_edges(const cfg::Graph& cfg) {
 Translation run_stages(const lang::Program& prog,
                        const TranslateOptions& options,
                        support::DiagnosticEngine& diags, StageHooks* hooks,
-                       const StageSet& set) {
+                       bool ssa) {
   const TranslateOptions opt = options.normalized();
   Translation result;
   Reporter rep(hooks);
@@ -390,7 +361,7 @@ Translation run_stages(const lang::Program& prog,
     rep.dump(Stage::kCover, render_cover(prog, cover, classes));
 
   // --- ssa (reporting only; never affects the produced graph) ---------
-  if (set.ssa) {
+  if (ssa) {
     t0 = Clock::now();
     const cfg::PhiPlacement minimal =
         cfg::place_phis(cfg, prog.symbols, /*pruned=*/false);
@@ -486,7 +457,7 @@ Translation run_stages(const lang::Program& prog,
     rep.dump(Stage::kTranslate, result.graph.to_dot());
 
   // --- optimize (the dfg pass manager) --------------------------------
-  if (opt.post_optimize && opt.opt_passes.any()) {
+  if (opt.opt_passes.any()) {
     const std::size_t before = result.graph.num_nodes();
     t0 = Clock::now();
     const dfg::OptStats ps =
@@ -567,11 +538,11 @@ Translation run_stages(const lang::Program& prog,
   }
 
   // --- validate -------------------------------------------------------
-  if (set.validate) {
-    t0 = Clock::now();
-    const auto problems = result.graph.validate();
-    for (const auto& problem : problems)
-      diags.error({}, "DFG validation: " + problem);
+  t0 = Clock::now();
+  const auto problems = result.graph.validate();
+  for (const auto& problem : problems)
+    diags.error({}, "DFG validation: " + problem);
+  {
     StageRecord r;
     r.stage = Stage::kValidate;
     r.ran = true;
@@ -579,11 +550,9 @@ Translation run_stages(const lang::Program& prog,
     r.size_in = r.size_out = result.graph.num_nodes();
     r.counters = {{"problems", static_cast<std::int64_t>(problems.size())}};
     rep.emit(std::move(r));
-    if (rep.wants_dump(Stage::kValidate))
-      rep.dump(Stage::kValidate, result.graph.to_dot());
-  } else {
-    rep.skip(Stage::kValidate);
   }
+  if (rep.wants_dump(Stage::kValidate))
+    rep.dump(Stage::kValidate, result.graph.to_dot());
 
   return result;
 }

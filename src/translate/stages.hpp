@@ -10,17 +10,17 @@
 // stage-specific counter set into a PipelineTrace, and can render its
 // artifact as text/dot for dump points (`ctdf ... --dump-after=STAGE`).
 // `parse` is driven by core::Pipeline — this layer starts from a
-// lang::Program. Optional stages are controlled by TranslateOptions
-// (dse, optimize, fanout, the switch-place optimization) and by
-// StageSet (ssa, validate); a disabled stage is reported as skipped, so
-// every trace lists the full stage sequence. The `optimize` stage runs
-// the dfg pass manager (TranslateOptions::opt_passes / fuse_limit) and
-// reports per-pass counters; the old stage names "post-opt" and
-// "fanout-lower" are kept as aliases in stage_from_name.
+// lang::Program. Each optional stage has one switch: TranslateOptions
+// carries dse (dead_store_elimination), optimize (a non-empty
+// opt_passes) and fanout (max_fanout ≥ 2); run_stages' `ssa` argument
+// carries ssa. Every other stage, validate included, always runs. A
+// disabled stage is reported as skipped, so every trace lists the full
+// stage sequence. The `optimize` stage runs the dfg pass manager
+// (TranslateOptions::opt_passes / fuse_limit) and reports per-pass
+// counters.
 //
-// run_stages is the single implementation behind translate() and
-// core::Pipeline::run: identical options produce byte-identical graphs
-// on every path by construction.
+// run_stages is the single implementation behind core::Pipeline::run,
+// which every compile goes through.
 #pragma once
 
 #include <cstdint>
@@ -92,10 +92,6 @@ struct PipelineTrace {
   /// Deterministic one-line-per-stage rendering (names, sizes, and
   /// counters; no times) — the golden-test / diffing format.
   [[nodiscard]] std::string summary() const;
-
-  /// Accumulates another run's times, sizes, and counters per stage
-  /// (used by Pipeline::run_many to aggregate a corpus).
-  void merge(const PipelineTrace& other);
 };
 
 /// Observer the stage orchestrator reports into; all methods optional.
@@ -111,19 +107,11 @@ class StageHooks {
   virtual void dump(Stage /*s*/, std::string /*artifact*/) {}
 };
 
-/// Pipeline-level stage toggles that have no TranslateOptions flag (the
-/// translation-affecting stages carry their own enables there).
-struct StageSet {
-  /// φ-placement stage: classic SSA statistics over the transformed
-  /// CFG, reported in the trace (paper Sec. 6.1's correspondence);
-  /// never affects the produced graph.
-  bool ssa = false;
-  /// Final structural validation of the dataflow graph.
-  bool validate = true;
-};
-
 /// Runs every stage after `parse` over `prog`, reporting per-stage
 /// records and requested dump artifacts to `hooks` (may be null).
+/// `ssa` runs the φ-placement stage: classic SSA statistics over the
+/// transformed CFG, reported in the trace (paper Sec. 6.1's
+/// correspondence); it never affects the produced graph.
 /// Frontend/structural problems go to `diags`; on error the returned
 /// translation is partial and the remaining stages are reported as
 /// skipped.
@@ -131,6 +119,6 @@ struct StageSet {
                                      const TranslateOptions& options,
                                      support::DiagnosticEngine& diags,
                                      StageHooks* hooks = nullptr,
-                                     const StageSet& set = {});
+                                     bool ssa = false);
 
 }  // namespace ctdf::translate

@@ -15,7 +15,6 @@
 #include "translate/build_graph.hpp"
 #include "translate/classify.hpp"
 #include "translate/source_vectors.hpp"
-#include "translate/stages.hpp"
 
 namespace ctdf::translate {
 
@@ -93,6 +92,15 @@ struct Sink {
 bool subsumes(const PortList& a, const PortList& b) {
   return std::all_of(b.begin(), b.end(),
                      [&](PortRef p) { return a.contains(p); });
+}
+
+/// A loop node's label: `prefix` (L entry, X exit) and the loop number.
+/// Appended rather than written `"L" + std::to_string(...)`: g++ 12 can
+/// report a false -Wrestrict on the string insert that form inlines.
+std::string loop_label(char prefix, cfg::LoopId loop) {
+  std::string label(1, prefix);
+  label += std::to_string(loop.value());
+  return label;
 }
 
 class Builder {
@@ -312,8 +320,8 @@ class Builder {
       std::uint16_t ports = 0;
       for (auto& [r, split] : slots_) ports += split ? 2 : 1;
 
-      const dfg::NodeId le = g.add_loop_entry(
-          node.loop, ports, "L" + std::to_string(node.loop.value()));
+      const dfg::NodeId le =
+          g.add_loop_entry(node.loop, ports, loop_label('L', node.loop));
       std::uint16_t next_port = 0;
       for (auto& [r, split] : slots_) {
         const PortRef main_in{le, next_port};
@@ -361,8 +369,8 @@ class Builder {
       std::uint16_t ports = 0;
       for (auto& [r, split] : slots_) ports += split ? 2 : 1;
 
-      const dfg::NodeId lx = g.add_loop_exit(
-          node.loop, ports, "X" + std::to_string(node.loop.value()));
+      const dfg::NodeId lx =
+          g.add_loop_exit(node.loop, ports, loop_label('X', node.loop));
       std::uint16_t next_port = 0;
       for (auto& [r, split_in] : slots_) {
         const PortRef main_in{lx, next_port};
@@ -838,19 +846,5 @@ void build_graph(const lang::Program& prog, const TranslateOptions& options,
 }
 
 }  // namespace detail
-
-Translation translate(const lang::Program& prog,
-                      const TranslateOptions& options,
-                      support::DiagnosticEngine& diags) {
-  return run_stages(prog, options, diags);
-}
-
-Translation translate_or_throw(const lang::Program& prog,
-                               const TranslateOptions& options) {
-  support::DiagnosticEngine diags;
-  Translation t = translate(prog, options, diags);
-  diags.throw_if_errors();
-  return t;
-}
 
 }  // namespace ctdf::translate

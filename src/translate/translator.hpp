@@ -44,23 +44,13 @@
 
 namespace ctdf::translate {
 
-/// A write-once (I-structure) region of the translated memory image.
-struct IRegion {
-  std::uint32_t base = 0;
-  std::uint32_t extent = 0;
-};
-
 struct Translation {
   dfg::Graph graph;
   std::size_t memory_cells = 0;
-  std::vector<IRegion> istructures;
-  /// Updatable regions reachable under more than one program name (a
-  /// storage-binding class with several members, from `bind`). The
-  /// translator orders same-name accesses through acknowledgement
-  /// edges; cross-name ordering flows through ordinary token edges, so
-  /// the integrity checker's mem-latency spacing rule exempts these
-  /// cells (machine/integrity.hpp).
-  std::vector<IRegion> shared_cells;
+  /// Write-once (I-structure) regions of the memory image.
+  std::vector<lang::CellRegion> istructures;
+  /// Bind-shared regions (see lang::CellRegion).
+  std::vector<lang::CellRegion> shared_cells;
 
   // Construction statistics (for the Fig. 9/10 and T-SIZE experiments).
   std::size_t num_resources = 0;
@@ -74,16 +64,5 @@ struct Translation {
   std::size_t replicates_inserted = 0;  ///< fanout-lowering replicate nodes
   std::size_t dead_stores_removed = 0;  ///< liveness-based DSE (CFG level)
 };
-
-/// Translates `prog` under `options`. Frontend/structural problems are
-/// reported to `diags`; on error the returned translation is partial
-/// and must not be executed.
-[[nodiscard]] Translation translate(const lang::Program& prog,
-                                    const TranslateOptions& options,
-                                    support::DiagnosticEngine& diags);
-
-/// Convenience wrapper that throws support::CompileError on any error.
-[[nodiscard]] Translation translate_or_throw(const lang::Program& prog,
-                                             const TranslateOptions& options);
 
 }  // namespace ctdf::translate

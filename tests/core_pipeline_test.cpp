@@ -1,5 +1,5 @@
 // core::Pipeline: staged compilation with per-stage trace, dumps, and
-// batch front-end sharing. The golden-trace tests pin the stage
+// the lowered image. The golden-trace tests pin the stage
 // sequence and the deterministic per-stage statistics (node counts,
 // removal counts) for three corpus programs; any change to stage
 // behavior must update them consciously.
@@ -9,6 +9,7 @@
 #include "core/pipeline.hpp"
 #include "lang/corpus.hpp"
 #include "support/diagnostics.hpp"
+#include "translate/stages.hpp"
 
 namespace ctdf {
 namespace {
@@ -21,7 +22,7 @@ translate::TranslateOptions full_stack() {
   auto t = translate::TranslateOptions::schema2_optimized();
   t.eliminate_memory = true;
   t.dead_store_elimination = true;
-  t.post_optimize = true;
+  t.opt_passes = dfg::PassSet::cleanup();
   return t;
 }
 
@@ -134,7 +135,7 @@ TEST(Pipeline, CompileIsAThinWrapperOverRun) {
 
   // ... and identical to the translate-layer entry point with no hooks.
   support::DiagnosticEngine diags;
-  const auto via_translate = translate::translate(prog, opts, diags);
+  const auto via_translate = translate::run_stages(prog, opts, diags);
   EXPECT_FALSE(diags.has_errors());
   EXPECT_EQ(via_compile.graph.to_dot(), via_translate.graph.to_dot());
 }
@@ -176,24 +177,7 @@ TEST(Pipeline, DumpAfterCapturesStageArtifact) {
   EXPECT_TRUE(rd.dump.empty());
 }
 
-TEST(Pipeline, ConfigureStageByName) {
-  PipelineOptions po;
-  EXPECT_TRUE(po.configure_stage("dse", true));
-  EXPECT_TRUE(po.translate.dead_store_elimination);
-  EXPECT_TRUE(po.configure_stage("ssa", true));
-  EXPECT_TRUE(po.compute_ssa);
-  EXPECT_TRUE(po.configure_stage("optimize", true));
-  EXPECT_TRUE(po.configure_stage("post-opt", true));  // legacy alias
-  EXPECT_TRUE(po.translate.post_optimize);
-  EXPECT_TRUE(po.configure_stage("validate", false));
-  EXPECT_FALSE(po.validate);
-  EXPECT_TRUE(po.configure_stage("lower", false));
-  EXPECT_FALSE(po.lower);
-  EXPECT_FALSE(po.configure_stage("cfg-build", false));  // not optional
-  EXPECT_FALSE(po.configure_stage("bogus", true));
-}
-
-TEST(Pipeline, LowerStageCachesExecProgram) {
+TEST(Pipeline, LowerStageBuildsTheProgramImage) {
   PipelineOptions po(full_stack());
   po.dump_after = Stage::kLower;
   const auto r = Pipeline(po).run(lang::corpus::running_example_source());
@@ -201,44 +185,42 @@ TEST(Pipeline, LowerStageCachesExecProgram) {
   ASSERT_NE(ls, nullptr);
   EXPECT_TRUE(ls->ran);
   EXPECT_GT(ls->nanos, 0);
-  EXPECT_EQ(r.exec.num_ops(), r.translation.graph.num_nodes());
-  EXPECT_EQ(ls->counter("ops"), static_cast<std::int64_t>(r.exec.num_ops()));
+  const machine::ProgramImage& image = r.image;
+  EXPECT_EQ(image.exec.num_ops(), r.translation.graph.num_nodes());
+  EXPECT_EQ(ls->counter("ops"),
+            static_cast<std::int64_t>(image.exec.num_ops()));
   EXPECT_EQ(r.dump.rfind("exec program", 0), 0u) << r.dump.substr(0, 40);
+  EXPECT_EQ(image.memory_cells, r.translation.memory_cells);
+  EXPECT_EQ(image.istructures, r.translation.istructures);
+  EXPECT_EQ(image.shared, r.translation.shared_cells);
+  ASSERT_EQ(image.names.size(), 2u);  // running example: x, y
+  EXPECT_EQ(image.names[0].name, "x");
 
-  // Executing the cached program matches the lower-on-the-fly path.
+  // Executing the image matches lowering the translation again.
   const machine::MachineOptions mo;
-  const auto via_cached = core::execute(r, mo);
+  const auto via_image = core::execute(image, mo);
   const auto via_graph = core::execute(r.translation, mo);
-  EXPECT_EQ(via_cached.store, via_graph.store);
-  EXPECT_EQ(via_cached.stats.cycles, via_graph.stats.cycles);
-
-  // Disabling the stage reports it skipped and leaves exec empty.
-  PipelineOptions off(full_stack());
-  ASSERT_TRUE(off.configure_stage("lower", false));
-  const auto ro = Pipeline(off).run(lang::corpus::running_example_source());
-  EXPECT_FALSE(ro.trace.find(Stage::kLower)->ran);
-  EXPECT_EQ(ro.exec.num_ops(), 0u);
+  EXPECT_EQ(via_image.store, via_graph.store);
+  EXPECT_EQ(via_image.stats.cycles, via_graph.stats.cycles);
 }
 
-TEST(Pipeline, RunManySharesIdenticalSources) {
-  const std::string a = lang::corpus::running_example_source();
-  const std::string b = lang::corpus::fig9_source();
-  const auto batch =
-      Pipeline(PipelineOptions(full_stack())).run_many({a, b, a, a});
-  ASSERT_EQ(batch.programs.size(), 4u);
-  EXPECT_EQ(batch.cache_hits, 2u);
-  // Cached entries are full results, identical to the first compile.
-  EXPECT_EQ(batch.programs[0].translation.graph.to_dot(),
-            batch.programs[2].translation.graph.to_dot());
-  EXPECT_EQ(batch.programs[0].trace.summary(),
-            batch.programs[3].trace.summary());
-  // The combined trace aggregates all four programs.
-  const auto* cb = batch.combined.find(Stage::kCfgBuild);
-  ASSERT_NE(cb, nullptr);
-  std::int64_t nodes = 0;
-  for (const auto& p : batch.programs)
-    nodes += p.trace.find(Stage::kCfgBuild)->counter("nodes");
-  EXPECT_EQ(cb->counter("nodes"), nodes);
+TEST(Pipeline, BothRunOverloadsShareOneBody) {
+  // From source or from a parsed program: the same graph, image and
+  // stage records, except that only the source path parses.
+  const std::string src = lang::corpus::running_example_source();
+  const Pipeline p(full_stack_with_ssa());
+  const auto from_source = p.run(src);
+  const auto from_prog = p.run(core::parse(src));
+  EXPECT_EQ(from_source.translation.graph.to_dot(),
+            from_prog.translation.graph.to_dot());
+  EXPECT_EQ(machine::serialize(from_source.image),
+            machine::serialize(from_prog.image));
+  ASSERT_EQ(from_source.trace.stages.size(), from_prog.trace.stages.size());
+  for (std::size_t i = 1; i < from_prog.trace.stages.size(); ++i)
+    EXPECT_EQ(from_source.trace.stages[i].ran, from_prog.trace.stages[i].ran)
+        << i;
+  EXPECT_TRUE(from_source.trace.find(Stage::kParse)->ran);
+  EXPECT_FALSE(from_prog.trace.find(Stage::kParse)->ran);
 }
 
 TEST(Pipeline, TableRendersSkippedRowsAndTotal) {
@@ -263,6 +245,10 @@ TEST(Pipeline, StageNamesRoundTrip) {
     EXPECT_EQ(*back, s);
   }
   EXPECT_FALSE(translate::stage_from_name("nonsense").has_value());
+  // One name per stage: the pre-pass-manager aliases are gone.
+  EXPECT_EQ(translate::all_stages().size(), 14u);
+  EXPECT_FALSE(translate::stage_from_name("post-opt").has_value());
+  EXPECT_FALSE(translate::stage_from_name("fanout-lower").has_value());
 }
 
 }  // namespace

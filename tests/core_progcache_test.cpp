@@ -1,9 +1,9 @@
 // Program-cache behavior (core/progcache.hpp): key sensitivity, LRU
 // accounting, the disk tier's typed-rejection fallback, concurrent
-// callers (single-flight compiles, hits that never wait for a compile),
-// and the run_many batch overload. Correctness bar throughout: a
-// cache-served program must execute exactly like a freshly compiled
-// one, and a damaged cache may cost a recompile but never an answer.
+// callers (single-flight compiles, hits that never wait for a compile).
+// Correctness bar throughout: a cache-served program must execute
+// exactly like a freshly compiled one, and a damaged cache may cost a
+// recompile but never an answer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -85,9 +85,30 @@ TEST(ProgramCacheKey, StableAndSensitiveToWhatShapesTheImage) {
   // cache entry.
   PipelineOptions traced = po;
   traced.compute_ssa = true;
-  traced.validate = false;
   traced.dump_after = Stage::kTranslate;
   EXPECT_EQ(program_cache_key(src, po), program_cache_key(src, traced));
+}
+
+TEST(ProgramCacheKey, DefaultOptionsAndOptNoneShareOneKey) {
+  // The optimize stage has one switch, a non-empty pass set. The
+  // default set is empty, as --opt=none leaves it, so both compile the
+  // same image and must share one address.
+  const std::string src = lang::corpus::running_example_source();
+  PipelineOptions none = default_po();
+  ASSERT_EQ(translate::apply_schema_flag(none.translate, "--opt=none"),
+            translate::SchemaFlagParse::kApplied);
+  EXPECT_EQ(program_cache_key(src, default_po()),
+            program_cache_key(src, none));
+  EXPECT_EQ(machine::serialize(
+                make_program_image(Pipeline(default_po()).run(src))),
+            machine::serialize(make_program_image(Pipeline(none).run(src))));
+
+  // Any selected pass is a different image and a different address.
+  PipelineOptions cleanup = default_po();
+  ASSERT_EQ(translate::apply_schema_flag(cleanup.translate, "--post-opt"),
+            translate::SchemaFlagParse::kApplied);
+  EXPECT_NE(program_cache_key(src, default_po()),
+            program_cache_key(src, cleanup));
 }
 
 TEST(ProgramCache, MissThenMemoryHitSharesTheEntry) {
@@ -414,37 +435,6 @@ TEST(ProgramCacheConcurrency, RacingMissesWithADiskTierWriteOneBlob) {
   ProgramCache fresh(cfg);
   EXPECT_EQ(fresh.get(src, default_po()).disposition,
             CacheDisposition::kHitDisk);
-}
-
-TEST(PipelineRunMany, CacheOverloadDeduplicatesAcrossAndWithinBatches) {
-  ProgramCache cache;
-  const Pipeline pipeline(default_po());
-  const std::string a = lang::corpus::running_example_source();
-  const std::string b = scalar_source(9);
-
-  const BatchResult first = pipeline.run_many({a, a, b}, cache);
-  ASSERT_EQ(first.programs.size(), 3u);
-  EXPECT_EQ(first.cache_hits, 1u);        // the repeated `a`
-  EXPECT_EQ(first.lowerings_reused, 1u);  // served with its ExecProgram
-  EXPECT_GT(first.cache_blob_bytes, 0u);
-
-  // Every program in the batch carries a runnable lowered image.
-  for (const CompileResult& cr : first.programs) {
-    EXPECT_GT(cr.exec.num_ops(), 0u);
-    EXPECT_FALSE(cr.names.empty());
-    const auto ran = execute(cr, machine::MachineOptions{});
-    EXPECT_TRUE(ran.stats.completed) << ran.stats.error_detail.render();
-  }
-
-  // A later batch reuses everything — no pipeline stage runs at all.
-  const BatchResult second = pipeline.run_many({a, b}, cache);
-  EXPECT_EQ(second.cache_hits, 2u);
-  EXPECT_EQ(second.lowerings_reused, 2u);
-
-  // Cache-served results execute exactly like freshly compiled ones.
-  const auto fresh = core::make_program_image(pipeline.run(a));
-  EXPECT_EQ(execute(second.programs[0], machine::MachineOptions{}).store,
-            execute(fresh, machine::MachineOptions{}).store);
 }
 
 }  // namespace

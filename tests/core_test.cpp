@@ -2,6 +2,9 @@
 // programs against.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/compiler.hpp"
 #include "lang/corpus.hpp"
 
@@ -87,6 +90,52 @@ TEST(Core, DescribeStringsAreStable) {
       translate::CoverStrategy::kComponent);
   o.eliminate_memory = true;
   EXPECT_EQ(o.describe(), "schema3(cover=component)+mem-elim");
+}
+
+TEST(Core, OptimizerFlagSequencesSelectOnePassSet) {
+  // The optimize stage has one switch: it runs if and only if the pass
+  // set is non-empty. --post-opt selects the cleanup passes unless a
+  // set is already selected; --opt=... replaces the set.
+  using dfg::PassId;
+  using dfg::PassSet;
+  PassSet dce_fuse;
+  dce_fuse.enable(PassId::kDce);
+  dce_fuse.enable(PassId::kFuse);
+  const std::string base = "schema2(cover=singleton)+opt-switches";
+  const struct Row {
+    std::vector<std::string> flags;
+    PassSet passes;
+    std::string describe;
+  } rows[] = {
+      {{}, PassSet::none(), base},
+      {{"--post-opt"}, PassSet::cleanup(), base + "+post-opt"},
+      {{"--opt=none"}, PassSet::none(), base},
+      {{"--opt=all"}, PassSet::all(), base + "+post-opt+fuse"},
+      {{"--opt=dce,fuse"}, dce_fuse, base + "+post-opt+fuse"},
+      {{"--post-opt", "--opt=none"}, PassSet::none(), base},
+      {{"--opt=none", "--post-opt"}, PassSet::cleanup(), base + "+post-opt"},
+      {{"--post-opt", "--opt=all"}, PassSet::all(), base + "+post-opt+fuse"},
+      {{"--opt=all", "--post-opt"}, PassSet::all(), base + "+post-opt+fuse"},
+      {{"--post-opt", "--opt=dce,fuse"}, dce_fuse, base + "+post-opt+fuse"},
+      {{"--opt=dce,fuse", "--post-opt"}, dce_fuse, base + "+post-opt+fuse"},
+      {{"--opt=all", "--opt=none"}, PassSet::none(), base},
+      {{"--opt=none", "--opt=all"}, PassSet::all(), base + "+post-opt+fuse"},
+  };
+  for (const Row& row : rows) {
+    std::string label;
+    auto o = translate::TranslateOptions::schema2_optimized();
+    for (const std::string& f : row.flags) {
+      label += " " + f;
+      ASSERT_EQ(translate::apply_schema_flag(o, f),
+                translate::SchemaFlagParse::kApplied)
+          << f;
+    }
+    EXPECT_EQ(unsigned{o.opt_passes.bits}, unsigned{row.passes.bits}) << label;
+    EXPECT_EQ(o.describe(), row.describe) << label;
+    const auto cr = Pipeline(o).run(lang::corpus::running_example_source());
+    EXPECT_EQ(cr.trace.find(Stage::kOptimize)->ran, row.passes.any())
+        << label;
+  }
 }
 
 }  // namespace

@@ -14,16 +14,14 @@ Module module_for(const lang::Program& prog,
   Module m;
   m.graph = std::move(tx.graph);
   m.memory_cells = tx.memory_cells;
-  for (const auto& r : tx.istructures)
-    m.istructures.emplace_back(r.base, r.extent);
+  m.istructures = std::move(tx.istructures);
   return m;
 }
 
 machine::RunResult run_module(const Module& m,
                               const machine::MachineOptions& opts = {}) {
-  std::vector<machine::IStructureRegion> regions;
-  for (const auto& [b, e] : m.istructures) regions.push_back({b, e});
-  return machine::run(m.graph, m.memory_cells, opts, regions);
+  return machine::run(machine::lower(m.graph), m.memory_cells, opts,
+                      m.istructures);
 }
 
 TEST(Asm, TextualRoundTripIsExact) {

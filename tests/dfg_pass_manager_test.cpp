@@ -85,7 +85,7 @@ TEST(Fusion, CollapsesALinearChainIntoOneMacro) {
   ASSERT_TRUE(g.validate().empty());
 
   // ((5 + 1) negated) = -6; 20 - (-6) = 26.
-  const auto r = machine::run(g, 1, {});
+  const auto r = machine::run(machine::lower(g), 1, {});
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 26);
 }
@@ -114,7 +114,7 @@ TEST(Fusion, FuseLimitSegmentsLongChains) {
   EXPECT_EQ(count_kind(g, OpKind::kBinOp), 0u);
   ASSERT_TRUE(g.validate().empty());
 
-  const auto r = machine::run(g, 1, {});
+  const auto r = machine::run(machine::lower(g), 1, {});
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 11);
 }
@@ -139,7 +139,7 @@ TEST(Fusion, MacroNodesSurviveAsmRoundTripAndLowering) {
   EXPECT_NE(rendered.find("head="), std::string::npos);
   EXPECT_NE(rendered.find("steps=2"), std::string::npos);
 
-  const auto r = machine::run(back.graph, back.memory_cells, {});
+  const auto r = machine::run(machine::lower(back.graph), back.memory_cells, {});
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 26);
 }
@@ -162,7 +162,7 @@ TEST(ConstFold, IdentityOperatorsAreBypassed) {
   EXPECT_EQ(g.num_nodes(), before - 1);
   ASSERT_TRUE(g.validate().empty());
 
-  const auto r = machine::run(g, 1, {});
+  const auto r = machine::run(machine::lower(g), 1, {});
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 7);
 }
@@ -189,7 +189,7 @@ TEST(ConstFold, AbsorbersStillConsumeTheLiveToken) {
   EXPECT_EQ(count_kind(g, OpKind::kGate), 1u);
   ASSERT_TRUE(g.validate().empty());
 
-  const auto r = machine::run(g, 1, {});
+  const auto r = machine::run(machine::lower(g), 1, {});
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 0);
 }
@@ -212,7 +212,7 @@ TEST(SynchNarrow, SynchFeedingOnlyASynchMergesIntoIt) {
   EXPECT_EQ(count_kind(g, OpKind::kSynch), 1u);
   ASSERT_TRUE(g.validate().empty());
 
-  const auto r = machine::run(g, 0, {});
+  const auto r = machine::run(machine::lower(g), 0, {});
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
 }
 
@@ -268,7 +268,6 @@ TEST(PassManager, FusedAndUnfusedStoresAreByteIdentical) {
       auto off = translate::TranslateOptions::schema2_optimized();
       off.eliminate_memory = mem_elim;
       auto on = off;
-      on.post_optimize = true;
       on.opt_passes = PassSet::all();
       const auto tx_off = core::compile(prog, off);
       const auto tx_on = core::compile(prog, on);

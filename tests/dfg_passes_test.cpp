@@ -22,10 +22,9 @@ std::size_t total_removed(const OptStats& s) {
          s.unfireable_removed;
 }
 
-translate::Translation compile(std::string_view src,
-                               bool post_optimize = false) {
+translate::Translation compile(std::string_view src, bool cleanup = false) {
   auto o = translate::TranslateOptions::schema2_optimized();
-  o.post_optimize = post_optimize;
+  if (cleanup) o.opt_passes = dfg::PassSet::cleanup();
   return core::compile(lang::parse_or_throw(std::string(src)), o);
 }
 
@@ -59,7 +58,7 @@ TEST(Passes, FoldedProgramStillComputesCorrectly) {
     const auto prog = lang::parse_or_throw(src);
     const auto ref = lang::interpret(prog);
     auto o = translate::TranslateOptions::schema2_optimized();
-    o.post_optimize = true;
+    o.opt_passes = dfg::PassSet::cleanup();
     const auto tx = core::compile(prog, o);
     const auto res = core::execute(tx, {});
     ASSERT_TRUE(res.stats.completed)
@@ -137,7 +136,7 @@ out: s := s * 2;
   const auto prog = lang::parse_or_throw(src);
   const auto ref = lang::interpret(prog);
   auto o = translate::TranslateOptions::schema2_optimized();
-  o.post_optimize = true;
+  o.opt_passes = dfg::PassSet::cleanup();
   const auto tx = core::compile(prog, o);
   EXPECT_TRUE(tx.graph.validate().empty());
   for (const auto mode :

@@ -128,92 +128,92 @@ const Golden kGolden[] = {
   {"cache/zero-miss", 0x78e59e0e7590d7c3ull, 196},
   {"cache/some-hit-memory", 0x7e2ac89eccd6c37bull, 206},
   {"cache/max-hit-disk", 0x8ad355227059720bull, 333},
-  {"serve/running_example/run-default", 0x8775f6f659239801ull, 1311},
-  {"serve/running_example/run-mem-elim", 0x71d337cee3460ea4ull, 1294},
-  {"serve/running_example/run-schema1-pe2", 0x2f36663f29caa3e2ull, 1275},
-  {"serve/running_example/run-frame-exhausted", 0x0daa0ea1021f6654ull, 2224},
-  {"serve/running_example/run-cycle-cap", 0x0b133f9a264771faull, 1340},
-  {"serve/running_example/compile", 0x6afcc7d2762c4515ull, 369},
-  {"serve/fig9/run-default", 0x44f0bf5963b145a1ull, 1290},
-  {"serve/fig9/run-mem-elim", 0x49bf9d0f935616acull, 1288},
-  {"serve/fig9/run-schema1-pe2", 0x57144f7688401d2dull, 1272},
-  {"serve/fig9/run-frame-exhausted", 0x8348da7184a47c1aull, 1137},
-  {"serve/fig9/run-cycle-cap", 0x903171f37e17b80eull, 1134},
-  {"serve/fig9/compile", 0x2baf650fc08969e5ull, 358},
-  {"serve/nested_bypass_4/run-default", 0x89e850c8fd5644e8ull, 1297},
-  {"serve/nested_bypass_4/run-mem-elim", 0x4a8f0a7f67f96b72ull, 1294},
-  {"serve/nested_bypass_4/run-schema1-pe2", 0x58d7053b5c718c0full, 1285},
-  {"serve/nested_bypass_4/run-frame-exhausted", 0xea865709aea65443ull, 1144},
-  {"serve/nested_bypass_4/run-cycle-cap", 0x724a636c813b7239ull, 1320},
-  {"serve/nested_bypass_4/compile", 0xf2d1e677b00b6cd8ull, 370},
-  {"serve/fortran_alias/run-default", 0xcb87c103fc2951b8ull, 1299},
-  {"serve/fortran_alias/run-mem-elim", 0x8bfac833e0a2381aull, 1299},
-  {"serve/fortran_alias/run-schema1-pe2", 0x1c6928f6bb444a33ull, 1285},
-  {"serve/fortran_alias/run-frame-exhausted", 0xbf3ef98d947eb01bull, 1147},
-  {"serve/fortran_alias/run-cycle-cap", 0x1391d111dd417434ull, 1326},
-  {"serve/fortran_alias/compile", 0x999d7f0a493f006full, 370},
-  {"serve/array_loop_10/run-default", 0xdc236d84913cf584ull, 1327},
-  {"serve/array_loop_10/run-mem-elim", 0x4399e94d9d3e1277ull, 1309},
-  {"serve/array_loop_10/run-schema1-pe2", 0xa15877bb915b5f9dull, 1291},
-  {"serve/array_loop_10/run-frame-exhausted", 0xc7f2ab138d3d3471ull, 2241},
-  {"serve/array_loop_10/run-cycle-cap", 0x63c2d3c454b93b9aull, 1358},
-  {"serve/array_loop_10/compile", 0xe72070944f71ed9dull, 370},
-  {"serve/independent_chains_4x3/run-default", 0x8ef6b47936052539ull, 1288},
-  {"serve/independent_chains_4x3/run-mem-elim", 0xe2bd7bd8920ac637ull, 1269},
-  {"serve/independent_chains_4x3/run-schema1-pe2", 0x718b38c83e629cd9ull, 1277},
-  {"serve/independent_chains_4x3/run-frame-exhausted", 0xc4bc511f930bf7fcull, 1135},
-  {"serve/independent_chains_4x3/run-cycle-cap", 0xcb38a1acdc2f425aull, 1131},
-  {"serve/independent_chains_4x3/compile", 0x092440bf7cdca1ecull, 380},
-  {"serve/read_heavy_8/run-default", 0xacad091757139ba0ull, 1332},
-  {"serve/read_heavy_8/run-mem-elim", 0x2ff474d5f513b02full, 1330},
-  {"serve/read_heavy_8/run-schema1-pe2", 0xe98d89ff7a7de98bull, 1335},
-  {"serve/read_heavy_8/run-frame-exhausted", 0xbf121fb5df63c5e8ull, 1179},
-  {"serve/read_heavy_8/run-cycle-cap", 0x95f0be0c1c339318ull, 1175},
-  {"serve/read_heavy_8/compile", 0x99c556d5b426c9bdull, 370},
-  {"serve/irreducible/run-default", 0xd35f7c44e40e0c52ull, 1344},
-  {"serve/irreducible/run-mem-elim", 0x9c2b4fb79670e8dcull, 1337},
-  {"serve/irreducible/run-schema1-pe2", 0xd5ca389e64bf9042ull, 1296},
-  {"serve/irreducible/run-frame-exhausted", 0xf594112ac1052954ull, 2403},
-  {"serve/irreducible/run-cycle-cap", 0x9171bcaa90ab914cull, 1345},
-  {"serve/irreducible/compile", 0xbab591a31b210d1bull, 369},
-  {"serve/nested_loops_3x4/run-default", 0xb014125be5485e71ull, 1329},
-  {"serve/nested_loops_3x4/run-mem-elim", 0xdeb673d49d4625edull, 1324},
-  {"serve/nested_loops_3x4/run-schema1-pe2", 0x756ab3a58a6f436dull, 1307},
-  {"serve/nested_loops_3x4/run-frame-exhausted", 0xf5a245c33e9776fdull, 2229},
-  {"serve/nested_loops_3x4/run-cycle-cap", 0x7e090ddf3bf5f17full, 1345},
-  {"serve/nested_loops_3x4/compile", 0x9a69ba39e607306cull, 374},
-  {"serve/chain_loop_6x8/run-default", 0x25cf621086dbc277ull, 1320},
-  {"serve/chain_loop_6x8/run-mem-elim", 0xcad4aa966703f8daull, 1313},
-  {"serve/chain_loop_6x8/run-schema1-pe2", 0xe0e15418317c4f38ull, 1285},
-  {"serve/chain_loop_6x8/run-frame-exhausted", 0x30b691bca968ee3eull, 2226},
-  {"serve/chain_loop_6x8/run-cycle-cap", 0xd240adfde8a932f7ull, 1346},
-  {"serve/chain_loop_6x8/compile", 0xdb53b880bf62b364ull, 372},
-  {"serve/cold-1/run-print-all", 0xb3ed20afdae2a4daull, 1477},
-  {"serve/cold-1/run-mem-elim", 0xc7a34e8a6f50d6f7ull, 1421},
-  {"serve/cold-2/run-print-all", 0x8409ca8ddcab7158ull, 1477},
-  {"serve/cold-2/run-mem-elim", 0xe3cab9e75b0116a2ull, 1423},
-  {"serve/cold-3/run-print-all", 0x443cb7a1c2776ba5ull, 1513},
-  {"serve/cold-3/run-mem-elim", 0x37bc44e45a4c7bdcull, 1447},
-  {"serve/cold-4/run-print-all", 0x357ae0ac266ce136ull, 1477},
-  {"serve/cold-4/run-mem-elim", 0xe11071a3f4a65602ull, 1408},
-  {"serve/cold-5/run-print-all", 0x304a4342007e977eull, 1480},
-  {"serve/cold-5/run-mem-elim", 0xe04603627fcf8073ull, 1430},
-  {"serve/cold-6/run-print-all", 0x196994bc11e727a9ull, 1462},
-  {"serve/cold-6/run-mem-elim", 0xc6523b142995cce0ull, 1409},
-  {"serve/cold-7/run-print-all", 0xe8429c78f3d8393cull, 1485},
-  {"serve/cold-7/run-mem-elim", 0x40fa5f0711f183c0ull, 1432},
-  {"serve/cold-8/run-print-all", 0x720be4dcec287bcaull, 1440},
-  {"serve/cold-8/run-mem-elim", 0x67c8300add6a3d62ull, 1377},
-  {"serve/cold-9/run-print-all", 0x8f6f31bd51e0a421ull, 1473},
-  {"serve/cold-9/run-mem-elim", 0xc00d1a82ac9662deull, 1418},
-  {"serve/cold-10/run-print-all", 0xd908df461c701ec2ull, 1459},
-  {"serve/cold-10/run-mem-elim", 0x24c8efa6475c003eull, 1403},
-  {"serve/cold-11/run-print-all", 0x927e887fd3c0d233ull, 1479},
-  {"serve/cold-11/run-mem-elim", 0xa65ac6c5a1ffda1bull, 1418},
-  {"serve/cold-12/run-print-all", 0xcb3444f5dfb09abfull, 1508},
-  {"serve/cold-12/run-mem-elim", 0xcdf33d2e6a4ab8fcull, 1454},
-  {"serve/print-unknown", 0xee3651eb693171a6ull, 1339},
-  {"serve/id-escapes", 0x4615d722efc336f9ull, 369},
+  {"serve/running_example/run-default", 0x8b5a0191dd6b007aull, 1311},
+  {"serve/running_example/run-mem-elim", 0xe8e0e79e2279e4c2ull, 1294},
+  {"serve/running_example/run-schema1-pe2", 0x0d7ab184269ffed8ull, 1275},
+  {"serve/running_example/run-frame-exhausted", 0xf6566ede08315587ull, 2224},
+  {"serve/running_example/run-cycle-cap", 0x87c66b60a62db4eaull, 1340},
+  {"serve/running_example/compile", 0x2be28480d19c52ccull, 369},
+  {"serve/fig9/run-default", 0xa07b8d4cd4421f0aull, 1290},
+  {"serve/fig9/run-mem-elim", 0xcb321bb5e1523267ull, 1288},
+  {"serve/fig9/run-schema1-pe2", 0xe3e1fbe9dcf409c7ull, 1272},
+  {"serve/fig9/run-frame-exhausted", 0xdacbd120831539fdull, 1137},
+  {"serve/fig9/run-cycle-cap", 0x4ecf95d072a6188full, 1134},
+  {"serve/fig9/compile", 0x45666b275e444e96ull, 358},
+  {"serve/nested_bypass_4/run-default", 0x6fb564a1990f8c4eull, 1297},
+  {"serve/nested_bypass_4/run-mem-elim", 0xb19f9dad00f134baull, 1294},
+  {"serve/nested_bypass_4/run-schema1-pe2", 0xa482af2d32dc3b2cull, 1285},
+  {"serve/nested_bypass_4/run-frame-exhausted", 0x8eeedc707ab27e3aull, 1144},
+  {"serve/nested_bypass_4/run-cycle-cap", 0x5e1368383c5c4c2eull, 1320},
+  {"serve/nested_bypass_4/compile", 0x714b6aa9464533dfull, 370},
+  {"serve/fortran_alias/run-default", 0x3eaa06025b5db046ull, 1299},
+  {"serve/fortran_alias/run-mem-elim", 0x5846b4c89b98cf94ull, 1299},
+  {"serve/fortran_alias/run-schema1-pe2", 0xf40a689bf52538ffull, 1285},
+  {"serve/fortran_alias/run-frame-exhausted", 0xd15853fb5ca5392bull, 1147},
+  {"serve/fortran_alias/run-cycle-cap", 0xb6356ba4d091962dull, 1326},
+  {"serve/fortran_alias/compile", 0x4b5258463918e7bdull, 370},
+  {"serve/array_loop_10/run-default", 0x3af52252e4721bebull, 1327},
+  {"serve/array_loop_10/run-mem-elim", 0xdf732de86d505301ull, 1309},
+  {"serve/array_loop_10/run-schema1-pe2", 0x79743607550f9f77ull, 1291},
+  {"serve/array_loop_10/run-frame-exhausted", 0x175ed691c72c9342ull, 2241},
+  {"serve/array_loop_10/run-cycle-cap", 0xf94c48f7c51a8164ull, 1358},
+  {"serve/array_loop_10/compile", 0xdad4288fecd257f0ull, 370},
+  {"serve/independent_chains_4x3/run-default", 0x57231eceddfd3dfcull, 1288},
+  {"serve/independent_chains_4x3/run-mem-elim", 0x7459c542e986a0e7ull, 1269},
+  {"serve/independent_chains_4x3/run-schema1-pe2", 0x325cd8bf64f2990aull, 1277},
+  {"serve/independent_chains_4x3/run-frame-exhausted", 0xe5a3077773364418ull, 1135},
+  {"serve/independent_chains_4x3/run-cycle-cap", 0xef73be992453c401ull, 1131},
+  {"serve/independent_chains_4x3/compile", 0x99de8c9e96776cffull, 380},
+  {"serve/read_heavy_8/run-default", 0x7aee034884a21555ull, 1332},
+  {"serve/read_heavy_8/run-mem-elim", 0x9c159196973f0cdbull, 1330},
+  {"serve/read_heavy_8/run-schema1-pe2", 0xce224bf6f9b8d80bull, 1335},
+  {"serve/read_heavy_8/run-frame-exhausted", 0xde401515c780df0eull, 1179},
+  {"serve/read_heavy_8/run-cycle-cap", 0xdcd938603e6ce437ull, 1175},
+  {"serve/read_heavy_8/compile", 0x5511b06ed3ab7c27ull, 370},
+  {"serve/irreducible/run-default", 0x70ff4a75c35ca816ull, 1344},
+  {"serve/irreducible/run-mem-elim", 0xa977e7b1b0dad885ull, 1337},
+  {"serve/irreducible/run-schema1-pe2", 0x0380cf914e7ee925ull, 1296},
+  {"serve/irreducible/run-frame-exhausted", 0xa85283d6e78ddcd3ull, 2403},
+  {"serve/irreducible/run-cycle-cap", 0x6707b1ff543b1613ull, 1345},
+  {"serve/irreducible/compile", 0x96fba676bf0dc7f1ull, 369},
+  {"serve/nested_loops_3x4/run-default", 0x7c5b61d6cc89f260ull, 1329},
+  {"serve/nested_loops_3x4/run-mem-elim", 0x49983bd97cf8a872ull, 1324},
+  {"serve/nested_loops_3x4/run-schema1-pe2", 0x678eaf20008b223dull, 1307},
+  {"serve/nested_loops_3x4/run-frame-exhausted", 0x8056a72f90141dc8ull, 2229},
+  {"serve/nested_loops_3x4/run-cycle-cap", 0x07ac60341a2dca9bull, 1345},
+  {"serve/nested_loops_3x4/compile", 0x0b7343f8a2f11601ull, 374},
+  {"serve/chain_loop_6x8/run-default", 0x09d3bfb61a0cdc2cull, 1320},
+  {"serve/chain_loop_6x8/run-mem-elim", 0x776b1fc84f20cd0eull, 1313},
+  {"serve/chain_loop_6x8/run-schema1-pe2", 0x91908b42348c0597ull, 1285},
+  {"serve/chain_loop_6x8/run-frame-exhausted", 0x16d70039ddfe0277ull, 2226},
+  {"serve/chain_loop_6x8/run-cycle-cap", 0xa8e72e6e593df04full, 1346},
+  {"serve/chain_loop_6x8/compile", 0xffa2f2cf64aa6108ull, 372},
+  {"serve/cold-1/run-print-all", 0x56404b7405be8da7ull, 1477},
+  {"serve/cold-1/run-mem-elim", 0xab1e7f3670f463a3ull, 1421},
+  {"serve/cold-2/run-print-all", 0x8d499c66e8395ebfull, 1477},
+  {"serve/cold-2/run-mem-elim", 0xfd1aa86204573345ull, 1423},
+  {"serve/cold-3/run-print-all", 0x1068a5efce19aadbull, 1513},
+  {"serve/cold-3/run-mem-elim", 0xfd4e1f73610c8e2aull, 1447},
+  {"serve/cold-4/run-print-all", 0x6db03f72d062e311ull, 1477},
+  {"serve/cold-4/run-mem-elim", 0x08e4b9421e1b4aa5ull, 1408},
+  {"serve/cold-5/run-print-all", 0x612d6da164c6f158ull, 1480},
+  {"serve/cold-5/run-mem-elim", 0xe82a3e4c71ef4684ull, 1430},
+  {"serve/cold-6/run-print-all", 0x3fca5db13f8b4cf9ull, 1462},
+  {"serve/cold-6/run-mem-elim", 0xa0251de2d15d4bb6ull, 1409},
+  {"serve/cold-7/run-print-all", 0xca15cb7aa191a45aull, 1485},
+  {"serve/cold-7/run-mem-elim", 0xc600562090caf43bull, 1432},
+  {"serve/cold-8/run-print-all", 0x2627525b9b038093ull, 1440},
+  {"serve/cold-8/run-mem-elim", 0x4366cdcd7645d902ull, 1377},
+  {"serve/cold-9/run-print-all", 0x8e3178b290f9ada9ull, 1473},
+  {"serve/cold-9/run-mem-elim", 0xa4b94b5222770d62ull, 1418},
+  {"serve/cold-10/run-print-all", 0x0a8c135ea52af3ecull, 1459},
+  {"serve/cold-10/run-mem-elim", 0x0d0975bb2d0cebb7ull, 1403},
+  {"serve/cold-11/run-print-all", 0x0e61691e5df38323ull, 1479},
+  {"serve/cold-11/run-mem-elim", 0x26e6de20943595e4ull, 1418},
+  {"serve/cold-12/run-print-all", 0x0a28d0e3d84ff382ull, 1508},
+  {"serve/cold-12/run-mem-elim", 0xd0f2aa725395ff35ull, 1454},
+  {"serve/print-unknown", 0x31240bf4e61a6fb8ull, 1339},
+  {"serve/id-escapes", 0xfb6f267095612fc8ull, 369},
   {"serve/id-true", 0xd7e402d3e53e2cdcull, 304},
   {"serve/id-float", 0x3d14feb2fba0b998ull, 303},
   {"serve/error-bad-json", 0xa4658bd2cdebf792ull, 125},
@@ -225,7 +225,7 @@ const Golden kGolden[] = {
   {"serve/error-compile", 0x46f7d13b887c12b7ull, 119},
   {"serve/error-undeclared", 0xc8cf2f90d8f21efaull, 121},
   {"serve/error-deadline", 0x442fe489b217e16full, 127},
-  {"serve/batch", 0x9d9fbdf5e499cb81ull, 5195},
+  {"serve/batch", 0x60a6c213075501c9ull, 5195},
   {"serve/batch-empty", 0xb56765cf33e24fd7ull, 127},
   {"serve/error-batch-no-requests", 0x349640e497afa10eull, 124},
   {"serve/stats", 0x394b846bde07e7cdull, 304},
@@ -303,7 +303,7 @@ machine::RunResult deadlocked_run(const machine::MachineOptions& o) {
   const dfg::NodeId end = g.add(std::move(e));
   g.set_end(end);
   g.connect({sy, 0}, {end, 0}, true);
-  return machine::run(g, 0, o);
+  return machine::run(machine::lower(g), 0, o);
 }
 
 const std::vector<std::pair<const char*, std::vector<std::string>>>
@@ -325,7 +325,7 @@ TEST(JsonBytes, StatsJsonMatchesTheRecordedTable) {
             .run(np.source);
     for (const auto& [name, flags] : kMachineFlagSets) {
       const machine::MachineOptions o = machine_options(flags);
-      const machine::RunResult r = core::execute(cr, o);
+      const machine::RunResult r = core::execute(cr.image, o);
       actual.emplace_back("stats/" + np.name + "/" + name,
                           machine::render_stats_json(r.stats, o));
     }

@@ -50,7 +50,6 @@ std::vector<Ladder> option_ladder() {
   rungs.push_back({"mem-elim", mem});
   auto fused = translate::TranslateOptions::schema2_optimized();
   fused.eliminate_memory = true;
-  fused.post_optimize = true;
   fused.opt_passes = dfg::PassSet::all();
   rungs.push_back({"opt-all", fused});
   return rungs;
@@ -59,9 +58,8 @@ std::vector<Ladder> option_ladder() {
 /// Lowers `prog` once, pushes the image through serialize →
 /// deserialize, and runs original vs. decoded, requiring identical
 /// stores and identical rendered stats JSON.
-void expect_roundtrip(const lang::Program& prog, core::PipelineOptions po,
+void expect_roundtrip(const lang::Program& prog, const core::PipelineOptions& po,
                       const std::string& label) {
-  po.lower = true;
   const ProgramImage original =
       core::make_program_image(core::Pipeline(po).run(prog));
 

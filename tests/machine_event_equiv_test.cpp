@@ -237,10 +237,11 @@ NodeId add_end(Graph& g, std::uint16_t inputs) {
 
 RunResult check_graph_event(const Graph& g, std::size_t cells,
                             const MachineOptions& mopt,
-                            const std::vector<IStructureRegion>& is,
+                            const std::vector<lang::CellRegion>& is,
                             const std::string& context) {
-  const RunResult scan = testing::run_scan(g, cells, mopt, is);
-  const RunResult event = run(g, cells, mopt, is);
+  const ExecProgram p = lower(g);
+  const RunResult scan = testing::run_scan(p, cells, mopt, is);
+  const RunResult event = run(p, cells, mopt, is);
   expect_identical(scan, event, context + " policy=event");
   return scan;
 }

@@ -44,9 +44,10 @@ NodeId add_end(Graph& g, std::uint16_t inputs) {
 /// stats and stores; returns the scan result for further assertions.
 RunResult run_both_policies(const Graph& g, std::size_t cells,
                             const MachineOptions& mopt,
-                            const std::vector<IStructureRegion>& is) {
-  const RunResult scan = testing::run_scan(g, cells, mopt, is);
-  const RunResult event = run(g, cells, mopt, is);
+                            const std::vector<lang::CellRegion>& is) {
+  const ExecProgram p = lower(g);
+  const RunResult scan = testing::run_scan(p, cells, mopt, is);
+  const RunResult event = run(p, cells, mopt, is);
   EXPECT_EQ(scan.stats.completed, event.stats.completed);
   EXPECT_EQ(scan.stats.error_detail.render(),
             event.stats.error_detail.render());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "dfg/graph.hpp"
+#include "machine/exec.hpp"
 #include "machine/machine.hpp"
 
 namespace ctdf::machine {
@@ -78,7 +79,7 @@ TEST_P(LoopModes, CountedLoopComputesTripCount) {
   ASSERT_TRUE(loop.g.validate().empty());
   MachineOptions o;
   o.loop_mode = GetParam();
-  const RunResult r = run(loop.g, 1, o);
+  const RunResult r = run(lower(loop.g), 1, o);
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 7);
   // One context per iteration (the final iteration exits without
@@ -91,7 +92,7 @@ TEST_P(LoopModes, ZeroTripLoopStillExits) {
   CountLoop loop(1);
   MachineOptions o;
   o.loop_mode = GetParam();
-  const RunResult r = run(loop.g, 1, o);
+  const RunResult r = run(lower(loop.g), 1, o);
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 1);
   EXPECT_EQ(r.stats.contexts_allocated, 1u);
@@ -156,8 +157,8 @@ TEST(LoopContexts, BarrierEntryWaitsForAllPorts) {
   MachineOptions barrier, pipelined;
   barrier.loop_mode = LoopMode::kBarrier;
   pipelined.loop_mode = LoopMode::kPipelined;
-  const RunResult rb = run(g, 1, barrier);
-  const RunResult rp = run(g, 1, pipelined);
+  const RunResult rb = run(lower(g), 1, barrier);
+  const RunResult rp = run(lower(g), 1, pipelined);
   ASSERT_TRUE(rb.stats.completed) << rb.stats.error_detail.render();
   ASSERT_TRUE(rp.stats.completed) << rp.stats.error_detail.render();
   EXPECT_EQ(rb.store.cells[0], 4);
@@ -230,7 +231,7 @@ TEST(LoopContexts, NestedLoopsGetDistinctInvocationContexts) {
   for (const auto mode : {LoopMode::kBarrier, LoopMode::kPipelined}) {
     MachineOptions o;
     o.loop_mode = mode;
-    const RunResult r = run(g, 1, o);
+    const RunResult r = run(lower(g), 1, o);
     ASSERT_TRUE(r.stats.completed) << to_string(mode) << ": "
                                    << r.stats.error_detail.render();
     EXPECT_EQ(r.store.cells[0], 3);

@@ -45,11 +45,10 @@ MachineOptions checked_options(const Variant& v) {
   return o;
 }
 
-/// Runs a graph or lowered program under `v`'s policy.
-template <class Program>
-RunResult run_variant(const Variant& v, const Program& p, std::size_t cells,
-                      const MachineOptions& o,
-                      const std::vector<IStructureRegion>& is = {}) {
+/// Runs a lowered program under `v`'s policy.
+RunResult run_variant(const Variant& v, const ExecProgram& p,
+                      std::size_t cells, const MachineOptions& o,
+                      const std::vector<lang::CellRegion>& is = {}) {
   return v.scan ? testing::run_scan(p, cells, o, is) : run(p, cells, o, is);
 }
 
@@ -211,7 +210,7 @@ TEST(IntegrityMutation, SkippedSynchIsMemRace) {
     MachineOptions o = checked_options(v);
     o.mem_latency = 8;
 
-    const RunResult clean = run_variant(v, g, 2, o);
+    const RunResult clean = run_variant(v, lower(g), 2, o);
     ASSERT_TRUE(clean.stats.completed)
         << v.name << ": " << clean.stats.error_detail.render();
     EXPECT_EQ(clean.store.cells[1], 5) << v.name;
@@ -247,7 +246,7 @@ TEST(IntegrityMutation, AliasedIStoreBaseIsDoubleWrite) {
   for (const Variant& v : kVariants) {
     const MachineOptions o = checked_options(v);
 
-    const RunResult clean = run_variant(v, g, 2, o, {{0, 2}});
+    const RunResult clean = run_variant(v, lower(g), 2, o, {{0, 2}});
     ASSERT_TRUE(clean.stats.completed)
         << v.name << ": " << clean.stats.error_detail.render();
     EXPECT_EQ(clean.store.cells[0], 40) << v.name;
@@ -300,13 +299,13 @@ TEST(IntegrityMutation, DuplicatedMemResponseIsOrphan) {
   for (const Variant& v : kVariants) {
     MachineOptions o = checked_options(v);
 
-    const RunResult clean = run_variant(v, g, 2, o, {{0, 1}});
+    const RunResult clean = run_variant(v, lower(g), 2, o, {{0, 1}});
     ASSERT_TRUE(clean.stats.completed)
         << v.name << ": " << clean.stats.error_detail.render();
     EXPECT_EQ(clean.stats.deferred_reads, 1u) << v.name;
 
     o.test_dup_response = true;
-    const RunResult r = run_variant(v, g, 2, o, {{0, 1}});
+    const RunResult r = run_variant(v, lower(g), 2, o, {{0, 1}});
     EXPECT_FALSE(r.stats.completed) << v.name;
     EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kIntegrityOrphanResponse)
         << v.name << ": [" << code_slug(r.stats.error_detail.code) << "] "

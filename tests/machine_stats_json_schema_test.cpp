@@ -128,8 +128,9 @@ TEST(StatsJsonSchema, OptimizeStageCountersAreTheGoldenSet) {
       "fused-len-4", "fused-len-5", "fused-len-6", "fused-len-7",
       "fused-len-8plus"};
 
-  const auto counters_with = [](translate::TranslateOptions t) {
-    t.post_optimize = true;
+  const auto counters_with = [](dfg::PassSet passes) {
+    auto t = translate::TranslateOptions::schema2_optimized();
+    t.opt_passes = passes;
     const auto cr =
         core::Pipeline(core::PipelineOptions(t))
             .run(lang::corpus::running_example_source());
@@ -141,14 +142,11 @@ TEST(StatsJsonSchema, OptimizeStageCountersAreTheGoldenSet) {
     return names;
   };
 
-  EXPECT_EQ(counters_with(translate::TranslateOptions::schema2_optimized()),
-            kCleanupKeys);
+  EXPECT_EQ(counters_with(dfg::PassSet::cleanup()), kCleanupKeys);
 
-  auto fused = translate::TranslateOptions::schema2_optimized();
-  fused.opt_passes = dfg::PassSet::all();
   std::vector<std::string> expected = kCleanupKeys;
   expected.insert(expected.end(), kFusionKeys.begin(), kFusionKeys.end());
-  EXPECT_EQ(counters_with(fused), expected);
+  EXPECT_EQ(counters_with(dfg::PassSet::all()), expected);
 }
 
 /// The cache object (`--stats-json`'s "cache" member and the serve

@@ -6,6 +6,7 @@
 #include "core/compiler.hpp"
 #include "dfg/graph.hpp"
 #include "lang/corpus.hpp"
+#include "machine/exec.hpp"
 #include "machine/machine.hpp"
 #include "machine/report.hpp"
 
@@ -51,7 +52,7 @@ TEST(Machine, StoreThenLoad) {
   g.connect({st2, 0}, {e, 0}, true);
   ASSERT_TRUE(g.validate().empty());
 
-  const RunResult r = run(g, 5, {});
+  const RunResult r = run(lower(g), 5, {});
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[3], 77);
   EXPECT_EQ(r.store.cells[4], 77);
@@ -73,7 +74,7 @@ TEST(Machine, AluEvaluation) {
   const NodeId e = add_end(g, 1);
   g.connect({st, 0}, {e, 0}, true);
 
-  const RunResult r = run(g, 1, {});
+  const RunResult r = run(lower(g), 1, {});
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], -30);
 }
@@ -95,7 +96,7 @@ TEST(Machine, SwitchRoutesByPredicate) {
     g.connect({st_t, 0}, {e, 0}, true);
     g.connect({st_f, 0}, {e, 0}, true);
 
-    const RunResult r = run(g, 2, {});
+    const RunResult r = run(lower(g), 2, {});
     ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
     EXPECT_EQ(r.store.cells[pred ? 0 : 1], 9);
     EXPECT_EQ(r.store.cells[pred ? 1 : 0], 0);
@@ -109,7 +110,7 @@ TEST(Machine, SynchWaitsForAllInputs) {
   for (std::uint16_t i = 0; i < 3; ++i) g.connect({s, i}, {sy, i}, true);
   const NodeId e = add_end(g, 1);
   g.connect({sy, 0}, {e, 0}, true);
-  const RunResult r = run(g, 0, {});
+  const RunResult r = run(lower(g), 0, {});
   ASSERT_TRUE(r.stats.completed);
   // 3 tokens rendezvous at the synch, plus its output matching at end.
   EXPECT_EQ(r.stats.matches, 4u);
@@ -129,7 +130,7 @@ TEST(Machine, GatePassesValueOnTrigger) {
   g.connect({gate, 0}, {st, 1}, false);
   const NodeId e = add_end(g, 1);
   g.connect({st, 0}, {e, 0}, true);
-  const RunResult r = run(g, 1, {});
+  const RunResult r = run(lower(g), 1, {});
   ASSERT_TRUE(r.stats.completed);
   EXPECT_EQ(r.store.cells[0], 123);
 }
@@ -145,7 +146,7 @@ TEST(Machine, MemLatencyShapesCycleCount) {
     g.connect({st, 0}, {e, 0}, true);
     MachineOptions o;
     o.mem_latency = lat;
-    const RunResult r = run(g, 1, o);
+    const RunResult r = run(lower(g), 1, o);
     EXPECT_TRUE(r.stats.completed);
     return r.stats.cycles;
   };
@@ -167,7 +168,7 @@ TEST(Machine, WidthOneSerializesIndependentOps) {
     g.connect({sy, 0}, {e, 0}, true);
     MachineOptions o;
     o.width = width;
-    const RunResult r = run(g, 4, o);
+    const RunResult r = run(lower(g), 4, o);
     EXPECT_TRUE(r.stats.completed);
     return r.stats.cycles;
   };
@@ -187,7 +188,7 @@ TEST(Machine, DeadlockDetected) {
   g.connect({gate, 0}, {sy, 1}, true);
   const NodeId e = add_end(g, 1);
   g.connect({sy, 0}, {e, 0}, true);
-  const RunResult r = run(g, 0, {});
+  const RunResult r = run(lower(g), 0, {});
   EXPECT_FALSE(r.stats.completed);
   EXPECT_NE(r.stats.error_detail.render().find("deadlock"), std::string::npos);
   EXPECT_NE(r.stats.error_detail.render().find("starved"), std::string::npos);
@@ -206,7 +207,7 @@ TEST(Machine, TokenCollisionDetected) {
   g.bind_literal({gate, 0}, 0);
   g.connect({sy, 0}, {gate, 1}, true);
   g.connect({gate, 0}, {sy, 1}, true);
-  const RunResult r = run(g, 0, {});
+  const RunResult r = run(lower(g), 0, {});
   EXPECT_FALSE(r.stats.completed);
   EXPECT_NE(r.stats.error_detail.render().find("collision"), std::string::npos);
 }
@@ -241,7 +242,7 @@ TEST(Machine, IStructureDeferredReadIsSatisfied) {
   const NodeId e = add_end(g, 1);
   g.connect({sy, 0}, {e, 0}, true);
 
-  const RunResult r = run(g, 5, {}, {{0, 4}});
+  const RunResult r = run(lower(g), 5, {}, {{0, 4}});
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[4], 55);
   EXPECT_EQ(r.stats.deferred_reads, 1u);
@@ -260,7 +261,7 @@ TEST(Machine, IStructureDoubleWriteTrapped) {
       g.connect({istore, 0}, {e, 0}, true);
     }
   }
-  const RunResult r = run(g, 4, {}, {{0, 4}});
+  const RunResult r = run(lower(g), 4, {}, {{0, 4}});
   EXPECT_FALSE(r.stats.completed);
   EXPECT_NE(r.stats.error_detail.render().find("double write"),
             std::string::npos);
@@ -281,7 +282,7 @@ TEST(Machine, CycleCapReported) {
   g.connect({never, 0}, {e, 0}, true);
   MachineOptions o;
   o.budget.max_cycles = 500;
-  const RunResult r = run(g, 0, o);
+  const RunResult r = run(lower(g), 0, o);
   EXPECT_FALSE(r.stats.completed);
   EXPECT_FALSE(r.stats.error_detail.render().empty());
 }
@@ -297,7 +298,7 @@ TEST(Machine, BenignLeftoverTokensAreCountedNotFatal) {
   g.connect({slow, 0}, {sink, 0}, false);
   const NodeId e = add_end(g, 1);
   g.connect({s, 0}, {e, 0}, true);
-  const RunResult r = run(g, 0, {});
+  const RunResult r = run(lower(g), 0, {});
   EXPECT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_GT(r.stats.leftover_tokens, 0u);
 }
@@ -316,7 +317,7 @@ TEST(Machine, UnfiredStoreAtEndIsFatal) {
   g.connect({st, 0}, {sink, 0}, true);
   const NodeId e = add_end(g, 1);
   g.connect({s, 0}, {e, 0}, true);
-  const RunResult r = run(g, 1, {});
+  const RunResult r = run(lower(g), 1, {});
   EXPECT_FALSE(r.stats.completed);
   EXPECT_NE(r.stats.error_detail.render().find("uncollected"),
             std::string::npos);
@@ -338,7 +339,7 @@ TEST(Machine, CycleCapReportsCapAsCycleCount) {
   g.connect({never, 0}, {e, 0}, true);
   MachineOptions o;
   o.budget.max_cycles = 500;
-  const RunResult r = run(g, 0, o);
+  const RunResult r = run(lower(g), 0, o);
   EXPECT_FALSE(r.stats.completed);
   EXPECT_EQ(r.stats.error_detail.render(),
             "cycle cap exceeded (possible livelock or "
@@ -364,7 +365,7 @@ TEST(Machine, DeadlockReportListsStarvedSlots) {
   g.connect({gate, 0}, {sy, 1}, true);
   const NodeId e = add_end(g, 1);
   g.connect({sy, 0}, {e, 0}, true);
-  const RunResult r = run(g, 0, {});
+  const RunResult r = run(lower(g), 0, {});
   const std::string error = r.stats.error_detail.render();
   EXPECT_FALSE(r.stats.completed);
   EXPECT_NE(error.find("matching slot(s) still waiting"), std::string::npos)
@@ -391,7 +392,7 @@ TEST(Machine, DeadlockReportIncludesDeferredReaders) {
   g.connect({s, 0}, {fetch, 1}, true);
   const NodeId e = add_end(g, 1);
   g.connect({fetch, 0}, {e, 0}, true);
-  const RunResult r = run(g, 4, {}, {{0, 4}});
+  const RunResult r = run(lower(g), 4, {}, {{0, 4}});
   const std::string error = r.stats.error_detail.render();
   EXPECT_FALSE(r.stats.completed);
   EXPECT_NE(error.find("deadlock"), std::string::npos);
@@ -443,7 +444,7 @@ TEST(Machine, ReportRendersHeadlinesAndKinds) {
   g.connect({st, 0}, {e, 0}, true);
   MachineOptions o;
   o.record_profile = true;
-  const RunResult r = run(g, 1, o);
+  const RunResult r = run(lower(g), 1, o);
   const std::string report = render_report(r.stats);
   EXPECT_NE(report.find("cycles"), std::string::npos);
   EXPECT_NE(report.find("store=1"), std::string::npos);
@@ -467,7 +468,7 @@ TEST(Machine, ProfileRecordsFiring) {
   g.connect({st, 0}, {e, 0}, true);
   MachineOptions o;
   o.record_profile = true;
-  const RunResult r = run(g, 1, o);
+  const RunResult r = run(lower(g), 1, o);
   ASSERT_TRUE(r.stats.completed);
   std::uint64_t total = 0;
   for (const auto c : r.stats.profile) total += c;

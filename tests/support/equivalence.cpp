@@ -60,7 +60,7 @@ std::vector<SchemaConfig> standard_configs() {
   }
   {
     auto t = TranslateOptions::schema2_optimized();
-    t.post_optimize = true;
+    t.opt_passes = dfg::PassSet::cleanup();
     add("post-opt/pipelined", t, machine::LoopMode::kPipelined, 0);
     t.eliminate_memory = true;
     add("post-opt+memelim", t, machine::LoopMode::kBarrier, 2);
@@ -74,7 +74,6 @@ std::vector<SchemaConfig> standard_configs() {
     // Macro-op fusion (--opt=all): chains collapse into kMacro nodes;
     // stores must stay byte-identical to every other rung.
     auto t = TranslateOptions::schema2_optimized();
-    t.post_optimize = true;
     t.opt_passes = dfg::PassSet::all();
     add("fuse/pipelined", t, machine::LoopMode::kPipelined, 0);
     t.eliminate_memory = true;
@@ -88,7 +87,6 @@ std::vector<SchemaConfig> standard_configs() {
     t.dead_store_elimination = true;
     t.eliminate_memory = true;
     t.parallel_reads = true;
-    t.post_optimize = true;
     t.opt_passes = dfg::PassSet::all();
     t.max_fanout = 2;
     add("kitchen-sink", t, machine::LoopMode::kPipelined, 4);
@@ -120,7 +118,6 @@ std::vector<SchemaConfig> standard_configs() {
     // chain's head firing.
     auto f = TranslateOptions::schema2_optimized();
     f.eliminate_memory = true;
-    f.post_optimize = true;
     f.opt_passes = dfg::PassSet::all();
     add("integrity/fused", f, machine::LoopMode::kPipelined, 0);
     out.back().mopt.check = machine::CheckMode::kIntegrity;

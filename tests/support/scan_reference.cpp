@@ -45,28 +45,17 @@ struct MapPending {
 machine::RunResult run_scan(
     const machine::ExecProgram& program, std::size_t memory_cells,
     const machine::MachineOptions& options,
-    const std::vector<machine::IStructureRegion>& istructures,
-    const std::vector<machine::SharedRegion>& shared) {
+    const std::vector<lang::CellRegion>& istructures,
+    const std::vector<lang::CellRegion>& shared) {
   return machine::detail::SerialEngine<MapPending>{
       program, memory_cells, options, istructures, shared}
       .run();
 }
 
-machine::RunResult run_scan(
-    const dfg::Graph& graph, std::size_t memory_cells,
-    const machine::MachineOptions& options,
-    const std::vector<machine::IStructureRegion>& istructures) {
-  return run_scan(machine::lower(graph), memory_cells, options, istructures);
-}
-
 machine::RunResult run_scan(const translate::Translation& tx,
                             const machine::MachineOptions& options) {
-  std::vector<machine::IStructureRegion> istructures;
-  for (const auto& r : tx.istructures) istructures.push_back({r.base, r.extent});
-  std::vector<machine::SharedRegion> shared;
-  for (const auto& r : tx.shared_cells) shared.push_back({r.base, r.extent});
   return run_scan(machine::lower(tx.graph), tx.memory_cells, options,
-                  istructures, shared);
+                  tx.istructures, tx.shared_cells);
 }
 
 }  // namespace ctdf::testing

@@ -22,14 +22,8 @@ namespace ctdf::testing {
 [[nodiscard]] machine::RunResult run_scan(
     const machine::ExecProgram& program, std::size_t memory_cells,
     const machine::MachineOptions& options,
-    const std::vector<machine::IStructureRegion>& istructures = {},
-    const std::vector<machine::SharedRegion>& shared = {});
-
-/// Lowers `graph` and runs it on the scan policy.
-[[nodiscard]] machine::RunResult run_scan(
-    const dfg::Graph& graph, std::size_t memory_cells,
-    const machine::MachineOptions& options,
-    const std::vector<machine::IStructureRegion>& istructures = {});
+    const std::vector<lang::CellRegion>& istructures = {},
+    const std::vector<lang::CellRegion>& shared = {});
 
 /// The scan-policy twin of core::execute(tx, options).
 [[nodiscard]] machine::RunResult run_scan(

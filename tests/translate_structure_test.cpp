@@ -4,6 +4,7 @@
 
 #include "core/compiler.hpp"
 #include "lang/corpus.hpp"
+#include "translate/stages.hpp"
 
 namespace ctdf::translate {
 namespace {
@@ -186,7 +187,7 @@ TEST(Structure, AliasedArrayCannotBeIStructure) {
   support::DiagnosticEngine d;
   const auto p = lang::parse_or_throw(
       "var i; array x[4], y[4]; alias x y; x[i] := 1;");
-  const Translation t = translate(p, o, d);
+  const Translation t = run_stages(p, o, d);
   EXPECT_TRUE(t.istructures.empty());
   EXPECT_FALSE(d.has_errors());  // warning, not error
 }

@@ -3,8 +3,8 @@
 #include "cfg/build.hpp"
 #include "cfg/intervals.hpp"
 #include "lang/parser.hpp"
+#include "translate/stages.hpp"
 #include "translate/subscript.hpp"
-#include "translate/translator.hpp"
 
 namespace ctdf::translate {
 namespace {
@@ -177,7 +177,7 @@ l: i := i + 1; x[2 * i] := i; if i < 20 then goto l else goto end;
   auto o = TranslateOptions::schema2_optimized();
   o.parallel_store_arrays = {"x"};
   support::DiagnosticEngine d;
-  const auto tx = ctdf::translate::translate(prog, o, d);
+  const auto tx = run_stages(prog, o, d);
   EXPECT_FALSE(d.has_errors());
   EXPECT_EQ(tx.loops_store_parallelized, 1u);
 }

@@ -18,8 +18,10 @@
 //   --no-opt                disable Sec. 4 switch optimization
 //   --mem-elim              Sec. 6.1 memory elimination
 //   --dse                   liveness-based dead-store elimination
-//   --post-opt              dataflow-graph cleanup passes
-//   --opt=LIST              select optimizer passes: `none`, `all`
+//   --post-opt              dataflow-graph cleanup passes (when no
+//                           --opt pass set is selected yet)
+//   --opt=LIST              select optimizer passes: `none` (the
+//                           default: no optimize stage), `all`
 //                           (cleanup + fusion), or a comma list from
 //                           fold-switch, collapse-merge, dce,
 //                           const-fold, switch-elim, synch-narrow, fuse
@@ -42,8 +44,8 @@
 //                           cfg-build, dse, loop-transform, cover, ssa,
 //                           dominance, control-dep, switch-place,
 //                           translate, optimize, fanout, validate,
-//                           lower (old names post-opt / fanout-lower
-//                           are accepted as aliases)
+//                           lower (validate and lower always run; dse,
+//                           ssa, optimize and fanout only when selected)
 //   --ssa                   run the stats-only SSA stage (φ placement,
 //                           visible via --stage-stats / --dump-after)
 //   --dump-exec             print the lowered ExecProgram op table
@@ -113,6 +115,7 @@
 //                           (default 1000)
 //   --default-deadline-ms=N wall-clock budget applied to requests that
 //                           carry no "deadline_ms" of their own
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -338,42 +341,11 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-void print_store(const Cli& cli, const lang::Program& prog,
+/// Prints the final store by variable name through a name→cell table
+/// (core::named_cells, or a blob's): the --print variables in the order
+/// given, else every scalar in declaration order.
+void print_store(const Cli& cli, const std::vector<machine::NamedCell>& names,
                  const lang::Store& store) {
-  if (!cli.print_vars.empty()) {
-    for (const auto& name : cli.print_vars) {
-      const auto v = prog.symbols.lookup(name);
-      if (!v) {
-        std::printf("%s = <undeclared>\n", name.c_str());
-        continue;
-      }
-      if (prog.symbols.is_array(*v)) {
-        std::printf("%s = [", name.c_str());
-        const auto n = prog.symbols.info(*v).array_size;
-        for (std::int64_t i = 0; i < n; ++i)
-          std::printf("%s%lld", i ? ", " : "",
-                      static_cast<long long>(
-                          lang::load_var(prog, store, *v, i)));
-        std::printf("]\n");
-      } else {
-        std::printf("%s = %lld\n", name.c_str(),
-                    static_cast<long long>(lang::load_var(prog, store, *v)));
-      }
-    }
-    return;
-  }
-  for (lang::VarId v : prog.symbols.all_vars()) {
-    if (prog.symbols.is_array(v)) continue;
-    std::printf("%s = %lld\n", prog.symbols.name(v).c_str(),
-                static_cast<long long>(lang::load_var(prog, store, v)));
-  }
-}
-
-/// Store rendering for blob-loaded programs: same output conventions
-/// as print_store, but driven by the blob's name→cell table instead of
-/// the (absent) source symbol table.
-void print_store_image(const Cli& cli, const machine::ProgramImage& image,
-                       const lang::Store& store) {
   const auto cell = [&](std::uint64_t idx) -> long long {
     return idx < store.cells.size()
                ? static_cast<long long>(store.cells[idx])
@@ -392,21 +364,27 @@ void print_store_image(const Cli& cli, const machine::ProgramImage& image,
   };
   if (!cli.print_vars.empty()) {
     for (const auto& name : cli.print_vars) {
-      const machine::NamedCell* found = nullptr;
-      for (const auto& c : image.names)
-        if (c.name == name) {
-          found = &c;
-          break;
-        }
-      if (found)
-        print_cell(*found);
+      const auto it =
+          std::find_if(names.begin(), names.end(),
+                       [&](const machine::NamedCell& c) { return c.name == name; });
+      if (it != names.end())
+        print_cell(*it);
       else
         std::printf("%s = <undeclared>\n", name.c_str());
     }
     return;
   }
-  for (const auto& c : image.names)
+  for (const auto& c : names)
     if (c.extent == 0) print_cell(c);
+}
+
+/// Ends a run: a failed run reports its typed error on stderr and exits
+/// 1; --stats-json documents were already written either way.
+int finish_run(const machine::RunResult& res) {
+  if (res.stats.completed) return 0;
+  std::fprintf(stderr, "machine error: %s\n",
+               res.stats.error_detail.render().c_str());
+  return 1;
 }
 
 /// `ctdf run - --load-blob=p.blob`: execute a serialized program image;
@@ -425,24 +403,22 @@ int cmd_run_blob(const Cli& cli) {
   }
   const auto res = core::execute(read.image, cli.mopt);
   if (cli.stats_json) {
-    std::printf("{\n  \"machine\": %s,\n  \"blob\": {\"path\": \"%s\", "
-                "\"blob_bytes\": %llu, \"content_hash\": \"%016llx\"}\n}\n",
-                machine::render_stats_json(res.stats, cli.mopt).c_str(),
-                support::json_escape(cli.load_blob).c_str(),
-                static_cast<unsigned long long>(read.blob_bytes),
-                static_cast<unsigned long long>(read.content_hash));
-    if (!res.stats.completed) {
-      std::fprintf(stderr, "machine error: %s\n",
-                   res.stats.error_detail.render().c_str());
-      return 1;
-    }
-    return 0;
+    std::string out;
+    support::JsonWriter w(out, support::JsonWriter::Layout::kMultiLine);
+    w.begin_block();
+    w.key("machine").raw(machine::render_stats_json(res.stats, cli.mopt));
+    w.key("blob")
+        .begin_object()
+        .member("path", cli.load_blob)
+        .member("blob_bytes", read.blob_bytes)
+        .key("content_hash")
+        .hex16(read.content_hash)
+        .end_object()
+        .end_object();
+    std::printf("%s\n", out.c_str());
+    return finish_run(res);
   }
-  if (!res.stats.completed) {
-    std::fprintf(stderr, "machine error: %s\n",
-                 res.stats.error_detail.render().c_str());
-    return 1;
-  }
+  if (const int code = finish_run(res)) return code;
   std::printf("# blob %s | %llu bytes, hash %016llx | %s loop control\n",
               cli.load_blob.c_str(),
               static_cast<unsigned long long>(read.blob_bytes),
@@ -453,7 +429,7 @@ int cmd_run_blob(const Cli& cli) {
               static_cast<unsigned long long>(res.stats.ops_fired),
               res.stats.avg_parallelism());
   if (cli.report) std::fputs(machine::render_report(res.stats).c_str(), stdout);
-  print_store_image(cli, read.image, res.store);
+  print_store(cli, read.image.names, res.store);
   return 0;
 }
 
@@ -482,15 +458,15 @@ int cmd_interp(const Cli& cli, const lang::Program& prog) {
   }
   std::printf("completed in %llu statement steps\n",
               static_cast<unsigned long long>(r.steps));
-  print_store(cli, prog, r.store);
+  print_store(cli, core::named_cells(prog), r.store);
   return 0;
 }
 
-core::Pipeline make_pipeline(const Cli& cli) {
+core::PipelineOptions pipeline_options(const Cli& cli) {
   core::PipelineOptions po(cli.topt);
   po.compute_ssa = cli.compute_ssa;
   po.dump_after = cli.dump_after;
-  return core::Pipeline(po);
+  return po;
 }
 
 void print_stage_stats(const Cli& cli, const translate::PipelineTrace& trace,
@@ -501,76 +477,65 @@ void print_stage_stats(const Cli& cli, const translate::PipelineTrace& trace,
   if (!cache_line.empty()) std::printf("%s\n", cache_line.c_str());
 }
 
-void maybe_print_stage_stats(const Cli& cli, const core::CompileResult& cr) {
-  print_stage_stats(cli, cr.trace);
-}
-
-void maybe_dump_exec(const Cli& cli, const core::CompileResult& cr) {
+void maybe_dump_exec(const Cli& cli, const machine::ProgramImage& image) {
   if (!cli.dump_exec) return;
-  std::fputs(machine::render(cr.exec).c_str(), stdout);
+  std::fputs(machine::render(image.exec).c_str(), stdout);
 }
 
-/// Pipeline-stage records (times, artifact sizes, counters) as a JSON
+/// Pipeline-stage records (times, artifact sizes, counters) as a block
 /// object — the compilation half of `ctdf run --stats-json`.
-std::string pipeline_json(const translate::PipelineTrace& trace) {
-  std::ostringstream os;
-  os << "{\n    \"total_nanos\": " << trace.total_nanos()
-     << ",\n    \"stages\": [";
-  bool first = true;
+void write_pipeline_json(support::JsonWriter& w,
+                         const translate::PipelineTrace& trace) {
+  w.begin_block().member("total_nanos", trace.total_nanos());
+  w.key("stages").begin_block_array();
   for (const auto& r : trace.stages) {
-    if (!first) os << ',';
-    first = false;
-    os << "\n      {\"stage\": \"" << translate::to_string(r.stage)
-       << "\", \"ran\": " << (r.ran ? "true" : "false")
-       << ", \"nanos\": " << r.nanos << ", \"size_in\": " << r.size_in
-       << ", \"size_out\": " << r.size_out << ", \"counters\": {";
-    bool first_counter = true;
-    for (const auto& [name, value] : r.counters) {
-      if (!first_counter) os << ", ";
-      first_counter = false;
-      os << '"' << support::json_escape(name) << "\": " << value;
-    }
-    os << "}}";
+    w.begin_object()
+        .member("stage", translate::to_string(r.stage))
+        .member("ran", r.ran)
+        .member("nanos", r.nanos)
+        .member("size_in", r.size_in)
+        .member("size_out", r.size_out);
+    w.key("counters").begin_object();
+    for (const auto& [name, value] : r.counters) w.member(name, value);
+    w.end_object().end_object();
   }
-  os << "\n    ]\n  }";
-  return os.str();
+  w.end_array().end_object();
 }
 
-int cmd_run(const Cli& cli, const lang::Program& prog,
-            const std::string& source) {
+int cmd_run(const Cli& cli, const std::string& source) {
   machine::ProgramImage image;
   translate::PipelineTrace trace;
-  std::string cache_json;  // rendered "cache" object; empty = cache off
+  const bool cached = !cli.cache_dir.empty();
+  core::CacheStats cache_stats;
+  core::CacheDisposition disposition = core::CacheDisposition::kMiss;
+  std::uint64_t key = 0;
   std::string cache_line;  // --stage-stats one-liner
-  if (!cli.cache_dir.empty()) {
+  if (cached) {
     core::ProgramCache::Config cfg;
     cfg.capacity = cli.cache_capacity;
     cfg.dir = cli.cache_dir;
     cfg.disk_capacity = cli.disk_capacity;
     core::ProgramCache cache(cfg);
-    core::PipelineOptions po(cli.topt);
-    po.compute_ssa = cli.compute_ssa;
-    po.dump_after = cli.dump_after;
-    const auto out = cache.get(source, po);
+    const auto out = cache.get(source, pipeline_options(cli));
     image = out.entry->image;
     trace = out.trace;
-    cache_json =
-        core::render_cache_json(cache.stats(), out.disposition,
-                                out.entry->key);
+    cache_stats = cache.stats();
+    disposition = out.disposition;
+    key = out.entry->key;
     char line[160];
     std::snprintf(line, sizeof line,
                   "cache: %s (key %016llx, blob %llu bytes)",
-                  core::to_string(out.disposition),
-                  static_cast<unsigned long long>(out.entry->key),
+                  core::to_string(disposition),
+                  static_cast<unsigned long long>(key),
                   static_cast<unsigned long long>(out.entry->blob_bytes));
     cache_line = line;
   } else {
-    auto cr = make_pipeline(cli).run(prog);
+    auto cr = core::Pipeline(pipeline_options(cli)).run(source);
     trace = std::move(cr.trace);
     image = core::make_program_image(std::move(cr));
   }
   print_stage_stats(cli, trace, cache_line);
-  if (cli.dump_exec) std::fputs(machine::render(image.exec).c_str(), stdout);
+  maybe_dump_exec(cli, image);
   if (!cli.dump_blob.empty()) {
     const auto blob = machine::serialize(image);
     if (!machine::write_blob_file(cli.dump_blob, blob)) {
@@ -583,28 +548,21 @@ int cmd_run(const Cli& cli, const lang::Program& prog,
   if (cli.stats_json) {
     // Error runs still get a full, valid JSON document (with the typed
     // error object populated) — only the exit code differs.
-    if (cache_json.empty()) {
-      std::printf("{\n  \"machine\": %s,\n  \"pipeline\": %s\n}\n",
-                  machine::render_stats_json(res.stats, cli.mopt).c_str(),
-                  pipeline_json(trace).c_str());
-    } else {
-      std::printf("{\n  \"machine\": %s,\n  \"pipeline\": %s,\n"
-                  "  \"cache\": %s\n}\n",
-                  machine::render_stats_json(res.stats, cli.mopt).c_str(),
-                  pipeline_json(trace).c_str(), cache_json.c_str());
+    std::string out;
+    support::JsonWriter w(out, support::JsonWriter::Layout::kMultiLine);
+    w.begin_block();
+    w.key("machine").raw(machine::render_stats_json(res.stats, cli.mopt));
+    w.key("pipeline");
+    write_pipeline_json(w, trace);
+    if (cached) {
+      w.key("cache");
+      core::write_cache_json(w, cache_stats, disposition, key);
     }
-    if (!res.stats.completed) {
-      std::fprintf(stderr, "machine error: %s\n",
-                   res.stats.error_detail.render().c_str());
-      return 1;
-    }
-    return 0;
+    w.end_object();
+    std::printf("%s\n", out.c_str());
+    return finish_run(res);
   }
-  if (!res.stats.completed) {
-    std::fprintf(stderr, "machine error: %s\n",
-                 res.stats.error_detail.render().c_str());
-    return 1;
-  }
+  if (const int code = finish_run(res)) return code;
   std::printf("# %s | %s loop control, width %u, mem latency %u\n",
               cli.topt.describe().c_str(), to_string(cli.mopt.loop_mode),
               cli.mopt.width, cli.mopt.mem_latency);
@@ -617,14 +575,14 @@ int cmd_run(const Cli& cli, const lang::Program& prog,
               static_cast<unsigned long long>(res.stats.mem_reads),
               static_cast<unsigned long long>(res.stats.mem_writes));
   if (cli.report) std::fputs(machine::render_report(res.stats).c_str(), stdout);
-  print_store(cli, prog, res.store);
+  print_store(cli, image.names, res.store);
   return 0;
 }
 
-int cmd_dot(const Cli& cli, const lang::Program& prog) {
-  const auto cr = make_pipeline(cli).run(prog);
+int cmd_dot(const Cli& cli, const std::string& source) {
+  const auto cr = core::Pipeline(pipeline_options(cli)).run(source);
   if (cli.dump_exec) {
-    maybe_dump_exec(cli, cr);
+    maybe_dump_exec(cli, cr.image);
     return 0;
   }
   if (cli.dump_after) {
@@ -647,8 +605,7 @@ int cmd_asm(const Cli& cli, const lang::Program& prog) {
   dfg::Module m;
   m.graph = std::move(tx.graph);
   m.memory_cells = tx.memory_cells;
-  for (const auto& r : tx.istructures)
-    m.istructures.emplace_back(r.base, r.extent);
+  m.istructures = std::move(tx.istructures);
   std::fputs(dfg::write_asm(m).c_str(), stdout);
   return 0;
 }
@@ -660,18 +617,13 @@ int cmd_exec(const Cli& cli) {
       std::fprintf(stderr, "invalid module: %s\n", p.c_str());
     return 1;
   }
+  const machine::ExecProgram exec = machine::lower(m.graph);
   if (cli.dump_exec) {
-    std::fputs(machine::render(machine::lower(m.graph)).c_str(), stdout);
+    std::fputs(machine::render(exec).c_str(), stdout);
     return 0;
   }
-  std::vector<machine::IStructureRegion> regions;
-  for (const auto& [b, e] : m.istructures) regions.push_back({b, e});
-  const auto res = machine::run(m.graph, m.memory_cells, cli.mopt, regions);
-  if (!res.stats.completed) {
-    std::fprintf(stderr, "machine error: %s\n",
-                 res.stats.error_detail.render().c_str());
-    return 1;
-  }
+  const auto res = machine::run(exec, m.memory_cells, cli.mopt, m.istructures);
+  if (const int code = finish_run(res)) return code;
   std::printf("# cycles=%llu ops=%llu ops/cycle=%.2f\n",
               static_cast<unsigned long long>(res.stats.cycles),
               static_cast<unsigned long long>(res.stats.ops_fired),
@@ -709,7 +661,7 @@ int cmd_compare(const Cli& cli, const lang::Program& prog) {
     t.dead_store_elimination = true;
     t.eliminate_memory = true;
     t.parallel_reads = true;
-    t.post_optimize = true;
+    t.opt_passes = dfg::PassSet::cleanup();
     variants.push_back({"full-stack", t});
   }
   // Any array transforms the user asked for become one more rung.
@@ -724,8 +676,8 @@ int cmd_compare(const Cli& cli, const lang::Program& prog) {
   std::printf("%-14s %8s %8s %8s %8s %8s %10s\n", "variant", "ops",
               "switches", "mem-rw", "cycles", "ctxs", "ops/cycle");
   for (const Variant& v : variants) {
-    const auto tx = core::compile(prog, v.topt);
-    const auto res = core::execute(tx, cli.mopt);
+    const auto cr = core::Pipeline(v.topt).run(prog);
+    const auto res = core::execute(cr.image, cli.mopt);
     if (!res.stats.completed) {
       std::printf("%-14s FAILED: %s\n", v.name,
                   res.stats.error_detail.render().c_str());
@@ -735,7 +687,7 @@ int cmd_compare(const Cli& cli, const lang::Program& prog) {
       std::printf("%-14s WRONG RESULT (bug!)\n", v.name);
       return 1;
     }
-    const auto g = dfg::compute_stats(tx.graph);
+    const auto g = dfg::compute_stats(cr.translation.graph);
     std::printf("%-14s %8zu %8zu %8llu %8llu %8llu %10.2f\n", v.name,
                 g.nodes, g.switches,
                 static_cast<unsigned long long>(res.stats.mem_reads +
@@ -748,10 +700,10 @@ int cmd_compare(const Cli& cli, const lang::Program& prog) {
   return 0;
 }
 
-int cmd_explain(const Cli& cli, const lang::Program& prog) {
-  const auto cr = make_pipeline(cli).run(prog);
-  maybe_print_stage_stats(cli, cr);
-  maybe_dump_exec(cli, cr);
+int cmd_explain(const Cli& cli, const std::string& source) {
+  const auto cr = core::Pipeline(pipeline_options(cli)).run(source);
+  print_stage_stats(cli, cr.trace);
+  maybe_dump_exec(cli, cr.image);
   const auto& tx = cr.translation;
   const auto stats = dfg::compute_stats(tx.graph);
   std::printf("translation: %s\n", cli.topt.describe().c_str());
@@ -764,7 +716,7 @@ int cmd_explain(const Cli& cli, const lang::Program& prog) {
               tx.loops_store_parallelized);
   if (cli.topt.dead_store_elimination)
     std::printf("  dead stores removed: %zu\n", tx.dead_stores_removed);
-  if (cli.topt.post_optimize)
+  if (cli.topt.opt_passes.any())
     std::printf("  post-pass ops removed: %zu\n", tx.post_opt_removed);
   if (cli.topt.max_fanout >= 2)
     std::printf("  replicate nodes inserted: %zu\n", tx.replicates_inserted);
@@ -781,7 +733,7 @@ int cmd_explain(const Cli& cli, const lang::Program& prog) {
   // Dataflow limit: one run at unlimited width.
   machine::MachineOptions wide = cli.mopt;
   wide.width = 0;
-  const auto res = core::execute(tx, wide);
+  const auto res = core::execute(cr.image, wide);
   if (res.stats.completed) {
     std::printf("dataflow limit: %llu cycles, %.2f ops/cycle, %llu "
                 "iteration contexts\n",
@@ -819,18 +771,18 @@ int main(int argc, char** argv) {
     // positional <file> is conventionally `-`).
     if (cli.command == "run" && !cli.load_blob.empty())
       return cmd_run_blob(cli);
-    // core::parse expands FORTRAN-style `sub`/`call` constructs; the
-    // program cache keys the file's own text, as `ctdf serve` keys a
-    // request's.
+    // run, dot and explain compile the file's own text, so their trace
+    // and dumps include `parse` and the program cache keys the text as
+    // `ctdf serve` keys a request's. Both paths expand FORTRAN-style
+    // `sub`/`call` constructs.
     const std::string source = read_file(cli.file);
-    const lang::Program prog = core::parse(source);
-    if (cli.command == "run") return cmd_run(cli, prog, source);
-    if (cli.command == "interp") return cmd_interp(cli, prog);
-    if (cli.command == "dot") return cmd_dot(cli, prog);
-    if (cli.command == "dot-cfg") return cmd_dot_cfg(cli, prog);
-    if (cli.command == "explain") return cmd_explain(cli, prog);
-    if (cli.command == "compare") return cmd_compare(cli, prog);
-    if (cli.command == "asm") return cmd_asm(cli, prog);
+    if (cli.command == "run") return cmd_run(cli, source);
+    if (cli.command == "dot") return cmd_dot(cli, source);
+    if (cli.command == "explain") return cmd_explain(cli, source);
+    if (cli.command == "interp") return cmd_interp(cli, core::parse(source));
+    if (cli.command == "dot-cfg") return cmd_dot_cfg(cli, core::parse(source));
+    if (cli.command == "compare") return cmd_compare(cli, core::parse(source));
+    if (cli.command == "asm") return cmd_asm(cli, core::parse(source));
     usage();
     return 2;
   } catch (const std::exception& e) {
