@@ -14,29 +14,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Collects records into a trace and captures the one requested dump.
-class TraceHooks final : public translate::StageHooks {
- public:
-  TraceHooks(PipelineTrace& trace, std::optional<Stage> dump_after,
-             std::string& dump)
-      : trace_(trace), dump_after_(dump_after), dump_(dump) {}
-
-  void record(StageRecord r) override { trace_.stages.push_back(std::move(r)); }
-  bool wants_dump(Stage s) override { return dump_after_ == s; }
-  void dump(Stage /*s*/, std::string artifact) override {
-    dump_ = std::move(artifact);
-  }
-
- private:
-  PipelineTrace& trace_;
-  std::optional<Stage> dump_after_;
-  std::string& dump_;
-};
-
 /// Lowers the translated graph into CompileResult::image and appends
 /// the `lower` stage record. Emitted here, not in translate::run_stages:
 /// the translate library cannot depend on the machine library.
-void run_lower_stage(CompileResult& result, TraceHooks& hooks) {
+void run_lower_stage(CompileResult& result, std::optional<Stage> dump_after) {
   const translate::Translation& tx = result.translation;
   machine::ProgramImage& image = result.image;
   const auto t0 = Clock::now();
@@ -54,9 +35,8 @@ void run_lower_stage(CompileResult& result, TraceHooks& hooks) {
       {"dests", static_cast<std::int64_t>(image.exec.num_dests())},
       {"frame-slots", static_cast<std::int64_t>(image.exec.frame_slots())},
       {"literals", static_cast<std::int64_t>(image.exec.num_literals())}};
-  hooks.record(std::move(r));
-  if (hooks.wants_dump(Stage::kLower))
-    hooks.dump(Stage::kLower, machine::render(image.exec));
+  result.trace.stages.push_back(std::move(r));
+  if (dump_after == Stage::kLower) result.dump = machine::render(image.exec);
   image.memory_cells = tx.memory_cells;
   image.istructures = tx.istructures;
   image.shared = tx.shared_cells;
@@ -69,7 +49,6 @@ CompileResult run_pipeline(const PipelineOptions& options,
                            std::string_view source,
                            const lang::Program* given) {
   CompileResult result;
-  TraceHooks hooks(result.trace, options.dump_after, result.dump);
 
   support::DiagnosticEngine diags;
   lang::Program parsed;  // the parse stage's artifact when `given` is null
@@ -88,17 +67,18 @@ CompileResult run_pipeline(const PipelineOptions& options,
         {"stmts", static_cast<std::int64_t>(parsed.body.size())},
         {"vars", static_cast<std::int64_t>(parsed.symbols.size())}};
   }
-  hooks.record(std::move(pr));
+  result.trace.stages.push_back(std::move(pr));
   diags.throw_if_errors();
   const lang::Program& prog = given ? *given : parsed;
-  if (given == nullptr && hooks.wants_dump(Stage::kParse))
-    hooks.dump(Stage::kParse, prog.to_string());
+  if (given == nullptr && options.dump_after == Stage::kParse)
+    result.dump = prog.to_string();
 
-  result.translation = translate::run_stages(prog, options.translate, diags,
-                                             &hooks, options.compute_ssa);
+  result.translation = translate::run_stages(
+      prog, options.translate, diags, &result.trace, options.dump_after,
+      &result.dump, options.compute_ssa);
   diags.throw_if_errors();
   result.image.names = named_cells(prog);
-  run_lower_stage(result, hooks);
+  run_lower_stage(result, options.dump_after);
   return result;
 }
 

@@ -105,8 +105,8 @@ class SymbolTable {
 };
 
 /// A contiguous range of memory cells, as StorageLayout hands them out:
-/// the one region type of the translation, the dataflow assembly and
-/// the program image. A translation lists two kinds:
+/// the one region type of the translation and the program image (and
+/// so of the blob). A translation lists two kinds:
 ///  * I-structure regions: write-once cells with deferred reads.
 ///  * Bind-shared regions: updatable cells reachable under more than one
 ///    program name (a storage-binding class with several members). The

@@ -322,6 +322,32 @@ const char* to_string(BlobError e) {
 
 namespace {
 
+/// Checks the image where the engine touches memory without checking:
+/// every region and every memory op's cell range lies inside
+/// [0, memory_cells), and an op carries the memory flag exactly when
+/// its kind is a memory op. Returns a kMalformed detail, or empty.
+std::string check_memory(const ProgramImage& image) {
+  const std::uint64_t cells = image.memory_cells;
+  const auto inside = [cells](std::uint64_t base, std::uint64_t extent) {
+    return extent <= cells && base <= cells - extent;
+  };
+  for (const lang::CellRegion& r : image.istructures)
+    if (!inside(r.base, r.extent)) return "I-structure region outside memory";
+  for (const lang::CellRegion& r : image.shared)
+    if (!inside(r.base, r.extent)) return "shared region outside memory";
+  for (std::uint32_t i = 0; i < image.exec.num_ops(); ++i) {
+    const ExecOp& op = image.exec.op(i);
+    const bool mem = (op.flags & kExecMem) != 0;
+    if (mem != dfg::is_memory_op(op.kind))
+      return "memory flag does not match the op kind";
+    if (!mem) continue;
+    if (op.mem_extent < 1) return "memory op extent below 1";
+    if (!inside(op.mem_base, static_cast<std::uint64_t>(op.mem_extent)))
+      return "memory op cell range outside memory";
+  }
+  return {};
+}
+
 /// The payload: the ExecProgram, then the memory image. Run once with a
 /// Sizer and once with a Writer.
 template <typename W>
@@ -447,6 +473,8 @@ BlobReadResult deserialize(std::span<const std::uint8_t> bytes) {
       complaint = "payload ended mid-field";
     else if (!r.exhausted())
       complaint = "trailing bytes after the image";
+    else
+      complaint = check_memory(out.image);
   }
   if (!complaint.empty()) {
     out.error = BlobError::kMalformed;

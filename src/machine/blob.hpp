@@ -24,11 +24,15 @@
 // address" of core/progcache.hpp's disk tier). Readers verify magic,
 // version, size, and hash — in that order — before touching the
 // payload, so truncation and bit rot surface as typed BlobErrors, never
-// as a malformed ExecProgram. Versioning policy: any change to the
-// payload encoding, the header, or the hash function bumps
-// kBlobVersion; old blobs are rejected with kBadVersion (callers fall
-// back to recompilation — there is no migration path, blobs are a
-// cache artifact, not an archival format).
+// as a malformed ExecProgram. A hash-valid payload is then checked
+// wherever the engine indexes without checking: table ranges, the
+// frame layout, and memory (every region and every memory op's cells
+// inside the image's memory_cells), so a blob from a buggy or hostile
+// writer that would index out of bounds is kMalformed. Versioning
+// policy: any change to the payload encoding, the header, or the hash
+// function bumps kBlobVersion; old blobs are rejected with kBadVersion
+// (callers fall back to recompilation — there is no migration path,
+// blobs are a cache artifact, not an archival format).
 #pragma once
 
 #include <cstdint>

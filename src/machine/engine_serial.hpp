@@ -73,8 +73,8 @@ class SerialEngine {
         cs_(opt.placement == Placement::kByContext ? opt.processors : 0),
         frames_(ep),
         pending_(opt) {
-    CTDF_ASSERT_MSG(opt_.alu_latency >= 1 && opt_.mem_latency >= 1,
-                    "latencies must be at least one cycle");
+    CTDF_ASSERT_MSG(opt_.mem_latency >= 1,
+                    "memory latency must be at least one cycle");
     // A deadline or token ceiling engages the per-firing poll; without
     // one, firings pay one dead branch.
     if (opt.budget.armed()) budget_.emplace(opt.budget);
@@ -410,7 +410,7 @@ class SerialEngine {
       std::fprintf(stderr, "[%8llu] fire %-10s '%s' ctx=%u\n",
                    static_cast<unsigned long long>(cycle), to_string(op.kind),
                    ep_.label(e.node.index()).c_str(), e.ctx);
-    const std::uint64_t alu = opt_.alu_latency;
+    const std::uint64_t alu = kAluLatency;
     const std::uint64_t mem = opt_.mem_latency;
 
     // Non-strict firings: one token in, forwarded.

@@ -17,7 +17,7 @@ namespace {
 /// producer and consumer land on different PEs; k-bound and capacity
 /// stalls re-deliver at cycle + 1.
 std::uint64_t event_horizon(const MachineOptions& opt) {
-  std::uint64_t h = std::max<std::uint64_t>(opt.alu_latency, opt.mem_latency);
+  std::uint64_t h = std::max<std::uint64_t>(kAluLatency, opt.mem_latency);
   if (opt.processors > 0) h += opt.network_latency;
   return h;
 }

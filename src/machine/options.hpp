@@ -86,6 +86,11 @@ struct RunBudget {
   }
 };
 
+/// Latency of non-memory operators, cycles: an ALU-class firing's
+/// tokens arrive on the next cycle. `--stats-json` reports it under the
+/// frozen "alu_latency" key.
+inline constexpr unsigned kAluLatency = 1;
+
 /// The largest value --mem-latency and --network-latency accept
 /// (apply_machine_flag rejects more as a bad value). A delivery is due
 /// at most max(alu, mem) + network latency cycles ahead, so at this
@@ -127,9 +132,6 @@ struct MachineOptions {
   /// Extra cycles for a token whose producer and consumer live on
   /// different PEs (multi-processor mode only), at most kMaxLatency.
   unsigned network_latency = 2;
-
-  /// Latency of non-memory operators, cycles (at least 1).
-  unsigned alu_latency = 1;
 
   /// Split-phase memory round-trip latency, cycles (1 to kMaxLatency).
   unsigned mem_latency = 4;

@@ -88,7 +88,7 @@ void write_stats_json(support::JsonWriter& w, const RunStats& stats,
       .member("processors", opt.processors)
       .member("placement", to_string(opt.placement))
       .member("network_latency", opt.network_latency)
-      .member("alu_latency", opt.alu_latency)
+      .member("alu_latency", kAluLatency)
       .member("mem_latency", opt.mem_latency)
       .member("scheduler_seed", opt.scheduler_seed)
       .member("frame_capacity", opt.frame_capacity)

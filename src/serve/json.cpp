@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "support/assert.hpp"
+
 namespace ctdf::serve {
 
 const JsonValue* JsonValue::find(std::string_view key) const {
@@ -227,30 +229,30 @@ class Parser {
   std::string error_;
 };
 
-void render_to(const JsonValue& v, std::string& out) {
+}  // namespace
+
+std::optional<JsonValue> json_parse(std::string_view text, std::string* error) {
+  return Parser(text).parse(error);
+}
+
+std::string json_render(const JsonValue& v) {
   switch (v.kind) {
     case JsonValue::Kind::kNull:
-      out += "null";
-      return;
+      return "null";
     case JsonValue::Kind::kBool:
-      out += v.boolean ? "true" : "false";
-      return;
+      return v.boolean ? "true" : "false";
     case JsonValue::Kind::kNumber: {
       // Integral values print as integers (ids round-trip cleanly).
       const double d = v.number;
-      if (d == std::floor(d) && std::fabs(d) < 9.0e15) {
-        char buf[32];
+      char buf[40];
+      if (d == std::floor(d) && std::fabs(d) < 9.0e15)
         std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
-        out += buf;
-      } else {
-        char buf[40];
+      else
         std::snprintf(buf, sizeof buf, "%.17g", d);
-        out += buf;
-      }
-      return;
+      return buf;
     }
     case JsonValue::Kind::kString: {
-      out.push_back('"');
+      std::string out = "\"";
       for (const char c : v.string) {
         switch (c) {
           case '"': out += "\\\""; break;
@@ -269,44 +271,13 @@ void render_to(const JsonValue& v, std::string& out) {
         }
       }
       out.push_back('"');
-      return;
+      return out;
     }
-    case JsonValue::Kind::kArray: {
-      out.push_back('[');
-      for (std::size_t i = 0; i < v.array.size(); ++i) {
-        if (i) out += ", ";
-        render_to(v.array[i], out);
-      }
-      out.push_back(']');
-      return;
-    }
-    case JsonValue::Kind::kObject: {
-      out.push_back('{');
-      for (std::size_t i = 0; i < v.object.size(); ++i) {
-        if (i) out += ", ";
-        JsonValue key;
-        key.kind = JsonValue::Kind::kString;
-        key.string = v.object[i].first;
-        render_to(key, out);
-        out += ": ";
-        render_to(v.object[i].second, out);
-      }
-      out.push_back('}');
-      return;
-    }
+    case JsonValue::Kind::kArray:
+    case JsonValue::Kind::kObject:
+      break;
   }
-}
-
-}  // namespace
-
-std::optional<JsonValue> json_parse(std::string_view text, std::string* error) {
-  return Parser(text).parse(error);
-}
-
-std::string json_render(const JsonValue& v) {
-  std::string out;
-  render_to(v, out);
-  return out;
+  CTDF_UNREACHABLE("json_render renders scalars only");
 }
 
 }  // namespace ctdf::serve

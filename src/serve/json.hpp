@@ -50,8 +50,9 @@ class JsonValue {
 [[nodiscard]] std::optional<JsonValue> json_parse(std::string_view text,
                                                   std::string* error = nullptr);
 
-/// Renders a JSON value on one line (the response writer uses this for
-/// echoed ids and store values; container rendering is compact).
+/// Renders a scalar (null, bool, number or string): the response
+/// writer echoes request ids with it. Callers reject arrays and objects
+/// first.
 [[nodiscard]] std::string json_render(const JsonValue& v);
 
 }  // namespace ctdf::serve

@@ -10,11 +10,9 @@
 #include <cstdio>
 #include <deque>
 #include <exception>
-#include <istream>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <ostream>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -483,17 +481,6 @@ std::string Server::handle_line(const std::string& line, bool* shutdown) {
   for (const std::string& r : results) w.raw(r);
   w.end_array().key("error").null().end_object();
   return finish(std::move(out));
-}
-
-int Server::serve_stream(std::istream& in, std::ostream& out) {
-  std::string line;
-  bool shutdown = false;
-  while (!shutdown && std::getline(in, line)) {
-    if (line.empty()) continue;
-    out << handle_line(line, &shutdown) << '\n';
-    out.flush();
-  }
-  return 0;
 }
 
 #ifndef _WIN32

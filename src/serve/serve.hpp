@@ -68,7 +68,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -129,12 +128,6 @@ class Server {
   /// stop. Never throws. Safe to call from several threads at once.
   [[nodiscard]] std::string handle_line(const std::string& line,
                                         bool* shutdown = nullptr);
-
-  /// NDJSON loop over a stream pair until EOF or a shutdown request:
-  /// the synchronous in-process surface (tests, embedding). No
-  /// admission control — iostreams cannot poll. Returns a process
-  /// exit code (0).
-  int serve_stream(std::istream& in, std::ostream& out);
 
   /// NDJSON loop over raw fds with the full pump: bounded queue,
   /// worker pool, ordered responses, overload rejection, signal-aware

@@ -134,16 +134,19 @@ std::int64_t nanos_since(Clock::time_point t0) {
       .count();
 }
 
-/// Reports records/dumps to the hooks (tolerating hooks == nullptr) and
-/// tracks which stages have been reported so the tail can be marked
-/// skipped on an early error exit.
+/// Appends records to the trace and stores the requested dump (either
+/// may be absent), and tracks which stages have been reported so the
+/// tail can be marked skipped on an early error exit.
 class Reporter {
  public:
-  explicit Reporter(StageHooks* hooks) : hooks_(hooks) {}
+  Reporter(PipelineTrace* trace, std::optional<Stage> dump_after,
+           std::string* dump)
+      : trace_(trace), dump_after_(dump ? dump_after : std::nullopt),
+        dump_(dump) {}
 
   void emit(StageRecord r) {
     reported_[static_cast<std::size_t>(r.stage)] = true;
-    if (hooks_) hooks_->record(std::move(r));
+    if (trace_) trace_->stages.push_back(std::move(r));
   }
 
   void skip(Stage s) {
@@ -159,15 +162,13 @@ class Reporter {
       if (!reported_[static_cast<std::size_t>(s)]) skip(s);
   }
 
-  [[nodiscard]] bool wants_dump(Stage s) const {
-    return hooks_ && hooks_->wants_dump(s);
-  }
-  void dump(Stage s, std::string artifact) {
-    if (hooks_) hooks_->dump(s, std::move(artifact));
-  }
+  [[nodiscard]] bool wants_dump(Stage s) const { return dump_after_ == s; }
+  void dump(std::string artifact) { *dump_ = std::move(artifact); }
 
  private:
-  StageHooks* hooks_;
+  PipelineTrace* trace_;
+  std::optional<Stage> dump_after_;
+  std::string* dump_;
   bool reported_[kNumStages] = {};
 };
 
@@ -258,11 +259,12 @@ std::size_t count_edges(const cfg::Graph& cfg) {
 
 Translation run_stages(const lang::Program& prog,
                        const TranslateOptions& options,
-                       support::DiagnosticEngine& diags, StageHooks* hooks,
+                       support::DiagnosticEngine& diags, PipelineTrace* trace,
+                       std::optional<Stage> dump_after, std::string* dump,
                        bool ssa) {
   const TranslateOptions opt = options.normalized();
   Translation result;
-  Reporter rep(hooks);
+  Reporter rep(trace, dump_after, dump);
 
   // --- cfg-build ------------------------------------------------------
   auto t0 = Clock::now();
@@ -282,7 +284,7 @@ Translation run_stages(const lang::Program& prog,
     return result;
   }
   if (rep.wants_dump(Stage::kCfgBuild))
-    rep.dump(Stage::kCfgBuild, cfg.to_dot(prog.symbols));
+    rep.dump(cfg.to_dot(prog.symbols));
 
   // --- dse ------------------------------------------------------------
   if (opt.dead_store_elimination) {
@@ -297,7 +299,7 @@ Translation run_stages(const lang::Program& prog,
         {"removed", static_cast<std::int64_t>(result.dead_stores_removed)}};
     rep.emit(std::move(r));
     if (rep.wants_dump(Stage::kDse))
-      rep.dump(Stage::kDse, cfg.to_dot(prog.symbols));
+      rep.dump(cfg.to_dot(prog.symbols));
   } else {
     rep.skip(Stage::kDse);
   }
@@ -327,7 +329,7 @@ Translation run_stages(const lang::Program& prog,
     result.loops = loops.loops().size();
     result.nodes_split = loops.nodes_split();
     if (rep.wants_dump(Stage::kLoopTransform))
-      rep.dump(Stage::kLoopTransform, cfg.to_dot(prog.symbols));
+      rep.dump(cfg.to_dot(prog.symbols));
   } else {
     rep.skip(Stage::kLoopTransform);
   }
@@ -358,7 +360,7 @@ Translation run_stages(const lang::Program& prog,
     rep.emit(std::move(r));
   }
   if (rep.wants_dump(Stage::kCover))
-    rep.dump(Stage::kCover, render_cover(prog, cover, classes));
+    rep.dump(render_cover(prog, cover, classes));
 
   // --- ssa (reporting only; never affects the produced graph) ---------
   if (ssa) {
@@ -377,7 +379,7 @@ Translation run_stages(const lang::Program& prog,
         {"phis-pruned", static_cast<std::int64_t>(pruned.total)}};
     rep.emit(std::move(r));
     if (rep.wants_dump(Stage::kSsa))
-      rep.dump(Stage::kSsa, render_ssa(prog, cfg, minimal, pruned));
+      rep.dump(render_ssa(prog, cfg, minimal, pruned));
   } else {
     rep.skip(Stage::kSsa);
   }
@@ -394,7 +396,7 @@ Translation run_stages(const lang::Program& prog,
     rep.emit(std::move(r));
   }
   if (rep.wants_dump(Stage::kDominance))
-    rep.dump(Stage::kDominance, render_dominance(cfg, pdom));
+    rep.dump(render_dominance(cfg, pdom));
 
   // --- control-dep ----------------------------------------------------
   t0 = Clock::now();
@@ -411,7 +413,7 @@ Translation run_stages(const lang::Program& prog,
     rep.emit(std::move(r));
   }
   if (rep.wants_dump(Stage::kControlDep))
-    rep.dump(Stage::kControlDep, render_control_deps(cfg, cd));
+    rep.dump(render_control_deps(cfg, cd));
 
   // --- switch-place (source vectors + Fig. 10 fixpoint) ---------------
   t0 = Clock::now();
@@ -430,8 +432,7 @@ Translation run_stages(const lang::Program& prog,
     rep.emit(std::move(r));
   }
   if (rep.wants_dump(Stage::kSwitchPlace))
-    rep.dump(Stage::kSwitchPlace,
-             render_switch_place(cfg, prog, cover, sv, num_res));
+    rep.dump(render_switch_place(cfg, prog, cover, sv, num_res));
 
   // --- translate (fused Fig. 11 construction) -------------------------
   t0 = Clock::now();
@@ -454,7 +455,7 @@ Translation run_stages(const lang::Program& prog,
     return result;
   }
   if (rep.wants_dump(Stage::kTranslate))
-    rep.dump(Stage::kTranslate, result.graph.to_dot());
+    rep.dump(result.graph.to_dot());
 
   // --- optimize (the dfg pass manager) --------------------------------
   if (opt.opt_passes.any()) {
@@ -495,7 +496,7 @@ Translation run_stages(const lang::Program& prog,
     }
     rep.emit(std::move(r));
     if (rep.wants_dump(Stage::kOptimize))
-      rep.dump(Stage::kOptimize, result.graph.to_dot());
+      rep.dump(result.graph.to_dot());
   } else {
     rep.skip(Stage::kOptimize);
   }
@@ -516,7 +517,7 @@ Translation run_stages(const lang::Program& prog,
                    static_cast<std::int64_t>(result.replicates_inserted)}};
     rep.emit(std::move(r));
     if (rep.wants_dump(Stage::kFanout))
-      rep.dump(Stage::kFanout, result.graph.to_dot());
+      rep.dump(result.graph.to_dot());
   } else {
     rep.skip(Stage::kFanout);
   }
@@ -552,7 +553,7 @@ Translation run_stages(const lang::Program& prog,
     rep.emit(std::move(r));
   }
   if (rep.wants_dump(Stage::kValidate))
-    rep.dump(Stage::kValidate, result.graph.to_dot());
+    rep.dump(result.graph.to_dot());
 
   return result;
 }

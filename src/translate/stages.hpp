@@ -94,21 +94,10 @@ struct PipelineTrace {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Observer the stage orchestrator reports into; all methods optional.
-class StageHooks {
- public:
-  virtual ~StageHooks() = default;
-  /// Called once per stage, in order, including skipped stages.
-  virtual void record(StageRecord /*r*/) {}
-  /// Return true to receive the named stage's rendered artifact
-  /// (Graphviz for CFG/DFG stages, text for analyses). Called only for
-  /// stages that actually run.
-  virtual bool wants_dump(Stage /*s*/) { return false; }
-  virtual void dump(Stage /*s*/, std::string /*artifact*/) {}
-};
-
-/// Runs every stage after `parse` over `prog`, reporting per-stage
-/// records and requested dump artifacts to `hooks` (may be null).
+/// Runs every stage after `parse` over `prog`, appending one record per
+/// stage, skipped stages included, to `trace` (may be null). When the
+/// `dump_after` stage runs, its rendered artifact (Graphviz for CFG/DFG
+/// stages, text for analyses) is stored in `*dump`.
 /// `ssa` runs the φ-placement stage: classic SSA statistics over the
 /// transformed CFG, reported in the trace (paper Sec. 6.1's
 /// correspondence); it never affects the produced graph.
@@ -118,7 +107,9 @@ class StageHooks {
 [[nodiscard]] Translation run_stages(const lang::Program& prog,
                                      const TranslateOptions& options,
                                      support::DiagnosticEngine& diags,
-                                     StageHooks* hooks = nullptr,
+                                     PipelineTrace* trace = nullptr,
+                                     std::optional<Stage> dump_after = {},
+                                     std::string* dump = nullptr,
                                      bool ssa = false);
 
 }  // namespace ctdf::translate

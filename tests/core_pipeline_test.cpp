@@ -133,7 +133,7 @@ TEST(Pipeline, CompileIsAThinWrapperOverRun) {
   EXPECT_EQ(via_compile.graph.to_dot(),
             via_pipeline.translation.graph.to_dot());
 
-  // ... and identical to the translate-layer entry point with no hooks.
+  // ... and identical to the translate-layer entry point with no trace.
   support::DiagnosticEngine diags;
   const auto via_translate = translate::run_stages(prog, opts, diags);
   EXPECT_FALSE(diags.has_errors());

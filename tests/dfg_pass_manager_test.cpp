@@ -7,7 +7,6 @@
 #include <string>
 
 #include "core/compiler.hpp"
-#include "dfg/asmfmt.hpp"
 #include "dfg/pass_manager.hpp"
 #include "dfg/passes.hpp"
 #include "lang/corpus.hpp"
@@ -119,27 +118,18 @@ TEST(Fusion, FuseLimitSegmentsLongChains) {
   EXPECT_EQ(r.store.cells[0], 11);
 }
 
-TEST(Fusion, MacroNodesSurviveAsmRoundTripAndLowering) {
+TEST(Fusion, MacroNodesSurviveLowering) {
   Graph g = chain_graph(5);
   (void)run_passes(g, only(PassId::kFuse));
   ASSERT_EQ(count_kind(g, OpKind::kMacro), 1u);
 
-  Module m;
-  m.graph = std::move(g);
-  m.memory_cells = 1;
-  const std::string text = write_asm(m);
-  EXPECT_NE(text.find("macro"), std::string::npos);
-
-  const Module back = parse_asm_or_throw(text);
-  ASSERT_TRUE(back.graph.validate().empty());
-  EXPECT_EQ(count_kind(back.graph, OpKind::kMacro), 1u);
-
   // The lowered op table exposes the head kind and step count.
-  const std::string rendered = machine::render(machine::lower(back.graph));
+  const machine::ExecProgram exec = machine::lower(g);
+  const std::string rendered = machine::render(exec);
   EXPECT_NE(rendered.find("head="), std::string::npos);
   EXPECT_NE(rendered.find("steps=2"), std::string::npos);
 
-  const auto r = machine::run(machine::lower(back.graph), back.memory_cells, {});
+  const auto r = machine::run(exec, 1, {});
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
   EXPECT_EQ(r.store.cells[0], 26);
 }

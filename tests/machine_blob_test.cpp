@@ -327,6 +327,123 @@ TEST_F(BlobAdversarial, HashValidArityUndercountIsMalformed) {
       << r.message;
 }
 
+TEST_F(BlobAdversarial, HashValidRegionsOutsideMemoryAreMalformed) {
+  // The engine marks I-structure and shared cells without a bounds
+  // check, so a region must lie inside [0, memory_cells).
+  const BlobReadResult read = deserialize(blob_);
+  ASSERT_TRUE(read.ok()) << read.message;
+  const auto cells = static_cast<std::uint32_t>(read.image.memory_cells);
+  ASSERT_GT(cells, 0u);
+  const struct {
+    std::vector<lang::CellRegion> istructures, shared;
+    const char* why;
+  } rows[] = {
+      {{{0, 4000000000u}}, {}, "I-structure region outside memory"},
+      {{{cells, 1}}, {}, "I-structure region outside memory"},
+      {{{UINT32_MAX, 2}}, {}, "I-structure region outside memory"},
+      {{}, {{cells - 1, 2}}, "shared region outside memory"},
+  };
+  for (const auto& row : rows) {
+    ProgramImage image = read.image;
+    image.istructures = row.istructures;
+    image.shared = row.shared;
+    const BlobReadResult r = deserialize(serialize(image));
+    EXPECT_EQ(r.error, BlobError::kMalformed) << row.why;
+    EXPECT_NE(r.message.find(row.why), std::string::npos) << r.message;
+  }
+  // A region that fills memory exactly is fine.
+  ProgramImage whole = read.image;
+  whole.istructures = {{0, cells}};
+  whole.shared = {{0, cells}};
+  EXPECT_TRUE(deserialize(serialize(whole)).ok());
+}
+
+/// start -> a[1] := 9 -> end, where the indexed store covers
+/// [base, base + extent), lowered into an image of `cells` cells.
+ProgramImage indexed_store_image(std::uint32_t base, std::int64_t extent,
+                                 std::uint64_t cells) {
+  dfg::Graph g;
+  dfg::Node s;
+  s.kind = dfg::OpKind::kStart;
+  s.num_outputs = 1;
+  s.start_values = {0};
+  const dfg::NodeId start = g.add(std::move(s));
+  g.set_start(start);
+  const dfg::NodeId store = g.add_store_idx(base, extent, "a[1]");
+  g.bind_literal({store, 0}, 9);
+  g.bind_literal({store, 1}, 1);
+  g.connect({start, 0}, {store, 2}, true);
+  dfg::Node e;
+  e.kind = dfg::OpKind::kEnd;
+  e.num_inputs = 1;
+  const dfg::NodeId end = g.add(std::move(e));
+  g.set_end(end);
+  g.connect({store, 0}, {end, 0}, true);
+  ProgramImage image;
+  image.exec = lower(g);
+  image.memory_cells = cells;
+  return image;
+}
+
+TEST_F(BlobAdversarial, HashValidMemoryOpsOutsideMemoryAreMalformed) {
+  // resolve_mem indexes the cell an op addresses without a bounds check
+  // and wraps an index by the op's extent, so a memory op's cells must
+  // lie inside memory and span at least one cell.
+  const BlobReadResult fits =
+      deserialize(serialize(indexed_store_image(1, 4, 5)));
+  ASSERT_TRUE(fits.ok()) << fits.message;
+  const RunResult ran = core::execute(fits.image, MachineOptions{});
+  ASSERT_TRUE(ran.stats.completed) << ran.stats.error_detail.render();
+  EXPECT_EQ(ran.store.cells[2], 9);
+
+  const struct {
+    std::uint32_t base;
+    std::int64_t extent;
+    std::uint64_t cells;
+    const char* why;
+  } rows[] = {
+      {1, 4, 4, "memory op cell range outside memory"},
+      {0, 1, 0, "memory op cell range outside memory"},
+      {UINT32_MAX, 2, 8, "memory op cell range outside memory"},
+      {0, INT64_MAX, 8, "memory op cell range outside memory"},
+      {0, 0, 4, "memory op extent below 1"},
+      {0, -3, 4, "memory op extent below 1"},
+  };
+  for (const auto& row : rows) {
+    const BlobReadResult r = deserialize(
+        serialize(indexed_store_image(row.base, row.extent, row.cells)));
+    EXPECT_EQ(r.error, BlobError::kMalformed)
+        << row.base << "+" << row.extent << " of " << row.cells;
+    EXPECT_NE(r.message.find(row.why), std::string::npos) << r.message;
+  }
+
+  // A compiled program's scalar loads and stores over no memory at all.
+  BlobReadResult read = deserialize(blob_);
+  ASSERT_TRUE(read.ok()) << read.message;
+  read.image.memory_cells = 0;
+  const BlobReadResult r = deserialize(serialize(read.image));
+  EXPECT_EQ(r.error, BlobError::kMalformed);
+  EXPECT_NE(r.message.find("memory op cell range outside memory"),
+            std::string::npos)
+      << r.message;
+}
+
+TEST_F(BlobAdversarial, HashValidMemoryFlagMismatchIsMalformed) {
+  // The engine sends an op with the memory flag to resolve_mem, which
+  // knows only the memory kinds, and one without it to the pure-op
+  // firing, which knows none of them: the flag must match the op's
+  // kind. The second op's flags byte follows the u32 op count, the
+  // first op's 49-byte record (blob.cpp's encoder) and its kind byte.
+  constexpr std::size_t kOpRecordBytes = 49;
+  std::vector<std::uint8_t> payload(blob_.begin() + kBlobHeaderSize,
+                                    blob_.end());
+  payload[4 + kOpRecordBytes + 1] ^= kExecMem;
+  const BlobReadResult r = deserialize(forge(blob_, payload));
+  EXPECT_EQ(r.error, BlobError::kMalformed);
+  EXPECT_NE(r.message.find("memory flag does not match"), std::string::npos)
+      << r.message;
+}
+
 TEST_F(BlobAdversarial, NotABlobAtAllIsBadMagic) {
   const std::string junk(64, 'x');
   const BlobReadResult r = deserialize(std::span<const std::uint8_t>(

@@ -349,24 +349,23 @@ TEST(EventEquiv, DrainedReadyTokenDoesNotCountAsFiring) {
 }
 
 TEST(EventEquiv, DrainedPendingTokenDoesNotCountAsFiring) {
-  // The gate fires before End does, so its output token is deep in the
+  // The load fires before End does, so its value token is deep in the
   // pending queue when the run completes: the leftover count must find
   // it there (the wheel's ring scan vs the scan policy's map walk).
   Graph g;
   const NodeId s = add_start(g, {0, 0});
-  const NodeId gate = g.add_gate("fires");
-  g.bind_literal({gate, 0}, 1);
-  g.connect({s, 0}, {gate, 1}, true);
+  const NodeId load = g.add_load(0, "fires");
+  g.connect({s, 0}, {load, 0}, true);
   const NodeId sink = g.add_merge("sink");
-  g.connect({gate, 0}, {sink, 0}, false);
+  g.connect({load, dfg::port::kLoadValue}, {sink, 0}, false);
   const NodeId e = add_end(g, 1);
   g.connect({s, 1}, {e, 0}, true);
 
   MachineOptions o;
-  o.alu_latency = 7;
-  const RunResult scan = check_graph_event(g, 0, o, {}, "pending-drain");
+  o.mem_latency = 7;
+  const RunResult scan = check_graph_event(g, 1, o, {}, "pending-drain");
   ASSERT_TRUE(scan.stats.completed) << scan.stats.error_detail.render();
-  // start, gate, and end fired; the sink merge's token is still seven
+  // start, load, and end fired; the sink merge's token is still seven
   // cycles out when End fires and must not become a merge firing.
   EXPECT_EQ(scan.stats.ops_fired, 3u);
   EXPECT_EQ(scan.stats.leftover_tokens, 1u);

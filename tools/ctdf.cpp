@@ -6,11 +6,15 @@
 //   ctdf dot-cfg <file>             emit the control-flow graph
 //   ctdf explain <file> [options]   compilation report (loops, switches)
 //   ctdf compare <file> [options]   schema ladder comparison table
-//   ctdf asm <file> [options]       emit dataflow assembly (.dfa)
-//   ctdf exec <file.dfa> [machine options]   execute dataflow assembly
 //   ctdf serve [options]            NDJSON request loop (stdin or
 //                                   --socket=PATH); see src/serve/serve.hpp
 //                                   for the request/response protocol
+//
+// A compiled program is saved in one format, the versioned blob of
+// machine/blob.hpp: `run --dump-blob` writes one, `run - --load-blob`
+// executes one, and `serve --cache-dir` keeps them on disk (a `compile`
+// request fills the cache without running). `dot`, `--dump-after` and
+// `--dump-exec` are the readable views of a graph.
 //
 // Schema options:
 //   --schema1               Schema 1 (single access token, sequential)
@@ -50,7 +54,8 @@
 //                           visible via --stage-stats / --dump-after)
 //   --dump-exec             print the lowered ExecProgram op table
 //                           (frame slots, fan-out, literals); accepted
-//                           by run, dot, explain, and exec
+//                           by run (also with --load-blob), dot and
+//                           explain
 //
 // Machine options:
 //   --check=off|integrity   tagged dataflow-integrity checking (default
@@ -120,16 +125,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cfg/build.hpp"
 #include "core/compiler.hpp"
 #include "core/pipeline.hpp"
 #include "core/progcache.hpp"
-#include "dfg/asmfmt.hpp"
 #include "machine/blob.hpp"
 #include "machine/exec.hpp"
 #include "machine/flags.hpp"
@@ -188,6 +193,13 @@ Cli parse_cli(int argc, char** argv) {
     return cli;
   }
   cli.command = argv[1];
+  static constexpr std::string_view kCommands[] = {
+      "run", "interp", "dot", "dot-cfg", "explain", "compare", "serve"};
+  if (std::find(std::begin(kCommands), std::end(kCommands), cli.command) ==
+      std::end(kCommands)) {
+    cli.ok = false;
+    return cli;
+  }
   // `serve` reads programs off the protocol, not a positional file.
   int first_option = 3;
   if (cli.command == "serve") {
@@ -406,7 +418,8 @@ int cmd_run_blob(const Cli& cli) {
     std::string out;
     support::JsonWriter w(out, support::JsonWriter::Layout::kMultiLine);
     w.begin_block();
-    w.key("machine").raw(machine::render_stats_json(res.stats, cli.mopt));
+    w.key("machine");
+    machine::write_stats_json(w, res.stats, cli.mopt);
     w.key("blob")
         .begin_object()
         .member("path", cli.load_blob)
@@ -551,7 +564,8 @@ int cmd_run(const Cli& cli, const std::string& source) {
     std::string out;
     support::JsonWriter w(out, support::JsonWriter::Layout::kMultiLine);
     w.begin_block();
-    w.key("machine").raw(machine::render_stats_json(res.stats, cli.mopt));
+    w.key("machine");
+    machine::write_stats_json(w, res.stats, cli.mopt);
     w.key("pipeline");
     write_pipeline_json(w, trace);
     if (cached) {
@@ -597,41 +611,6 @@ int cmd_dot(const Cli& cli, const std::string& source) {
     return 0;
   }
   std::fputs(cr.translation.graph.to_dot().c_str(), stdout);
-  return 0;
-}
-
-int cmd_asm(const Cli& cli, const lang::Program& prog) {
-  auto tx = core::compile(prog, cli.topt);
-  dfg::Module m;
-  m.graph = std::move(tx.graph);
-  m.memory_cells = tx.memory_cells;
-  m.istructures = std::move(tx.istructures);
-  std::fputs(dfg::write_asm(m).c_str(), stdout);
-  return 0;
-}
-
-int cmd_exec(const Cli& cli) {
-  const auto m = dfg::parse_asm_or_throw(read_file(cli.file));
-  if (auto problems = m.graph.validate(); !problems.empty()) {
-    for (const auto& p : problems)
-      std::fprintf(stderr, "invalid module: %s\n", p.c_str());
-    return 1;
-  }
-  const machine::ExecProgram exec = machine::lower(m.graph);
-  if (cli.dump_exec) {
-    std::fputs(machine::render(exec).c_str(), stdout);
-    return 0;
-  }
-  const auto res = machine::run(exec, m.memory_cells, cli.mopt, m.istructures);
-  if (const int code = finish_run(res)) return code;
-  std::printf("# cycles=%llu ops=%llu ops/cycle=%.2f\n",
-              static_cast<unsigned long long>(res.stats.cycles),
-              static_cast<unsigned long long>(res.stats.ops_fired),
-              res.stats.avg_parallelism());
-  if (cli.report) std::fputs(machine::render_report(res.stats).c_str(), stdout);
-  for (std::size_t c = 0; c < res.store.cells.size(); ++c)
-    std::printf("cell[%zu] = %lld\n", c,
-                static_cast<long long>(res.store.cells[c]));
   return 0;
 }
 
@@ -749,8 +728,8 @@ int cmd_explain(const Cli& cli, const std::string& source) {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: ctdf <run|interp|dot|dot-cfg|explain|compare|asm|exec>"
-               " <file> [options]\n"
+               "usage: ctdf <run|interp|dot|dot-cfg|explain|compare> <file> "
+               "[options]\n"
                "       ctdf serve [options]\n"
                "(see the header of tools/ctdf.cpp for the full "
                "option list)\n");
@@ -766,7 +745,6 @@ int main(int argc, char** argv) {
   }
   try {
     if (cli.command == "serve") return cmd_serve(cli);
-    if (cli.command == "exec") return cmd_exec(cli);  // dataflow assembly
     // A blob is a compiled artifact: no source is read or parsed (the
     // positional <file> is conventionally `-`).
     if (cli.command == "run" && !cli.load_blob.empty())
@@ -781,10 +759,7 @@ int main(int argc, char** argv) {
     if (cli.command == "explain") return cmd_explain(cli, source);
     if (cli.command == "interp") return cmd_interp(cli, core::parse(source));
     if (cli.command == "dot-cfg") return cmd_dot_cfg(cli, core::parse(source));
-    if (cli.command == "compare") return cmd_compare(cli, core::parse(source));
-    if (cli.command == "asm") return cmd_asm(cli, core::parse(source));
-    usage();
-    return 2;
+    return cmd_compare(cli, core::parse(source));  // parse_cli admits no other
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
