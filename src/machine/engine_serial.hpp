@@ -422,8 +422,14 @@ class SerialEngine {
           return;
         case dfg::OpKind::kLoopExit: {
           const CtxInfo& cur = cs_.info(e.ctx);
-          CTDF_ASSERT_MSG(cur.loop.valid(),
-                          "loop exit fired outside an iteration context");
+          // The compiler never builds one, but a hash-valid blob can:
+          // there is no invocation context to return the token to.
+          if (!cur.loop.valid()) {
+            stats_.fail(ErrorCode::kLoopExitOutsideLoop,
+                        "loop exit '" + ep_.label(e.node.index()) +
+                            "' fired outside an iteration context");
+            return;
+          }
           emit(cur.instance->invocation, e.node, e.port, e.value, cycle, alu);
           consume(e.ctx, cycle);
           return;

@@ -13,6 +13,7 @@ const char* code_slug(ErrorCode code) {
     case ErrorCode::kTokenBudget: return "token-budget";
     case ErrorCode::kIStoreDoubleWrite: return "istore-double-write";
     case ErrorCode::kStoreInFlight: return "store-in-flight";
+    case ErrorCode::kLoopExitOutsideLoop: return "loop-exit-outside-loop";
     case ErrorCode::kIntegrityDoubleWrite: return "integrity/double-write";
     case ErrorCode::kIntegrityReadEmpty: return "integrity/read-empty";
     case ErrorCode::kIntegrityMemRace: return "integrity/mem-race";

@@ -19,6 +19,7 @@ enum class ErrorCode : std::uint8_t {
   kTokenBudget,       ///< RunBudget::max_tokens exceeded
   kIStoreDoubleWrite,  ///< second write to a write-once cell
   kStoreInFlight,    ///< End fired while a store's ack was uncollected
+  kLoopExitOutsideLoop,  ///< a loop exit fired in no iteration context
 
   // --check=integrity violations (machine/integrity.hpp).
   kIntegrityDoubleWrite,  ///< token for a slot already written, unconsumed

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "support/assert.hpp"
+#include "support/json_writer.hpp"
 
 namespace ctdf::serve {
 
@@ -253,24 +254,8 @@ std::string json_render(const JsonValue& v) {
     }
     case JsonValue::Kind::kString: {
       std::string out = "\"";
-      for (const char c : v.string) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-              char buf[8];
-              std::snprintf(buf, sizeof buf, "\\u%04x", c);
-              out += buf;
-            } else {
-              out.push_back(c);
-            }
-        }
-      }
-      out.push_back('"');
+      support::append_json_escaped(out, v.string);
+      out += '"';
       return out;
     }
     case JsonValue::Kind::kArray:

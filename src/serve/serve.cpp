@@ -38,6 +38,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// A compile or run request slower than this (wall clock) bumps
+/// ServeStats::slow_requests.
+constexpr std::int64_t kSlowRequestMs = 1000;
+
 std::int64_t nanos_since(Clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                               t0)
@@ -64,7 +68,6 @@ struct Request {
   std::int64_t deadline_ms = -1;  ///< request wall budget, compile included
   std::vector<std::string> print;
   bool has_print = false;
-  const JsonValue* batch = nullptr;  ///< run-batch's "requests" array
 
   // Decode failure, if any.
   std::string error_kind;
@@ -79,18 +82,6 @@ struct Request {
     }
     return false;
   }
-};
-
-/// The option baseline a request starts from: the CLI's translate
-/// default (schema2+opt) and machine defaults at the top level, the
-/// batch's own options inside a run-batch.
-struct Defaults {
-  translate::TranslateOptions topt =
-      translate::TranslateOptions::schema2_optimized();
-  machine::MachineOptions mopt = machine::default_cli_machine_options();
-  std::int64_t deadline_ms = -1;
-  /// The op of a request that names none; empty: "op" is required.
-  std::string op;
 };
 
 /// Applies one "options" entry: a schema flag, else a machine flag.
@@ -117,8 +108,7 @@ bool apply_flag(Request& req, const std::string& flag) {
 }
 
 /// Fills `req` from the request object; false on the first failure.
-bool decode_fields(const JsonValue& obj, const Defaults& defaults,
-                   Request& req) {
+bool decode_fields(const JsonValue& obj, Request& req) {
   if (!obj.is_object())
     return req.fail("protocol", "request must be a JSON object");
   if (const JsonValue* id = obj.find("id")) {
@@ -127,9 +117,9 @@ bool decode_fields(const JsonValue& obj, const Defaults& defaults,
     req.id_json = json_render(*id);
   }
   const JsonValue* op = obj.find("op");
-  if (op ? !op->is_string() : defaults.op.empty())
+  if (!op || !op->is_string())
     return req.fail("protocol", "missing \"op\" string");
-  req.op = op ? op->string : defaults.op;
+  req.op = op->string;
   if (const JsonValue* src = obj.find("source")) {
     if (!src->is_string())
       return req.fail("protocol", "\"source\" must be a string");
@@ -164,16 +154,17 @@ bool decode_fields(const JsonValue& obj, const Defaults& defaults,
       req.print.push_back(p.string);
     }
   }
-  req.batch = obj.find("requests");
   return true;
 }
 
-Request decode_request(const JsonValue& obj, const Defaults& defaults) {
+/// Decodes a request over the CLI's defaults: the translate default
+/// (schema2+opt), the machine defaults and the server's deadline.
+Request decode_request(const JsonValue& obj, std::int64_t default_deadline_ms) {
   Request req;
-  req.topt = defaults.topt;
-  req.mopt = defaults.mopt;
-  req.deadline_ms = defaults.deadline_ms;
-  (void)decode_fields(obj, defaults, req);
+  req.topt = translate::TranslateOptions::schema2_optimized();
+  req.mopt = machine::default_cli_machine_options();
+  req.deadline_ms = default_deadline_ms;
+  (void)decode_fields(obj, req);
   return req;
 }
 
@@ -236,17 +227,14 @@ void write_store(JsonWriter& w, const machine::ProgramImage& image,
   w.end_object();
 }
 
-/// compile / run, shared by top-level requests and batch items: writes
-/// the response into `out` and returns its "ok".
-bool program_response(core::ProgramCache& cache, const Request& req,
-                      ServeStats& stats, const ServeOptions& opts,
-                      std::string& out) {
+/// The response to a compile or run request.
+std::string program_response(core::ProgramCache& cache, const Request& req,
+                             ServeStats& stats) {
   const auto t0 = Clock::now();
   const auto fail = [&](std::string kind, std::string message) {
     Request r = req;
     r.fail(std::move(kind), std::move(message));
-    out = error_response(r);
-    return false;
+    return error_response(r);
   };
   if (req.source.empty())
     return fail("protocol", "missing \"source\" for op " + req.op);
@@ -291,12 +279,13 @@ bool program_response(core::ProgramCache& cache, const Request& req,
   }
 
   const std::int64_t total_nanos = nanos_since(t0);
-  if (opts.slow_ms >= 0 && total_nanos > opts.slow_ms * 1'000'000)
+  if (total_nanos > kSlowRequestMs * 1'000'000)
     stats.slow_requests.fetch_add(1, std::memory_order_relaxed);
 
   const bool ok = machine_error.empty();
   // A run response is 1 to 2 KB, the stats object alone about 850
   // bytes: one allocation instead of doubling up from empty.
+  std::string out;
   out.reserve(2048);
   JsonWriter w(out, JsonWriter::Layout::kCompact);
   open_response(w, req.id_json, req.op, ok).key("cache");
@@ -324,20 +313,20 @@ bool program_response(core::ProgramCache& cache, const Request& req,
         .member("message", machine_error)
         .end_object();
   w.end_object();
-  return ok;
+  return out;
 }
 
 /// The "stats" op: a liveness probe that never touches the cache or
 /// the machine. Key set frozen by tests/serve_test.cpp.
 std::string stats_response(const Request& req, const ServeStats& s,
-                           const WorkerGauge* gauges, std::size_t num_gauges,
+                           const WorkerGauge* gauges,
                            const ServeOptions& opts) {
   std::string out;
   JsonWriter w(out, JsonWriter::Layout::kCompact);
   open_response(w, req.id_json, "stats", true)
       .key("serve")
       .begin_object()
-      .member("workers", std::max<std::size_t>(1, opts.workers))
+      .member("workers", opts.workers)
       .member("max_queue", opts.max_queue)
       .member("accepted", s.accepted.load())
       .member("completed", s.completed.load())
@@ -349,7 +338,7 @@ std::string stats_response(const Request& req, const ServeStats& s,
       .member("in_flight", s.in_flight.load())
       .key("per_worker")
       .begin_array();
-  for (std::size_t i = 0; i < num_gauges; ++i)
+  for (std::size_t i = 0; i < opts.workers; ++i)
     w.begin_object()
         .member("handled", gauges[i].handled.load())
         .member("busy", gauges[i].in_flight.load() != 0)
@@ -363,11 +352,10 @@ std::string stats_response(const Request& req, const ServeStats& s,
 Server::Server() : Server(ServeOptions{}) {}
 
 Server::Server(ServeOptions options)
-    : options_(options),
-      cache_(options.cache),
-      gauges_(std::make_unique<WorkerGauge[]>(
-          std::max<std::size_t>(1, options.workers))),
-      num_gauges_(std::max<std::size_t>(1, options.workers)) {}
+    : options_(options), cache_(options.cache) {
+  options_.workers = std::max<std::size_t>(1, options_.workers);
+  gauges_ = std::make_unique<WorkerGauge[]>(options_.workers);
+}
 
 std::string Server::handle_line(const std::string& line, bool* shutdown) {
   if (shutdown) *shutdown = false;
@@ -383,9 +371,7 @@ std::string Server::handle_line(const std::string& line, bool* shutdown) {
     r.fail("protocol", "bad JSON: " + parse_error);
     return finish(error_response(r));
   }
-  Defaults defaults;
-  defaults.deadline_ms = options_.default_deadline_ms;
-  Request req = decode_request(*doc, defaults);
+  Request req = decode_request(*doc, options_.default_deadline_ms);
   if (!req.ok()) return finish(error_response(req));
 
   if (req.op == "shutdown") {
@@ -399,88 +385,11 @@ std::string Server::handle_line(const std::string& line, bool* shutdown) {
     return finish(std::move(out));
   }
   if (req.op == "stats")
-    return finish(
-        stats_response(req, stats_, gauges_.get(), num_gauges_, options_));
-  if (req.op == "compile" || req.op == "run") {
-    std::string out;
-    (void)program_response(cache_, req, stats_, options_, out);
-    return finish(std::move(out));
-  }
-  if (req.op != "run-batch") {
-    req.fail("protocol", "unknown op: " + req.op);
-    return finish(error_response(req));
-  }
-
-  if (!req.batch || !req.batch->is_array()) {
-    req.fail("protocol", "run-batch needs a \"requests\" array");
-    return finish(error_response(req));
-  }
-  // The batch's own topt/mopt become each item's baseline, so shared
-  // options (and the batch deadline) can be stated once at the batch
-  // level. "op" is optional inside a batch and defaults to "run".
-  Defaults batch_defaults;
-  batch_defaults.topt = req.topt;
-  batch_defaults.mopt = req.mopt;
-  batch_defaults.deadline_ms = req.deadline_ms;
-  batch_defaults.op = "run";
-  const std::vector<JsonValue>& items = req.batch->array;
-  std::vector<Request> decoded;
-  decoded.reserve(items.size());
-  for (const JsonValue& item : items) {
-    Request r = decode_request(item, batch_defaults);
-    if (r.ok()) {
-      if (r.op.empty()) r.op = "run";
-      if (r.op == "run-batch") r.fail("protocol", "run-batch cannot nest");
-    }
-    decoded.push_back(std::move(r));
-  }
-
-  std::vector<std::string> results(decoded.size());
-  std::atomic<std::size_t> errors{0};
-  const core::CacheStats before = cache_.stats();
-  std::atomic<std::size_t> next{0};
-  const auto work = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= decoded.size()) return;
-      const Request& r = decoded[i];
-      if (!r.ok()) {
-        results[i] = error_response(r);
-        ++errors;
-        continue;
-      }
-      if (!program_response(cache_, r, stats_, options_, results[i]))
-        ++errors;
-    }
-  };
-  const std::size_t workers =
-      std::min(options_.workers == 0 ? std::size_t{1} : options_.workers,
-               decoded.size());
-  if (workers <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-  }
-  const core::CacheStats after = cache_.stats();
-
-  std::string out;
-  JsonWriter w(out, JsonWriter::Layout::kCompact);
-  open_response(w, req.id_json, "run-batch", true)
-      .key("batch")
-      .begin_object()
-      .member("requests", decoded.size())
-      .member("errors", errors.load())
-      .member("cache_hits", (after.hits - before.hits) +
-                                (after.disk_hits - before.disk_hits))
-      .end_object()
-      .key("results")
-      .begin_array();
-  for (const std::string& r : results) w.raw(r);
-  w.end_array().key("error").null().end_object();
-  return finish(std::move(out));
+    return finish(stats_response(req, stats_, gauges_.get(), options_));
+  if (req.op == "compile" || req.op == "run")
+    return finish(program_response(cache_, req, stats_));
+  req.fail("protocol", "unknown op: " + req.op);
+  return finish(error_response(req));
 }
 
 #ifndef _WIN32
@@ -547,10 +456,9 @@ class Pump {
         opts_(server.options_),
         stats_(server.stats_),
         gauges_(server.gauges_.get()),
-        out_fd_(out_fd),
-        num_workers_(std::max<std::size_t>(1, server.options_.workers)) {
-    workers_.reserve(num_workers_);
-    for (std::size_t w = 0; w < num_workers_; ++w)
+        out_fd_(out_fd) {
+    workers_.reserve(opts_.workers);
+    for (std::size_t w = 0; w < opts_.workers; ++w)
       workers_.emplace_back([this, w] { worker_main(w); });
   }
 
@@ -684,7 +592,7 @@ class Pump {
     const std::int64_t svc_ms = std::max<std::int64_t>(
         1, ewma_us_.load(std::memory_order_relaxed) / 1000);
     const std::int64_t retry = std::clamp<std::int64_t>(
-        svc_ms * (static_cast<std::int64_t>(depth / num_workers_) + 1), 1,
+        svc_ms * (static_cast<std::int64_t>(depth / opts_.workers) + 1), 1,
         60'000);
     std::string out;
     JsonWriter w(out, JsonWriter::Layout::kCompact);
@@ -722,7 +630,6 @@ class Pump {
   ServeStats& stats_;
   WorkerGauge* gauges_;
   const int out_fd_;
-  const std::size_t num_workers_;
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -9,7 +9,7 @@
 //
 // Request object:
 //   {"id": <any scalar, echoed back>,          // optional
-//    "op": "compile" | "run" | "run-batch" | "stats" | "shutdown",
+//    "op": "compile" | "run" | "stats" | "shutdown",
 //    "source": "<ctdf program text>",          // compile / run
 //    "options": ["--mem-elim", "--check=integrity", ...],   // optional:
 //        the CLI's schema flags (translate::apply_schema_flag) and
@@ -18,11 +18,8 @@
 //        budget for this request, compile time included; the remainder
 //        after compilation becomes the machine deadline (clamped to 0,
 //        so an exhausted deadline is a typed machine error, not a hang).
-//        Batch items inherit the batch's value unless they override it.
-//    "print": ["x", "a"],                      // optional: store
+//    "print": ["x", "a"]}                      // optional: store
 //        variables to return (default: every scalar)
-//    "requests": [<request>, ...]}             // run-batch only; inner
-//        op defaults to "run", inner options default to the batch's
 //
 // Response object (one line; key sets frozen by tests/serve_test.cpp):
 //   {"id":..., "op":"run", "ok":true,
@@ -40,16 +37,15 @@
 //    "error": null | {"kind": "protocol"|"options"|"compile"|"machine",
 //                     "message": "..."}}
 //
-// A "run-batch" response instead carries {"batch": {"requests":N,
-// "errors":N, "cache_hits":N}, "results": [<per-request responses>]};
-// results keep request order even when executed by several workers.
 // A "stats" response carries a "serve" object with the admission /
 // overload counters (ServeStats below). "shutdown" acknowledges,
 // stops accepting, and drains (stdin mode also drains at EOF).
 //
 // Overload and drain (the fd-based loops serve_pipe / serve_socket):
 // requests flow reader -> bounded queue (max_queue) -> worker pool ->
-// ordered writer. When the queue is full the reader answers
+// ordered writer. The pool's workers are the only threads that run
+// requests: pipelined lines run in parallel on them and are answered
+// in request order. When the queue is full the reader answers
 // immediately with {"kind": "overloaded", "message": ...,
 // "retry_after_ms": N} (id null — correlate by response order; the
 // hint scales with observed service time and queue depth). SIGTERM /
@@ -76,9 +72,8 @@
 namespace ctdf::serve {
 
 struct ServeOptions {
-  /// Executor threads: run-batch fan-out, and the pump worker pool in
-  /// the fd-based loops (1 = in-line). Responses are ordered
-  /// regardless.
+  /// Pump worker threads in serve_pipe / serve_socket; the Server
+  /// raises 0 to 1. Responses are ordered regardless.
   std::size_t workers = 1;
   /// Admission bound: requests beyond this many queued are rejected
   /// with a typed "overloaded" response instead of queueing without
@@ -88,10 +83,6 @@ struct ServeOptions {
   /// still execute until it closes, then are rejected as "draining".
   /// In-flight requests are always joined.
   std::int64_t drain_ms = 2000;
-  /// Requests slower than this (wall clock) bump
-  /// ServeStats::slow_requests — the slow-request watchdog counter.
-  /// Negative disables.
-  std::int64_t slow_ms = 1000;
   /// Deadline applied to requests that do not carry their own
   /// "deadline_ms". Negative = none.
   std::int64_t default_deadline_ms = -1;
@@ -106,7 +97,7 @@ struct ServeStats {
   std::atomic<std::uint64_t> completed{0};   ///< handler responses produced
   std::atomic<std::uint64_t> rejected_overload{0};
   std::atomic<std::uint64_t> rejected_draining{0};
-  std::atomic<std::uint64_t> slow_requests{0};
+  std::atomic<std::uint64_t> slow_requests{0};  ///< compile / run over 1 s
   std::atomic<std::uint64_t> client_disconnects{0};
   std::atomic<std::uint64_t> queue_depth{0};
   std::atomic<std::uint64_t> in_flight{0};
@@ -150,10 +141,9 @@ class Server {
   ServeOptions options_;
   core::ProgramCache cache_;
   ServeStats stats_;
-  /// One slot per pump worker, sized once so the "stats" op can read
-  /// them without locking against pool start/stop.
+  /// One slot per pump worker (options_.workers), sized once so the
+  /// "stats" op can read them without locking against pool start/stop.
   std::unique_ptr<WorkerGauge[]> gauges_;
-  std::size_t num_gauges_ = 0;
 };
 
 }  // namespace ctdf::serve

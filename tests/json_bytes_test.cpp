@@ -1,7 +1,7 @@
 // Pins every JSON surface byte for byte: machine::render_stats_json
 // (completed, cycle-capped, token-capped, frame-exhausted and
 // deadlocked runs), core::render_cache_json, and `ctdf serve`'s run,
-// compile, stats, error and run-batch responses over the corpus and
+// compile, stats and error responses over the corpus and
 // serve-cold-style generated programs. The frozen-key tests pin names
 // and order; this suite pins the bytes, layout and number formatting
 // included, so a new writer cannot drift from the old one.
@@ -225,9 +225,9 @@ const Golden kGolden[] = {
   {"serve/error-compile", 0x46f7d13b887c12b7ull, 119},
   {"serve/error-undeclared", 0xc8cf2f90d8f21efaull, 121},
   {"serve/error-deadline", 0x442fe489b217e16full, 127},
-  {"serve/batch", 0x60a6c213075501c9ull, 5195},
-  {"serve/batch-empty", 0xb56765cf33e24fd7ull, 127},
-  {"serve/error-batch-no-requests", 0x349640e497afa10eull, 124},
+  {"serve/batch", 0x37871b88b35bf90aull, 110},
+  {"serve/batch-empty", 0x7a7e2b1289e12cfeull, 109},
+  {"serve/error-batch-no-requests", 0xd257ca19a17312afull, 109},
   {"serve/stats", 0x394b846bde07e7cdull, 304},
   {"serve/shutdown", 0xcfdb34d418527328ull, 55},
 };

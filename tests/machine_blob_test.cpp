@@ -29,6 +29,7 @@
 #include "machine/blob.hpp"
 #include "machine/mutate.hpp"
 #include "machine/report.hpp"
+#include "support/forged_images.hpp"
 #include "support/hash.hpp"
 
 namespace ctdf::machine {
@@ -442,6 +443,20 @@ TEST_F(BlobAdversarial, HashValidMemoryFlagMismatchIsMalformed) {
   EXPECT_EQ(r.error, BlobError::kMalformed);
   EXPECT_NE(r.message.find("memory flag does not match"), std::string::npos)
       << r.message;
+}
+
+TEST_F(BlobAdversarial, HashValidLoopExitOutsideALoopIsATypedMachineError) {
+  // The decoder checks tables and ranges, not which context a token
+  // reaches: this blob decodes, and its run must fail with a typed
+  // error instead of aborting the process.
+  const BlobReadResult read =
+      deserialize(serialize(testing::loop_exit_outside_loop_image()));
+  ASSERT_TRUE(read.ok()) << read.message;
+  const RunResult r = core::execute(read.image, MachineOptions{});
+  EXPECT_FALSE(r.stats.completed);
+  EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kLoopExitOutsideLoop);
+  EXPECT_EQ(r.stats.error_detail.render(),
+            "loop exit 'X' fired outside an iteration context");
 }
 
 TEST_F(BlobAdversarial, NotABlobAtAllIsBadMagic) {

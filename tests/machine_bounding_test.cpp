@@ -300,6 +300,8 @@ TEST(RunErrorTaxonomy, CodeSlugsAreStable) {
   EXPECT_STREQ(code_slug(ErrorCode::kIStoreDoubleWrite),
                "istore-double-write");
   EXPECT_STREQ(code_slug(ErrorCode::kStoreInFlight), "store-in-flight");
+  EXPECT_STREQ(code_slug(ErrorCode::kLoopExitOutsideLoop),
+               "loop-exit-outside-loop");
 }
 
 }  // namespace

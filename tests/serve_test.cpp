@@ -1,7 +1,8 @@
 // `ctdf serve` protocol coverage (serve/serve.hpp): request decoding,
 // typed error taxonomy, cache dispositions across repeated requests,
-// batch semantics (ordering, worker pools, per-item errors), and the
-// golden response key sets downstream clients parse by name.
+// the request pump (ordering on a worker pool, overload, drain,
+// disconnects), and the golden response key sets downstream clients
+// parse by name.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,6 +17,7 @@
 #include "serve/json.hpp"
 #include "serve/serve.hpp"
 #include "support/deep_sources.hpp"
+#include "support/forged_images.hpp"
 
 #ifndef _WIN32
 #include <sys/socket.h>
@@ -52,10 +54,6 @@ const std::vector<std::string> kCacheKeys = {
     "evictions", "disk_rejects", "entries", "blob_bytes"};
 const std::vector<std::string> kShortErrorKeys = {"id", "op", "ok", "error"};
 const std::vector<std::string> kErrorObjectKeys = {"kind", "message"};
-const std::vector<std::string> kBatchResponseKeys = {
-    "id", "op", "ok", "batch", "results", "error"};
-const std::vector<std::string> kBatchObjectKeys = {"requests", "errors",
-                                                   "cache_hits"};
 
 TEST(Serve, RunRespondsWithTheGoldenKeySetAndTheStore) {
   Server server;
@@ -217,24 +215,6 @@ TEST(Serve, MachineExceptionIsATypedMachineError) {
   EXPECT_TRUE(parse_response(server.handle_line(kRunX)).find("ok")->boolean);
 }
 
-TEST(Serve, MachineExceptionInABatchItemFailsOnlyThatItem) {
-  ServeOptions opt;
-  opt.workers = 2;
-  Server server(opt);
-  const std::string batch =
-      R"({"op": "run-batch", "requests": [)"
-      R"({"id": 1, "source": "var x;\narray a[4611686018427387904];\nx := 1;\n"},)"
-      R"({"id": 2, "source": "var x;\n  x := 1 + 2;\n"}]})";
-  const JsonValue r = parse_response(server.handle_line(batch));
-  EXPECT_TRUE(r.find("ok")->boolean);
-  EXPECT_EQ(r.find("batch")->find("errors")->number, 1.0);
-  const std::vector<JsonValue>& results = r.find("results")->array;
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(keys(results[0]), kProgramResponseKeys);
-  EXPECT_EQ(results[0].find("error")->find("kind")->string, "machine");
-  EXPECT_EQ(results[1].find("store")->find("x")->number, 3.0);
-}
-
 TEST(Serve, StrayClosingBraceIsACompileError) {
   Server server;
   for (const char* line :
@@ -279,105 +259,28 @@ TEST(Serve, TooDeepSourcesAreCompileErrors) {
   EXPECT_EQ(at_limit.find("store")->find("x")->number, 1.0);
 }
 
-TEST(Serve, RunBatchKeepsOrderSharesTheCacheAndCountsErrors) {
-  Server server;
-  const std::string batch = R"({"id": "b1", "op": "run-batch", "requests": [)"
-                            R"({"id": 10, "source": "var x;\n  x := 1 + 2;\n"},)"
-                            R"({"id": 11, "source": "var x;\n  x := 1 + 2;\n"},)"
-                            R"({"id": 12, "source": "var y;\n  y := ;\n"},)"
-                            R"({"id": 13, "op": "run-batch"}]})";
-  const JsonValue r = parse_response(server.handle_line(batch));
-  EXPECT_EQ(keys(r), kBatchResponseKeys);
-  EXPECT_TRUE(r.find("ok")->boolean);
-  const JsonValue* b = r.find("batch");
-  EXPECT_EQ(keys(*b), kBatchObjectKeys);
-  EXPECT_EQ(b->find("requests")->number, 4.0);
-  EXPECT_EQ(b->find("errors")->number, 2.0);      // compile + nested batch
-  EXPECT_EQ(b->find("cache_hits")->number, 1.0);  // the repeated source
-
-  const std::vector<JsonValue>& results = r.find("results")->array;
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(results[0].find("id")->number, 10.0);
-  EXPECT_EQ(results[1].find("id")->number, 11.0);
-  EXPECT_EQ(results[2].find("id")->number, 12.0);
-  EXPECT_EQ(results[3].find("id")->number, 13.0);
-  // Item op defaults to "run" inside a batch.
-  EXPECT_EQ(results[0].find("op")->string, "run");
-  EXPECT_EQ(results[1].find("cache")->find("disposition")->string,
-            "hit-memory");
-  EXPECT_EQ(results[2].find("error")->find("kind")->string, "compile");
-  EXPECT_EQ(results[3].find("error")->find("kind")->string, "protocol");
-}
-
-TEST(Serve, BatchLevelOptionsAreEachItemsBaseline) {
-  Server server;
-  const std::string batch =
-      R"({"op": "run-batch", "options": ["--check=integrity"], "requests": [)"
-      R"({"source": "var x;\n  x := 1 + 2;\n"},)"
-      R"({"source": "var x;\n  x := 1 + 2;\n", "options": ["--check=off"]}]})";
-  const JsonValue r = parse_response(server.handle_line(batch));
-  const std::vector<JsonValue>& results = r.find("results")->array;
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].find("stats")->find("options")->find("check")->string,
-            "integrity");
-  EXPECT_EQ(results[1].find("stats")->find("options")->find("check")->string,
-            "off");
-}
-
-TEST(Serve, WorkerPoolProducesTheSameOrderedResults) {
-  ServeOptions opt;
-  opt.workers = 4;
-  Server server(opt);
-  std::string batch = R"({"op": "run-batch", "requests": [)";
-  for (int i = 0; i < 8; ++i) {
-    if (i) batch += ", ";
-    batch += R"({"id": )" + std::to_string(i) +
-             R"(, "source": "var x;\n  x := )" + std::to_string(i) +
-             R"( + 1;\n"})";
+/// Runs kRunX once on a fresh disk cache in `opt.cache.dir` and returns
+/// the path of the one blob it wrote, so a test can forge what kRunX
+/// loads.
+std::string seed_disk_blob(const ServeOptions& opt) {
+  std::filesystem::remove_all(opt.cache.dir);
+  {
+    Server seed(opt);
+    EXPECT_TRUE(parse_response(seed.handle_line(kRunX)).find("ok")->boolean);
   }
-  batch += "]}";
-  const JsonValue r = parse_response(server.handle_line(batch));
-  EXPECT_TRUE(r.find("ok")->boolean);
-  EXPECT_EQ(r.find("batch")->find("errors")->number, 0.0);
-  const std::vector<JsonValue>& results = r.find("results")->array;
-  ASSERT_EQ(results.size(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(results[i].find("id")->number, i) << i;
-    EXPECT_EQ(results[i].find("store")->find("x")->number, i + 1.0) << i;
-  }
-}
-
-TEST(Serve, IdenticalItemsOnAWorkerPoolCompileOnce) {
-  ServeOptions opt;
-  opt.workers = 4;
-  Server server(opt);
-  std::string batch = R"({"op": "run-batch", "requests": [)";
-  for (int i = 0; i < 8; ++i)
-    batch += std::string(i ? ", " : "") +
-             R"({"source": "var x;\n  x := 1 + 2;\n"})";
-  batch += "]}";
-  const JsonValue r = parse_response(server.handle_line(batch));
-  // Items racing on one key wait for its single compile: one miss,
-  // seven hits, however the workers interleave.
-  EXPECT_EQ(r.find("batch")->find("cache_hits")->number, 7.0);
-  EXPECT_EQ(r.find("batch")->find("errors")->number, 0.0);
+  std::string path;
+  for (const auto& e : std::filesystem::directory_iterator(opt.cache.dir))
+    path = e.path();
+  return path;
 }
 
 TEST(Serve, ForgedDiskBlobIsADiskRejectNotACrash) {
   // A hash-valid blob whose I-structure region runs far past memory,
   // as a buggy or hostile writer could leave in the cache directory:
   // the decoder rejects it, and the request recompiles and answers.
-  const std::string dir = ::testing::TempDir() + "/serve_forged_blob";
-  std::filesystem::remove_all(dir);
   ServeOptions opt;
-  opt.cache.dir = dir;
-  {
-    Server seed(opt);
-    ASSERT_TRUE(parse_response(seed.handle_line(kRunX)).find("ok")->boolean);
-  }
-  std::string path;
-  for (const auto& e : std::filesystem::directory_iterator(dir))
-    path = e.path();
+  opt.cache.dir = ::testing::TempDir() + "/serve_forged_blob";
+  const std::string path = seed_disk_blob(opt);
   ASSERT_FALSE(path.empty());
   machine::BlobReadResult read = machine::read_blob_file(path);
   ASSERT_TRUE(read.ok()) << read.message;
@@ -391,6 +294,32 @@ TEST(Serve, ForgedDiskBlobIsADiskRejectNotACrash) {
   EXPECT_EQ(r.find("store")->find("x")->number, 3.0);
   EXPECT_EQ(r.find("cache")->find("disposition")->string, "miss");
   EXPECT_EQ(r.find("cache")->find("disk_rejects")->number, 1.0);
+}
+
+TEST(Serve, DiskBlobWithALoopExitOutsideALoopIsAMachineError) {
+  // The decoder accepts this hash-valid blob: its tables are
+  // consistent, only its loop exit fires in no loop. The request fails
+  // with a typed machine error and the server goes on serving.
+  ServeOptions opt;
+  opt.cache.dir = ::testing::TempDir() + "/serve_loop_exit_blob";
+  const std::string path = seed_disk_blob(opt);
+  ASSERT_FALSE(path.empty());
+  ASSERT_TRUE(machine::write_blob_file(
+      path, machine::serialize(testing::loop_exit_outside_loop_image())));
+
+  Server server(opt);
+  const std::string line = server.handle_line(kRunX);
+  const JsonValue r = parse_response(line);
+  EXPECT_EQ(keys(r), kProgramResponseKeys);
+  EXPECT_FALSE(r.find("ok")->boolean) << line;
+  EXPECT_EQ(r.find("cache")->find("disposition")->string, "hit-disk");
+  EXPECT_EQ(r.find("error")->find("kind")->string, "machine");
+  EXPECT_EQ(r.find("stats")->find("error")->find("code")->string,
+            "loop-exit-outside-loop");
+  const JsonValue next = parse_response(server.handle_line(
+      R"({"op": "run", "source": "var y;\n  y := 2;\n"})"));
+  EXPECT_TRUE(next.find("ok")->boolean);
+  EXPECT_EQ(next.find("store")->find("y")->number, 2.0);
 }
 
 TEST(Serve, ShutdownAcknowledgesAndStopsTheLoop) {
@@ -467,19 +396,17 @@ TEST(Serve, BadDeadlineIsAProtocolError) {
   }
 }
 
-TEST(Serve, BatchItemsInheritTheBatchDeadline) {
-  Server server;
-  const std::string batch =
-      R"({"op": "run-batch", "deadline_ms": 0, "requests": [)"
-      R"({"id": 1, "source": "var x;\n  x := 1 + 2;\n"},)"
-      R"({"id": 2, "source": "var x;\n  x := 1 + 2;\n", "deadline_ms": 600000}]})";
-  const JsonValue r = parse_response(server.handle_line(batch));
-  const std::vector<JsonValue>& results = r.find("results")->array;
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_FALSE(results[0].find("ok")->boolean);  // inherited 0 ms budget
-  EXPECT_EQ(results[0].find("stats")->find("error")->find("code")->string,
+TEST(Serve, RequestsWithoutADeadlineTakeTheServersDefault) {
+  ServeOptions opt;
+  opt.default_deadline_ms = 0;
+  Server server(opt);
+  const JsonValue inherited = parse_response(server.handle_line(kRunX));
+  EXPECT_FALSE(inherited.find("ok")->boolean);
+  EXPECT_EQ(inherited.find("stats")->find("error")->find("code")->string,
             "deadline-exceeded");
-  EXPECT_TRUE(results[1].find("ok")->boolean);  // item override wins
+  const JsonValue own = parse_response(server.handle_line(
+      R"({"op": "run", "source": "var x;\n  x := 1 + 2;\n", "deadline_ms": 600000})"));
+  EXPECT_TRUE(own.find("ok")->boolean);  // the request's own value wins
 }
 
 #ifndef _WIN32
@@ -638,6 +565,57 @@ TEST(ServePump, MachineExceptionLeavesThePumpServing) {
   EXPECT_EQ(exit_code, 0);
 }
 
+TEST(ServePump, PipelinedRequestsOnAWorkerPoolAnswerInOrder) {
+  ServeOptions opt;
+  opt.workers = 4;
+  Server server(opt);
+  std::vector<std::string> reqs;
+  for (int i = 0; i < 8; ++i)
+    reqs.push_back(R"({"id": )" + std::to_string(i) +
+                   R"(, "op": "run", "source": "var x;\n  x := )" +
+                   std::to_string(i) + R"( + 1;\n"})");
+  const std::vector<std::string> lines = pipe_roundtrip(server, reqs);
+  ASSERT_EQ(lines.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    const JsonValue r = parse_response(lines[i]);
+    EXPECT_TRUE(r.find("ok")->boolean) << lines[i];
+    EXPECT_EQ(r.find("id")->number, i) << i;
+    EXPECT_EQ(r.find("store")->find("x")->number, i + 1.0) << i;
+  }
+}
+
+TEST(ServePump, IdenticalPipelinedRequestsCompileOnce) {
+  ServeOptions opt;
+  opt.workers = 4;
+  Server server(opt);
+  const std::vector<std::string> lines =
+      pipe_roundtrip(server, std::vector<std::string>(8, kRunX));
+  ASSERT_EQ(lines.size(), 8u);
+  for (const std::string& line : lines)
+    EXPECT_TRUE(parse_response(line).find("ok")->boolean) << line;
+  // Requests racing on one key wait for its single compile: one miss,
+  // seven hits, however the workers interleave.
+  EXPECT_EQ(server.cache().stats().misses, 1u);
+  EXPECT_EQ(server.cache().stats().hits, 7u);
+}
+
+TEST(ServePump, RunBatchIsAnUnknownOp) {
+  const std::string batch =
+      R"({"id": "b", "op": "run-batch", "requests": [{"source": "var x;\n  x := 1 + 2;\n"}]})";
+  Server server;
+  const std::vector<std::string> piped = pipe_roundtrip(server, {batch});
+  ASSERT_EQ(piped.size(), 1u);
+  for (const std::string& line : {server.handle_line(batch), piped[0]}) {
+    const JsonValue r = parse_response(line);
+    EXPECT_EQ(keys(r), kShortErrorKeys) << line;
+    EXPECT_EQ(r.find("op")->string, "run-batch");
+    EXPECT_EQ(r.find("error")->find("kind")->string, "protocol");
+    EXPECT_EQ(r.find("error")->find("message")->string,
+              "unknown op: run-batch");
+  }
+  EXPECT_EQ(server.cache().stats().misses, 0u);  // nothing compiled
+}
+
 TEST(ServePump, OneRequestThenEofIsAlwaysServed) {
   // EOF opens the drain window while a worker may already be popping
   // the one queued request: the worker must see the window's end, never
@@ -689,7 +667,7 @@ std::string recv_line(int fd) {
   return line;
 }
 
-TEST(ServePump, SocketClientDisconnectMidBatchDoesNotKillTheServer) {
+TEST(ServePump, SocketClientDisconnectMidStreamDoesNotKillTheServer) {
   ServeOptions opt;
   opt.workers = 2;
   Server server(opt);
@@ -698,22 +676,21 @@ TEST(ServePump, SocketClientDisconnectMidBatchDoesNotKillTheServer) {
       std::to_string(static_cast<long>(::getpid())) + ".sock";
   std::thread t([&] { (void)server.serve_socket(path); });
 
-  // Client 1: a batch of real work, then hang up without reading the
-  // response. The server's write must fail quietly (EPIPE is ignored),
-  // be counted, and leave the listener accepting.
+  // Client 1: a stream of real work, then hang up without reading the
+  // responses. The server's writes must fail quietly (EPIPE is
+  // ignored), be counted, and leave the listener accepting. The first
+  // run spins until its 400 ms deadline, so no response exists yet
+  // when the client hangs up.
   {
     const int c1 = connect_unix(path);
     ASSERT_GE(c1, 0);
-    std::string batch = R"({"op": "run-batch", "requests": [)";
-    for (int i = 0; i < 6; ++i) {
-      if (i) batch += ", ";
-      batch += R"({"id": )" + std::to_string(i) +
-               R"(, "source": "var x;\n  x := )" + std::to_string(i) +
-               R"( + 1;\n"})";
-    }
-    batch += "]}\n";
-    ASSERT_TRUE(send_all(c1, batch));
-    ::close(c1);  // gone before the response exists
+    std::string stream = std::string(kSpinWithDeadline) + "\n";
+    for (int i = 1; i <= 6; ++i)
+      stream += R"({"id": )" + std::to_string(i) +
+                R"(, "op": "run", "source": "var x;\n  x := )" +
+                std::to_string(i) + R"( + 1;\n"})" + "\n";
+    ASSERT_TRUE(send_all(c1, stream));
+    ::close(c1);  // gone before the first response exists
   }
 
   // Client 2: the server must still answer.
@@ -724,7 +701,7 @@ TEST(ServePump, SocketClientDisconnectMidBatchDoesNotKillTheServer) {
   EXPECT_TRUE(r.find("ok")->boolean);
   EXPECT_EQ(r.find("store")->find("x")->number, 3.0);
 
-  // The hangup was observed and counted (the batch may still be
+  // The hangup was observed and counted (the stream may still be
   // computing: wait for the failed write, bounded).
   for (int i = 0; i < 200 && server.stats().client_disconnects.load() == 0;
        ++i)

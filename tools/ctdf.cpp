@@ -106,8 +106,10 @@
 // --disk-capacity):
 //   --socket=PATH           listen on a Unix stream socket instead of
 //                           stdin/stdout
-//   --workers=N             executor threads: the request pump's pool
-//                           and run-batch fan-out (default 1)
+//   --workers=N             request pump worker threads, the only
+//                           threads that run requests; pipelined
+//                           requests run in parallel and are answered
+//                           in request order (default 1, at most 1024)
 //   --max-queue=N           admission bound; requests beyond N queued
 //                           get a typed "overloaded" rejection with a
 //                           retry_after_ms hint (default 256)
@@ -115,9 +117,6 @@
 //                           SIGTERM / EOF: queued requests still run
 //                           until it closes, then are rejected as
 //                           "draining" (default 2000)
-//   --slow-ms=N             requests slower than N ms bump the
-//                           slow_requests counter in the "stats" op
-//                           (default 1000)
 //   --default-deadline-ms=N wall-clock budget applied to requests that
 //                           carry no "deadline_ms" of their own
 #include <algorithm>
@@ -171,7 +170,6 @@ struct Cli {
   std::size_t serve_workers = 1;  // serve
   std::size_t serve_max_queue = 256;         // serve admission bound
   std::size_t serve_drain_ms = 2000;         // serve drain window
-  std::size_t serve_slow_ms = 1000;          // serve slow-request mark
   std::int64_t serve_default_deadline = -1;  // serve per-request default
   bool ok = true;
 };
@@ -314,14 +312,6 @@ Cli parse_cli(int argc, char** argv) {
       } else {
         cli.serve_drain_ms = static_cast<std::size_t>(v);
       }
-    } else if (starts_with(a, "--slow-ms=")) {
-      unsigned long long v = 0;
-      if (!parse_unsigned(value_of(a), v) || v > 1u << 24) {
-        std::fprintf(stderr, "bad value: %s\n", a.c_str());
-        cli.ok = false;
-      } else {
-        cli.serve_slow_ms = static_cast<std::size_t>(v);
-      }
     } else if (starts_with(a, "--default-deadline-ms=")) {
       unsigned long long v = 0;
       if (!parse_unsigned(value_of(a), v) || v > 1ull << 40) {
@@ -451,7 +441,6 @@ int cmd_serve(const Cli& cli) {
   so.workers = cli.serve_workers;
   so.max_queue = cli.serve_max_queue;
   so.drain_ms = static_cast<std::int64_t>(cli.serve_drain_ms);
-  so.slow_ms = static_cast<std::int64_t>(cli.serve_slow_ms);
   so.default_deadline_ms = cli.serve_default_deadline;
   so.cache.capacity = cli.cache_capacity;
   so.cache.dir = cli.cache_dir;

@@ -1,7 +1,7 @@
 // Chaos-replay harness for the ctdf serve front-end.
 //
 // Drives a live `ctdf serve` process with thousands of seeded mixed
-// requests — well-formed runs, compiles, batches, malformed lines,
+// requests — well-formed runs, compiles, malformed lines,
 // frame-exhausted and cycle-capped programs, deadline-doomed requests,
 // stats probes — over either the stdin/stdout pipe or the Unix-socket
 // transport, and checks the overload-safety invariants end to end:
@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "serve/json.hpp"
+#include "support/json_writer.hpp"
 #include "support/parse.hpp"
 
 #ifdef _WIN32
@@ -78,26 +79,10 @@ std::string value_of(const std::string& arg) {
   return eq == std::string::npos ? "" : arg.substr(eq + 1);
 }
 
-/// JSON string literal with the escapes the serve parser understands.
+/// `s` as a JSON string literal.
 std::string quoted(const std::string& s) {
   std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  ctdf::support::append_json_escaped(out, s);
   out += '"';
   return out;
 }
@@ -172,27 +157,15 @@ std::string options_field(std::mt19937_64& rng) {
 std::string generate_request(std::mt19937_64& rng, std::size_t id) {
   const std::string idf = "\"id\": " + std::to_string(id);
   const unsigned long long r = rng() % 100;
-  if (r < 55) {  // plain run
+  if (r < 65) {  // plain run
     std::string line = "{" + idf + ", \"op\": \"run\", \"source\": " +
                        quoted(pick_source(rng)) + options_field(rng);
     if (rng() % 3 == 0) line += ", \"print\": [\"x\"]";
     return line + "}";
   }
-  if (r < 65)  // compile only
+  if (r < 75)  // compile only
     return "{" + idf + ", \"op\": \"compile\", \"source\": " +
            quoted(pick_source(rng)) + options_field(rng) + "}";
-  if (r < 75) {  // batch of 2..4 items, op inherited
-    std::string line = "{" + idf + ", \"op\": \"run-batch\"";
-    if (rng() % 4 == 0) line += ", \"deadline_ms\": 600000";
-    line += ", \"requests\": [";
-    const unsigned n = 2 + static_cast<unsigned>(rng() % 3);
-    for (unsigned i = 0; i < n; ++i) {
-      if (i) line += ", ";
-      line += "{\"id\": " + std::to_string(i) + ", \"source\": " +
-              quoted(simple_variant(static_cast<unsigned>(rng() % 8))) + "}";
-    }
-    return line + "]}";
-  }
   if (r < 83) {  // malformed: parser, shape, and field-type errors
     switch (rng() % 7) {
       case 0: return "{\"op\": \"run\", \"source\": \"var";  // truncated JSON
