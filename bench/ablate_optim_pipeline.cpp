@@ -30,7 +30,7 @@ int main() {
     rungs.push_back({"+mem elim (6.1)", t});
     t.parallel_reads = true;
     rungs.push_back({"+par reads (6.2)", t});
-    t.opt_passes = dfg::PassSet::cleanup();
+    t.opt_level = dfg::OptLevel::kCleanup;
     rungs.push_back({"+graph passes", t});
   }
 

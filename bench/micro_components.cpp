@@ -292,7 +292,7 @@ BENCHMARK(BM_MachineIntegrityOverhead)
 void BM_MachineFusedChains(benchmark::State& state) {
   // Macro-op fusion speedup gate on the fusion-friendly workload: a
   // deep loop whose body is one long dependent chain of literal-operand
-  // arithmetic. Arg 0: cleanup passes only. Arg 1: --opt=all — the
+  // arithmetic. Arg 0: --opt=cleanup. Arg 1: --opt=all — the
   // chain collapses into macro ops, so each iteration is one token
   // match plus N ALU steps instead of N matches. Host time per
   // simulated run is the metric; the bench gate holds the 1-vs-0 ratio
@@ -300,8 +300,8 @@ void BM_MachineFusedChains(benchmark::State& state) {
   const auto prog = core::parse(lang::corpus::chain_loop_source(400, 24));
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
-  topt.opt_passes =
-      state.range(0) ? dfg::PassSet::all() : dfg::PassSet::cleanup();
+  topt.opt_level =
+      state.range(0) ? dfg::OptLevel::kAll : dfg::OptLevel::kCleanup;
   const auto tx = core::compile(prog, topt);
   std::uint64_t runs = 0, ops = 0;
   for (auto _ : state) {

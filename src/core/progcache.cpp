@@ -28,8 +28,12 @@ std::uint64_t program_cache_key(std::string_view source,
   h.update_u64(t.eliminate_memory ? 1 : 0);
   h.update_u64(t.parallel_reads ? 1 : 0);
   h.update_u64(t.dead_store_elimination ? 1 : 0);
-  h.update_u64(t.opt_passes.bits);
-  h.update_u64(t.fuse_limit);
+  // Each level hashes as the pass mask and fuse limit it replaced (none
+  // 0, cleanup 63, all 127; limit 8), so no address moved with it.
+  h.update_u64(t.opt_level == dfg::OptLevel::kNone      ? 0
+               : t.opt_level == dfg::OptLevel::kCleanup ? 63
+                                                        : 127);
+  h.update_u64(dfg::kFuseLimit);
   h.update_u64(t.max_fanout);
   h.update_u64(t.parallel_store_arrays.size());
   for (const auto& a : t.parallel_store_arrays) h.update_string(a);

@@ -26,7 +26,8 @@
 // Key definition (see program_cache_key): Fnv1a64 over the source text
 // and every graph-shaping TranslateOptions field — schema/cover,
 // switch placement, memory elimination, read/store parallelization,
-// DSE, the optimizer pass set and fuse limit, fan-out bound, and the
+// DSE, the optimizer level (hashed as the pass mask and fuse limit it
+// replaced, so addresses did not move), fan-out bound, and the
 // per-array name lists — plus machine::kBlobVersion so a format bump
 // invalidates every address at once. The pipeline options that only
 // affect traces/dumps (compute_ssa, dump_after) are deliberately

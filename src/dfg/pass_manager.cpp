@@ -1,34 +1,12 @@
 #include "dfg/pass_manager.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "support/assert.hpp"
 #include "support/graph_algo.hpp"
 
 namespace ctdf::dfg {
-
-const char* to_string(PassId p) {
-  switch (p) {
-    case PassId::kFoldSwitch: return "fold-switch";
-    case PassId::kCollapseMerge: return "collapse-merge";
-    case PassId::kDce: return "dce";
-    case PassId::kConstFold: return "const-fold";
-    case PassId::kSwitchElim: return "switch-elim";
-    case PassId::kSynchNarrow: return "synch-narrow";
-    case PassId::kFuse: return "fuse";
-  }
-  CTDF_UNREACHABLE("bad PassId");
-}
-
-std::optional<PassId> pass_from_name(std::string_view name) {
-  for (std::size_t i = 0; i < kNumPasses; ++i) {
-    const PassId p = static_cast<PassId>(i);
-    if (name == to_string(p)) return p;
-  }
-  return std::nullopt;
-}
 
 namespace {
 
@@ -474,19 +452,21 @@ bool eliminate_dead_and_unfireable(Work& w, OptStats& stats) {
   return changed;
 }
 
-/// Writes the surviving arcs back and compacts away dead nodes.
-void rebuild(Graph& g, const Work& w) {
+/// Replaces `g` by its nodes with alive[n] set, in id order, joined by
+/// `arcs` in list order (each arc must join two live nodes).
+void rebuild(Graph& g, const std::vector<bool>& alive,
+             const std::vector<Arc>& arcs) {
   Graph rebuilt;
   std::vector<NodeId> remap(g.num_nodes());
   for (NodeId n : g.all_nodes()) {
-    if (!w.alive[n.index()]) continue;
+    if (!alive[n.index()]) continue;
     Node copy = g.node(n);
     remap[n.index()] = rebuilt.add(std::move(copy));
   }
   rebuilt.set_start(remap[g.start().index()]);
   rebuilt.set_end(remap[g.end().index()]);
-  for (const Arc& a : w.arcs) {
-    CTDF_ASSERT(w.alive[a.src.index()] && w.alive[a.dst.index()]);
+  for (const Arc& a : arcs) {
+    CTDF_ASSERT(alive[a.src.index()] && alive[a.dst.index()]);
     rebuilt.connect({remap[a.src.index()], a.src_port},
                     {remap[a.dst.index()], a.dst_port}, a.dummy);
   }
@@ -524,7 +504,7 @@ FusedStep make_step(const Node& t, std::uint16_t value_port) {
 
 /// fuse: collapse linear chains of single-consumer pure ops into
 /// kMacro nodes.
-void fuse_chains(Graph& g, std::size_t fuse_limit, OptStats& stats) {
+void fuse_chains(Graph& g, OptStats& stats) {
   const std::size_t n = g.num_nodes();
   std::vector<Arc> arcs = g.arcs();
   std::vector<bool> alive(n, true);
@@ -602,10 +582,10 @@ void fuse_chains(Graph& g, std::size_t fuse_limit, OptStats& stats) {
       in_chain[t.index()] = true;
     }
 
-    // Fuse fuse_limit-sized segments; a trailing singleton stays as-is.
+    // Fuse kFuseLimit-sized segments; a trailing singleton stays as-is.
     for (std::size_t begin = 0; begin + 1 < chain.size();
-         begin += fuse_limit) {
-      const std::size_t len = std::min(fuse_limit, chain.size() - begin);
+         begin += kFuseLimit) {
+      const std::size_t len = std::min(kFuseLimit, chain.size() - begin);
       if (len < 2) break;
       const NodeId head = chain[begin];
       Node& head_node = g.node(head);
@@ -633,62 +613,35 @@ void fuse_chains(Graph& g, std::size_t fuse_limit, OptStats& stats) {
       }
       ++stats.chains_fused;
       stats.ops_fused += len - 1;
-      const std::size_t bucket = std::min<std::size_t>(len, 8) - 2;
-      ++stats.fused_len_hist[bucket];
+      ++stats.fused_len_hist[len - 2];
       any = true;
     }
   }
-  if (!any) return;
-
-  // Rebuild without the absorbed tails.
-  Graph rebuilt;
-  std::vector<NodeId> remap(n);
-  for (NodeId node_id : g.all_nodes()) {
-    if (!alive[node_id.index()]) continue;
-    Node copy = g.node(node_id);
-    remap[node_id.index()] = rebuilt.add(std::move(copy));
-  }
-  rebuilt.set_start(remap[g.start().index()]);
-  rebuilt.set_end(remap[g.end().index()]);
-  for (const Arc& a : arcs) {
-    CTDF_ASSERT(alive[a.src.index()] && alive[a.dst.index()]);
-    rebuilt.connect({remap[a.src.index()], a.src_port},
-                    {remap[a.dst.index()], a.dst_port}, a.dummy);
-  }
-  g = std::move(rebuilt);
+  if (any) rebuild(g, alive, arcs);
 }
 
 }  // namespace
 
-OptStats run_passes(Graph& g, PassSet passes, std::size_t fuse_limit) {
+OptStats run_passes(Graph& g, OptLevel level) {
   OptStats stats;
-  if (!passes.any()) return stats;
+  if (level == OptLevel::kNone) return stats;
   const std::size_t initial_nodes = g.num_nodes();
 
-  PassSet cleanup = passes;
-  cleanup.disable(PassId::kFuse);
-  if (cleanup.any()) {
+  {
     Work w(g);
     bool dirty = false;
     bool changed = true;
     while (changed) {
       ++stats.iterations;
-      changed = false;
-      if (passes.enabled(PassId::kFoldSwitch))
-        changed |= fold_constant_switches(w, stats);
-      if (passes.enabled(PassId::kCollapseMerge))
-        changed |= collapse_single_source_merges(w, stats);
-      if (passes.enabled(PassId::kConstFold))
-        changed |= fold_constant_arith(w, stats);
-      if (passes.enabled(PassId::kSwitchElim))
-        changed |= eliminate_redundant_switches(w, stats);
-      if (passes.enabled(PassId::kSynchNarrow))
-        changed |= narrow_synch_trees(w, stats);
-      if (passes.enabled(PassId::kDce))
-        changed |= eliminate_dead_and_unfireable(w, stats);
+      changed = fold_constant_switches(w, stats);
+      changed |= collapse_single_source_merges(w, stats);
+      changed |= fold_constant_arith(w, stats);
+      changed |= eliminate_redundant_switches(w, stats);
+      changed |= narrow_synch_trees(w, stats);
+      changed |= eliminate_dead_and_unfireable(w, stats);
       dirty |= changed;
     }
-    if (dirty) rebuild(g, w);
+    if (dirty) rebuild(g, w.alive, w.arcs);
   }
 
   {
@@ -699,8 +652,7 @@ OptStats run_passes(Graph& g, PassSet passes, std::size_t fuse_limit) {
     support::build_loops(view, algo);
     stats.max_loop_depth = algo.max_loop_depth();
   }
-  if (passes.enabled(PassId::kFuse) && fuse_limit >= 2)
-    fuse_chains(g, fuse_limit, stats);
+  if (level == OptLevel::kAll) fuse_chains(g, stats);
 
   stats.nodes_removed = initial_nodes - g.num_nodes();
   return stats;

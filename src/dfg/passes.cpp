@@ -7,26 +7,6 @@
 
 namespace ctdf::dfg {
 
-Graph compact(const Graph& g, const std::vector<bool>& keep) {
-  CTDF_ASSERT(keep.size() == g.num_nodes());
-  CTDF_ASSERT(keep[g.start().index()] && keep[g.end().index()]);
-  Graph out;
-  std::vector<NodeId> remap(g.num_nodes());
-  for (NodeId n : g.all_nodes()) {
-    if (!keep[n.index()]) continue;
-    Node copy = g.node(n);
-    remap[n.index()] = out.add(std::move(copy));
-  }
-  out.set_start(remap[g.start().index()]);
-  out.set_end(remap[g.end().index()]);
-  for (const Arc& a : g.arcs()) {
-    if (!keep[a.src.index()] || !keep[a.dst.index()]) continue;
-    out.connect({remap[a.src.index()], a.src_port},
-                {remap[a.dst.index()], a.dst_port}, a.dummy);
-  }
-  return out;
-}
-
 std::size_t max_fanout(const Graph& g) {
   std::map<std::pair<std::uint32_t, std::uint16_t>, std::size_t> counts;
   for (const Arc& a : g.arcs()) ++counts[{a.src.value(), a.src_port}];

@@ -1,13 +1,13 @@
 // Structural graph transforms that are not optimizer passes.
 //
 // The optimization passes themselves (constant-switch folding, merge
-// collapsing, DCE, const-fold, switch-elim, synch-narrow, macro-op
-// fusion) live in dfg/pass_manager.hpp as an ordered, individually
-// toggleable pass list. This header holds:
+// collapsing, const-fold, switch-elim, synch-narrow, DCE, macro-op
+// fusion) live in dfg/pass_manager.hpp behind one OptLevel. This
+// header holds:
 //
 //  * lower_fanout — Monsoon-fidelity fan-out bounding via replication
 //    trees (marked Node::replicate so merge-collapsing skips them).
-//  * max_fanout / compact — graph measurement and rebuild helpers.
+//  * max_fanout — the widest out-port, the bound lower_fanout enforces.
 #pragma once
 
 #include <cstddef>
@@ -26,9 +26,5 @@ std::size_t lower_fanout(Graph& g, std::size_t max_destinations = 2);
 
 /// Largest number of arcs leaving any single (node, out-port).
 [[nodiscard]] std::size_t max_fanout(const Graph& g);
-
-/// Rebuilds `g` keeping only nodes with keep[node] == true; arcs
-/// touching dropped nodes are discarded. start/end must be kept.
-[[nodiscard]] Graph compact(const Graph& g, const std::vector<bool>& keep);
 
 }  // namespace ctdf::dfg

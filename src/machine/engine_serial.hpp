@@ -26,7 +26,6 @@
 //                                             // ascending due order
 #pragma once
 
-#include <cstdio>
 #include <optional>
 #include <span>
 #include <string>
@@ -406,10 +405,6 @@ class SerialEngine {
     ++stats_.fired_by_kind[static_cast<std::size_t>(op.kind)];
     if (stats_.first_fire_cycle[e.node.index()] == UINT64_MAX)
       stats_.first_fire_cycle[e.node.index()] = cycle;
-    if (opt_.trace)
-      std::fprintf(stderr, "[%8llu] fire %-10s '%s' ctx=%u\n",
-                   static_cast<unsigned long long>(cycle), to_string(op.kind),
-                   ep_.label(e.node.index()).c_str(), e.ctx);
     const std::uint64_t alu = kAluLatency;
     const std::uint64_t mem = opt_.mem_latency;
 

@@ -95,10 +95,6 @@ MachineFlagParse apply_machine_flag(MachineOptions& o, const std::string& arg,
   }
   if (starts_with(arg, "--frame-capacity="))
     return set_unsigned(arg, o.frame_capacity);
-  if (arg == "--trace") {
-    o.trace = true;
-    return MachineFlagParse::kApplied;
-  }
   return MachineFlagParse::kNotMachineFlag;
 }
 

@@ -166,9 +166,6 @@ struct MachineOptions {
   /// Record the ops-fired-per-cycle profile (memory proportional to
   /// cycles; off by default).
   bool record_profile = false;
-
-  /// Print every firing to stderr (debug).
-  bool trace = false;
 };
 
 }  // namespace ctdf::machine

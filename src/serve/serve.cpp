@@ -14,6 +14,7 @@
 #include <mutex>
 #include <optional>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -449,6 +450,8 @@ bool write_all(int fd, const std::string& s) {
 ///  * Dead clients: a failed write flips client_gone; later responses
 ///    are discarded (the reorder cursor still advances) and the
 ///    disconnect is counted once.
+///  * Refused threads: if the system refuses a worker thread, the pump
+///    keeps the workers that started (see started()).
 class Pump {
  public:
   Pump(Server& server, int out_fd)
@@ -458,11 +461,27 @@ class Pump {
         gauges_(server.gauges_.get()),
         out_fd_(out_fd) {
     workers_.reserve(opts_.workers);
-    for (std::size_t w = 0; w < opts_.workers; ++w)
-      workers_.emplace_back([this, w] { worker_main(w); });
+    try {
+      for (std::size_t w = 0; w < opts_.workers; ++w)
+        workers_.emplace_back([this, w] { worker_main(w); });
+    } catch (const std::system_error& e) {
+      refused_ = e.what();
+    }
   }
 
   ~Pump() { join(); }
+
+  /// True when every requested worker started. Otherwise writes one
+  /// line to stderr, and returns false if none did: such a pump must
+  /// not be fed, and `if_none` (what the caller does instead) ends the
+  /// line.
+  [[nodiscard]] bool started(const char* if_none) const {
+    if (workers_.size() == opts_.workers) return true;
+    std::fprintf(stderr, "serve: started %zu of %zu worker threads (%s)%s\n",
+                 workers_.size(), opts_.workers, refused_.c_str(),
+                 workers_.empty() ? if_none : "");
+    return !workers_.empty();
+  }
 
   /// Reader side: admit or reject one request line.
   void submit(std::string line) {
@@ -592,7 +611,7 @@ class Pump {
     const std::int64_t svc_ms = std::max<std::int64_t>(
         1, ewma_us_.load(std::memory_order_relaxed) / 1000);
     const std::int64_t retry = std::clamp<std::int64_t>(
-        svc_ms * (static_cast<std::int64_t>(depth / opts_.workers) + 1), 1,
+        svc_ms * (static_cast<std::int64_t>(depth / workers_.size()) + 1), 1,
         60'000);
     std::string out;
     JsonWriter w(out, JsonWriter::Layout::kCompact);
@@ -649,6 +668,7 @@ class Pump {
   std::atomic<std::int64_t> drain_deadline_ns_{kNotDraining};
   std::atomic<std::int64_t> ewma_us_{0};
   std::vector<std::thread> workers_;
+  std::string refused_;  ///< why a worker thread was refused
 };
 
 namespace {
@@ -700,6 +720,7 @@ int Server::serve_pipe(int in_fd, int out_fd) {
   install_signal_handlers();
   g_stop = 0;
   Pump pump(*this, out_fd);
+  if (!pump.started("; no request read")) return 2;
   pump_read_loop(in_fd, pump);
   // EOF, signal, or shutdown: whatever is queued gets the drain
   // window, then the pump guarantees an answer for every line read.
@@ -749,13 +770,15 @@ int Server::serve_socket(const std::string& path) {
     }
     {
       Pump pump(*this, client);
-      const bool orderly = pump_read_loop(client, pump);
-      if (!orderly)
-        stats_.client_disconnects.fetch_add(1, std::memory_order_relaxed);
-      pump.begin_drain();
-      pump.finish_input();
-      pump.join();
-      stop = pump.shutdown_requested();
+      if (pump.started("; connection closed")) {
+        const bool orderly = pump_read_loop(client, pump);
+        if (!orderly)
+          stats_.client_disconnects.fetch_add(1, std::memory_order_relaxed);
+        pump.begin_drain();
+        pump.finish_input();
+        pump.join();
+        stop = pump.shutdown_requested();
+      }
     }
     ::close(client);
     // A vanished client (EOF, reset, failed write) only ends its own

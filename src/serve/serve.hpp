@@ -55,7 +55,9 @@
 // was read gets exactly one response and the process exits cleanly
 // (socket file unlinked). SIGPIPE is ignored: a client that hangs up
 // mid-response is counted (client_disconnects) and the server keeps
-// accepting.
+// accepting. A worker thread the system refuses is reported on stderr;
+// the pump runs on the workers that started, and with none it serves
+// nothing (serve_pipe returns 2, serve_socket closes that client).
 //
 // Errors never kill the server: every failure — unparseable line,
 // unknown op, bad flag, compile error, machine error, overload — is
@@ -122,7 +124,8 @@ class Server {
 
   /// NDJSON loop over raw fds with the full pump: bounded queue,
   /// worker pool, ordered responses, overload rejection, signal-aware
-  /// graceful drain. The CLI's stdin mode is serve_pipe(0, 1).
+  /// graceful drain. The CLI's stdin mode is serve_pipe(0, 1). Returns
+  /// 2, before reading, if no worker thread could be started.
   int serve_pipe(int in_fd, int out_fd);
 
   /// Same protocol over a Unix stream socket (one client at a time;

@@ -35,8 +35,8 @@ std::string TranslateOptions::describe() const {
   if (!parallel_store_arrays.empty()) os << "+fig14";
   if (!istructure_arrays.empty()) os << "+istructures";
   if (dead_store_elimination) os << "+dse";
-  if (opt_passes.any()) os << "+post-opt";
-  if (opt_passes.enabled(dfg::PassId::kFuse)) os << "+fuse";
+  if (opt_level != dfg::OptLevel::kNone) os << "+post-opt";
+  if (opt_level == dfg::OptLevel::kAll) os << "+fuse";
   return os.str();
 }
 
@@ -83,30 +83,16 @@ SchemaFlagParse apply_schema_flag(TranslateOptions& o, std::string_view arg) {
     o.eliminate_memory = true;
   } else if (arg == "--dse") {
     o.dead_store_elimination = true;
-  } else if (arg == "--post-opt") {
-    if (!o.opt_passes.any()) o.opt_passes = dfg::PassSet::cleanup();
   } else if (starts_with(arg, "--opt=")) {
     const auto v = value_of(arg);
-    if (v == "none") {
-      o.opt_passes = dfg::PassSet::none();
-    } else if (v == "all") {
-      o.opt_passes = dfg::PassSet::all();
-    } else {
-      dfg::PassSet set;
-      for (const std::string& name : split_csv(std::string(v))) {
-        const auto pass = dfg::pass_from_name(name);
-        if (!pass) return SchemaFlagParse::kBadValue;
-        set.enable(*pass);
-      }
-      if (!set.any()) return SchemaFlagParse::kBadValue;
-      o.opt_passes = set;
-    }
-  } else if (starts_with(arg, "--fuse-limit=")) {
-    // A macro needs at least a head and one absorbed tail.
-    unsigned long long v = 0;
-    if (!support::parse_unsigned(std::string(value_of(arg)), v) || v < 2)
+    if (v == "none")
+      o.opt_level = dfg::OptLevel::kNone;
+    else if (v == "cleanup")
+      o.opt_level = dfg::OptLevel::kCleanup;
+    else if (v == "all")
+      o.opt_level = dfg::OptLevel::kAll;
+    else
       return SchemaFlagParse::kBadValue;
-    o.fuse_limit = static_cast<std::size_t>(v);
   } else if (starts_with(arg, "--max-fanout=")) {
     // lower_fanout requires ≥ 2 destinations (0 = unlimited, stage off);
     // 1 would demand infinite replication.

@@ -51,15 +51,9 @@ struct TranslateOptions {
   /// dropped. Classic liveness-based cleanup; see cfg/dataflow.hpp.
   bool dead_store_elimination = false;
 
-  /// The dfg pass manager's passes; the `optimize` stage runs after
-  /// construction if and only if this set is non-empty. `--post-opt`
-  /// selects the cleanup passes when none is selected yet;
-  /// `--opt=<list|all|none>` selects passes individually.
-  dfg::PassSet opt_passes = dfg::PassSet::none();
-
-  /// Macro-op fusion: maximum ops per fused chain (`--fuse-limit=N`,
-  /// N ≥ 2; chains longer than this split into several macros).
-  std::size_t fuse_limit = dfg::kDefaultFuseLimit;
+  /// The dfg pass manager's level (`--opt=none|cleanup|all`); the
+  /// `optimize` stage runs after construction unless it is kNone.
+  dfg::OptLevel opt_level = dfg::OptLevel::kNone;
 
   /// Monsoon fidelity: bound each operator output to this many
   /// destination arcs by inserting replicate trees (0 = unlimited, the
@@ -108,10 +102,8 @@ enum class SchemaFlagParse : std::uint8_t {
 
 /// The one parser for schema-selection flags, shared by the `ctdf` CLI
 /// and the bench harnesses: "--schema1", "--no-opt", "--cover=...",
-/// "--mem-elim", "--dse", "--post-opt" (the cleanup passes, unless a
-/// pass set is already selected), "--opt=<pass,list|all|none>",
-/// "--fuse-limit=N", "--max-fanout=N" (0 or ≥ 2), "--par-reads",
-/// "--fig14=a,b", "--istructure=a,b".
+/// "--mem-elim", "--dse", "--opt=none|cleanup|all", "--max-fanout=N"
+/// (0 or ≥ 2), "--par-reads", "--fig14=a,b", "--istructure=a,b".
 SchemaFlagParse apply_schema_flag(TranslateOptions& o, std::string_view arg);
 
 /// Splits "a,b,c" into {"a","b","c"} (empty items dropped); used for

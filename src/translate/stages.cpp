@@ -12,6 +12,7 @@
 #include "dfg/pass_manager.hpp"
 #include "dfg/passes.hpp"
 #include "support/assert.hpp"
+#include "support/index_map.hpp"
 #include "translate/build_graph.hpp"
 #include "translate/classify.hpp"
 #include "translate/source_vectors.hpp"
@@ -458,11 +459,10 @@ Translation run_stages(const lang::Program& prog,
     rep.dump(result.graph.to_dot());
 
   // --- optimize (the dfg pass manager) --------------------------------
-  if (opt.opt_passes.any()) {
+  if (opt.opt_level != dfg::OptLevel::kNone) {
     const std::size_t before = result.graph.num_nodes();
     t0 = Clock::now();
-    const dfg::OptStats ps =
-        dfg::run_passes(result.graph, opt.opt_passes, opt.fuse_limit);
+    const dfg::OptStats ps = dfg::run_passes(result.graph, opt.opt_level);
     result.post_opt_removed = ps.nodes_removed;
     StageRecord r;
     r.stage = Stage::kOptimize;
@@ -482,7 +482,7 @@ Translation run_stages(const lang::Program& prog,
         {"synch-narrowed", static_cast<std::int64_t>(ps.synchs_narrowed)},
         {"iterations", static_cast<std::int64_t>(ps.iterations)},
         {"max-loop-depth", static_cast<std::int64_t>(ps.max_loop_depth)}};
-    if (opt.opt_passes.enabled(dfg::PassId::kFuse)) {
+    if (opt.opt_level == dfg::OptLevel::kAll) {
       r.counters.emplace_back("chains-fused",
                               static_cast<std::int64_t>(ps.chains_fused));
       r.counters.emplace_back("fused-ops",
@@ -525,18 +525,16 @@ Translation run_stages(const lang::Program& prog,
   result.memory_cells = layout.total_cells();
 
   // Record the bind-shared regions: one entry per storage-binding class
-  // with several members, keyed by its representative so each range is
-  // reported once.
-  for (const lang::VarId v : prog.symbols.all_vars()) {
-    if (prog.symbols.bind_root(v) != v) continue;
-    std::size_t members = 0;
-    for (const lang::VarId w : prog.symbols.all_vars())
-      if (prog.symbols.same_storage(v, w)) ++members;
-    if (members > 1)
+  // with several members, keyed by its representative in declaration
+  // order so each range is reported once.
+  const std::vector<lang::VarId> vars = prog.symbols.all_vars();
+  support::IndexMap<lang::VarId, std::uint32_t> members(vars.size(), 0);
+  for (const lang::VarId v : vars) ++members[prog.symbols.bind_root(v)];
+  for (const lang::VarId v : vars)
+    if (prog.symbols.bind_root(v) == v && members[v] > 1)
       result.shared_cells.push_back(
           {static_cast<std::uint32_t>(layout.base(v)),
            static_cast<std::uint32_t>(layout.extent(v))});
-  }
 
   // --- validate -------------------------------------------------------
   t0 = Clock::now();

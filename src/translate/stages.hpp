@@ -11,13 +11,12 @@
 // artifact as text/dot for dump points (`ctdf ... --dump-after=STAGE`).
 // `parse` is driven by core::Pipeline — this layer starts from a
 // lang::Program. Each optional stage has one switch: TranslateOptions
-// carries dse (dead_store_elimination), optimize (a non-empty
-// opt_passes) and fanout (max_fanout ≥ 2); run_stages' `ssa` argument
+// carries dse (dead_store_elimination), optimize (opt_level other than
+// kNone) and fanout (max_fanout ≥ 2); run_stages' `ssa` argument
 // carries ssa. Every other stage, validate included, always runs. A
 // disabled stage is reported as skipped, so every trace lists the full
-// stage sequence. The `optimize` stage runs the dfg pass manager
-// (TranslateOptions::opt_passes / fuse_limit) and reports per-pass
-// counters.
+// stage sequence. The `optimize` stage runs the dfg pass manager at
+// TranslateOptions::opt_level and reports per-pass counters.
 //
 // run_stages is the single implementation behind core::Pipeline::run,
 // which every compile goes through.

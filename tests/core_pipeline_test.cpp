@@ -22,7 +22,7 @@ translate::TranslateOptions full_stack() {
   auto t = translate::TranslateOptions::schema2_optimized();
   t.eliminate_memory = true;
   t.dead_store_elimination = true;
-  t.opt_passes = dfg::PassSet::cleanup();
+  t.opt_level = dfg::OptLevel::kCleanup;
   return t;
 }
 

@@ -73,7 +73,7 @@ TEST(ProgramCacheKey, StableAndSensitiveToWhatShapesTheImage) {
   EXPECT_NE(program_cache_key(src, po), program_cache_key(src, mem));
 
   PipelineOptions fuse = po;
-  fuse.translate.fuse_limit = 5;
+  fuse.translate.opt_level = dfg::OptLevel::kAll;
   EXPECT_NE(program_cache_key(src, po), program_cache_key(src, fuse));
 
   PipelineOptions istr = po;
@@ -90,9 +90,9 @@ TEST(ProgramCacheKey, StableAndSensitiveToWhatShapesTheImage) {
 }
 
 TEST(ProgramCacheKey, DefaultOptionsAndOptNoneShareOneKey) {
-  // The optimize stage has one switch, a non-empty pass set. The
-  // default set is empty, as --opt=none leaves it, so both compile the
-  // same image and must share one address.
+  // The optimize stage has one switch, the --opt level. The default is
+  // none, as --opt=none sets it, so both compile the same image and
+  // must share one address.
   const std::string src = lang::corpus::running_example_source();
   PipelineOptions none = default_po();
   ASSERT_EQ(translate::apply_schema_flag(none.translate, "--opt=none"),
@@ -103,12 +103,32 @@ TEST(ProgramCacheKey, DefaultOptionsAndOptNoneShareOneKey) {
                 make_program_image(Pipeline(default_po()).run(src))),
             machine::serialize(make_program_image(Pipeline(none).run(src))));
 
-  // Any selected pass is a different image and a different address.
+  // Any other level is a different image and a different address.
   PipelineOptions cleanup = default_po();
-  ASSERT_EQ(translate::apply_schema_flag(cleanup.translate, "--post-opt"),
+  ASSERT_EQ(translate::apply_schema_flag(cleanup.translate, "--opt=cleanup"),
             translate::SchemaFlagParse::kApplied);
   EXPECT_NE(program_cache_key(src, default_po()),
             program_cache_key(src, cleanup));
+}
+
+TEST(ProgramCacheKey, OptLevelsKeepTheAddressesOfTheirPassSets) {
+  // Each --opt level hashes as the pass mask and fuse limit it stands
+  // for, so the addresses (and disk blob names) recorded when passes
+  // were selected one by one still hold: none, --post-opt (now
+  // --opt=cleanup) and --opt=all. A kBlobVersion bump renames them all.
+  const std::string src = lang::corpus::running_example_source();
+  const struct {
+    const char* flag;
+    std::uint64_t key;
+  } rows[] = {{"--opt=none", 0x5c994ef0b16a86b6},
+              {"--opt=cleanup", 0x5ee8aba01fbe14c4},
+              {"--opt=all", 0xaeeaa285189e2241}};
+  for (const auto& row : rows) {
+    PipelineOptions po = default_po();
+    ASSERT_EQ(translate::apply_schema_flag(po.translate, row.flag),
+              translate::SchemaFlagParse::kApplied);
+    EXPECT_EQ(program_cache_key(src, po), row.key) << row.flag;
+  }
 }
 
 TEST(ProgramCache, MissThenMemoryHitSharesTheEntry) {

@@ -92,34 +92,23 @@ TEST(Core, DescribeStringsAreStable) {
   EXPECT_EQ(o.describe(), "schema3(cover=component)+mem-elim");
 }
 
-TEST(Core, OptimizerFlagSequencesSelectOnePassSet) {
-  // The optimize stage has one switch: it runs if and only if the pass
-  // set is non-empty. --post-opt selects the cleanup passes unless a
-  // set is already selected; --opt=... replaces the set.
-  using dfg::PassId;
-  using dfg::PassSet;
-  PassSet dce_fuse;
-  dce_fuse.enable(PassId::kDce);
-  dce_fuse.enable(PassId::kFuse);
+TEST(Core, OptimizerFlagSelectsOneLevel) {
+  // The optimize stage has one switch, --opt=none|cleanup|all: it runs
+  // unless the level is none, and the last --opt wins.
+  using dfg::OptLevel;
   const std::string base = "schema2(cover=singleton)+opt-switches";
   const struct Row {
     std::vector<std::string> flags;
-    PassSet passes;
+    OptLevel level;
     std::string describe;
   } rows[] = {
-      {{}, PassSet::none(), base},
-      {{"--post-opt"}, PassSet::cleanup(), base + "+post-opt"},
-      {{"--opt=none"}, PassSet::none(), base},
-      {{"--opt=all"}, PassSet::all(), base + "+post-opt+fuse"},
-      {{"--opt=dce,fuse"}, dce_fuse, base + "+post-opt+fuse"},
-      {{"--post-opt", "--opt=none"}, PassSet::none(), base},
-      {{"--opt=none", "--post-opt"}, PassSet::cleanup(), base + "+post-opt"},
-      {{"--post-opt", "--opt=all"}, PassSet::all(), base + "+post-opt+fuse"},
-      {{"--opt=all", "--post-opt"}, PassSet::all(), base + "+post-opt+fuse"},
-      {{"--post-opt", "--opt=dce,fuse"}, dce_fuse, base + "+post-opt+fuse"},
-      {{"--opt=dce,fuse", "--post-opt"}, dce_fuse, base + "+post-opt+fuse"},
-      {{"--opt=all", "--opt=none"}, PassSet::none(), base},
-      {{"--opt=none", "--opt=all"}, PassSet::all(), base + "+post-opt+fuse"},
+      {{}, OptLevel::kNone, base},
+      {{"--opt=none"}, OptLevel::kNone, base},
+      {{"--opt=cleanup"}, OptLevel::kCleanup, base + "+post-opt"},
+      {{"--opt=all"}, OptLevel::kAll, base + "+post-opt+fuse"},
+      {{"--opt=all", "--opt=none"}, OptLevel::kNone, base},
+      {{"--opt=none", "--opt=cleanup"}, OptLevel::kCleanup,
+       base + "+post-opt"},
   };
   for (const Row& row : rows) {
     std::string label;
@@ -130,11 +119,29 @@ TEST(Core, OptimizerFlagSequencesSelectOnePassSet) {
                 translate::SchemaFlagParse::kApplied)
           << f;
     }
-    EXPECT_EQ(unsigned{o.opt_passes.bits}, unsigned{row.passes.bits}) << label;
+    EXPECT_EQ(o.opt_level, row.level) << label;
     EXPECT_EQ(o.describe(), row.describe) << label;
     const auto cr = Pipeline(o).run(lang::corpus::running_example_source());
-    EXPECT_EQ(cr.trace.find(Stage::kOptimize)->ran, row.passes.any())
+    EXPECT_EQ(cr.trace.find(Stage::kOptimize)->ran,
+              row.level != OptLevel::kNone)
         << label;
+  }
+
+  // A pass list, --post-opt and --fuse-limit are no longer spellings:
+  // each is a bad value or an unknown flag, and leaves the level alone.
+  for (const char* bad : {"--opt=dce", "--opt=dce,fuse", "--opt=fuse",
+                          "--opt=", "--opt=ALL"}) {
+    auto o = translate::TranslateOptions::schema2_optimized();
+    EXPECT_EQ(translate::apply_schema_flag(o, bad),
+              translate::SchemaFlagParse::kBadValue)
+        << bad;
+    EXPECT_EQ(o.opt_level, OptLevel::kNone) << bad;
+  }
+  for (const char* gone : {"--post-opt", "--fuse-limit=4"}) {
+    auto o = translate::TranslateOptions::schema2_optimized();
+    EXPECT_EQ(translate::apply_schema_flag(o, gone),
+              translate::SchemaFlagParse::kNotSchemaFlag)
+        << gone;
   }
 }
 

@@ -1,5 +1,6 @@
 // Unit tests for the optimization pass manager (dfg/pass_manager.hpp):
-// macro-op fusion on hand-built chains, the new cleanup passes, the
+// macro-op fusion on hand-built chains, the cleanup passes (each test
+// checks that its own pass's counter accounts for every rewrite), the
 // replicate-tree regression, and the fused-vs-unfused differential
 // over the corpus.
 #include <gtest/gtest.h>
@@ -35,10 +36,11 @@ NodeId add_end(Graph& g, std::uint16_t inputs) {
   return n;
 }
 
-PassSet only(PassId p) {
-  PassSet s;
-  s.enable(p);
-  return s;
+/// Every cleanup rewrite, whichever pass made it.
+std::size_t total_rewrites(const OptStats& s) {
+  return s.switches_folded + s.merges_collapsed + s.dead_removed +
+         s.unfireable_removed + s.consts_folded + s.switches_elim +
+         s.synchs_narrowed;
 }
 
 std::size_t count_kind(const Graph& g, OpKind k) {
@@ -74,7 +76,8 @@ TEST(Fusion, CollapsesALinearChainIntoOneMacro) {
   ASSERT_TRUE(g.validate().empty());
   const std::size_t before = g.num_nodes();
 
-  const OptStats stats = run_passes(g, only(PassId::kFuse));
+  const OptStats stats = run_passes(g, OptLevel::kAll);
+  EXPECT_EQ(total_rewrites(stats), 0u);
   EXPECT_EQ(stats.chains_fused, 1u);
   EXPECT_EQ(stats.ops_fused, 2u);
   EXPECT_EQ(stats.fused_len_hist[1], 1u);  // one chain of 3 ops
@@ -89,11 +92,12 @@ TEST(Fusion, CollapsesALinearChainIntoOneMacro) {
   EXPECT_EQ(r.store.cells[0], 26);
 }
 
-TEST(Fusion, FuseLimitSegmentsLongChains) {
+/// start(5) → `ops` times (+1) → store[0] → end.
+Graph add_chain(std::size_t ops) {
   Graph g;
   const NodeId s = add_start(g, {5});
   NodeId prev = s;
-  for (int i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i < ops; ++i) {
     const NodeId b = g.add_binop(lang::BinOp::kAdd);
     g.connect({prev, 0}, {b, 0}, false);
     g.bind_literal({b, 1}, 1);
@@ -104,23 +108,36 @@ TEST(Fusion, FuseLimitSegmentsLongChains) {
   g.connect({prev, 0}, {st, 1}, false);
   const NodeId e = add_end(g, 1);
   g.connect({st, 0}, {e, 0}, true);
-  ASSERT_TRUE(g.validate().empty());
+  return g;
+}
 
-  const OptStats stats = run_passes(g, only(PassId::kFuse), /*fuse_limit=*/3);
-  EXPECT_EQ(stats.chains_fused, 2u);  // 6 ops split into two macros of 3
-  EXPECT_EQ(stats.ops_fused, 4u);
-  EXPECT_EQ(count_kind(g, OpKind::kMacro), 2u);
+TEST(Fusion, ChainsLongerThanTheLimitSplitIntoMacros) {
+  constexpr std::size_t kOps = 2 * kFuseLimit + 3;
+  const Graph unfused = add_chain(kOps);
+  ASSERT_TRUE(unfused.validate().empty());
+  Graph g = add_chain(kOps);
+
+  const OptStats stats = run_passes(g, OptLevel::kAll);
+  // Two full macros of kFuseLimit ops, then one of the 3 left over.
+  EXPECT_EQ(stats.chains_fused, 3u);
+  EXPECT_EQ(stats.ops_fused, kOps - 3);
+  EXPECT_EQ(stats.fused_len_hist[kFuseLimit - 2], 2u);
+  EXPECT_EQ(stats.fused_len_hist[1], 1u);
+  EXPECT_EQ(count_kind(g, OpKind::kMacro), 3u);
   EXPECT_EQ(count_kind(g, OpKind::kBinOp), 0u);
   ASSERT_TRUE(g.validate().empty());
 
-  const auto r = machine::run(machine::lower(g), 1, {});
-  ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
-  EXPECT_EQ(r.store.cells[0], 11);
+  const auto want = machine::run(machine::lower(unfused), 1, {});
+  const auto got = machine::run(machine::lower(g), 1, {});
+  ASSERT_TRUE(want.stats.completed) << want.stats.error_detail.render();
+  ASSERT_TRUE(got.stats.completed) << got.stats.error_detail.render();
+  EXPECT_EQ(want.store.cells[0], static_cast<std::int64_t>(5 + kOps));
+  EXPECT_EQ(got.store.cells, want.store.cells);
 }
 
 TEST(Fusion, MacroNodesSurviveLowering) {
   Graph g = chain_graph(5);
-  (void)run_passes(g, only(PassId::kFuse));
+  (void)run_passes(g, OptLevel::kAll);
   ASSERT_EQ(count_kind(g, OpKind::kMacro), 1u);
 
   // The lowered op table exposes the head kind and step count.
@@ -147,8 +164,9 @@ TEST(ConstFold, IdentityOperatorsAreBypassed) {
   g.connect({st, 0}, {e, 0}, true);
   const std::size_t before = g.num_nodes();
 
-  const OptStats stats = run_passes(g, only(PassId::kConstFold));
+  const OptStats stats = run_passes(g, OptLevel::kCleanup);
   EXPECT_EQ(stats.consts_folded, 1u);
+  EXPECT_EQ(total_rewrites(stats), stats.consts_folded);
   EXPECT_EQ(g.num_nodes(), before - 1);
   ASSERT_TRUE(g.validate().empty());
 
@@ -173,8 +191,9 @@ TEST(ConstFold, AbsorbersStillConsumeTheLiveToken) {
   g.connect({st, 0}, {e, 0}, true);
   const std::size_t before = g.num_nodes();
 
-  const OptStats stats = run_passes(g, only(PassId::kConstFold));
+  const OptStats stats = run_passes(g, OptLevel::kCleanup);
   EXPECT_EQ(stats.consts_folded, 1u);
+  EXPECT_EQ(total_rewrites(stats), stats.consts_folded);
   EXPECT_EQ(g.num_nodes(), before);  // rewritten in place, not removed
   EXPECT_EQ(count_kind(g, OpKind::kGate), 1u);
   ASSERT_TRUE(g.validate().empty());
@@ -185,25 +204,32 @@ TEST(ConstFold, AbsorbersStillConsumeTheLiveToken) {
 }
 
 TEST(SynchNarrow, SynchFeedingOnlyASynchMergesIntoIt) {
+  // start → synch a (one literal operand) → synch b → the access token
+  // of a store of 7.
   Graph g;
-  const NodeId s = add_start(g, {1, 2});
+  const NodeId s = add_start(g, {1, 2, 7});
   const NodeId a = g.add_synch(2, "a");
   g.connect({s, 0}, {a, 0}, true);
   g.bind_literal({a, 1}, 5);  // literal operand: dropped by narrowing
   const NodeId b = g.add_synch(2, "b");
   g.connect({a, 0}, {b, 0}, true);
   g.connect({s, 1}, {b, 1}, true);
+  const NodeId st = g.add_store(0, "out");
+  g.connect({s, 2}, {st, 0}, false);
+  g.connect({b, 0}, {st, 1}, true);
   const NodeId e = add_end(g, 1);
-  g.connect({b, 0}, {e, 0}, true);
+  g.connect({st, 0}, {e, 0}, true);
   ASSERT_TRUE(g.validate().empty());
 
-  const OptStats stats = run_passes(g, only(PassId::kSynchNarrow));
+  const OptStats stats = run_passes(g, OptLevel::kCleanup);
   EXPECT_GE(stats.synchs_narrowed, 2u);  // literal drop + tree merge
+  EXPECT_EQ(total_rewrites(stats), stats.synchs_narrowed);
   EXPECT_EQ(count_kind(g, OpKind::kSynch), 1u);
   ASSERT_TRUE(g.validate().empty());
 
-  const auto r = machine::run(machine::lower(g), 0, {});
+  const auto r = machine::run(machine::lower(g), 1, {});
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
+  EXPECT_EQ(r.store.cells[0], 7);
 }
 
 TEST(PassManager, ReplicateTreesAreNeverRecollapsed) {
@@ -219,7 +245,7 @@ TEST(PassManager, ReplicateTreesAreNeverRecollapsed) {
   ASSERT_GT(lower_fanout(tx.graph, 2), 0u);
   ASSERT_LE(max_fanout(tx.graph), 2u);
 
-  const OptStats stats = run_passes(tx.graph, PassSet::cleanup());
+  const OptStats stats = run_passes(tx.graph, OptLevel::kCleanup);
   EXPECT_LE(max_fanout(tx.graph), 2u)
       << "collapse-merge folded a replicate tree (" << stats.merges_collapsed
       << " merges collapsed)";
@@ -236,7 +262,7 @@ TEST(PassManager, PerPassCountersAttributeTheWork) {
   auto tx = core::compile(
       lang::parse_or_throw("var x; if 1 { x := 5; } else { x := 6; }"),
       translate::TranslateOptions::schema2_optimized());
-  const OptStats stats = run_passes(tx.graph, PassSet::all());
+  const OptStats stats = run_passes(tx.graph, OptLevel::kAll);
   EXPECT_GT(stats.switches_folded, 0u);
   EXPECT_GT(stats.nodes_removed, 0u);
   EXPECT_GE(stats.iterations, 1u);
@@ -246,7 +272,7 @@ TEST(PassManager, PerPassCountersAttributeTheWork) {
 TEST(PassManager, LoopDepthIsReportedForLoopPrograms) {
   auto tx = core::compile(lang::corpus::running_example(),
                           translate::TranslateOptions::schema2_optimized());
-  const OptStats stats = run_passes(tx.graph, PassSet::cleanup());
+  const OptStats stats = run_passes(tx.graph, OptLevel::kCleanup);
   EXPECT_GE(stats.max_loop_depth, 1u);
 }
 
@@ -258,7 +284,7 @@ TEST(PassManager, FusedAndUnfusedStoresAreByteIdentical) {
       auto off = translate::TranslateOptions::schema2_optimized();
       off.eliminate_memory = mem_elim;
       auto on = off;
-      on.opt_passes = PassSet::all();
+      on.opt_level = OptLevel::kAll;
       const auto tx_off = core::compile(prog, off);
       const auto tx_on = core::compile(prog, on);
       ASSERT_TRUE(tx_on.graph.validate().empty()) << np.name;
@@ -272,17 +298,6 @@ TEST(PassManager, FusedAndUnfusedStoresAreByteIdentical) {
       EXPECT_EQ(r_on.store.cells, ref.store.cells) << np.name;
     }
   }
-}
-
-TEST(PassManager, PassNamesRoundTrip) {
-  for (std::size_t i = 0; i < kNumPasses; ++i) {
-    const auto p = static_cast<PassId>(i);
-    const auto back = pass_from_name(to_string(p));
-    ASSERT_TRUE(back.has_value()) << to_string(p);
-    EXPECT_EQ(*back, p);
-  }
-  EXPECT_FALSE(pass_from_name("frobnicate").has_value());
-  EXPECT_FALSE(pass_from_name("").has_value());
 }
 
 }  // namespace

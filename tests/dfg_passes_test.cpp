@@ -8,24 +8,27 @@
 namespace ctdf::dfg {
 namespace {
 
-/// The original peephole trio: fold-switch, collapse-merge and dce.
-OptStats run_peepholes(Graph& g) {
-  PassSet set;
-  set.enable(PassId::kFoldSwitch);
-  set.enable(PassId::kCollapseMerge);
-  set.enable(PassId::kDce);
-  return run_passes(g, set);
-}
+OptStats run_cleanup(Graph& g) { return run_passes(g, OptLevel::kCleanup); }
 
-std::size_t total_removed(const OptStats& s) {
+std::size_t total_rewrites(const OptStats& s) {
   return s.switches_folded + s.merges_collapsed + s.dead_removed +
-         s.unfireable_removed;
+         s.unfireable_removed + s.consts_folded + s.switches_elim +
+         s.synchs_narrowed;
 }
 
 translate::Translation compile(std::string_view src, bool cleanup = false) {
   auto o = translate::TranslateOptions::schema2_optimized();
-  if (cleanup) o.opt_passes = dfg::PassSet::cleanup();
+  if (cleanup) o.opt_level = dfg::OptLevel::kCleanup;
   return core::compile(lang::parse_or_throw(std::string(src)), o);
+}
+
+/// The store `tx` leaves, which must be the interpreter's for `src`.
+void expect_interpreter_store(const translate::Translation& tx,
+                              std::string_view src) {
+  const auto ref = lang::interpret(lang::parse_or_throw(std::string(src)));
+  const auto res = core::execute(tx, {});
+  ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
+  EXPECT_EQ(res.store.cells, ref.store.cells) << src;
 }
 
 TEST(Passes, ConstantSwitchIsFolded) {
@@ -33,49 +36,45 @@ TEST(Passes, ConstantSwitchIsFolded) {
   auto tx = compile(src);
   const auto before = compute_stats(tx.graph);
   ASSERT_GT(before.switches, 0u);
-  const OptStats stats = run_peepholes(tx.graph);
+  const OptStats stats = run_cleanup(tx.graph);
   EXPECT_GT(stats.switches_folded, 0u);
   EXPECT_EQ(compute_stats(tx.graph).switches, 0u);
   EXPECT_TRUE(tx.graph.validate().empty());
+  expect_interpreter_store(tx, src);
 }
 
 TEST(Passes, UntakenBranchIsRemoved) {
   const char* src = "var x; if 0 { x := 5; } else { x := 6; }";
   auto tx = compile(src);
   const auto before = compute_stats(tx.graph);
-  const OptStats stats = run_peepholes(tx.graph);
+  const OptStats stats = run_cleanup(tx.graph);
   // The then-branch store can never fire after folding and is removed.
   EXPECT_GT(stats.unfireable_removed, 0u);
   EXPECT_LT(compute_stats(tx.graph).stores, before.stores);
   EXPECT_TRUE(tx.graph.validate().empty());
+  expect_interpreter_store(tx, src);
 }
 
 TEST(Passes, FoldedProgramStillComputesCorrectly) {
   for (const char* src :
        {"var x; if 1 { x := 5; } else { x := 6; }",
         "var x; if 0 { x := 5; } else { x := 6; }",
-        "var x, y; if 1 { if 0 { y := 1; } else { y := 2; } } x := y * 10;"}) {
-    const auto prog = lang::parse_or_throw(src);
-    const auto ref = lang::interpret(prog);
-    auto o = translate::TranslateOptions::schema2_optimized();
-    o.opt_passes = dfg::PassSet::cleanup();
-    const auto tx = core::compile(prog, o);
-    const auto res = core::execute(tx, {});
-    ASSERT_TRUE(res.stats.completed)
-        << src << ": " << res.stats.error_detail.render();
-    EXPECT_EQ(res.store.cells, ref.store.cells) << src;
-  }
+        "var x, y; if 1 { if 0 { y := 1; } else { y := 2; } } x := y * 10;"})
+    expect_interpreter_store(compile(src, /*cleanup=*/true), src);
 }
 
 TEST(Passes, IdempotentOnCleanGraphs) {
-  auto tx = compile(lang::corpus::running_example_source());
-  (void)run_peepholes(tx.graph);
+  const std::string src = lang::corpus::running_example_source();
+  auto tx = compile(src);
+  (void)run_cleanup(tx.graph);
   const auto once = compute_stats(tx.graph);
-  const OptStats again = run_peepholes(tx.graph);
-  EXPECT_EQ(total_removed(again), 0u);
+  const OptStats again = run_cleanup(tx.graph);
+  EXPECT_EQ(total_rewrites(again), 0u);
+  EXPECT_EQ(again.iterations, 1u);
   const auto twice = compute_stats(tx.graph);
   EXPECT_EQ(once.nodes, twice.nodes);
   EXPECT_EQ(once.arcs, twice.arcs);
+  expect_interpreter_store(tx, src);
 }
 
 TEST(Passes, PreservesValidityOnCorpus) {
@@ -84,15 +83,9 @@ TEST(Passes, PreservesValidityOnCorpus) {
       auto o = translate::TranslateOptions::schema2_optimized();
       o.eliminate_memory = mem_elim;
       auto tx = core::compile(lang::parse_or_throw(np.source), o);
-      (void)run_peepholes(tx.graph);
+      (void)run_cleanup(tx.graph);
       EXPECT_TRUE(tx.graph.validate().empty()) << np.name;
-
-      const auto prog = lang::parse_or_throw(np.source);
-      const auto ref = lang::interpret(prog);
-      const auto res = core::execute(tx, {});
-      ASSERT_TRUE(res.stats.completed)
-          << np.name << ": " << res.stats.error_detail.render();
-      EXPECT_EQ(res.store.cells, ref.store.cells) << np.name;
+      expect_interpreter_store(tx, np.source);
     }
   }
 }
@@ -105,19 +98,10 @@ TEST(Passes, DeadValueChainsShrinkDrainTraffic) {
   o.eliminate_memory = true;
   auto tx = core::compile(lang::corpus::running_example(), o);
   const auto before = compute_stats(tx.graph).nodes;
-  (void)run_peepholes(tx.graph);
+  (void)run_cleanup(tx.graph);
   EXPECT_LE(compute_stats(tx.graph).nodes, before);
   EXPECT_TRUE(tx.graph.validate().empty());
-}
-
-TEST(Compact, RemapsArcsAndEndpoints) {
-  auto tx = compile("var x; x := 1; x := x + 1;");
-  const std::size_t n = tx.graph.num_nodes();
-  std::vector<bool> keep(n, true);
-  const Graph g2 = compact(tx.graph, keep);
-  EXPECT_EQ(g2.num_nodes(), n);
-  EXPECT_EQ(g2.num_arcs(), tx.graph.num_arcs());
-  EXPECT_TRUE(g2.validate().empty());
+  expect_interpreter_store(tx, lang::corpus::running_example_source());
 }
 
 TEST(Passes, ConstantLoopExitPredicateFoldsTheDeadExit) {
@@ -136,7 +120,7 @@ out: s := s * 2;
   const auto prog = lang::parse_or_throw(src);
   const auto ref = lang::interpret(prog);
   auto o = translate::TranslateOptions::schema2_optimized();
-  o.opt_passes = dfg::PassSet::cleanup();
+  o.opt_level = dfg::OptLevel::kCleanup;
   const auto tx = core::compile(prog, o);
   EXPECT_TRUE(tx.graph.validate().empty());
   for (const auto mode :

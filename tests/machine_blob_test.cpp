@@ -51,7 +51,7 @@ std::vector<Ladder> option_ladder() {
   rungs.push_back({"mem-elim", mem});
   auto fused = translate::TranslateOptions::schema2_optimized();
   fused.eliminate_memory = true;
-  fused.opt_passes = dfg::PassSet::all();
+  fused.opt_level = dfg::OptLevel::kAll;
   rungs.push_back({"opt-all", fused});
   return rungs;
 }

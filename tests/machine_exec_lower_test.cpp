@@ -112,7 +112,7 @@ std::vector<translate::TranslateOptions> option_ladder() {
   auto full = translate::TranslateOptions::schema2_optimized();
   full.eliminate_memory = true;
   full.dead_store_elimination = true;
-  full.opt_passes = dfg::PassSet::cleanup();
+  full.opt_level = dfg::OptLevel::kCleanup;
   opts.push_back(full);
   return opts;
 }

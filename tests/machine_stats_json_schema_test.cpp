@@ -116,8 +116,8 @@ TEST(StatsJsonSchema, FailedRunEmitsTheSameKeySetWithATypedError) {
 
 /// The optimize stage's counters flow verbatim into `--stats-json`'s
 /// pipeline object and into `--stage-stats`, so their names and order
-/// are golden too. The fusion counters appear only when the fuse pass
-/// is enabled, keeping cleanup-only traces stable.
+/// are golden too. The fusion counters appear only at --opt=all,
+/// keeping cleanup-only traces stable.
 TEST(StatsJsonSchema, OptimizeStageCountersAreTheGoldenSet) {
   const std::vector<std::string> kCleanupKeys = {
       "removed", "switches-folded", "merges-collapsed", "dead",
@@ -128,9 +128,9 @@ TEST(StatsJsonSchema, OptimizeStageCountersAreTheGoldenSet) {
       "fused-len-4", "fused-len-5", "fused-len-6", "fused-len-7",
       "fused-len-8plus"};
 
-  const auto counters_with = [](dfg::PassSet passes) {
+  const auto counters_with = [](dfg::OptLevel level) {
     auto t = translate::TranslateOptions::schema2_optimized();
-    t.opt_passes = passes;
+    t.opt_level = level;
     const auto cr =
         core::Pipeline(core::PipelineOptions(t))
             .run(lang::corpus::running_example_source());
@@ -142,11 +142,11 @@ TEST(StatsJsonSchema, OptimizeStageCountersAreTheGoldenSet) {
     return names;
   };
 
-  EXPECT_EQ(counters_with(dfg::PassSet::cleanup()), kCleanupKeys);
+  EXPECT_EQ(counters_with(dfg::OptLevel::kCleanup), kCleanupKeys);
 
   std::vector<std::string> expected = kCleanupKeys;
   expected.insert(expected.end(), kFusionKeys.begin(), kFusionKeys.end());
-  EXPECT_EQ(counters_with(dfg::PassSet::all()), expected);
+  EXPECT_EQ(counters_with(dfg::OptLevel::kAll), expected);
 }
 
 /// The cache object (`--stats-json`'s "cache" member and the serve

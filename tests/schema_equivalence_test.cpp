@@ -4,8 +4,11 @@
 // feature programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "lang/corpus.hpp"
 #include "lang/parser.hpp"
+#include "machine/flags.hpp"
 #include "support/equivalence.hpp"
 
 namespace ctdf::testing {
@@ -42,6 +45,37 @@ INSTANTIATE_TEST_SUITE_P(
         if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
       return name;
     });
+
+TEST(SchemaEquivalenceLadder, EveryAcceptedOptLevelHasARung) {
+  // Every optimizer setting a request can reach is one the ladder (and
+  // so the fuzz gauntlet) runs.
+  const auto configs = standard_configs();
+  for (const char* level : {"none", "cleanup", "all"}) {
+    const std::string flag = std::string("--opt=") + level;
+    translate::TranslateOptions o;
+    ASSERT_EQ(translate::apply_schema_flag(o, flag),
+              translate::SchemaFlagParse::kApplied)
+        << flag;
+    EXPECT_TRUE(std::any_of(configs.begin(), configs.end(),
+                            [&](const SchemaConfig& c) {
+                              return c.topt.opt_level == o.opt_level;
+                            }))
+        << flag << " has no equivalence-ladder rung";
+  }
+  // Nothing else selects an optimizer setting: neither option parser
+  // takes a pass list, --post-opt or --fuse-limit.
+  for (const char* flag :
+       {"--post-opt", "--fuse-limit=4", "--opt=dce", "--opt=dce,fuse"}) {
+    translate::TranslateOptions o;
+    EXPECT_NE(translate::apply_schema_flag(o, flag),
+              translate::SchemaFlagParse::kApplied)
+        << flag;
+    machine::MachineOptions m;
+    EXPECT_NE(machine::apply_machine_flag(m, flag),
+              machine::MachineFlagParse::kApplied)
+        << flag;
+  }
+}
 
 TEST(SchemaEquivalenceExtra, WhileLoopWithDataDependentExit) {
   const auto prog = lang::parse_or_throw(R"(

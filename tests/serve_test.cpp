@@ -5,6 +5,7 @@
 // parse by name.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -20,9 +21,22 @@
 #include "support/forged_images.hpp"
 
 #ifndef _WIN32
+#include <pthread.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
+#endif
+
+// The address-space cap of RefusedWorkerThreadsLeaveTheServerServing
+// cannot hold under ASan or TSan, which reserve terabytes of shadow.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CTDF_SHADOW_MEMORY 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CTDF_SHADOW_MEMORY 1
+#endif
 #endif
 
 namespace ctdf::serve {
@@ -615,6 +629,162 @@ TEST(ServePump, RunBatchIsAnUnknownOp) {
   }
   EXPECT_EQ(server.cache().stats().misses, 0u);  // nothing compiled
 }
+
+TEST(ServePump, RemovedOptionSpellingsAreOneOptionsErrorEach) {
+  // The optimizer takes one level; pass lists, --post-opt, --fuse-limit
+  // and --trace are gone. Each is exactly one typed options error, and
+  // the requests around them are served.
+  const auto run_with = [](const std::string& flag) {
+    return R"({"op": "run", "options": [")" + flag +
+           R"("], "source": "var x;\n  x := 1 + 2;\n"})";
+  };
+  const std::vector<std::pair<std::string, std::string>> gone = {
+      {"--trace", "unknown option: --trace"},
+      {"--opt=dce,fuse", "bad value: --opt=dce,fuse"},
+      {"--opt=dce", "bad value: --opt=dce"},
+      {"--post-opt", "unknown option: --post-opt"},
+      {"--fuse-limit=4", "unknown option: --fuse-limit=4"}};
+  std::vector<std::string> reqs;
+  for (const auto& [flag, message] : gone) {
+    reqs.push_back(run_with(flag));
+    reqs.push_back(kRunX);
+  }
+  reqs.push_back(run_with("--opt=all"));
+  Server server;
+  const std::vector<std::string> lines = pipe_roundtrip(server, reqs);
+  ASSERT_EQ(lines.size(), reqs.size());
+  for (std::size_t i = 0; i < gone.size(); ++i) {
+    const JsonValue r = parse_response(lines[2 * i]);
+    EXPECT_EQ(keys(r), kShortErrorKeys) << lines[2 * i];
+    EXPECT_EQ(r.find("error")->find("kind")->string, "options");
+    EXPECT_EQ(r.find("error")->find("message")->string, gone[i].second);
+    const JsonValue next = parse_response(lines[2 * i + 1]);
+    EXPECT_TRUE(next.find("ok")->boolean) << lines[2 * i + 1];
+    EXPECT_EQ(next.find("store")->find("x")->number, 3.0);
+  }
+  const JsonValue all = parse_response(lines.back());
+  EXPECT_TRUE(all.find("ok")->boolean) << lines.back();
+  EXPECT_EQ(all.find("store")->find("x")->number, 3.0);
+}
+
+#ifdef __linux__  // /proc/self/statm and pthread_setattr_default_np
+/// A forked child's run of serve_pipe on four workers, with the child's
+/// address space capped at its size plus `stacks` worker stacks plus
+/// half a stack of heap.
+struct CappedServe {
+  int status = 0;                  ///< the child's wait status
+  std::vector<std::string> lines;  ///< its responses
+  std::string err;                 ///< its stderr
+};
+
+CappedServe serve_with_room_for(int stacks,
+                                const std::vector<std::string>& reqs) {
+  int out_p[2];
+  int err_p[2];
+  EXPECT_EQ(::pipe(out_p), 0);
+  EXPECT_EQ(::pipe(err_p), 0);
+  const pid_t pid = ::fork();
+  if (pid == 0) try {
+    ::close(out_p[0]);
+    ::close(err_p[0]);
+    ::dup2(err_p[1], 2);
+    // The requests wait in a pipe, so the child needs no writer thread.
+    int in_p[2];
+    if (::pipe(in_p) != 0) ::_exit(100);
+    std::string payload;
+    for (const std::string& r : reqs) payload += r + "\n";
+    if (::write(in_p[1], payload.data(), payload.size()) !=
+        static_cast<ssize_t>(payload.size()))
+      ::_exit(101);
+    ::close(in_p[1]);
+    ServeOptions opt;
+    opt.workers = 4;
+    Server server(opt);
+    // Worker stacks 8x the default: glibc reuses a cached stack only if
+    // it is at least as large, so every worker needs a fresh mapping,
+    // whatever threads this process ran before the fork.
+    pthread_attr_t attr;
+    std::size_t stack = 0;
+    if (::pthread_getattr_default_np(&attr) != 0 ||
+        ::pthread_attr_getstacksize(&attr, &stack) != 0 ||
+        ::pthread_attr_setstacksize(&attr, stack *= 8) != 0 ||
+        ::pthread_setattr_default_np(&attr) != 0)
+      ::_exit(102);
+    ::pthread_attr_destroy(&attr);
+    unsigned long pages = 0;
+    std::FILE* statm = std::fopen("/proc/self/statm", "r");
+    if (!statm || std::fscanf(statm, "%lu", &pages) != 1) ::_exit(103);
+    std::fclose(statm);
+    rlimit lim{};
+    ::getrlimit(RLIMIT_AS, &lim);
+    lim.rlim_cur = pages * static_cast<unsigned long>(::sysconf(_SC_PAGESIZE)) +
+                   static_cast<unsigned long>(stacks) * stack + stack / 2;
+    if (::setrlimit(RLIMIT_AS, &lim) != 0) ::_exit(104);
+    ::_exit(server.serve_pipe(in_p[0], out_p[1]));
+  } catch (...) {
+    ::_exit(105);  // never return into the test runner's copy
+  }
+  ::close(out_p[1]);
+  ::close(err_p[1]);
+  CappedServe out;
+  const auto slurp = [](int fd) {
+    std::string buf;
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::read(fd, chunk, sizeof chunk)) > 0)
+      buf.append(chunk, static_cast<std::size_t>(n));
+    ::close(fd);
+    return buf;
+  };
+  std::istringstream is(slurp(out_p[0]));
+  for (std::string line; std::getline(is, line);) out.lines.push_back(line);
+  out.err = slurp(err_p[0]);
+  EXPECT_GT(pid, 0) << "fork failed";
+  EXPECT_EQ(::waitpid(pid, &out.status, 0), pid);
+  return out;
+}
+
+TEST(ServePump, RefusedWorkerThreadsLeaveTheServerServing) {
+#ifdef CTDF_SHADOW_MEMORY
+  GTEST_SKIP() << "a sanitizer's shadow memory defeats the address cap";
+#endif
+  std::vector<std::string> reqs;
+  for (int i = 0; i < 6; ++i)
+    reqs.push_back(R"({"id": )" + std::to_string(i) +
+                   R"(, "op": "run", "source": "var x;\n  x := )" +
+                   std::to_string(i) + R"( * 2;\n"})");
+
+  // Room for one worker: the other three are refused, and the one
+  // answers every request.
+  const CappedServe one = serve_with_room_for(1, reqs);
+  ASSERT_FALSE(WIFSIGNALED(one.status))
+      << "killed by signal " << WTERMSIG(one.status) << "\n" << one.err;
+  ASSERT_TRUE(WIFEXITED(one.status));
+  EXPECT_EQ(WEXITSTATUS(one.status), 0) << one.err;
+  EXPECT_EQ(one.err.rfind("serve: started 1 of 4 worker threads (", 0), 0u)
+      << one.err;
+  EXPECT_EQ(std::count(one.err.begin(), one.err.end(), '\n'), 1) << one.err;
+  ASSERT_EQ(one.lines.size(), reqs.size()) << one.err;
+  for (int i = 0; i < 6; ++i) {
+    const JsonValue r = parse_response(one.lines[i]);
+    EXPECT_TRUE(r.find("ok")->boolean) << one.lines[i];
+    EXPECT_EQ(r.find("id")->number, i);
+    EXPECT_EQ(r.find("store")->find("x")->number, 2.0 * i);
+  }
+
+  // Room for none: serve_pipe returns 2 without reading.
+  const CappedServe none = serve_with_room_for(0, reqs);
+  ASSERT_FALSE(WIFSIGNALED(none.status))
+      << "killed by signal " << WTERMSIG(none.status) << "\n" << none.err;
+  ASSERT_TRUE(WIFEXITED(none.status));
+  EXPECT_EQ(WEXITSTATUS(none.status), 2) << none.err;
+  EXPECT_EQ(none.err.rfind("serve: started 0 of 4 worker threads (", 0), 0u)
+      << none.err;
+  EXPECT_NE(none.err.find("); no request read\n"), std::string::npos)
+      << none.err;
+  EXPECT_TRUE(none.lines.empty());
+}
+#endif  // __linux__
 
 TEST(ServePump, OneRequestThenEofIsAlwaysServed) {
   // EOF opens the drain window while a worker may already be popping

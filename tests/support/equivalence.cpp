@@ -60,7 +60,7 @@ std::vector<SchemaConfig> standard_configs() {
   }
   {
     auto t = TranslateOptions::schema2_optimized();
-    t.opt_passes = dfg::PassSet::cleanup();
+    t.opt_level = dfg::OptLevel::kCleanup;
     add("post-opt/pipelined", t, machine::LoopMode::kPipelined, 0);
     t.eliminate_memory = true;
     add("post-opt+memelim", t, machine::LoopMode::kBarrier, 2);
@@ -74,12 +74,10 @@ std::vector<SchemaConfig> standard_configs() {
     // Macro-op fusion (--opt=all): chains collapse into kMacro nodes;
     // stores must stay byte-identical to every other rung.
     auto t = TranslateOptions::schema2_optimized();
-    t.opt_passes = dfg::PassSet::all();
+    t.opt_level = dfg::OptLevel::kAll;
     add("fuse/pipelined", t, machine::LoopMode::kPipelined, 0);
     t.eliminate_memory = true;
     add("fuse+memelim", t, machine::LoopMode::kBarrier, 2);
-    t.fuse_limit = 2;  // maximal segmentation: every macro is one pair
-    add("fuse/limit2", t, machine::LoopMode::kPipelined, 0);
   }
   {
     // Everything at once: the full optimizing pipeline, fusion included.
@@ -87,7 +85,7 @@ std::vector<SchemaConfig> standard_configs() {
     t.dead_store_elimination = true;
     t.eliminate_memory = true;
     t.parallel_reads = true;
-    t.opt_passes = dfg::PassSet::all();
+    t.opt_level = dfg::OptLevel::kAll;
     t.max_fanout = 2;
     add("kitchen-sink", t, machine::LoopMode::kPipelined, 4);
   }
@@ -118,7 +116,7 @@ std::vector<SchemaConfig> standard_configs() {
     // chain's head firing.
     auto f = TranslateOptions::schema2_optimized();
     f.eliminate_memory = true;
-    f.opt_passes = dfg::PassSet::all();
+    f.opt_level = dfg::OptLevel::kAll;
     add("integrity/fused", f, machine::LoopMode::kPipelined, 0);
     out.back().mopt.check = machine::CheckMode::kIntegrity;
   }

@@ -22,15 +22,11 @@
 //   --no-opt                disable Sec. 4 switch optimization
 //   --mem-elim              Sec. 6.1 memory elimination
 //   --dse                   liveness-based dead-store elimination
-//   --post-opt              dataflow-graph cleanup passes (when no
-//                           --opt pass set is selected yet)
-//   --opt=LIST              select optimizer passes: `none` (the
-//                           default: no optimize stage), `all`
-//                           (cleanup + fusion), or a comma list from
-//                           fold-switch, collapse-merge, dce,
-//                           const-fold, switch-elim, synch-narrow, fuse
-//   --fuse-limit=N          max ops per fused macro chain (default 8,
-//                           minimum 2; only meaningful with `fuse`)
+//   --opt=none|cleanup|all  dataflow-graph optimizer: `none` (the
+//                           default: no optimize stage), `cleanup` (the
+//                           six cleanup passes to fixpoint) or `all`
+//                           (cleanup, then macro-op fusion of chains of
+//                           up to 8 ops)
 //   --max-fanout=N          bound destination lists (Monsoon: 2;
 //                           0 = unlimited, 1 is rejected)
 //   --par-reads             Sec. 6.2 read parallelization
@@ -42,7 +38,7 @@
 //                           artifact sizes, counters); run/explain
 //   --dump-after=STAGE      print the named stage's artifact instead of
 //                           the final graph (dot command), e.g.
-//                           `ctdf dot f.ctdf --post-opt
+//                           `ctdf dot f.ctdf --opt=cleanup
 //                            --dump-after=translate` shows the graph
 //                           before the cleanup passes. Stages: parse,
 //                           cfg-build, dse, loop-transform, cover, ssa,
@@ -79,7 +75,6 @@
 //   --frame-capacity=N      finite frame store: at most N live iteration
 //                           contexts, loop entries stall (back-pressure)
 //                           at the bound (0 = unbounded)
-//   --trace                 print every operator firing
 //   --print=x,y             print named variables from the final store
 //   --stats-json            (run) emit RunStats + machine options +
 //                           pipeline-stage counters as a JSON object on
@@ -629,7 +624,7 @@ int cmd_compare(const Cli& cli, const lang::Program& prog) {
     t.dead_store_elimination = true;
     t.eliminate_memory = true;
     t.parallel_reads = true;
-    t.opt_passes = dfg::PassSet::cleanup();
+    t.opt_level = dfg::OptLevel::kCleanup;
     variants.push_back({"full-stack", t});
   }
   // Any array transforms the user asked for become one more rung.
@@ -684,7 +679,7 @@ int cmd_explain(const Cli& cli, const std::string& source) {
               tx.loops_store_parallelized);
   if (cli.topt.dead_store_elimination)
     std::printf("  dead stores removed: %zu\n", tx.dead_stores_removed);
-  if (cli.topt.opt_passes.any())
+  if (cli.topt.opt_level != dfg::OptLevel::kNone)
     std::printf("  post-pass ops removed: %zu\n", tx.post_opt_removed);
   if (cli.topt.max_fanout >= 2)
     std::printf("  replicate nodes inserted: %zu\n", tx.replicates_inserted);

@@ -1,9 +1,10 @@
 // Chaos-replay harness for the ctdf serve front-end.
 //
 // Drives a live `ctdf serve` process with thousands of seeded mixed
-// requests — well-formed runs, compiles, malformed lines,
-// frame-exhausted and cycle-capped programs, deadline-doomed requests,
-// stats probes — over either the stdin/stdout pipe or the Unix-socket
+// requests — well-formed runs and compiles (some at `--opt=cleanup` or
+// `--opt=all`), malformed lines, bad options, frame-exhausted and
+// cycle-capped programs, deadline-doomed requests, stats probes —
+// over either the stdin/stdout pipe or the Unix-socket
 // transport, and checks the overload-safety invariants end to end:
 //
 //   * the server never dies while clients are connected;
@@ -145,9 +146,11 @@ std::string pick_source(std::mt19937_64& rng) {
 }
 
 std::string options_field(std::mt19937_64& rng) {
-  switch (rng() % 4) {
+  switch (rng() % 6) {
     case 0: return ", \"options\": [\"--mem-elim\"]";
     case 1: return ", \"options\": [\"--barrier\"]";
+    case 2: return ", \"options\": [\"--opt=cleanup\"]";
+    case 3: return ", \"options\": [\"--opt=all\"]";
     default: return "";
   }
 }
@@ -180,7 +183,7 @@ std::string generate_request(std::mt19937_64& rng, std::size_t id) {
     }
   }
   if (r < 90) {  // doomed: typed machine/options/compile errors
-    switch (rng() % 4) {
+    switch (rng() % 5) {
       case 0:
         return "{" + idf + ", \"op\": \"run\", \"options\": "
                "[\"--max-cycles=5\", \"--mem-elim\"], \"source\": " +
@@ -192,6 +195,9 @@ std::string generate_request(std::mt19937_64& rng, std::size_t id) {
       case 2:
         return "{" + idf + ", \"op\": \"run\", \"options\": "
                "[\"--check=wheelie\"], \"source\": " + quoted(kRunning) + "}";
+      case 3:  // a pass list: --opt takes only none, cleanup or all
+        return "{" + idf + ", \"op\": \"run\", \"options\": "
+               "[\"--opt=dce\"], \"source\": " + quoted(kRunning) + "}";
       default:
         return "{" + idf + ", \"op\": \"run\", \"source\": " +
                quoted(kBadSyntax) + "}";
