@@ -39,7 +39,7 @@ int main() {
       mopt.loop_mode = machine::LoopMode::kPipelined;
       const auto m = measure(w.prog, topt, mopt);
       // Re-derive graph shape for the fan-out column.
-      const auto tx = core::compile(w.prog, topt);
+      const auto tx = core::Pipeline(topt).run(w.prog).translation;
       std::printf("%-24s %8s | %7zu %7zu %9zu | %9llu\n", w.name,
                   cap == 0 ? "inf" : std::to_string(cap).c_str(),
                   m.graph.nodes, tx.replicates_inserted,

@@ -24,13 +24,19 @@ struct XStoreResult {
 
 XStoreResult run_one(const lang::Program& prog,
                      const translate::TranslateOptions& topt) {
-  const auto tx = core::compile(prog, topt);
+  const auto cr = core::Pipeline(topt).run(prog);
+  const auto& tx = cr.translation;
   machine::MachineOptions mopt;
   mopt.mem_latency = 12;
-  const auto res = core::execute(tx, mopt);
+  const auto res = core::execute(cr.image, mopt);
   if (!res.stats.completed) {
     std::fprintf(stderr, "failed: %s\n",
                  res.stats.error_detail.render().c_str());
+    std::abort();
+  }
+  const auto ref = lang::interpret(prog);
+  if (!(res.store == ref.store)) {
+    detail::explain_mismatch(prog, topt, ref.store, res.store);
     std::abort();
   }
   XStoreResult out;

@@ -39,15 +39,16 @@ int main() {
     };
     for (std::uint64_t s = 0; s < kSeeds; ++s) {
       const auto prog = lang::generate_program(gopt, 1000 + s);
-      acc(naive, dfg::compute_stats(
-                     core::compile(prog, translate::TranslateOptions::schema2())
-                         .graph));
+      const auto naive_cr =
+          core::Pipeline(translate::TranslateOptions::schema2()).run(prog);
+      acc(naive, dfg::compute_stats(naive_cr.translation.graph));
       const auto t0 = std::chrono::steady_clock::now();
-      const auto tx = core::compile(
-          prog, translate::TranslateOptions::schema2_optimized());
+      const auto cr =
+          core::Pipeline(translate::TranslateOptions::schema2_optimized())
+              .run(prog);
       const auto t1 = std::chrono::steady_clock::now();
       micros += std::chrono::duration<double, std::micro>(t1 - t0).count();
-      acc(opt, dfg::compute_stats(tx.graph));
+      acc(opt, dfg::compute_stats(cr.translation.graph));
     }
     std::printf("%8d | %9zu %8zu %8zu | %9zu %8zu %8zu | %10.1f\n", stmts,
                 naive.nodes / kSeeds, naive.switches / kSeeds,

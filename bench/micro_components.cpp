@@ -1,6 +1,8 @@
 // MICRO — google-benchmark microbenchmarks of the library's hot
 // components: frontend, CFG analyses, translation, and the simulator's
-// token-matching engine.
+// token-matching engine. The machine benchmarks compile once, outside
+// the timed loop, and time core::execute on the pipeline's program
+// image (CompileResult::image), so their rows exclude lowering.
 #include <benchmark/benchmark.h>
 
 #include "cfg/build.hpp"
@@ -73,17 +75,16 @@ BENCHMARK(BM_LoopTransform)->Range(8, 128);
 
 void BM_TranslateSchema2(benchmark::State& state) {
   const auto prog = gen(static_cast<int>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        core::compile(prog, translate::TranslateOptions::schema2()));
+  const core::Pipeline pipeline(translate::TranslateOptions::schema2());
+  for (auto _ : state) benchmark::DoNotOptimize(pipeline.run(prog));
 }
 BENCHMARK(BM_TranslateSchema2)->Range(8, 128);
 
 void BM_TranslateOptimized(benchmark::State& state) {
   const auto prog = gen(static_cast<int>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(core::compile(
-        prog, translate::TranslateOptions::schema2_optimized()));
+  const core::Pipeline pipeline(
+      translate::TranslateOptions::schema2_optimized());
+  for (auto _ : state) benchmark::DoNotOptimize(pipeline.run(prog));
 }
 BENCHMARK(BM_TranslateOptimized)->Range(8, 128);
 
@@ -94,12 +95,12 @@ void BM_MachineTokenThroughput(benchmark::State& state) {
       static_cast<int>(state.range(0)), 8));
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
-  const auto tx = core::compile(prog, topt);
+  const auto cr = core::Pipeline(topt).run(prog);
   std::uint64_t ops = 0;
   for (auto _ : state) {
     machine::MachineOptions mopt;
     mopt.loop_mode = machine::LoopMode::kPipelined;
-    const auto res = core::execute(tx, mopt);
+    const auto res = core::execute(cr.image, mopt);
     ops += res.stats.ops_fired;
     benchmark::DoNotOptimize(res.stats.cycles);
   }
@@ -112,31 +113,29 @@ void BM_LowerExecProgram(benchmark::State& state) {
   // Graph → ExecProgram lowering cost (the pipeline's `lower` stage):
   // one-time per compilation, amortized over every machine run.
   const auto prog = gen(static_cast<int>(state.range(0)));
-  const auto tx =
-      core::compile(prog, translate::TranslateOptions::schema2_optimized());
-  for (auto _ : state)
-    benchmark::DoNotOptimize(machine::lower(tx.graph));
-  state.counters["nodes"] =
-      static_cast<double>(tx.graph.num_nodes());
-  state.SetComplexityN(static_cast<std::int64_t>(tx.graph.num_nodes()));
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(prog);
+  const dfg::Graph& g = cr.translation.graph;
+  for (auto _ : state) benchmark::DoNotOptimize(machine::lower(g));
+  state.counters["nodes"] = static_cast<double>(g.num_nodes());
+  state.SetComplexityN(static_cast<std::int64_t>(g.num_nodes()));
 }
 BENCHMARK(BM_LowerExecProgram)->Range(8, 128)->Complexity(benchmark::oN);
 
 void BM_MachineMatchThroughput(benchmark::State& state) {
   // Steady-state token-matching rate of the ETS frame store: tokens
-  // landing in frame slots per second of host time (serial engine,
-  // program lowered once outside the loop).
+  // landing in frame slots per second of host time (serial engine).
   const auto prog = core::parse(lang::corpus::nested_loops_source(
       static_cast<int>(state.range(0)), 8));
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
-  const auto tx = core::compile(prog, topt);
-  const auto ep = machine::lower(tx.graph);
+  const auto cr = core::Pipeline(topt).run(prog);
   std::uint64_t matches = 0;
   for (auto _ : state) {
     machine::MachineOptions mopt;
     mopt.loop_mode = machine::LoopMode::kPipelined;
-    const auto res = machine::run(ep, tx.memory_cells, mopt);
+    const auto res = core::execute(cr.image, mopt);
     matches += res.stats.matches;
     benchmark::DoNotOptimize(res.stats.cycles);
   }
@@ -152,14 +151,15 @@ void BM_MachineIdleCycles(benchmark::State& state) {
   // queue bookkeeping (bucket reuse + bitmap jumps in the calendar
   // queue).
   const auto prog = core::parse(lang::corpus::nested_loops_source(12, 12));
-  const auto tx =
-      core::compile(prog, translate::TranslateOptions::schema2_optimized());
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(prog);
   std::uint64_t ops = 0;
   for (auto _ : state) {
     machine::MachineOptions mopt;
     mopt.loop_mode = machine::LoopMode::kBarrier;
     mopt.mem_latency = 16;
-    const auto res = core::execute(tx, mopt);
+    const auto res = core::execute(cr.image, mopt);
     ops += res.stats.ops_fired;
     benchmark::DoNotOptimize(res.stats.cycles);
   }
@@ -178,12 +178,12 @@ void BM_FrameAlloc(benchmark::State& state) {
   const auto prog = core::parse(lang::corpus::nested_loops_source(16, 16));
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
-  const auto tx = core::compile(prog, topt);
+  const auto cr = core::Pipeline(topt).run(prog);
   std::uint64_t ctxs = 0;
   for (auto _ : state) {
     machine::MachineOptions mopt;
     mopt.loop_mode = machine::LoopMode::kPipelined;
-    const auto res = core::execute(tx, mopt);
+    const auto res = core::execute(cr.image, mopt);
     ctxs += res.stats.contexts_allocated;
     benchmark::DoNotOptimize(res.stats.cycles);
   }
@@ -201,7 +201,7 @@ void BM_MachineMultiPE(benchmark::State& state) {
   const auto prog = core::parse(lang::corpus::nested_loops_source(16, 8));
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
-  const auto tx = core::compile(prog, topt);
+  const auto cr = core::Pipeline(topt).run(prog);
   std::uint64_t ops = 0;
   for (auto _ : state) {
     machine::MachineOptions mopt;
@@ -209,7 +209,7 @@ void BM_MachineMultiPE(benchmark::State& state) {
     mopt.processors = 4;
     mopt.placement = state.range(0) ? machine::Placement::kByNode
                                     : machine::Placement::kByContext;
-    const auto res = core::execute(tx, mopt);
+    const auto res = core::execute(cr.image, mopt);
     ops += res.stats.ops_fired;
     benchmark::DoNotOptimize(res.stats.cycles);
   }
@@ -230,7 +230,7 @@ void BM_MachineBudgetOverhead(benchmark::State& state) {
   const auto prog = core::parse(lang::corpus::nested_loops_source(8, 8));
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
-  const auto tx = core::compile(prog, topt);
+  const auto cr = core::Pipeline(topt).run(prog);
   std::uint64_t ops = 0;
   for (auto _ : state) {
     machine::MachineOptions mopt;
@@ -239,7 +239,7 @@ void BM_MachineBudgetOverhead(benchmark::State& state) {
       mopt.budget.deadline_ms = 600'000;
       mopt.budget.max_tokens = 1ull << 60;
     }
-    const auto res = core::execute(tx, mopt);
+    const auto res = core::execute(cr.image, mopt);
     ops += res.stats.ops_fired;
     benchmark::DoNotOptimize(res.stats.cycles);
   }
@@ -263,15 +263,16 @@ void BM_MachineIntegrityOverhead(benchmark::State& state) {
   // --check=integrity — the documented-multiplier row the bench gate
   // holds (scripts/bench_machine.py, --integrity-overhead-floor).
   const auto prog = core::parse(lang::corpus::nested_loops_source(8, 8));
-  const auto tx =
-      core::compile(prog, translate::TranslateOptions::schema2_optimized());
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(prog);
   std::uint64_t ops = 0, checks = 0;
   for (auto _ : state) {
     machine::MachineOptions mopt;
     mopt.loop_mode = machine::LoopMode::kPipelined;
     mopt.processors = 2;
     if (state.range(0)) mopt.check = machine::CheckMode::kIntegrity;
-    const auto res = core::execute(tx, mopt);
+    const auto res = core::execute(cr.image, mopt);
     ops += res.stats.ops_fired;
     checks += res.stats.integrity_checks;
     benchmark::DoNotOptimize(res.stats.cycles);
@@ -302,12 +303,12 @@ void BM_MachineFusedChains(benchmark::State& state) {
   topt.eliminate_memory = true;
   topt.opt_level =
       state.range(0) ? dfg::OptLevel::kAll : dfg::OptLevel::kCleanup;
-  const auto tx = core::compile(prog, topt);
+  const auto cr = core::Pipeline(topt).run(prog);
   std::uint64_t runs = 0, ops = 0;
   for (auto _ : state) {
     machine::MachineOptions mopt;
     mopt.loop_mode = machine::LoopMode::kPipelined;
-    const auto res = core::execute(tx, mopt);
+    const auto res = core::execute(cr.image, mopt);
     ++runs;
     ops += res.stats.ops_fired;
     benchmark::DoNotOptimize(res.stats.cycles);
@@ -363,13 +364,14 @@ BENCHMARK(BM_ServeWarmVsCold)->Arg(0)->Arg(1);
 
 void BM_EndToEnd(benchmark::State& state) {
   // Full pipeline: parse → CFG → loop transform → analyses → DFG →
-  // simulate, on the paper's running example.
+  // lower → simulate, on the paper's running example.
   const auto src = lang::corpus::running_example_source();
   for (auto _ : state) {
     const auto prog = lang::parse_or_throw(src);
-    const auto tx = core::compile(
-        prog, translate::TranslateOptions::schema2_optimized());
-    benchmark::DoNotOptimize(core::execute(tx, {}));
+    const auto cr =
+        core::Pipeline(translate::TranslateOptions::schema2_optimized())
+            .run(prog);
+    benchmark::DoNotOptimize(core::execute(cr.image, {}));
   }
 }
 BENCHMARK(BM_EndToEnd);

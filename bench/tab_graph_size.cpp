@@ -33,7 +33,7 @@ std::string workload(int vars, int touched, int stmts) {
 std::size_t arcs(const std::string& src,
                  const translate::TranslateOptions& topt,
                  std::size_t* cfg_edges = nullptr) {
-  const auto tx = core::compile(core::parse(src), topt);
+  const auto tx = core::Pipeline(topt).run(core::parse(src)).translation;
   if (cfg_edges) *cfg_edges = tx.cfg_edges;
   return compute_stats(tx.graph).dummy_arcs;
 }

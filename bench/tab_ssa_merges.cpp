@@ -55,7 +55,7 @@ Row analyze(const lang::Program& prog) {
 
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
-  const auto tx = core::compile(prog, topt);
+  const auto tx = core::Pipeline(topt).run(prog).translation;
   for (dfg::NodeId n : tx.graph.all_nodes()) {
     const dfg::Node& node = tx.graph.node(n);
     if (node.kind == dfg::OpKind::kMerge) ++row.merges;

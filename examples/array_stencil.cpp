@@ -58,8 +58,8 @@ int main() {
   for (const Variant& v :
        {Variant{"naive", naive}, Variant{"+mem-elim", base},
         Variant{"+fig14", fig14}, Variant{"+istructures", istruct}}) {
-    const auto tx = core::compile(prog, v.options);
-    const auto res = core::execute(tx, mopt);
+    const auto cr = core::Pipeline(v.options).run(prog);
+    const auto res = core::execute(cr.image, mopt);
     if (!res.stats.completed) {
       std::printf("%-16s FAILED: %s\n", v.name,
                   res.stats.error_detail.render().c_str());

@@ -39,10 +39,11 @@ int main() {
                               translate::CoverStrategy::kUnified}) {
     auto options = translate::TranslateOptions::schema3(strategy);
     options.optimize_switches = true;
-    const auto tx = core::compile(prog, options);
+    const auto cr = core::Pipeline(options).run(prog);
+    const auto& tx = cr.translation;
     machine::MachineOptions mopt;
     mopt.mem_latency = 8;
-    const auto res = core::execute(tx, mopt);
+    const auto res = core::execute(cr.image, mopt);
     if (!res.stats.completed) {
       std::printf("%-14s FAILED: %s\n", to_string(strategy),
                   res.stats.error_detail.render().c_str());

@@ -104,8 +104,8 @@ int main() {
     std::uint64_t cycles[3] = {0, 0, 0};
     int i = 0;
     for (const auto& topt : {schema1, opt, full}) {
-      const auto tx = core::compile(prog, topt);
-      const auto res = core::execute(tx, mopt);
+      const auto cr = core::Pipeline(topt).run(prog);
+      const auto res = core::execute(cr.image, mopt);
       if (!res.stats.completed || !(res.store == ref.store)) {
         std::printf("%-20s FAILED under %s: %s\n", kern.name,
                     topt.describe().c_str(),

@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
 
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
-  const auto tx = core::compile(prog, topt);
-  const auto gstats = dfg::compute_stats(tx.graph);
+  const auto cr = core::Pipeline(topt).run(prog);
+  const auto gstats = dfg::compute_stats(cr.translation.graph);
   std::printf("dataflow graph: %zu operators, %zu arcs, %zu switches\n\n",
               gstats.nodes, gstats.arcs, gstats.switches);
 
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
         mopt.loop_mode = mode;
         mopt.width = width;
         mopt.mem_latency = lat;
-        const auto res = core::execute(tx, mopt);
+        const auto res = core::execute(cr.image, mopt);
         if (!res.stats.completed || !(res.store == interp.store)) {
           std::printf(" %10s", "FAIL");
         } else {

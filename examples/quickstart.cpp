@@ -43,15 +43,15 @@ int main(int argc, char** argv) {
   std::printf("%-42s %8s %8s %8s %10s\n", "variant", "nodes", "switches",
               "cycles", "ops/cycle");
   for (const Variant& v : variants) {
-    const auto tx = core::compile(prog, v.options);
+    const auto cr = core::Pipeline(v.options).run(prog);
     machine::MachineOptions mopt;  // unlimited width: the dataflow limit
-    const auto result = core::execute(tx, mopt);
+    const auto result = core::execute(cr.image, mopt);
     if (!result.stats.completed) {
       std::printf("%-42s FAILED: %s\n", v.name,
                   result.stats.error_detail.render().c_str());
       return 1;
     }
-    const auto stats = dfg::compute_stats(tx.graph);
+    const auto stats = dfg::compute_stats(cr.translation.graph);
     std::printf("%-42s %8zu %8zu %8llu %10.2f\n", v.name, stats.nodes,
                 stats.switches,
                 static_cast<unsigned long long>(result.stats.cycles),
@@ -69,9 +69,9 @@ int main(int argc, char** argv) {
               "(matching sequential semantics)\n");
 
   if (want_dot) {
-    const auto tx =
-        core::compile(prog, translate::TranslateOptions::schema2());
-    std::printf("\n%s", tx.graph.to_dot().c_str());
+    const auto cr =
+        core::Pipeline(translate::TranslateOptions::schema2()).run(prog);
+    std::printf("\n%s", cr.translation.graph.to_dot().c_str());
   }
   return 0;
 }

@@ -23,8 +23,9 @@ void show(const char* name, const lang::Program& prog) {
        {std::pair{"schema2", translate::TranslateOptions::schema2()},
         std::pair{"schema2+opt",
                   translate::TranslateOptions::schema2_optimized()}}) {
-    const auto tx = core::compile(prog, options);
-    const auto res = core::execute(tx, {});
+    const auto cr = core::Pipeline(options).run(prog);
+    const auto& tx = cr.translation;
+    const auto res = core::execute(cr.image, {});
     if (!res.stats.completed) {
       std::printf("  %-12s FAILED: %s\n", schema,
                   res.stats.error_detail.render().c_str());

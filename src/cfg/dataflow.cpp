@@ -1,8 +1,7 @@
 #include "cfg/dataflow.hpp"
 
-#include <algorithm>
+#include <vector>
 
-#include "support/assert.hpp"
 #include "support/graph_algo.hpp"
 
 namespace ctdf::cfg {
@@ -80,88 +79,6 @@ Liveness::Liveness(const Graph& g, const lang::SymbolTable& syms) {
       }
     }
   }
-}
-
-ReachingDefs::ReachingDefs(const Graph& g, const lang::SymbolTable& syms)
-    : g_(g) {
-  // Definition sites: one per CFG node (assignments), plus one
-  // pseudo-site per variable for the initial zero value (generated at
-  // start, killable per variable by strong definitions).
-  const std::size_t num_vars = syms.size();
-  const std::size_t sites = g.size() + num_vars;
-  const auto initial_site = [&](lang::VarId v) {
-    return g.size() + v.index();
-  };
-  def_var_.resize(g.size());
-  support::IndexMap<NodeId, support::Bitset> gen(g.size());
-  support::IndexMap<NodeId, char> strong(g.size(), 0);
-  for (NodeId n : g.all_nodes()) {
-    gen[n] = support::Bitset(sites);
-    const Node& node = g.node(n);
-    if (node.kind == NodeKind::kAssign) {
-      def_var_[n] = node.lhs->var;
-      gen[n].set(n.index());
-      strong[n] = strong_def(syms, *node.lhs);
-    } else if (n == g.start()) {
-      for (std::size_t v = 0; v < num_vars; ++v)
-        gen[n].set(initial_site(lang::VarId{v}));
-    }
-  }
-
-  in_.resize(g.size());
-  support::IndexMap<NodeId, support::Bitset> out(g.size());
-  for (NodeId n : g.all_nodes()) {
-    in_[n] = support::Bitset(sites);
-    out[n] = support::Bitset(sites);
-  }
-
-  support::GraphAlgo<NodeId> order;
-  support::build_order(ForwardView{g}, order);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (auto it = order.postorder.rbegin(); it != order.postorder.rend();
-         ++it) {
-      const NodeId n = *it;
-      support::Bitset in(sites);
-      for (NodeId p : g.preds(n)) in.union_with(out[p]);
-      support::Bitset o = in;
-      if (strong[n]) {
-        // Kill every other definition site of the same variable,
-        // including its initial-value pseudo-site.
-        const lang::VarId v = def_var_[n];
-        o.for_each([&](std::size_t site) {
-          if (site >= g.size()) {
-            if (site == initial_site(v)) o.reset(site);
-          } else if (const NodeId s{site}; s != n && def_var_[s] == v) {
-            o.reset(site);
-          }
-        });
-      }
-      o.union_with(gen[n]);
-      if (!(in == in_[n])) {
-        in_[n] = std::move(in);
-        changed = true;
-      }
-      if (!(o == out[n])) {
-        out[n] = std::move(o);
-        changed = true;
-      }
-    }
-  }
-}
-
-std::vector<NodeId> ReachingDefs::defs_reaching(NodeId n,
-                                                lang::VarId v) const {
-  std::vector<NodeId> out;
-  in_[n].for_each([&](std::size_t site) {
-    if (site >= g_.size()) {
-      if (site == g_.size() + v.index()) out.push_back(g_.start());
-    } else if (const NodeId s{site}; def_var_[s] == v) {
-      out.push_back(s);
-    }
-  });
-  return out;
 }
 
 std::size_t eliminate_dead_stores(Graph& g, const lang::SymbolTable& syms) {

@@ -4,7 +4,7 @@
 // this IR needs (the paper situates its translation among data
 // dependences and SSA; Section 6.1's memory elimination is a cousin of
 // live-range analysis). Used by the optional dead-store-elimination
-// pass and available as a public analysis API.
+// pass (the `dse` stage).
 //
 // Alias discipline: a write to an *unaliased scalar* is a strong
 // definition (kills); writes to aliased scalars and array elements are
@@ -46,30 +46,6 @@ class Liveness {
 
  private:
   support::IndexMap<NodeId, support::Bitset> in_, out_;
-};
-
-/// Forward may-analysis over definition sites: which assignment nodes
-/// may reach each program point. Definition sites are assignment nodes;
-/// the start node is a pseudo-definition of every variable (the initial
-/// zero store).
-class ReachingDefs {
- public:
-  ReachingDefs(const Graph& g, const lang::SymbolTable& syms);
-
-  /// Definition-site nodes whose values may reach the entry of n.
-  [[nodiscard]] const support::Bitset& reach_in(NodeId n) const {
-    return in_[n];
-  }
-
-  /// The definition sites of variable v that may reach node n's entry
-  /// (i.e. n's UD-chain for v, plus start for the initial value).
-  [[nodiscard]] std::vector<NodeId> defs_reaching(NodeId n,
-                                                  lang::VarId v) const;
-
- private:
-  const Graph& g_;
-  support::IndexMap<NodeId, support::Bitset> in_;
-  support::IndexMap<NodeId, lang::VarId> def_var_;  ///< invalid if not a def
 };
 
 /// Replaces assignments that are dead under `liveness` — unaliased

@@ -247,13 +247,6 @@ void LoopInfo::group_nodes() {
   }
 }
 
-LoopId LoopInfo::loop_of_control_node(const Graph& g, NodeId n) const {
-  const Node& node = g.node(n);
-  if (node.kind == NodeKind::kLoopEntry || node.kind == NodeKind::kLoopExit)
-    return node.loop;
-  return LoopId::invalid();
-}
-
 std::vector<std::vector<lang::VarId>> LoopInfo::used_vars(
     const Graph& g) const {
   // Each node counts in its innermost loop; nested loops come later in

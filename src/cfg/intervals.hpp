@@ -69,9 +69,6 @@ class LoopInfo {
     return pre_[l.index()] <= p && p <= last_[l.index()];
   }
 
-  /// The loop whose entry/exit node this is (invalid otherwise).
-  [[nodiscard]] LoopId loop_of_control_node(const Graph& g, NodeId n) const;
-
   /// True iff edge from→to is a loop back edge in the transformed graph
   /// (to is a loop-entry node and from is in its loop).
   [[nodiscard]] bool is_back_edge(NodeId from, NodeId to) const {

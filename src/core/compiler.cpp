@@ -2,7 +2,6 @@
 
 #include "core/pipeline.hpp"
 #include "lang/subroutines.hpp"
-#include "machine/exec.hpp"
 
 namespace ctdf::core {
 
@@ -11,22 +10,6 @@ lang::Program parse(std::string_view source) {
   lang::Program prog = lang::parse_with_subroutines(source, diags);
   diags.throw_if_errors();
   return prog;
-}
-
-translate::Translation compile(const lang::Program& prog,
-                               const translate::TranslateOptions& options) {
-  return Pipeline(PipelineOptions(options)).run(prog).translation;
-}
-
-translate::Translation compile(std::string_view source,
-                               const translate::TranslateOptions& options) {
-  return Pipeline(PipelineOptions(options)).run(source).translation;
-}
-
-machine::RunResult execute(const translate::Translation& tx,
-                           const machine::MachineOptions& options) {
-  return machine::run(machine::lower(tx.graph), tx.memory_cells, options,
-                      tx.istructures, tx.shared_cells);
 }
 
 machine::ProgramImage make_program_image(CompileResult cr) {

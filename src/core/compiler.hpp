@@ -1,12 +1,13 @@
 // Public facade: source text → dataflow graph → simulated execution.
 //
-// This is the API a downstream user programs against; examples/ and
-// bench/ use nothing else. Typical use:
+// This is the API a downstream user programs against, together with
+// core::Pipeline (core/pipeline.hpp), which compiles. Typical use:
 //
 //   auto prog   = ctdf::core::parse(source);
-//   auto tx     = ctdf::core::compile(prog,
-//                     ctdf::translate::TranslateOptions::schema2_optimized());
-//   auto result = ctdf::core::execute(tx, {});   // default machine
+//   auto cr     = ctdf::core::Pipeline(
+//                     ctdf::translate::TranslateOptions::schema2_optimized())
+//                     .run(prog);
+//   auto result = ctdf::core::execute(cr.image, {});   // default machine
 //   std::int64_t x = ctdf::core::read_scalar(prog, result.store, "x");
 #pragma once
 
@@ -25,20 +26,6 @@ namespace ctdf::core {
 /// (lang::parse_with_subroutines); throws support::CompileError on
 /// syntax/semantic errors.
 [[nodiscard]] lang::Program parse(std::string_view source);
-
-/// Translates a program under the given schema options; throws
-/// support::CompileError on structural errors.
-[[nodiscard]] translate::Translation compile(const lang::Program& prog,
-                                             const translate::TranslateOptions& options);
-
-/// One-step convenience: parse + compile.
-[[nodiscard]] translate::Translation compile(std::string_view source,
-                                             const translate::TranslateOptions& options);
-
-/// Runs a translation on the simulated dataflow machine (lowers the
-/// graph on every call; a CompileResult's image is already lowered).
-[[nodiscard]] machine::RunResult execute(const translate::Translation& tx,
-                                         const machine::MachineOptions& options);
 
 /// Takes a compilation's image, the self-contained unit blobs serialize
 /// and the program cache stores: the lowered ExecProgram, the memory

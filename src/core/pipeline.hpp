@@ -5,14 +5,16 @@
 // the graph (`lower`), and collects a PipelineTrace: per-stage wall
 // time, artifact sizes, and stage-specific counters. It optionally
 // captures one stage's rendered artifact (`--dump-after` in the ctdf
-// CLI). core::compile is a thin wrapper over Pipeline::run; every path
-// produces byte-identical graphs for identical options because the
-// stage orchestration itself lives in translate::run_stages.
+// CLI). Pipeline::run is the one compile path (`ctdf`, the program
+// cache, the tests, benches and examples); core::execute runs its
+// CompileResult::image. The stage orchestration itself lives in
+// translate::run_stages.
 //
 //   ctdf::core::Pipeline p(ctdf::core::PipelineOptions{
 //       translate::TranslateOptions::schema2_optimized()});
 //   auto r = p.run(source);
 //   std::puts(r.trace.table().c_str());
+//   auto result = ctdf::core::execute(r.image, {});
 #pragma once
 
 #include <optional>

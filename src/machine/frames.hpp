@@ -207,12 +207,7 @@ class FrameStore {
     if (ctx >= frames_.size() || !frames_[ctx]) return;
     free_.push_back(frames_[ctx]);
     frames_[ctx] = nullptr;
-    ++recycled_;
   }
-
-  /// Frames handed back by recycle() over the run (engine-internal
-  /// telemetry; never part of RunStats).
-  [[nodiscard]] std::uint64_t recycled() const { return recycled_; }
 
   /// Live (created, not yet fired) slots, for diagnostics.
   [[nodiscard]] std::size_t live_slots() const {
@@ -322,7 +317,6 @@ class FrameStore {
   std::size_t stride_ = 0;
   std::size_t frames_per_chunk_ = 0;
   std::size_t next_in_chunk_ = 0;
-  std::uint64_t recycled_ = 0;
   std::vector<std::byte*> frames_;  ///< per-context frame, null = none
   std::vector<std::unique_ptr<std::byte[]>> chunks_;
   std::vector<std::byte*> free_;

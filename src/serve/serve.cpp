@@ -318,16 +318,17 @@ std::string program_response(core::ProgramCache& cache, const Request& req,
 }
 
 /// The "stats" op: a liveness probe that never touches the cache or
-/// the machine. Key set frozen by tests/serve_test.cpp.
+/// the machine. Reports `workers` workers and their gauges. Key set
+/// frozen by tests/serve_test.cpp.
 std::string stats_response(const Request& req, const ServeStats& s,
-                           const WorkerGauge* gauges,
+                           const WorkerGauge* gauges, std::size_t workers,
                            const ServeOptions& opts) {
   std::string out;
   JsonWriter w(out, JsonWriter::Layout::kCompact);
   open_response(w, req.id_json, "stats", true)
       .key("serve")
       .begin_object()
-      .member("workers", opts.workers)
+      .member("workers", workers)
       .member("max_queue", opts.max_queue)
       .member("accepted", s.accepted.load())
       .member("completed", s.completed.load())
@@ -339,7 +340,7 @@ std::string stats_response(const Request& req, const ServeStats& s,
       .member("in_flight", s.in_flight.load())
       .key("per_worker")
       .begin_array();
-  for (std::size_t i = 0; i < opts.workers; ++i)
+  for (std::size_t i = 0; i < workers; ++i)
     w.begin_object()
         .member("handled", gauges[i].handled.load())
         .member("busy", gauges[i].in_flight.load() != 0)
@@ -356,6 +357,7 @@ Server::Server(ServeOptions options)
     : options_(options), cache_(options.cache) {
   options_.workers = std::max<std::size_t>(1, options_.workers);
   gauges_ = std::make_unique<WorkerGauge[]>(options_.workers);
+  workers_started_ = options_.workers;
 }
 
 std::string Server::handle_line(const std::string& line, bool* shutdown) {
@@ -386,7 +388,8 @@ std::string Server::handle_line(const std::string& line, bool* shutdown) {
     return finish(std::move(out));
   }
   if (req.op == "stats")
-    return finish(stats_response(req, stats_, gauges_.get(), options_));
+    return finish(stats_response(req, stats_, gauges_.get(),
+                                 workers_started_.load(), options_));
   if (req.op == "compile" || req.op == "run")
     return finish(program_response(cache_, req, stats_));
   req.fail("protocol", "unknown op: " + req.op);
@@ -467,6 +470,7 @@ class Pump {
     } catch (const std::system_error& e) {
       refused_ = e.what();
     }
+    server.workers_started_ = workers_.size();
   }
 
   ~Pump() { join(); }

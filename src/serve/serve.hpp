@@ -147,6 +147,9 @@ class Server {
   /// One slot per pump worker (options_.workers), sized once so the
   /// "stats" op can read them without locking against pool start/stop.
   std::unique_ptr<WorkerGauge[]> gauges_;
+  /// The workers the "stats" op reports: options_.workers until a pump
+  /// starts, then the number of worker threads that pump started.
+  std::atomic<std::size_t> workers_started_{0};
 };
 
 }  // namespace ctdf::serve

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <vector>
 
 #include "cfg/build.hpp"
 #include "cfg/dataflow.hpp"
@@ -103,41 +103,6 @@ TEST(Liveness, MatchesOracleOnRandomPrograms) {
   }
 }
 
-TEST(ReachingDefs, StartReachesUnassignedUses) {
-  Fixture f("var x, y; y := x;");
-  const ReachingDefs rd(f.g, f.prog.symbols);
-  const NodeId use = f.assign_to("y");
-  const auto defs = rd.defs_reaching(use, f.var("x"));
-  ASSERT_EQ(defs.size(), 1u);
-  EXPECT_EQ(defs.front(), f.g.start());
-}
-
-TEST(ReachingDefs, StrongDefKillsPrior) {
-  Fixture f("var x, y; x := 1; x := 2; y := x;");
-  const ReachingDefs rd(f.g, f.prog.symbols);
-  const auto defs = rd.defs_reaching(f.assign_to("y"), f.var("x"));
-  ASSERT_EQ(defs.size(), 1u);
-  EXPECT_EQ(defs.front(), f.assign_to("x", 1));
-}
-
-TEST(ReachingDefs, BothBranchDefsReachTheJoin) {
-  Fixture f("var x, y, w; if w { x := 1; } else { x := 2; } y := x;");
-  const ReachingDefs rd(f.g, f.prog.symbols);
-  const auto defs = rd.defs_reaching(f.assign_to("y"), f.var("x"));
-  EXPECT_EQ(defs.size(), 2u);
-}
-
-TEST(ReachingDefs, LoopCarriedDefReachesLoopTop) {
-  Fixture f(lang::corpus::running_example_source());
-  const ReachingDefs rd(f.g, f.prog.symbols);
-  const NodeId y_assign = f.assign_to("y");
-  const auto defs = rd.defs_reaching(y_assign, f.var("x"));
-  // Initial (start) and loop-carried x := x + 1 both reach y := x + 1.
-  EXPECT_EQ(defs.size(), 2u);
-  EXPECT_TRUE(std::any_of(defs.begin(), defs.end(),
-                          [&](NodeId d) { return d == f.g.start(); }));
-}
-
 TEST(DeadStoreElim, RemovesOverwrittenStores) {
   Fixture f("var x, y; x := 1; y := 2; x := 3;");
   const std::size_t removed = eliminate_dead_stores(f.g, f.prog.symbols);
@@ -175,8 +140,8 @@ TEST(DeadStoreElim, EndToEndSemanticsPreserved) {
     ASSERT_TRUE(ref.completed);
     auto topt = translate::TranslateOptions::schema2_optimized();
     topt.dead_store_elimination = true;
-    const auto tx = core::compile(prog, topt);
-    const auto res = core::execute(tx, {});
+    const auto cr = core::Pipeline(topt).run(prog);
+    const auto res = core::execute(cr.image, {});
     ASSERT_TRUE(res.stats.completed) << "seed " << seed << ": "
                                      << res.stats.error_detail.render();
     EXPECT_EQ(res.store.cells, ref.store.cells) << "seed " << seed;
@@ -189,8 +154,8 @@ TEST(DeadStoreElim, ShrinksTheDataflowGraph) {
   auto base = translate::TranslateOptions::schema2_optimized();
   auto dse = base;
   dse.dead_store_elimination = true;
-  const auto t0 = core::compile(prog, base);
-  const auto t1 = core::compile(prog, dse);
+  const auto t0 = core::Pipeline(base).run(prog).translation;
+  const auto t1 = core::Pipeline(dse).run(prog).translation;
   EXPECT_GT(t1.dead_stores_removed, 0u);
   EXPECT_LT(t1.graph.num_nodes(), t0.graph.num_nodes());
 }

@@ -8,6 +8,7 @@
 #include "core/compiler.hpp"
 #include "core/pipeline.hpp"
 #include "lang/corpus.hpp"
+#include "machine/exec.hpp"
 #include "support/diagnostics.hpp"
 #include "translate/stages.hpp"
 
@@ -123,21 +124,17 @@ TEST(Pipeline, GoldenTraceArrayLoop) {
             "lower: 10 -> 10 ops=10 dests=18 frame-slots=17 literals=3\n");
 }
 
-TEST(Pipeline, CompileIsAThinWrapperOverRun) {
-  // core::compile and Pipeline::run must produce byte-identical graphs
-  // for identical options (they share translate::run_stages).
+TEST(Pipeline, RunBuildsTheGraphRunStagesBuilds) {
+  // Pipeline::run and the translate-layer entry point with no trace
+  // produce byte-identical graphs for identical options.
   const auto prog = lang::corpus::running_example();
   const auto opts = full_stack();
-  const auto via_compile = core::compile(prog, opts);
   const auto via_pipeline = Pipeline(PipelineOptions(opts)).run(prog);
-  EXPECT_EQ(via_compile.graph.to_dot(),
-            via_pipeline.translation.graph.to_dot());
-
-  // ... and identical to the translate-layer entry point with no trace.
   support::DiagnosticEngine diags;
   const auto via_translate = translate::run_stages(prog, opts, diags);
   EXPECT_FALSE(diags.has_errors());
-  EXPECT_EQ(via_compile.graph.to_dot(), via_translate.graph.to_dot());
+  EXPECT_EQ(via_pipeline.translation.graph.to_dot(),
+            via_translate.graph.to_dot());
 }
 
 TEST(Pipeline, RunFromProgramSkipsParse) {
@@ -196,12 +193,9 @@ TEST(Pipeline, LowerStageBuildsTheProgramImage) {
   ASSERT_EQ(image.names.size(), 2u);  // running example: x, y
   EXPECT_EQ(image.names[0].name, "x");
 
-  // Executing the image matches lowering the translation again.
-  const machine::MachineOptions mo;
-  const auto via_image = core::execute(image, mo);
-  const auto via_graph = core::execute(r.translation, mo);
-  EXPECT_EQ(via_image.store, via_graph.store);
-  EXPECT_EQ(via_image.stats.cycles, via_graph.stats.cycles);
+  // The image's program is the translation's graph, lowered.
+  EXPECT_EQ(machine::render(image.exec),
+            machine::render(machine::lower(r.translation.graph)));
 }
 
 TEST(Pipeline, BothRunOverloadsShareOneBody) {

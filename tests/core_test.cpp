@@ -13,20 +13,12 @@ namespace {
 
 TEST(Core, ParseCompileExecuteRoundTrip) {
   const auto prog = parse(lang::corpus::running_example_source());
-  const auto tx =
-      compile(prog, translate::TranslateOptions::schema2_optimized());
-  const auto res = execute(tx, {});
+  const auto cr =
+      Pipeline(translate::TranslateOptions::schema2_optimized()).run(prog);
+  const auto res = execute(cr.image, {});
   ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   EXPECT_EQ(read_scalar(prog, res.store, "x"), 5);
   EXPECT_EQ(read_scalar(prog, res.store, "y"), 5);
-}
-
-TEST(Core, CompileFromSourceDirectly) {
-  const auto tx = compile("var x; x := 41 + 1;",
-                          translate::TranslateOptions::schema2());
-  const auto res = execute(tx, {});
-  ASSERT_TRUE(res.stats.completed);
-  EXPECT_EQ(res.store.cells.at(0), 42);
 }
 
 TEST(Core, ParseErrorsThrow) {
@@ -37,14 +29,14 @@ TEST(Core, ParseErrorsThrow) {
 TEST(Core, InfiniteLoopRejectedAtCompile) {
   const auto prog = parse("var x; l: x := x + 1; goto l;");
   EXPECT_THROW(
-      (void)compile(prog, translate::TranslateOptions::schema2()),
+      (void)Pipeline(translate::TranslateOptions::schema2()).run(prog),
       support::CompileError);
 }
 
 TEST(Core, ReadHelpersValidateNames) {
   const auto prog = parse("var x; array a[4]; x := 7; a[2] := 9;");
-  const auto res =
-      execute(compile(prog, translate::TranslateOptions::schema2()), {});
+  const auto res = execute(
+      Pipeline(translate::TranslateOptions::schema2()).run(prog).image, {});
   ASSERT_TRUE(res.stats.completed);
   EXPECT_EQ(read_scalar(prog, res.store, "x"), 7);
   EXPECT_EQ(read_element(prog, res.store, "a", 2), 9);
@@ -56,8 +48,9 @@ TEST(Core, ReadHelpersValidateNames) {
 }
 
 TEST(Core, TranslationStatsArePopulated) {
-  const auto tx = compile(lang::corpus::running_example(),
-                          translate::TranslateOptions::schema2_optimized());
+  const auto tx = Pipeline(translate::TranslateOptions::schema2_optimized())
+                      .run(lang::corpus::running_example())
+                      .translation;
   EXPECT_GT(tx.cfg_nodes, 0u);
   EXPECT_GT(tx.cfg_edges, 0u);
   EXPECT_EQ(tx.num_resources, 2u);
@@ -70,9 +63,9 @@ TEST(Core, TranslationStatsArePopulated) {
 TEST(Core, IStructureRegionsFlowThroughExecute) {
   auto o = translate::TranslateOptions::schema2_optimized();
   o.istructure_arrays = {"x"};
-  const auto tx = compile(lang::corpus::array_loop(5), o);
-  ASSERT_EQ(tx.istructures.size(), 1u);
-  const auto res = execute(tx, {});
+  const auto cr = Pipeline(o).run(lang::corpus::array_loop(5));
+  ASSERT_EQ(cr.image.istructures.size(), 1u);
+  const auto res = execute(cr.image, {});
   ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   const auto prog = lang::corpus::array_loop(5);
   for (int i = 1; i <= 5; ++i)

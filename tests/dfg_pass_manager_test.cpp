@@ -239,8 +239,9 @@ TEST(PassManager, ReplicateTreesAreNeverRecollapsed) {
   // fan-out.
   auto o = translate::TranslateOptions::schema2_optimized();
   o.eliminate_memory = true;
-  auto tx = core::compile(
-      lang::parse_or_throw(lang::corpus::read_heavy_source(16)), o);
+  auto tx = core::Pipeline(o)
+                .run(lang::parse_or_throw(lang::corpus::read_heavy_source(16)))
+                .translation;
   ASSERT_GT(max_fanout(tx.graph), 2u);
   ASSERT_GT(lower_fanout(tx.graph, 2), 0u);
   ASSERT_LE(max_fanout(tx.graph), 2u);
@@ -253,15 +254,17 @@ TEST(PassManager, ReplicateTreesAreNeverRecollapsed) {
 
   const auto prog = lang::parse_or_throw(lang::corpus::read_heavy_source(16));
   const auto ref = lang::interpret(prog);
-  const auto res = core::execute(tx, {});
+  const auto res =
+      machine::run(machine::lower(tx.graph), tx.memory_cells, {});
   ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   EXPECT_EQ(res.store.cells, ref.store.cells);
 }
 
 TEST(PassManager, PerPassCountersAttributeTheWork) {
-  auto tx = core::compile(
-      lang::parse_or_throw("var x; if 1 { x := 5; } else { x := 6; }"),
-      translate::TranslateOptions::schema2_optimized());
+  auto tx = core::Pipeline(translate::TranslateOptions::schema2_optimized())
+                .run(lang::parse_or_throw(
+                    "var x; if 1 { x := 5; } else { x := 6; }"))
+                .translation;
   const OptStats stats = run_passes(tx.graph, OptLevel::kAll);
   EXPECT_GT(stats.switches_folded, 0u);
   EXPECT_GT(stats.nodes_removed, 0u);
@@ -270,8 +273,9 @@ TEST(PassManager, PerPassCountersAttributeTheWork) {
 }
 
 TEST(PassManager, LoopDepthIsReportedForLoopPrograms) {
-  auto tx = core::compile(lang::corpus::running_example(),
-                          translate::TranslateOptions::schema2_optimized());
+  auto tx = core::Pipeline(translate::TranslateOptions::schema2_optimized())
+                .run(lang::corpus::running_example())
+                .translation;
   const OptStats stats = run_passes(tx.graph, OptLevel::kCleanup);
   EXPECT_GE(stats.max_loop_depth, 1u);
 }
@@ -285,11 +289,11 @@ TEST(PassManager, FusedAndUnfusedStoresAreByteIdentical) {
       off.eliminate_memory = mem_elim;
       auto on = off;
       on.opt_level = OptLevel::kAll;
-      const auto tx_off = core::compile(prog, off);
-      const auto tx_on = core::compile(prog, on);
-      ASSERT_TRUE(tx_on.graph.validate().empty()) << np.name;
-      const auto r_off = core::execute(tx_off, {});
-      const auto r_on = core::execute(tx_on, {});
+      const auto cr_off = core::Pipeline(off).run(prog);
+      const auto cr_on = core::Pipeline(on).run(prog);
+      ASSERT_TRUE(cr_on.translation.graph.validate().empty()) << np.name;
+      const auto r_off = core::execute(cr_off.image, {});
+      const auto r_on = core::execute(cr_on.image, {});
       ASSERT_TRUE(r_off.stats.completed) << np.name << ": "
                                          << r_off.stats.error_detail.render();
       ASSERT_TRUE(r_on.stats.completed) << np.name << ": "

@@ -118,9 +118,10 @@ TEST(Subroutines, RunsOnTheDataflowMachineToo) {
   const auto r = expand_subroutines_or_throw(kPaperExample);
   const Program prog = parse_or_throw(r.source);
   const auto ref = interpret(prog);
-  const auto tx =
-      core::compile(prog, translate::TranslateOptions::schema2_optimized());
-  const auto res = core::execute(tx, {});
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(prog);
+  const auto res = core::execute(cr.image, {});
   ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   EXPECT_EQ(res.store.cells, ref.store.cells);
 }

@@ -29,12 +29,12 @@ Outcome run_bounded(const lang::Program& prog, unsigned bound,
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
   topt.parallel_store_arrays = {"x"};
-  const auto tx = core::compile(prog, topt);
+  const auto cr = core::Pipeline(topt).run(prog);
   MachineOptions mopt;
   mopt.loop_mode = LoopMode::kPipelined;
   mopt.loop_bound = bound;
   mopt.mem_latency = mem_latency;
-  auto res = core::execute(tx, mopt);
+  auto res = core::execute(cr.image, mopt);
   EXPECT_TRUE(res.stats.completed) << "bound=" << bound << ": "
                                    << res.stats.error_detail.render();
   return {std::move(res.stats), std::move(res.store)};
@@ -88,12 +88,13 @@ TEST(LoopBounding, NestedLoopsStillComplete) {
 
 TEST(LoopBounding, IgnoredInBarrierMode) {
   const auto prog = lang::corpus::array_loop(12);
-  auto topt = translate::TranslateOptions::schema2_optimized();
-  const auto tx = core::compile(prog, topt);
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(prog);
   MachineOptions mopt;
   mopt.loop_mode = LoopMode::kBarrier;
   mopt.loop_bound = 1;
-  const auto res = core::execute(tx, mopt);
+  const auto res = core::execute(cr.image, mopt);
   ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   EXPECT_EQ(res.stats.throttle_stalls, 0u);
 }
@@ -107,12 +108,12 @@ TEST(LoopBounding, RandomProgramsUnaffectedSemantically) {
     ASSERT_TRUE(ref.completed);
     auto topt = translate::TranslateOptions::schema2_optimized();
     topt.eliminate_memory = true;
-    const auto tx = core::compile(prog, topt);
+    const auto cr = core::Pipeline(topt).run(prog);
     for (const unsigned bound : {1u, 3u}) {
       MachineOptions mopt;
       mopt.loop_mode = LoopMode::kPipelined;
       mopt.loop_bound = bound;
-      const auto res = core::execute(tx, mopt);
+      const auto res = core::execute(cr.image, mopt);
       ASSERT_TRUE(res.stats.completed)
           << "seed " << seed << " bound " << bound << ": "
           << res.stats.error_detail.render();
@@ -156,18 +157,18 @@ TEST(FrameCapacity, BackpressureGracefulDegradation) {
       {"nested_loops", lang::corpus::nested_loops_source(3, 4)},
   };
   for (const auto& p : programs) {
-    const auto tx = core::compile(
-        lang::parse_or_throw(p.source),
-        translate::TranslateOptions::schema2_optimized());
+    const auto cr =
+        core::Pipeline(translate::TranslateOptions::schema2_optimized())
+            .run(lang::parse_or_throw(p.source));
     // Pipelined forwardings are consumed from their source context when
     // they stall, so even capacity 1 makes progress — one iteration at
     // a time, throttled but semantically intact.
     MachineOptions mopt;
     mopt.loop_mode = LoopMode::kPipelined;
-    const RunResult base = core::execute(tx, mopt);
+    const RunResult base = core::execute(cr.image, mopt);
     MachineOptions copt = mopt;
     copt.frame_capacity = 1;
-    const RunResult capped = core::execute(tx, copt);
+    const RunResult capped = core::execute(cr.image, copt);
     expect_semantic_match(base, capped,
                           std::string(p.name) + " capacity=1 pipelined");
     EXPECT_GT(capped.stats.backpressure_stalls, 0u) << p.name;
@@ -177,10 +178,10 @@ TEST(FrameCapacity, BackpressureGracefulDegradation) {
     // a capacity that admits two live contexts completes untouched.
     MachineOptions bopt;
     bopt.loop_mode = LoopMode::kBarrier;
-    const RunResult bbase = core::execute(tx, bopt);
+    const RunResult bbase = core::execute(cr.image, bopt);
     MachineOptions bcap = bopt;
     bcap.frame_capacity = 2;
-    const RunResult bcapped = core::execute(tx, bcap);
+    const RunResult bcapped = core::execute(cr.image, bcap);
     expect_semantic_match(bbase, bcapped,
                           std::string(p.name) + " capacity=2 barrier");
   }
@@ -233,8 +234,7 @@ TEST(FrameCapacity, StalledBarrierEntriesWakeWhenAContextRetires) {
     EXPECT_EQ(event.stats.backpressure_stalls, 2u) << context;
     EXPECT_EQ(event.stats.cycles, r.cycles) << context;
     EXPECT_EQ(event.store.cells, ref.store.cells) << context;
-    const RunResult scan = testing::run_scan(
-        image.exec, image.memory_cells, mopt, image.istructures, image.shared);
+    const RunResult scan = testing::run_scan(image, mopt);
     EXPECT_EQ(scan.stats.completed, event.stats.completed) << context;
     EXPECT_EQ(scan.stats.cycles, event.stats.cycles) << context;
     EXPECT_EQ(scan.stats.ops_fired, event.stats.ops_fired) << context;
@@ -256,13 +256,13 @@ TEST(FrameCapacity, FrameExhaustedIsTyped) {
   // Barrier entry under capacity 1: the strict firing needs the
   // previous iteration's context live *and* a fresh one — the frame
   // store can never satisfy both, and no context can retire.
-  const auto tx =
-      core::compile(lang::corpus::array_loop_source(6),
-                    translate::TranslateOptions::schema2_optimized());
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(lang::corpus::array_loop_source(6));
   MachineOptions mopt;
   mopt.loop_mode = LoopMode::kBarrier;
   mopt.frame_capacity = 1;
-  const RunResult r = core::execute(tx, mopt);
+  const RunResult r = core::execute(cr.image, mopt);
   const std::string error = r.stats.error_detail.render();
   EXPECT_FALSE(r.stats.completed);
   EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kFrameExhausted);
@@ -277,12 +277,12 @@ TEST(FrameCapacity, FrameExhaustedIsTyped) {
 }
 
 TEST(RunErrorTaxonomy, CycleCapKeepsItsOneLineText) {
-  const auto tx =
-      core::compile(lang::corpus::running_example_source(),
-                    translate::TranslateOptions::schema2_optimized());
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(lang::corpus::running_example_source());
   MachineOptions mopt;
   mopt.budget.max_cycles = 3;
-  const RunResult r = core::execute(tx, mopt);
+  const RunResult r = core::execute(cr.image, mopt);
   EXPECT_FALSE(r.stats.completed);
   EXPECT_EQ(r.stats.error_detail.code, ErrorCode::kCycleCap);
   // The message alone: a cycle-cap error carries no diagnosis.

@@ -40,9 +40,11 @@ constexpr Policy kPolicies[] = {{"event", false}, {"scan", true}};
 
 RunResult run_source(const char* source, const MachineOptions& mopt,
                      bool scan = false) {
-  const auto tx = core::compile(
-      source, translate::TranslateOptions::schema2_optimized());
-  return scan ? testing::run_scan(tx, mopt) : core::execute(tx, mopt);
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(source);
+  return scan ? testing::run_scan(cr.image, mopt)
+              : core::execute(cr.image, mopt);
 }
 
 TEST(MachineBudget, DeadlineExpiryIsTypedAndIdenticalUnderBothPolicies) {

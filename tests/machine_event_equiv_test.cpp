@@ -55,13 +55,13 @@ void expect_identical(const RunResult& scan, const RunResult& event,
   EXPECT_EQ(scan.store.cells, event.store.cells) << context;
 }
 
-/// Runs `tx` under the scan reference and machine::run, demanding
+/// Runs `image` under the scan reference and machine::run, demanding
 /// identity. The scan result is returned for callers' own sanity
 /// assertions.
-RunResult check_event(const translate::Translation& tx,
-                      const MachineOptions& mopt, const std::string& context) {
-  const RunResult scan = testing::run_scan(tx, mopt);
-  const RunResult event = core::execute(tx, mopt);
+RunResult check_event(const ProgramImage& image, const MachineOptions& mopt,
+                      const std::string& context) {
+  const RunResult scan = testing::run_scan(image, mopt);
+  const RunResult event = core::execute(image, mopt);
   expect_identical(scan, event, context + " policy=event");
   return scan;
 }
@@ -69,7 +69,7 @@ RunResult check_event(const translate::Translation& tx,
 void sweep_program(const lang::Program& prog,
                    const translate::TranslateOptions& topt,
                    const std::string& context) {
-  const auto tx = core::compile(prog, topt);
+  const auto cr = core::Pipeline(topt).run(prog);
   for (const auto loop_mode : {LoopMode::kBarrier, LoopMode::kPipelined}) {
     for (const std::uint64_t seed : {0ull, 7ull, 99ull}) {
       for (const unsigned width : {0u, 2u}) {
@@ -80,7 +80,7 @@ void sweep_program(const lang::Program& prog,
         mopt.mem_latency = seed % 2 ? 1 : 9;
         mopt.record_profile = true;
         const auto res = check_event(
-            tx, mopt,
+            cr.image, mopt,
             context + " loop=" + to_string(loop_mode) +
                 " seed=" + std::to_string(seed) +
                 " width=" + std::to_string(width));
@@ -113,9 +113,9 @@ TEST(EventEquiv, IStructuresAndDeferredReads) {
 
 TEST(EventEquiv, MultiPePlacementsAndNetworkLatency) {
   // The wheel horizon must absorb the cross-PE hop surcharge.
-  const auto tx =
-      core::compile(lang::corpus::nested_loops_source(4, 5),
-                    translate::TranslateOptions::schema2_optimized());
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(lang::corpus::nested_loops_source(4, 5));
   for (const auto placement : {Placement::kByNode, Placement::kByContext}) {
     for (const unsigned processors : {1u, 3u, 16u}) {
       for (const unsigned net : {0u, 2u, 5u}) {
@@ -126,7 +126,7 @@ TEST(EventEquiv, MultiPePlacementsAndNetworkLatency) {
         mopt.network_latency = net;
         mopt.record_profile = true;
         const auto res = check_event(
-            tx, mopt,
+            cr.image, mopt,
             std::string("nested_loops pe=") + std::to_string(processors) +
                 " placement=" + to_string(placement) +
                 " net=" + std::to_string(net));
@@ -138,16 +138,16 @@ TEST(EventEquiv, MultiPePlacementsAndNetworkLatency) {
 
 TEST(EventEquiv, KBoundedLoops) {
   // Stall re-delivery lands at cycle + 1 — the wheel's shortest slot.
-  const auto tx = core::compile(
-      lang::corpus::array_loop(16),
-      translate::TranslateOptions::schema2_optimized());
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(lang::corpus::array_loop(16));
   for (const unsigned k : {1u, 2u, 4u}) {
     for (const std::uint64_t seed : {0ull, 5ull}) {
       MachineOptions mopt;
       mopt.loop_mode = LoopMode::kPipelined;
       mopt.loop_bound = k;
       mopt.scheduler_seed = seed;
-      const auto res = check_event(tx, mopt,
+      const auto res = check_event(cr.image, mopt,
                                    "array_loop k=" + std::to_string(k) +
                                        " seed=" + std::to_string(seed));
       EXPECT_TRUE(res.stats.completed) << res.stats.error_detail.render();
@@ -168,13 +168,13 @@ TEST(EventEquiv, RandomPrograms) {
     const auto prog = lang::generate_program(gopt, gseed);
     auto topt = translate::TranslateOptions::schema2_optimized();
     topt.parallel_reads = true;
-    const auto tx = core::compile(prog, topt);
+    const auto cr = core::Pipeline(topt).run(prog);
     for (const std::uint64_t seed : {0ull, 3ull}) {
       MachineOptions mopt;
       mopt.loop_mode = LoopMode::kPipelined;
       mopt.scheduler_seed = seed;
       mopt.width = 3;
-      check_event(tx, mopt,
+      check_event(cr.image, mopt,
                   "gen seed=" + std::to_string(gseed) +
                       " sched=" + std::to_string(seed));
     }
@@ -201,14 +201,14 @@ TEST(EventEquiv, LatencyFlagsPastTheWheelBoundAreRejected) {
 TEST(EventEquiv, LargestAcceptedLatenciesMatchScan) {
   // The widest wheel any accepted option set asks for: both latencies
   // at the bound, on two PEs so cross-PE hops add the network latency.
-  const auto tx =
-      core::compile(lang::corpus::running_example(),
-                    translate::TranslateOptions::schema2_optimized());
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(lang::corpus::running_example());
   MachineOptions mopt;
   mopt.mem_latency = kMaxLatency;
   mopt.network_latency = kMaxLatency;
   mopt.processors = 2;
-  const RunResult scan = check_event(tx, mopt, "largest latencies");
+  const RunResult scan = check_event(cr.image, mopt, "largest latencies");
   EXPECT_TRUE(scan.stats.completed) << scan.stats.error_detail.render();
 }
 
@@ -410,7 +410,7 @@ TEST(EventEquiv, DirtyHeapGivesTheCleanResults) {
   for (const auto& np : lang::corpus::all()) {
     const lang::Program prog = lang::parse_or_throw(np.source);
     for (const auto& [tname, topt] : translations) {
-      const auto tx = core::compile(prog, topt);
+      const auto cr = core::Pipeline(topt).run(prog);
       for (const auto loop_mode : {LoopMode::kBarrier, LoopMode::kPipelined}) {
         for (const unsigned processors : {0u, 3u}) {
           MachineOptions mopt;
@@ -420,11 +420,11 @@ TEST(EventEquiv, DirtyHeapGivesTheCleanResults) {
           const std::string context =
               np.name + "/" + tname + " loop=" + to_string(loop_mode) +
               " pe=" + std::to_string(processors);
-          const RunResult clean = core::execute(tx, mopt);
+          const RunResult clean = core::execute(cr.image, mopt);
           EXPECT_TRUE(clean.stats.completed)
               << context << ": " << clean.stats.error_detail.render();
           void* guard = dirty_heap();
-          const RunResult dirty = core::execute(tx, mopt);
+          const RunResult dirty = core::execute(cr.image, mopt);
           std::free(guard);
           expect_identical(clean, dirty, context + " dirty heap");
         }

@@ -1,10 +1,11 @@
-// Round-trip properties of machine::lower (graph → ExecProgram): the
-// lowered op table must preserve every structural fact the engine
-// consumes — node count, op kinds, port arities, literal operands,
-// fan-out destinations in graph-arc order — and lay out frame slots as
-// disjoint per-op ranges with a dense strict index. Checked over the
-// corpus programs under several schema option sets and over randomly
-// generated programs.
+// Round-trip properties of machine::lower (graph → ExecProgram), read
+// off the image the pipeline's `lower` stage built: the lowered op
+// table must preserve every structural fact the engine consumes — node
+// count, op kinds, port arities, literal operands, fan-out destinations
+// in graph-arc order — and lay out frame slots as disjoint per-op
+// ranges with a dense strict index. Checked over the corpus programs
+// under several schema option sets and over randomly generated
+// programs.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -17,8 +18,9 @@
 namespace ctdf {
 namespace {
 
-void expect_roundtrip(const dfg::Graph& g) {
-  const machine::ExecProgram ep = machine::lower(g);
+void expect_roundtrip(const core::CompileResult& cr) {
+  const dfg::Graph& g = cr.translation.graph;
+  const machine::ExecProgram& ep = cr.image.exec;
   ASSERT_EQ(ep.num_ops(), g.num_nodes());
   EXPECT_EQ(ep.start(), g.start());
   EXPECT_EQ(ep.end(), g.end());
@@ -121,8 +123,7 @@ TEST(ExecLower, RoundTripCorpus) {
   for (const auto& named : lang::corpus::all()) {
     for (const auto& topt : option_ladder()) {
       SCOPED_TRACE(named.name + " / " + topt.describe());
-      const auto tx = core::compile(core::parse(named.source), topt);
-      expect_roundtrip(tx.graph);
+      expect_roundtrip(core::Pipeline(topt).run(core::parse(named.source)));
     }
   }
 }
@@ -137,8 +138,7 @@ TEST(ExecLower, RoundTripRandomPrograms) {
     const auto prog = lang::generate_program(gopt, seed);
     const auto& topt = topts[seed % topts.size()];
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const auto tx = core::compile(prog, topt);
-    expect_roundtrip(tx.graph);
+    expect_roundtrip(core::Pipeline(topt).run(prog));
   }
 }
 

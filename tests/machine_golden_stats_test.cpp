@@ -343,14 +343,14 @@ TEST(GoldenStats, CorpusScheduleMatchesTheRecordedTable) {
   for (const auto& np : lang::corpus::all()) {
     const lang::Program prog = lang::parse_or_throw(np.source);
     for (const auto& [tname, topt] : translations) {
-      const auto tx = core::compile(prog, topt);
+      const auto cr = core::Pipeline(topt).run(prog);
       for (const auto& [cname, flags] : kConfigs) {
         MachineOptions mopt = default_cli_machine_options();
         for (const std::string& f : flags)
           ASSERT_EQ(apply_machine_flag(mopt, f), MachineFlagParse::kApplied)
               << f;
         const std::string run = np.name + "/" + tname + "/" + cname;
-        const RunResult r = core::execute(tx, mopt);
+        const RunResult r = core::execute(cr.image, mopt);
         EXPECT_TRUE(r.stats.completed)
             << run << ": " << r.stats.error_detail.render();
         const Golden actual = row_of(run.c_str(), r);

@@ -15,13 +15,13 @@ RunResult run_pe(const lang::Program& prog, unsigned pes,
                  Placement placement, unsigned net = 2) {
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
-  const auto tx = core::compile(prog, topt);
+  const auto cr = core::Pipeline(topt).run(prog);
   MachineOptions mopt;
   mopt.loop_mode = LoopMode::kPipelined;
   mopt.processors = pes;
   mopt.placement = placement;
   mopt.network_latency = net;
-  return core::execute(tx, mopt);
+  return core::execute(cr.image, mopt);
 }
 
 TEST(MultiPe, SemanticsIndependentOfTopology) {
@@ -55,8 +55,9 @@ TEST(MultiPe, SinglePeMatchesWidthOne) {
   // One PE firing one op/cycle is the same machine as the abstract pool
   // at width 1 with no network (every hop is local).
   const auto prog = lang::corpus::running_example();
-  auto topt = translate::TranslateOptions::schema2_optimized();
-  const auto tx = core::compile(prog, topt);
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(prog);
   MachineOptions one_pe;
   one_pe.loop_mode = LoopMode::kPipelined;
   one_pe.processors = 1;
@@ -64,8 +65,8 @@ TEST(MultiPe, SinglePeMatchesWidthOne) {
   MachineOptions width1;
   width1.loop_mode = LoopMode::kPipelined;
   width1.width = 1;
-  const auto a = core::execute(tx, one_pe);
-  const auto b = core::execute(tx, width1);
+  const auto a = core::execute(cr.image, one_pe);
+  const auto b = core::execute(cr.image, width1);
   ASSERT_TRUE(a.stats.completed && b.stats.completed);
   EXPECT_EQ(a.stats.cycles, b.stats.cycles);
   EXPECT_EQ(a.store.cells, b.store.cells);

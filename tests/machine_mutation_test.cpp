@@ -75,8 +75,9 @@ Compiled compile_loop() {
   translate::TranslateOptions topt =
       translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
-  const translate::Translation tx = core::compile(kLoopSource, topt);
-  return {lower(tx.graph), tx.memory_cells};
+  core::CompileResult cr = core::Pipeline(topt).run(kLoopSource);
+  return {std::move(cr.image.exec),
+          static_cast<std::size_t>(cr.image.memory_cells)};
 }
 
 /// Applies `m` to a fresh lowering of the loop program and runs it

@@ -80,12 +80,12 @@ const std::vector<std::string> kOptionsKeys = {
 const std::vector<std::string> kErrorKeys = {"code", "message", "diagnosis"};
 
 TEST(StatsJsonSchema, SuccessfulRunEmitsTheGoldenKeySet) {
-  const auto tx = core::compile(
-      lang::corpus::running_example_source(),
-      translate::TranslateOptions::schema2_optimized());
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(lang::corpus::running_example_source());
   MachineOptions opt;
   opt.check = CheckMode::kIntegrity;
-  const RunResult r = core::execute(tx, opt);
+  const RunResult r = core::execute(cr.image, opt);
   ASSERT_TRUE(r.stats.completed) << r.stats.error_detail.render();
 
   const std::string json = render_stats_json(r.stats, opt);
@@ -97,12 +97,12 @@ TEST(StatsJsonSchema, SuccessfulRunEmitsTheGoldenKeySet) {
 }
 
 TEST(StatsJsonSchema, FailedRunEmitsTheSameKeySetWithATypedError) {
-  const auto tx = core::compile(
-      lang::corpus::running_example_source(),
-      translate::TranslateOptions::schema2_optimized());
+  const auto cr =
+      core::Pipeline(translate::TranslateOptions::schema2_optimized())
+          .run(lang::corpus::running_example_source());
   MachineOptions opt;
   opt.budget.max_cycles = 3;  // forces the cycle-cap failure
-  const RunResult r = core::execute(tx, opt);
+  const RunResult r = core::execute(cr.image, opt);
   ASSERT_FALSE(r.stats.completed);
 
   const std::string json = render_stats_json(r.stats, opt);

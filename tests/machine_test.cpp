@@ -412,17 +412,17 @@ TEST(Machine, KBoundOneRunsLoopSerially) {
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.eliminate_memory = true;
   topt.parallel_store_arrays = {"x"};
-  const auto tx = core::compile(prog, topt);
+  const auto cr = core::Pipeline(topt).run(prog);
 
   MachineOptions mopt;
   mopt.loop_mode = LoopMode::kPipelined;
   mopt.mem_latency = 60;  // stretch iteration lifetimes
-  const auto unbounded = core::execute(tx, mopt);
+  const auto unbounded = core::execute(cr.image, mopt);
   ASSERT_TRUE(unbounded.stats.completed)
       << unbounded.stats.error_detail.render();
 
   mopt.loop_bound = 1;
-  const auto k1 = core::execute(tx, mopt);
+  const auto k1 = core::execute(cr.image, mopt);
   ASSERT_TRUE(k1.stats.completed) << k1.stats.error_detail.render();
   EXPECT_EQ(k1.store.cells, ref.store.cells);
   // One iteration in flight (the bound is exact for a flat loop), so

@@ -55,14 +55,14 @@ TEST_P(ArrayTransforms, Fig14AndIStructuresMatchInterpreter) {
       topt.eliminate_memory = memelim;
       if (variant == 1) topt.parallel_store_arrays = {"a"};
       if (variant == 2) topt.istructure_arrays = {"a"};
+      const auto cr = core::Pipeline(topt).run(prog);
       for (const auto mode :
            {machine::LoopMode::kBarrier, machine::LoopMode::kPipelined}) {
         machine::MachineOptions mopt;
         mopt.loop_mode = mode;
         mopt.mem_latency = static_cast<unsigned>(rng.next_in(1, 20));
         mopt.width = rng.chance(1, 2) ? 0 : 2;
-        const auto tx = core::compile(prog, topt);
-        const auto res = core::execute(tx, mopt);
+        const auto res = core::execute(cr.image, mopt);
         ASSERT_TRUE(res.stats.completed)
             << topt.describe() << " " << to_string(mode) << ": "
             << res.stats.error_detail.render() << "\n" << fam.source;
@@ -84,10 +84,10 @@ l: i := i + 1; a[3 * i] := i; if i < 20 then goto l else goto end;
 )");
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.parallel_store_arrays = {"a"};
-  const auto tx = core::compile(prog, topt);
-  EXPECT_EQ(tx.loops_store_parallelized, 1u);
+  const auto cr = core::Pipeline(topt).run(prog);
+  EXPECT_EQ(cr.translation.loops_store_parallelized, 1u);
   const auto ref = lang::interpret(prog);
-  const auto res = core::execute(tx, {});
+  const auto res = core::execute(cr.image, {});
   ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   EXPECT_EQ(res.store.cells, ref.store.cells);
 }
@@ -101,10 +101,10 @@ if i < 12 then goto l else goto end;
   // a is read in the loop (by b's rhs), so only b qualifies.
   auto topt = translate::TranslateOptions::schema2_optimized();
   topt.parallel_store_arrays = {"a", "b"};
-  const auto tx = core::compile(prog, topt);
-  EXPECT_EQ(tx.loops_store_parallelized, 1u);
+  const auto cr = core::Pipeline(topt).run(prog);
+  EXPECT_EQ(cr.translation.loops_store_parallelized, 1u);
   const auto ref = lang::interpret(prog);
-  const auto res = core::execute(tx, {});
+  const auto res = core::execute(cr.image, {});
   ASSERT_TRUE(res.stats.completed) << res.stats.error_detail.render();
   EXPECT_EQ(res.store.cells, ref.store.cells);
 }

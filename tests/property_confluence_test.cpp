@@ -17,7 +17,7 @@ void check_confluent(const lang::Program& prog,
                      const std::string& context) {
   const auto ref = lang::interpret(prog, 1'000'000);
   ASSERT_TRUE(ref.completed);
-  const auto tx = core::compile(prog, topt);
+  const auto cr = core::Pipeline(topt).run(prog);
 
   for (const auto loop_mode :
        {machine::LoopMode::kBarrier, machine::LoopMode::kPipelined}) {
@@ -28,7 +28,7 @@ void check_confluent(const lang::Program& prog,
         mopt.scheduler_seed = seed;
         mopt.width = width;
         mopt.mem_latency = seed % 2 ? 1 : 9;
-        const auto res = core::execute(tx, mopt);
+        const auto res = core::execute(cr.image, mopt);
         ASSERT_TRUE(res.stats.completed)
             << context << " seed=" << seed << " width=" << width << ": "
             << res.stats.error_detail.render();

@@ -753,6 +753,7 @@ TEST(ServePump, RefusedWorkerThreadsLeaveTheServerServing) {
     reqs.push_back(R"({"id": )" + std::to_string(i) +
                    R"(, "op": "run", "source": "var x;\n  x := )" +
                    std::to_string(i) + R"( * 2;\n"})");
+  reqs.push_back(R"({"id": 6, "op": "stats"})");
 
   // Room for one worker: the other three are refused, and the one
   // answers every request.
@@ -771,6 +772,19 @@ TEST(ServePump, RefusedWorkerThreadsLeaveTheServerServing) {
     EXPECT_EQ(r.find("id")->number, i);
     EXPECT_EQ(r.find("store")->find("x")->number, 2.0 * i);
   }
+  // The stats op counts the worker that started. A server with no
+  // pump reports the workers it was configured with.
+  const JsonValue started = parse_response(one.lines[6]);
+  ASSERT_NE(started.find("serve"), nullptr) << one.lines[6];
+  EXPECT_EQ(started.find("serve")->find("workers")->number, 1.0);
+  EXPECT_EQ(started.find("serve")->find("per_worker")->array.size(), 1u);
+  ServeOptions four;
+  four.workers = 4;
+  Server unpumped(four);
+  const JsonValue configured =
+      parse_response(unpumped.handle_line(R"({"op": "stats"})"));
+  EXPECT_EQ(configured.find("serve")->find("workers")->number, 4.0);
+  EXPECT_EQ(configured.find("serve")->find("per_worker")->array.size(), 4u);
 
   // Room for none: serve_pipe returns 2 without reading.
   const CappedServe none = serve_with_room_for(0, reqs);

@@ -145,8 +145,8 @@ std::string check_equivalence(const lang::Program& prog,
   if (!ref.completed) return "";  // nothing to compare against
 
   try {
-    const auto tx = core::compile(prog, cfg.topt);
-    const auto res = core::execute(tx, cfg.mopt);
+    const core::CompileResult cr = core::Pipeline(cfg.topt).run(prog);
+    const auto res = core::execute(cr.image, cfg.mopt);
     if (!res.stats.completed)
       return cfg.name + ": machine did not complete: " +
              res.stats.error_detail.render();

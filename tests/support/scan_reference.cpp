@@ -52,10 +52,10 @@ machine::RunResult run_scan(
       .run();
 }
 
-machine::RunResult run_scan(const translate::Translation& tx,
+machine::RunResult run_scan(const machine::ProgramImage& image,
                             const machine::MachineOptions& options) {
-  return run_scan(machine::lower(tx.graph), tx.memory_cells, options,
-                  tx.istructures, tx.shared_cells);
+  return run_scan(image.exec, static_cast<std::size_t>(image.memory_cells),
+                  options, image.istructures, image.shared);
 }
 
 }  // namespace ctdf::testing

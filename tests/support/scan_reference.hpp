@@ -10,10 +10,9 @@
 #include <cstddef>
 #include <vector>
 
-#include "dfg/graph.hpp"
+#include "machine/blob.hpp"
 #include "machine/exec.hpp"
 #include "machine/machine.hpp"
-#include "translate/translator.hpp"
 
 namespace ctdf::testing {
 
@@ -25,8 +24,9 @@ namespace ctdf::testing {
     const std::vector<lang::CellRegion>& istructures = {},
     const std::vector<lang::CellRegion>& shared = {});
 
-/// The scan-policy twin of core::execute(tx, options).
+/// The scan-policy twin of core::execute(image, options): runs the
+/// image the pipeline's `lower` stage built (CompileResult::image).
 [[nodiscard]] machine::RunResult run_scan(
-    const translate::Translation& tx, const machine::MachineOptions& options);
+    const machine::ProgramImage& image, const machine::MachineOptions& options);
 
 }  // namespace ctdf::testing

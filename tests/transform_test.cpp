@@ -17,8 +17,8 @@ struct Exec {
 
 Exec exec(const lang::Program& prog, const TranslateOptions& topt,
         machine::MachineOptions mopt = {}) {
-  const auto tx = core::compile(prog, topt);
-  auto res = core::execute(tx, mopt);
+  const auto cr = core::Pipeline(topt).run(prog);
+  auto res = core::execute(cr.image, mopt);
   EXPECT_TRUE(res.stats.completed) << topt.describe() << ": "
                                    << res.stats.error_detail.render();
   return {std::move(res.stats), std::move(res.store)};
@@ -166,8 +166,8 @@ TEST(IStructures, WrongWriteOnceAssertionIsTrapped) {
       "var i; array a[4]; a[1] := 5; a[1] := 6;");
   auto topt = TranslateOptions::schema2_optimized();
   topt.istructure_arrays = {"a"};
-  const auto tx = core::compile(prog, topt);
-  const auto res = core::execute(tx, {});
+  const auto cr = core::Pipeline(topt).run(prog);
+  const auto res = core::execute(cr.image, {});
   EXPECT_FALSE(res.stats.completed);
   EXPECT_NE(res.stats.error_detail.render().find("double write"),
             std::string::npos);

@@ -20,8 +20,8 @@ struct Shape {
 };
 
 Shape shape_of(const std::string& source, const TranslateOptions& o) {
-  const auto tx = core::compile(lang::parse_or_throw(source), o);
-  const auto s = compute_stats(tx.graph);
+  const auto cr = core::Pipeline(o).run(lang::parse_or_throw(source));
+  const auto s = compute_stats(cr.translation.graph);
   return {s.nodes, s.switches, s.merges, s.loads, s.stores};
 }
 

@@ -10,7 +10,9 @@ namespace ctdf::translate {
 namespace {
 
 Translation tx(std::string_view src, const TranslateOptions& o) {
-  return core::compile(lang::parse_or_throw(std::string(src)), o);
+  return core::Pipeline(o)
+      .run(lang::parse_or_throw(std::string(src)))
+      .translation;
 }
 
 TEST(Structure, AllTranslationsValidate) {
