@@ -5,7 +5,6 @@
 // measures how much of the paper's exposed parallelism survives that
 // constraint.
 #include "common.hpp"
-#include "dfg/passes.hpp"
 #include "lang/corpus.hpp"
 
 using namespace ctdf;
@@ -38,12 +37,9 @@ int main() {
       machine::MachineOptions mopt;
       mopt.loop_mode = machine::LoopMode::kPipelined;
       const auto m = measure(w.prog, topt, mopt);
-      // Re-derive graph shape for the fan-out column.
-      const auto tx = core::Pipeline(topt).run(w.prog).translation;
       std::printf("%-24s %8s | %7zu %7zu %9zu | %9llu\n", w.name,
                   cap == 0 ? "inf" : std::to_string(cap).c_str(),
-                  m.graph.nodes, tx.replicates_inserted,
-                  dfg::max_fanout(tx.graph),
+                  m.graph.nodes, m.replicates_inserted, m.max_fanout,
                   static_cast<unsigned long long>(m.run.cycles));
     }
     std::printf("\n");

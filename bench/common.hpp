@@ -7,6 +7,7 @@
 
 #include "core/compiler.hpp"
 #include "core/pipeline.hpp"
+#include "dfg/passes.hpp"
 #include "support/env.hpp"
 
 namespace ctdf::bench {
@@ -19,6 +20,8 @@ struct Measurement {
   machine::RunStats run;
   std::size_t switches_placed = 0;
   std::size_t num_resources = 0;
+  std::size_t replicates_inserted = 0;  ///< fan-out lowering's replicates
+  std::size_t max_fanout = 0;           ///< of the final graph
   /// Per-stage compile-time breakdown of this measurement's compile.
   core::PipelineTrace compile_trace;
 };
@@ -106,6 +109,8 @@ inline Measurement measure(const lang::Program& prog,
   m.run = res.stats;
   m.switches_placed = tx.switches_placed;
   m.num_resources = tx.num_resources;
+  m.replicates_inserted = tx.replicates_inserted;
+  m.max_fanout = dfg::max_fanout(tx.graph);
   m.compile_trace = compiled.trace;
   return m;
 }

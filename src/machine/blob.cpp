@@ -121,7 +121,8 @@ class Reader {
 
 /// Private-field access for the blob codec (befriended by ExecProgram).
 /// Every ExecProgram member is written and read here, field by field,
-/// in one fixed order — the payload layout documented in blob.hpp.
+/// in one fixed order — the payload layout documented in blob.hpp —
+/// except the frame data decode() derives once the checks pass.
 struct BlobCodec {
   template <typename W>
   static void encode(const ExecProgram& p, W& w) {
@@ -254,6 +255,8 @@ struct BlobCodec {
     for (std::string& l : p.labels_) l = r.str();
 
     if (!r.ok) return "payload ended mid-field";
+    if (p.operand_literal_.size() != p.operand_is_literal_.size())
+      return "operand tables differ in length";
     // Cross-field consistency the engine relies on unconditionally: the
     // fan-out index starts at 0, never decreases and ends at the table's
     // size, so every (op, port) span lies inside the destination table.
@@ -268,8 +271,10 @@ struct BlobCodec {
     }
     // The frame layout is the one lowering assigns: framed ops own
     // consecutive slot ranges, and a firing consumes a token for every
-    // non-literal port. Frames are not zero-filled, so this is what
-    // makes every slot a firing reads one a token or a literal wrote.
+    // non-literal port. A frame starts as the blank frame derived from
+    // this layout, and a firing clears only its own range's token
+    // ports, so every slot a firing reads is one a token or a literal
+    // wrote.
     std::uint64_t slots = 0;
     std::uint64_t framed = 0;
     for (const ExecOp& op : p.ops_) {
@@ -294,6 +299,10 @@ struct BlobCodec {
     }
     if (slots != p.frame_slots_ || framed != p.num_framed_)
       return "frame geometry does not match the op table";
+    // Lowering gives every operand one frame slot at most, which bounds
+    // the blank frame derived below by the blob's own size.
+    if (slots > p.operand_is_literal_.size())
+      return "frame larger than the operand table";
     for (const ExecDest& d : p.fanout_) {
       if (d.node.index() >= num_ops) return "destination node out of range";
       const ExecOp& to = p.ops_[d.node.index()];
@@ -303,6 +312,7 @@ struct BlobCodec {
     }
     if (p.start_.index() >= num_ops || p.end_.index() >= num_ops)
       return "start/end node out of range";
+    p.derive_frames();
     return {};
   }
 };

@@ -55,6 +55,9 @@ struct ReadyEntry {
   /// Non-strict firings carry their single token inline.
   bool immediate = false;
   bool requeued = false;  ///< see Token::requeued
+  /// Multi-PE issue only: fired in place, waiting to be dropped once
+  /// every entry ahead of it has fired too (fire_multi_pe).
+  bool fired = false;
 };
 static_assert(sizeof(ReadyEntry) == 24);
 
@@ -69,6 +72,7 @@ class SerialEngine {
         tables_(ep.tables()),
         opt_(opt),
         rng_(opt.scheduler_seed),
+        non_strict_(non_strict_flags(opt.loop_mode)),
         cs_(opt.placement == Placement::kByContext ? opt.processors : 0),
         frames_(ep),
         pending_(opt) {
@@ -106,7 +110,7 @@ class SerialEngine {
       // 1. Deliver tokens due this cycle.
       pending_.drain(cycle, [&](const Token& t) { deliver(t, cycle); });
       stats_.peak_ready = std::max<std::uint64_t>(
-          stats_.peak_ready, ready_.size() - ready_head_);
+          stats_.peak_ready, ready_.size() - ready_head_ - ready_fired_);
 
       // 2. Fire ready operators: either the abstract pool bounded by
       // `width`, or one operator per processing element per cycle.
@@ -116,7 +120,9 @@ class SerialEngine {
             opt_.width == 0 ? UINT64_MAX : opt_.width;
         while (ready_head_ < ready_.size() && fired < budget && !completed_ &&
                !failed()) {
-          fire(pop_ready(), cycle);
+          fire(next_ready(), cycle);
+          ++ready_head_;
+          shrink_ready();
           ++fired;
         }
       } else {
@@ -153,6 +159,7 @@ class SerialEngine {
       };
       dfg::NodeId pending_write;
       for (std::size_t i = ready_head_; i < ready_.size(); ++i) {
+        if (ready_[i].fired) continue;
         ++stats_.leftover_tokens;
         if (is_write(ready_[i].node)) pending_write = ready_[i].node;
       }
@@ -204,7 +211,7 @@ class SerialEngine {
     }
     ++stats_.tokens_sent;
     const ExecOp& op = tables_.op(t.node);
-    if (non_strict(op, opt_.loop_mode)) {
+    if (op.flags & non_strict_) {
       ReadyEntry& r = ready_slot(t.ctx, t.node);
       r.value = t.value;
       r.port = t.port;
@@ -248,7 +255,10 @@ class SerialEngine {
   /// for the caller to fill in place. Building the entry on the stack
   /// and copying it in would stall on store forwarding: the copy's wide
   /// loads cannot take their data from the narrow stores that just
-  /// wrote the fields. The same holds for tokens pushed in emit().
+  /// wrote the fields. The same holds for tokens pushed in emit(), and
+  /// on the pop side: an entry is fired where it sits (next_ready(),
+  /// fire_multi_pe()), never copied out of the queue, because most were
+  /// written field by field by this cycle's deliveries.
   ReadyEntry& ready_slot(std::uint32_t ctx, dfg::NodeId node) {
     ReadyEntry& r = ready_.emplace_back();
     r.ctx = ctx;
@@ -267,41 +277,50 @@ class SerialEngine {
   }
 
   /// One cycle of multi-PE issue: each PE fires at most one ready
-  /// operator (FIFO per PE); the rest wait. The waiting entries move to
-  /// kept_, which then swaps with ready_, so both buffers keep their
-  /// capacity from cycle to cycle. A PE is busy when it last fired in
-  /// this cycle, so no per-PE state is reset between cycles.
+  /// operator (FIFO per PE); the rest wait. Entries fire in place and
+  /// are marked fired, so a waiting entry is never copied; the head
+  /// skips fired entries once every entry ahead of them has fired. A PE
+  /// is busy when it last fired in this cycle, so no per-PE state is
+  /// reset between cycles.
   std::uint32_t fire_multi_pe(std::uint64_t cycle) {
-    kept_.clear();
     std::uint32_t fired = 0;
-    std::size_t i = ready_head_;
-    for (; i < ready_.size() && !completed_ && !failed(); ++i) {
-      const std::uint32_t pe = pe_of(ready_[i].ctx, ready_[i].node);
-      if (pe_fired_at_[pe] == cycle) {
-        kept_.push_back(ready_[i]);
-        continue;
-      }
+    for (std::size_t i = ready_head_;
+         i < ready_.size() && !completed_ && !failed(); ++i) {
+      ReadyEntry& e = ready_[i];
+      if (e.fired) continue;
+      const std::uint32_t pe = pe_of(e.ctx, e.node);
+      if (pe_fired_at_[pe] == cycle) continue;
       pe_fired_at_[pe] = cycle;
-      fire(ready_[i], cycle);
+      fire(e, cycle);
+      e.fired = true;
+      ++ready_fired_;
       ++fired;
     }
-    kept_.insert(kept_.end(),
-                 ready_.begin() + static_cast<std::ptrdiff_t>(i), ready_.end());
-    ready_.swap(kept_);
-    ready_head_ = 0;
+    while (ready_head_ < ready_.size() && ready_[ready_head_].fired) {
+      ++ready_head_;
+      --ready_fired_;
+    }
+    shrink_ready();
     return fired;
   }
 
-  ReadyEntry pop_ready() {
+  /// The entry the serial pool fires next, in place: the head, or under
+  /// --sched-seed a random waiting entry swapped to the head.
+  ReadyEntry& next_ready() {
     if (opt_.scheduler_seed != 0) {
       const std::size_t span = ready_.size() - ready_head_;
       const std::size_t pick = ready_head_ + rng_.next_below(span);
       std::swap(ready_[ready_head_], ready_[pick]);
     }
-    ReadyEntry e = ready_[ready_head_++];
+    return ready_[ready_head_];
+  }
+
+  /// After the head advanced past fired entries. Emptied, the queue
+  /// starts over at the front, so a queue that drains every cycle stays
+  /// in the same few cache lines; a long-lived one sheds its fired
+  /// prefix.
+  void shrink_ready() {
     if (ready_head_ == ready_.size()) {
-      // Emptied: start over at the front, so a queue that drains every
-      // cycle stays in the same few cache lines.
       ready_.clear();
       ready_head_ = 0;
     } else if (ready_head_ > 4096 && ready_head_ * 2 > ready_.size()) {
@@ -309,7 +328,6 @@ class SerialEngine {
                    ready_.begin() + static_cast<std::ptrdiff_t>(ready_head_));
       ready_head_ = 0;
     }
-    return e;
   }
 
   /// Schedules value onto every arc out of (node, port), counting each
@@ -354,6 +372,14 @@ class SerialEngine {
       for (const Token& t : cap_stalled_) pending_.push(cycle + 1) = t;
       cap_stalled_.clear();
     }
+  }
+
+  /// The context of iteration (loop ← from), allocated together with
+  /// its frame-table entry on first use.
+  std::uint32_t iteration_context(cfg::LoopId loop, std::uint32_t from) {
+    const std::uint32_t ctx = cs_.context_for_iteration(loop, from, stats_);
+    frames_.add_context(ctx);
+    return ctx;
   }
 
   /// Finite frame store: true (and buffers the work) when firing this
@@ -444,8 +470,7 @@ class SerialEngine {
             if (!e.requeued) consume(e.ctx, cycle);
             return;
           }
-          const std::uint32_t next =
-              cs_.context_for_iteration(op.loop, e.ctx, stats_);
+          const std::uint32_t next = iteration_context(op.loop, e.ctx);
           emit(next, e.node, e.port, e.value, cycle, alu);
           if (!e.requeued) consume(e.ctx, cycle);
           return;
@@ -460,12 +485,12 @@ class SerialEngine {
     // produced, and read the matched inputs where they sit. Nothing
     // writes the frame before the consume() at the end, after the last
     // read of `in`: emissions and deferred readers only push pending
-    // tokens, release() only resets the op's state word (the integrity
-    // tags live outside the frame), and consume() is the one call that
-    // can recycle the frame.
-    CTDF_ASSERT(frames_.has(e.ctx, op) && frames_.remaining(e.ctx, op) == 0);
-    const std::int64_t* in = frames_.inputs(e.ctx, op);
-    const int missing = frames_.release(e.ctx, op);
+    // tokens, release() touches only the op's state word and presence
+    // bits (the integrity tags live outside the frame), and consume() is
+    // the one call that can recycle the frame.
+    std::byte* const frame = frames_.completed(e.ctx, op);
+    const std::int64_t* in = frames_.inputs(frame, op);
+    const int missing = frames_.release(frame, e.ctx, op);
     if (check_) {
       ++stats_.integrity_checks;
       if (missing >= 0) {
@@ -517,8 +542,7 @@ class SerialEngine {
         case dfg::OpKind::kLoopEntry: {
           // Barrier mode: the full circulating set starts the next
           // iteration in a freshly allocated context.
-          const std::uint32_t next =
-              cs_.context_for_iteration(op.loop, e.ctx, stats_);
+          const std::uint32_t next = iteration_context(op.loop, e.ctx);
           for (std::uint16_t p = 0; p < op.num_inputs; ++p)
             emit(next, e.node, p, in[p], cycle, alu);
           break;
@@ -600,6 +624,9 @@ class SerialEngine {
   ExecTables tables_;  ///< ep_'s op table and fan-out arrays
   MachineOptions opt_;
   support::SplitMix64 rng_;
+  /// The ExecOp::flags that make an op forward each token immediately
+  /// under opt_.loop_mode: one test per delivery.
+  std::uint8_t non_strict_;
 
   MemoryState mem_;
   DeferredMap deferred_;
@@ -610,8 +637,7 @@ class SerialEngine {
   PendingQueue pending_;
   std::vector<ReadyEntry> ready_;
   std::size_t ready_head_ = 0;
-  /// fire_multi_pe's per-cycle scratch, kept so its capacity survives.
-  std::vector<ReadyEntry> kept_;
+  std::size_t ready_fired_ = 0;  ///< entries marked fired past the head
   /// Per PE, the cycle it last fired in (UINT64_MAX: never).
   std::vector<std::uint64_t> pe_fired_at_;
   std::uint32_t fire_ctx_ = 0;  ///< context of the firing in progress

@@ -1,5 +1,6 @@
 #include "machine/exec.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -101,7 +102,37 @@ ExecProgram lower(const dfg::Graph& g) {
       p.fanout_[cursor[p.ops_[a.src.index()].first_port + a.src_port]++] =
           ExecDest{a.dst, a.dst_port};
   }
+  p.derive_frames();
   return p;
+}
+
+void ExecProgram::derive_frames() {
+  const std::size_t states = state_offset();
+  blank_frame_.assign(states + (num_framed_ + 3) / 4, 0);
+  // Every uint16_t state word starts kFrameNotCreated.
+  static_assert(kFrameNotCreated == 0xFFFF);
+  std::fill(blank_frame_.begin() + static_cast<std::ptrdiff_t>(states),
+            blank_frame_.end(), ~std::uint64_t{0});
+  slot_literals_.assign(frame_slots_, 0);
+  token_masks_.assign(num_framed_, TokenMask{});
+  for (const ExecOp& op : ops_) {
+    if (!op.framed()) continue;
+    TokenMask& mask = token_masks_[op.strict_index];
+    const std::uint32_t first_word = op.frame_base / 64;
+    for (std::uint16_t p = 0; p < op.num_inputs; ++p) {
+      const std::uint32_t slot = op.frame_base + p;
+      const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+      if (literal_at(op, p)) {
+        blank_frame_[slot] = static_cast<std::uint64_t>(literal_value(op, p));
+        blank_frame_[presence_offset() + slot / 64] |= bit;
+        slot_literals_[slot] = 1;
+      } else if (slot / 64 == first_word) {
+        mask.first |= bit;
+      } else if (slot / 64 == first_word + 1) {
+        mask.second |= bit;
+      }
+    }
+  }
 }
 
 std::string render(const ExecProgram& p) {

@@ -13,7 +13,10 @@
 //  * a per-context frame-slot layout: every strict op owns a fixed
 //    range [frame_base, frame_base + num_inputs) of the context frame,
 //    so token matching is a presence-bit set in a dense array (a true
-//    ETS frame) instead of a hash-map slot lookup.
+//    ETS frame) instead of a hash-map slot lookup;
+//  * the blank frame every context starts from (literal operands
+//    filled and present) and per-op token-port masks, derived from the
+//    fields above and never serialized (ExecProgram::derive_frames).
 //
 // The lowering is per-graph, not per-MachineOptions: LoopEntry's
 // strictness depends on LoopMode (pipelined = non-strict), so the op
@@ -44,6 +47,20 @@ inline constexpr std::uint8_t kExecMem = 4;
 inline constexpr std::uint8_t kExecWrite = 8;
 
 inline constexpr std::uint32_t kNoFrameSlot = UINT32_MAX;
+
+/// A framed op's state word while its activation is not created; once
+/// a token arrives it counts the missing inputs.
+inline constexpr std::uint16_t kFrameNotCreated = 0xFFFF;
+
+/// A framed op's token (non-literal) ports as presence bits of the two
+/// words its slot range starts in. A firing clears exactly these bits,
+/// so the literal ports stay present for the next activation. A range
+/// of more than 64 slots can reach a third word; such ops clear port by
+/// port instead.
+struct TokenMask {
+  std::uint64_t first = 0;   ///< word frame_base / 64
+  std::uint64_t second = 0;  ///< the word after it
+};
 
 /// One lowered operator. POD row of the dense op table; index == the
 /// source dfg::NodeId.
@@ -146,6 +163,31 @@ class ExecProgram {
   [[nodiscard]] std::size_t frame_slots() const { return frame_slots_; }
   [[nodiscard]] std::size_t num_framed_ops() const { return num_framed_; }
 
+  /// A context frame record, in 64-bit words: the value slots, then the
+  /// presence bits from presence_offset() (one word more than the slots
+  /// need, so a token mask's second word always exists), then the
+  /// framed ops' uint16_t state words from state_offset().
+  [[nodiscard]] std::size_t presence_offset() const { return frame_slots_; }
+  [[nodiscard]] std::size_t state_offset() const {
+    return frame_slots_ + (frame_slots_ + 63) / 64 + 1;
+  }
+  /// The record a new context's frame is copied from: literal ports
+  /// filled and present, token ports absent, every state
+  /// kFrameNotCreated.
+  [[nodiscard]] std::span<const std::uint64_t> blank_frame() const {
+    return blank_frame_;
+  }
+  /// Per frame slot, 1 when it holds a literal operand. This is also
+  /// the blank row of --check=integrity's shadow tags (literal ports
+  /// start written).
+  [[nodiscard]] std::span<const std::uint8_t> slot_literals() const {
+    return slot_literals_;
+  }
+  /// Per framed op (by strict_index), the presence bits a firing clears.
+  [[nodiscard]] std::span<const TokenMask> token_masks() const {
+    return token_masks_;
+  }
+
   /// Aggregates reported by the pipeline's `lower` stage trace.
   [[nodiscard]] std::size_t num_dests() const { return fanout_.size(); }
   [[nodiscard]] std::size_t num_literals() const {
@@ -161,9 +203,15 @@ class ExecProgram {
   /// invariant, proving --check=integrity is not vacuous.
   friend struct ProgramMutator;
   /// Versioned binary serialization (machine/blob.hpp): the codec
-  /// walks every field below, so adding a member here means extending
-  /// the blob format and bumping kBlobVersion.
+  /// walks every field below up to the derived frame data, so adding
+  /// such a member means extending the blob format and bumping
+  /// kBlobVersion.
   friend struct BlobCodec;
+
+  /// Rebuilds the derived frame data below from the op table and the
+  /// operand tables. lower(), the blob decoder and the mutation
+  /// harness call it after they build or edit those.
+  void derive_frames();
 
   std::vector<ExecOp> ops_;
   std::vector<ExecDest> fanout_;          ///< all dests, port-contiguous
@@ -177,6 +225,11 @@ class ExecProgram {
   dfg::NodeId end_;
   std::size_t frame_slots_ = 0;
   std::size_t num_framed_ = 0;
+
+  // Derived by derive_frames(); not part of the blob.
+  std::vector<std::uint64_t> blank_frame_;
+  std::vector<std::uint8_t> slot_literals_;
+  std::vector<TokenMask> token_masks_;
 };
 
 /// Lowers a graph; O(nodes + arcs), run once per compilation (the

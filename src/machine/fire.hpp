@@ -18,13 +18,13 @@
 
 namespace ctdf::machine {
 
-/// Effective strictness of a lowered op: Merge/LoopExit always forward
-/// immediately; LoopEntry additionally does under pipelined loop
-/// control (a machine-mode decision, which is why it is resolved here
-/// and not in the lowering).
-[[nodiscard]] inline bool non_strict(const ExecOp& op, LoopMode mode) {
-  if (op.flags & kExecNonStrict) return true;
-  return (op.flags & kExecLoopEntry) != 0 && mode == LoopMode::kPipelined;
+/// The ExecOp::flags bits that make a lowered op non-strict under
+/// `mode`: Merge/LoopExit always forward immediately; LoopEntry
+/// additionally does under pipelined loop control (a machine-mode
+/// decision, which is why it is resolved here and not in the lowering).
+[[nodiscard]] constexpr std::uint8_t non_strict_flags(LoopMode mode) {
+  return mode == LoopMode::kPipelined ? kExecNonStrict | kExecLoopEntry
+                                      : kExecNonStrict;
 }
 
 /// Updatable memory plus the I-structure cell states layered on it.

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -67,39 +68,42 @@ using DeferredMap =
 /// Dense per-context matching frames (the explicit token store). Each
 /// context owns one frame: a value slot plus presence bit per strict
 /// input port (laid out by ExecProgram), and a per-framed-op state word
-/// that is kNotCreated until the first token arrives and counts the
-/// missing inputs afterwards. A slot range is (re-)initialized on
-/// creation — literal ports pre-filled — and released when the op
-/// fires, mirroring the try_emplace/erase lifecycle the hash-map store
-/// had.
+/// that is kFrameNotCreated until the first token arrives and counts
+/// the missing inputs afterwards.
 ///
-/// Storage is a slab arena: frames are fixed-size records (values,
-/// presence words, state words — geometry fixed by the ExecProgram)
-/// carved out of large chunks, so creating an iteration context costs a
-/// bump-pointer step instead of three vector allocations. A frame whose
-/// context retires can be handed back via recycle(); the freelist
-/// re-issues it to the next iteration without re-initialization (a
-/// retiring context has zero live tokens, hence zero created slots, so
-/// a recycled frame is already in the all-kNotCreated state a fresh one
-/// starts in). Retired contexts can transiently revive (an inner loop
-/// exiting later re-injects tokens); a revived context simply draws a
-/// fresh frame. Frames are allocated lazily on first delivery. Chunks
-/// are not zero-filled: a frame's presence and state words are set
-/// when it is carved out, and every value slot is written, by a token
-/// or a pre-filled literal, before the firing that reads it (BlobCodec
-/// rejects a decoded program whose frame layout breaks this).
+/// A frame starts as a copy of the program's blank frame: literal ports
+/// filled and present, token ports absent, every state not created. So
+/// creating an activation is one state write, and a firing returns its
+/// range to blank by clearing only its token ports' presence bits (the
+/// program's precomputed token masks); literal values and bits are
+/// never touched after the copy. A token on a literal port finds its
+/// bit set and is a slot collision, as it always was.
+///
+/// Storage is a slab arena: frames are fixed-size records carved out of
+/// large chunks, so creating an iteration context costs a bump-pointer
+/// step and one copy of the blank record instead of three vector
+/// allocations. A frame whose context retires can be handed back via
+/// recycle(); the freelist re-issues it to the next iteration as it is.
+/// A recycled frame is blank: a context retires only with zero live
+/// tokens, so every activation created in it has fired and released
+/// its range, and BlobCodec guarantees that ranges are consecutive and
+/// never overlap, so no release touches another op's bits. Retired
+/// contexts can transiently revive (an inner loop exiting later
+/// re-injects tokens); a revived context simply draws a fresh frame.
+/// Frames are allocated lazily on first delivery.
 class FrameStore {
  public:
   explicit FrameStore(const ExecProgram& ep)
       : ep_(&ep),
-        slots_(ep.frame_slots()),
-        words_((ep.frame_slots() + 63) / 64),
-        nstates_(ep.num_framed_ops()) {
-    const std::size_t bytes = slots_ * sizeof(std::int64_t) +
-                              words_ * sizeof(std::uint64_t) +
-                              nstates_ * sizeof(std::uint16_t);
-    stride_ = std::max<std::size_t>((bytes + 7) & ~std::size_t{7}, 8);
-    frames_per_chunk_ = std::max<std::size_t>(1, kChunkBytes / stride_);
+        blank_(ep.blank_frame()),
+        slot_literals_(ep.slot_literals()),
+        masks_(ep.token_masks().data()),
+        bits_at_(ep.presence_offset() * sizeof(std::uint64_t)),
+        states_at_(ep.state_offset() * sizeof(std::uint64_t)),
+        stride_(std::max<std::size_t>(blank_.size(), 1) *
+                sizeof(std::uint64_t)),
+        frames_per_chunk_(std::max<std::size_t>(1, kChunkBytes / stride_)) {
+    add_context(0);  // the root
   }
 
   enum class Deliver : std::uint8_t {
@@ -120,7 +124,8 @@ class FrameStore {
   /// Engages the shadow permission tags (--check=integrity): one tag
   /// byte per value slot, cycling empty → written → (released back to)
   /// empty, kept outside the slab so the off-mode frame layout is
-  /// untouched. Call before the first delivery.
+  /// untouched. A literal port's tag stays written, as its presence bit
+  /// stays set. Call before the first delivery.
   void enable_checking() { checking_ = true; }
 
   /// Files one token into (ctx, op)'s slot range.
@@ -129,24 +134,8 @@ class FrameStore {
                                          std::int64_t value) {
     std::byte* f = frame(ctx);
     std::uint16_t& state = states(f)[op.strict_index];
-    if (state == kNotCreated) {
-      for (std::uint16_t p = 0; p < op.num_inputs; ++p) {
-        const std::uint32_t slot = op.frame_base + p;
-        if (ep_->literal_at(op, p)) {
-          values(f)[slot] = ep_->literal_value(op, p);
-          bit_set(f, slot);
-        } else {
-          bit_reset(f, slot);
-        }
-      }
-      state = op.consumed_inputs;
-      if (checking_) {
-        std::uint8_t* tags = tag_row(ctx);
-        for (std::uint16_t p = 0; p < op.num_inputs; ++p)
-          tags[op.frame_base + p] =
-              ep_->literal_at(op, p) ? kTagWritten : kTagEmpty;
-      }
-    }
+    // The range is blank until its first token: creating is one write.
+    if (state == kFrameNotCreated) state = op.consumed_inputs;
     const std::uint32_t slot = op.frame_base + port;
     if (checking_) {
       // Tag check first: with checking on, a second token on one arc is
@@ -163,41 +152,56 @@ class FrameStore {
     return --state == 0 ? Deliver::kCompleted : Deliver::kStored;
   }
 
-  [[nodiscard]] bool has(std::uint32_t ctx, const ExecOp& op) const {
-    return ctx < frames_.size() && frames_[ctx] &&
-           states(frames_[ctx])[op.strict_index] != kNotCreated;
-  }
-
-  [[nodiscard]] std::uint16_t remaining(std::uint32_t ctx,
-                                        const ExecOp& op) const {
-    return states(frames_[ctx])[op.strict_index];
+  /// The frame holding (ctx, op)'s completed activation: the one lookup
+  /// a strict firing makes, for inputs() and release().
+  [[nodiscard]] std::byte* completed(std::uint32_t ctx,
+                                     const ExecOp& op) const {
+    std::byte* f = ctx < frames_.size() ? frames_[ctx] : nullptr;
+    CTDF_ASSERT(f && states(f)[op.strict_index] == 0);
+    return f;
   }
 
   /// The matched input values, in place. They outlive release(): the
   /// slots change only when a token is next filed into this frame.
-  [[nodiscard]] const std::int64_t* inputs(std::uint32_t ctx,
+  [[nodiscard]] const std::int64_t* inputs(const std::byte* f,
                                            const ExecOp& op) const {
-    return values(frames_[ctx]) + op.frame_base;
+    return values(f) + op.frame_base;
   }
 
-  /// The op fired: its slot range becomes re-creatable. With checking
-  /// on, first sweeps the range's permission tags — every port must be
-  /// written (a token arrived, or a literal was pre-filled) before the
-  /// firing may consume it. Returns the first port whose tag is still
-  /// empty (integrity/read-empty), or -1 when the sweep passes; always
-  /// -1 with checking off. The tags return to empty either way.
-  int release(std::uint32_t ctx, const ExecOp& op) {
-    states(frames_[ctx])[op.strict_index] = kNotCreated;
-    if (!checking_) return -1;
-    std::uint8_t* tags = tag_row(ctx);
-    int missing = -1;
-    for (std::uint16_t p = 0; p < op.num_inputs; ++p) {
-      const std::uint32_t slot = op.frame_base + p;
-      if (missing < 0 && tags[slot] != kTagWritten)
-        missing = static_cast<int>(p);
-      tags[slot] = kTagEmpty;
+  /// The op fired: its range returns to blank (state not created, token
+  /// ports absent) and becomes re-creatable. With checking on, first
+  /// sweeps the range's permission tags — every port must be written (a
+  /// token arrived, or it is a literal) before the firing may consume
+  /// it. Returns the first port whose tag is still empty
+  /// (integrity/read-empty), or -1 when the sweep passes; always -1
+  /// with checking off. The token ports' tags return to empty either
+  /// way.
+  int release(std::byte* f, std::uint32_t ctx, const ExecOp& op) {
+    states(f)[op.strict_index] = kFrameNotCreated;
+    if (op.num_inputs <= 64) {
+      // At most 64 slots lie in two words.
+      std::uint64_t* w = bits(f) + op.frame_base / 64;
+      const TokenMask& m = masks_[op.strict_index];
+      w[0] &= ~m.first;
+      w[1] &= ~m.second;
+    } else {
+      for (std::uint32_t s = op.frame_base; s < op.frame_base + op.num_inputs;
+           ++s)
+        if (!slot_literals_[s]) bit_reset(f, s);
     }
+    if (!checking_) return -1;
+    std::uint8_t* tags = tag_row(ctx) + op.frame_base;
+    int missing = -1;
+    for (std::uint16_t p = 0; p < op.num_inputs && missing < 0; ++p)
+      if (tags[p] != kTagWritten) missing = static_cast<int>(p);
+    std::copy_n(slot_literals_.data() + op.frame_base, op.num_inputs, tags);
     return missing;
+  }
+
+  /// ContextState allocated `ctx`: make room for its frame, so a
+  /// delivery indexes the frame table without growing it.
+  void add_context(std::uint32_t ctx) {
+    if (ctx >= frames_.size()) frames_.resize(ctx + 1, nullptr);
   }
 
   /// The context retired: hand its frame back to the freelist (see
@@ -227,20 +231,22 @@ class FrameStore {
       for (std::uint32_t i = 0; i < ep_->num_ops(); ++i) {
         const ExecOp& op = ep_->op(i);
         if (!op.framed()) continue;
-        if (st[op.strict_index] != kNotCreated)
+        if (st[op.strict_index] != kFrameNotCreated)
           f(ctx, i, st[op.strict_index]);
       }
     }
   }
 
  private:
-  static constexpr std::uint16_t kNotCreated = 0xFFFF;
   static constexpr std::uint8_t kTagEmpty = 0, kTagWritten = 1;
+  static_assert(kTagWritten == 1 && kTagEmpty == 0,
+                "slot_literals() is the blank tag row");
   /// Arena chunk size; amortizes to ~one allocation per kChunkBytes of
   /// frame traffic (with recycling, usually a handful per run).
   static constexpr std::size_t kChunkBytes = 64 * 1024;
 
-  // Frame record layout at p: values | presence words | state words.
+  // Frame record layout at p (ExecProgram::presence_offset and
+  // state_offset): values | presence words | state words.
   [[nodiscard]] std::int64_t* values(std::byte* p) const {
     return reinterpret_cast<std::int64_t*>(p);
   }
@@ -248,15 +254,13 @@ class FrameStore {
     return reinterpret_cast<const std::int64_t*>(p);
   }
   [[nodiscard]] std::uint64_t* bits(std::byte* p) const {
-    return reinterpret_cast<std::uint64_t*>(p + slots_ * sizeof(std::int64_t));
+    return reinterpret_cast<std::uint64_t*>(p + bits_at_);
   }
   [[nodiscard]] std::uint16_t* states(std::byte* p) const {
-    return reinterpret_cast<std::uint16_t*>(p + slots_ * sizeof(std::int64_t) +
-                                            words_ * sizeof(std::uint64_t));
+    return reinterpret_cast<std::uint16_t*>(p + states_at_);
   }
   [[nodiscard]] const std::uint16_t* states(const std::byte* p) const {
-    return reinterpret_cast<const std::uint16_t*>(
-        p + slots_ * sizeof(std::int64_t) + words_ * sizeof(std::uint64_t));
+    return reinterpret_cast<const std::uint16_t*>(p + states_at_);
   }
 
   void bit_set(std::byte* p, std::uint32_t i) {
@@ -271,9 +275,7 @@ class FrameStore {
 
   std::byte* alloc_frame() {
     if (!free_.empty()) {
-      // Recycled frames are clean (all states kNotCreated) — a context
-      // only retires once its last token is consumed, and every created
-      // slot holds at least one live token.
+      // Recycled frames are blank (see class comment).
       std::byte* p = free_.back();
       free_.pop_back();
       return p;
@@ -284,38 +286,42 @@ class FrameStore {
       next_in_chunk_ = 0;
     }
     std::byte* p = chunks_.back().get() + next_in_chunk_++ * stride_;
-    // Creating a slot range sets or resets each of its presence bits
-    // before one is tested, but bit_set/bit_reset read the whole word,
-    // and reading an indeterminate uint64_t is undefined behaviour.
-    std::fill_n(bits(p), words_, std::uint64_t{0});
-    std::uint16_t* st = states(p);
-    for (std::size_t i = 0; i < nstates_; ++i) st[i] = kNotCreated;
+    std::copy_n(reinterpret_cast<const std::byte*>(blank_.data()),
+                blank_.size_bytes(), p);
     return p;
   }
 
+  /// Every context a token names was allocated, so add_context() has
+  /// made room for it (_GLIBCXX_ASSERTIONS builds check the index).
   std::byte* frame(std::uint32_t ctx) {
-    if (ctx >= frames_.size()) frames_.resize(ctx + 1, nullptr);
     if (!frames_[ctx]) frames_[ctx] = alloc_frame();
     return frames_[ctx];
   }
 
-  /// The context's shadow tag row (checking mode), created zeroed (all
-  /// empty) on first use. Rows stay with their context across frame
-  /// recycling: a retiring context has zero live tokens, hence all-empty
-  /// tags, so a revived context finds its row in the fresh state.
+  /// The context's shadow tag row (checking mode), created blank (token
+  /// ports empty, literal ports written) on first use. Rows stay with
+  /// their context across frame recycling: a retiring context has zero
+  /// live tokens, hence a blank row, so a revived context finds its row
+  /// in the fresh state.
   std::uint8_t* tag_row(std::uint32_t ctx) {
     if (tags_.size() <= ctx) tags_.resize(ctx + 1);
     auto& row = tags_[ctx];
-    if (!row) row = std::make_unique<std::uint8_t[]>(slots_);
+    if (!row) {
+      row = std::make_unique_for_overwrite<std::uint8_t[]>(
+          slot_literals_.size());
+      std::copy_n(slot_literals_.data(), slot_literals_.size(), row.get());
+    }
     return row.get();
   }
 
   const ExecProgram* ep_;
-  std::size_t slots_;
-  std::size_t words_;
-  std::size_t nstates_;
-  std::size_t stride_ = 0;
-  std::size_t frames_per_chunk_ = 0;
+  std::span<const std::uint64_t> blank_;
+  std::span<const std::uint8_t> slot_literals_;
+  const TokenMask* masks_;
+  std::size_t bits_at_;    ///< byte offset of the presence words
+  std::size_t states_at_;  ///< byte offset of the state words
+  std::size_t stride_;
+  std::size_t frames_per_chunk_;
   std::size_t next_in_chunk_ = 0;
   std::vector<std::byte*> frames_;  ///< per-context frame, null = none
   std::vector<std::unique_ptr<std::byte[]>> chunks_;

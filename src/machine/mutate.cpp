@@ -36,6 +36,10 @@ struct ProgramMutator {
     for (std::uint32_t& b : ep.fanout_begin_)
       if (b > i) --b;
   }
+
+  /// A mutation may change arities: rebuild the blank frame and the
+  /// token masks the engine takes from the op table.
+  static void refresh(ExecProgram& ep) { ep.derive_frames(); }
 };
 
 namespace {
@@ -170,9 +174,7 @@ bool alias_istore_base(ExecProgram& ep) {
   return false;
 }
 
-}  // namespace
-
-bool apply_mutation(ExecProgram& ep, Mutation m) {
+bool mutate(ExecProgram& ep, Mutation m) {
   switch (m) {
     case Mutation::kDupFanoutArc: return dup_fanout_arc(ep);
     case Mutation::kMiswireFanoutPort: return miswire_fanout_port(ep);
@@ -183,6 +185,14 @@ bool apply_mutation(ExecProgram& ep, Mutation m) {
     case Mutation::kDupMemResponse: return false;  // options hook
   }
   return false;
+}
+
+}  // namespace
+
+bool apply_mutation(ExecProgram& ep, Mutation m) {
+  if (!mutate(ep, m)) return false;
+  ProgramMutator::refresh(ep);
+  return true;
 }
 
 }  // namespace ctdf::machine

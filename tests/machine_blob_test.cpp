@@ -255,6 +255,126 @@ std::vector<std::uint8_t> forge(std::span<const std::uint8_t> header,
   return forged;
 }
 
+/// `v` as the payload encodes it: little-endian, `bytes` wide.
+std::vector<std::uint8_t> le_bytes(std::uint64_t v, int bytes) {
+  std::vector<std::uint8_t> out;
+  for (int i = 0; i < bytes; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  return out;
+}
+
+/// Where the operand tables start in `payload` (the u32 count of the
+/// literal flags), or npos. Lowering lays the flags out op by op, port
+/// by port.
+std::size_t operand_tables_at(const ExecProgram& ep,
+                              const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> flags;
+  for (std::uint32_t i = 0; i < ep.num_ops(); ++i)
+    for (std::uint16_t p = 0; p < ep.op(i).num_inputs; ++p)
+      flags.push_back(ep.literal_at(ep.op(i), p) ? 1 : 0);
+  const auto n = static_cast<std::uint32_t>(flags.size());
+  std::vector<std::uint8_t> needle = le_bytes(n, 4);
+  needle.insert(needle.end(), flags.begin(), flags.end());
+  const auto count = le_bytes(n, 4);
+  needle.insert(needle.end(), count.begin(), count.end());
+  const auto at = std::search(payload.begin(), payload.end(), needle.begin(),
+                              needle.end());
+  return at == payload.end() ? std::string::npos
+                             : static_cast<std::size_t>(at - payload.begin());
+}
+
+/// Shrinks both operand tables, which start at `at`, by their last
+/// `drop` entries.
+void drop_operands(std::vector<std::uint8_t>& payload, std::size_t at,
+                   std::uint32_t n, std::uint32_t drop) {
+  const auto kept = le_bytes(n - drop, 4);
+  const std::size_t values = at + 4 + n;  // the u32 count of the values
+  const auto values_end = payload.begin() + static_cast<std::ptrdiff_t>(
+                                                values + 4 + 8 * n);
+  payload.erase(values_end - 8 * drop, values_end);
+  std::copy(kept.begin(), kept.end(), payload.begin() + values);
+  const auto flags_end =
+      payload.begin() + static_cast<std::ptrdiff_t>(at + 4 + n);
+  payload.erase(flags_end - drop, flags_end);
+  std::copy(kept.begin(), kept.end(), payload.begin() + at);
+}
+
+TEST_F(BlobAdversarial, HashValidOperandTablesOfDifferentLengthsAreMalformed) {
+  // Every literal flag needs its value: the blank frame the decoder
+  // derives reads one per literal port. Drop the last value only.
+  const BlobReadResult read = deserialize(blob_);
+  ASSERT_TRUE(read.ok()) << read.message;
+  std::vector<std::uint8_t> payload(blob_.begin() + kBlobHeaderSize,
+                                    blob_.end());
+  const std::size_t at = operand_tables_at(read.image.exec, payload);
+  ASSERT_NE(at, std::string::npos);
+  std::uint32_t n = 0;
+  for (std::uint32_t i = 0; i < read.image.exec.num_ops(); ++i)
+    n += read.image.exec.op(i).num_inputs;
+  ASSERT_GT(n, 0u);
+  const auto values = payload.begin() + static_cast<std::ptrdiff_t>(at + 4 + n);
+  const auto fewer = le_bytes(n - 1, 4);
+  std::copy(fewer.begin(), fewer.end(), values);
+  payload.erase(values + 4 + 8 * (n - 1), values + 4 + 8 * n);
+  const BlobReadResult r = deserialize(forge(blob_, payload));
+  EXPECT_EQ(r.error, BlobError::kMalformed);
+  EXPECT_NE(r.message.find("operand tables differ in length"),
+            std::string::npos)
+      << r.message;
+}
+
+TEST_F(BlobAdversarial, HashValidFrameLargerThanItsOperandsIsMalformed) {
+  // Lowering gives every operand one frame slot at most, which bounds
+  // the derived blank frame by the blob's size. Forge a blob whose ops
+  // share operand entries: start -> add -> end, with end's one token
+  // port pointed at add's first operand and the tables cut to add's.
+  dfg::Graph g;
+  dfg::Node s;
+  s.kind = dfg::OpKind::kStart;
+  s.num_outputs = 2;
+  s.start_values = {1, 2};
+  const dfg::NodeId start = g.add(std::move(s));
+  g.set_start(start);
+  const dfg::NodeId add = g.add_binop(lang::BinOp::kAdd);
+  g.connect({start, 0}, {add, 0}, true);
+  g.connect({start, 1}, {add, 1}, true);
+  dfg::Node e;
+  e.kind = dfg::OpKind::kEnd;
+  e.num_inputs = 1;
+  const dfg::NodeId end = g.add(std::move(e));
+  g.set_end(end);
+  g.connect({add, 0}, {end, 0}, true);
+  ProgramImage image;
+  image.exec = lower(g);
+  ASSERT_EQ(image.exec.frame_slots(), 3u);
+  const std::vector<std::uint8_t> blob = serialize(image);
+  std::vector<std::uint8_t> payload(blob.begin() + kBlobHeaderSize,
+                                    blob.end());
+  ASSERT_TRUE(deserialize(forge(blob, payload)).ok());
+
+  // The op records run from offset 4 to the start/end/geometry fields.
+  std::vector<std::uint8_t> geometry = le_bytes(start.value(), 4);
+  for (const auto& f : {le_bytes(end.value(), 4), le_bytes(3, 8),
+                        le_bytes(2, 8)})
+    geometry.insert(geometry.end(), f.begin(), f.end());
+  const auto ops_end = std::search(payload.begin(), payload.end(),
+                                   geometry.begin(), geometry.end());
+  ASSERT_NE(ops_end, payload.end());
+  const std::size_t record = static_cast<std::size_t>(ops_end - payload.begin() - 4) / 3;
+  // first_operand follows kind, flags and three u16 arities.
+  const auto zero = le_bytes(0, 4);
+  std::copy(zero.begin(), zero.end(),
+            payload.begin() + static_cast<std::ptrdiff_t>(4 + 2 * record + 8));
+  const std::size_t at = operand_tables_at(image.exec, payload);
+  ASSERT_NE(at, std::string::npos);
+  drop_operands(payload, at, 3, 1);
+
+  const BlobReadResult r = deserialize(forge(blob, payload));
+  EXPECT_EQ(r.error, BlobError::kMalformed);
+  EXPECT_NE(r.message.find("frame larger than the operand table"),
+            std::string::npos)
+      << r.message;
+}
+
 TEST_F(BlobAdversarial, HashValidTrailingGarbageIsMalformed) {
   // The structural decoder must notice that a re-hashed image does not
   // consume the whole payload.

@@ -35,4 +35,32 @@ inline machine::ProgramImage loop_exit_outside_loop_image() {
   return image;
 }
 
+/// start -> add(port 0 token, port 1 literal 7) -> end, with a second
+/// arc from start onto the literal port. The literal arc is first, so
+/// its token is the one that creates the activation. Graph::connect
+/// refuses an arc into a literal port, so the port is bound after it
+/// is wired.
+inline machine::ProgramImage token_on_literal_port_image() {
+  dfg::Graph g;
+  dfg::Node s;
+  s.kind = dfg::OpKind::kStart;
+  s.num_outputs = 1;
+  s.start_values = {5};
+  const dfg::NodeId start = g.add(std::move(s));
+  g.set_start(start);
+  const dfg::NodeId add = g.add_binop(lang::BinOp::kAdd, "victim");
+  g.connect({start, 0}, {add, 1}, true);
+  g.connect({start, 0}, {add, 0}, true);
+  g.bind_literal({add, 1}, 7);
+  dfg::Node e;
+  e.kind = dfg::OpKind::kEnd;
+  e.num_inputs = 1;
+  const dfg::NodeId end = g.add(std::move(e));
+  g.set_end(end);
+  g.connect({add, 0}, {end, 0}, true);
+  machine::ProgramImage image;
+  image.exec = machine::lower(g);
+  return image;
+}
+
 }  // namespace ctdf::testing
